@@ -20,10 +20,11 @@ reports.  ``--min-screen-speedup`` gates the static-screening leg the same
 way.  The screening leg always hard-fails on any verdict divergence between
 the screened and unscreened runs, gate or no gate.
 
-Schema of the output (``bench_eval/v3``; v2 + the ``screening`` section)::
+Schema of the output (``bench_eval/v4``; v3 without the lint-screen
+fields, v2 + the ``screening`` section)::
 
     {
-      "schema": "bench_eval/v3",
+      "schema": "bench_eval/v4",
       "config": {...},                       # scale knobs of this run
       "pipeline": {"wall_time_s", "sva_bug_entries", "eval_cases"},
       "training": {"wall_time_s", "stage", "challenging_cases"},
@@ -52,10 +53,9 @@ Schema of the output (``bench_eval/v3``; v2 + the ``screening`` section)::
       },
       "screening": {                         # the static-screening leg
         "cases", "candidates",               # mutant-heavy workload size
-        "screened": {"wall_time_s", "cone_skips", "cone_overlaps",
-                     "static_rejects"},
+        "screened": {"wall_time_s", "cone_skips", "cone_overlaps"},
         "unscreened": {"wall_time_s"},
-        "pct_cone_skipped", "pct_static_rejected",
+        "pct_cone_skipped",
         "e2e_speedup",                       # unscreened wall / screened wall
         "divergences": 0,                    # always 0 -- nonzero hard-fails
         "min_screen_speedup": <float>        # the CI gate this run ran under
@@ -190,22 +190,19 @@ def screening_workload(entries, seed: int) -> list[VerificationJob]:
 
 
 def screening_leg(entries, seed: int, workers: int) -> tuple[dict, list[str]]:
-    """Time screen=full vs screen=off on the mutant-heavy workload.
+    """Time screen=cone vs screen=off on the mutant-heavy workload.
 
     Returns ``(report_section, divergences)``; any divergence is a
-    correctness failure the caller must hard-fail on:
-
-    * provenance ``simulated`` or ``cone_skip``: the screened verdict must
-      be byte-identical (minus provenance) to the unscreened one,
-    * provenance ``static_reject``: the unscreened ground truth must not be
-      a confirmed repair (``pass`` with an exercised assertion).
+    correctness failure the caller must hard-fail on: every screened
+    verdict, simulated or ``cone_skip``, must be byte-identical (minus
+    provenance) to the unscreened ground truth.
 
     The screened leg runs *first*, so the shared in-process artifact store
     is cold for it and warm for the unscreened leg -- any bias makes the
     reported speedup conservative.  Neither leg uses a verdict cache.
     """
     jobs = screening_workload(entries, seed)
-    screened_jobs = [replace(job, static_screen="full") for job in jobs]
+    screened_jobs = [replace(job, static_screen="cone") for job in jobs]
 
     with scoped_registry() as registry:
         started = time.perf_counter()
@@ -218,7 +215,6 @@ def screening_leg(entries, seed: int, workers: int) -> tuple[dict, list[str]]:
     divergences: list[str] = []
     candidates = 0
     cone_skips = 0
-    rejects = 0
     for job, off_shard, screened_shard in zip(jobs, off_shards, screened_shards):
         for fix, truth, screened in zip(
             job.fixes, off_shard.verdicts, screened_shard.verdicts
@@ -229,13 +225,6 @@ def screening_leg(entries, seed: int, workers: int) -> tuple[dict, list[str]]:
             truth_core.pop("provenance")
             screened_core = screened.to_dict()
             provenance = screened_core.pop("provenance")
-            if provenance == "static_reject":
-                rejects += 1
-                if truth.passed and truth.exercised:
-                    divergences.append(
-                        f"{where}: static_reject of a confirmed repair ({fix.fixed_line!r})"
-                    )
-                continue
             if provenance == "cone_skip":
                 cone_skips += 1
             if screened_core != truth_core:
@@ -250,11 +239,9 @@ def screening_leg(entries, seed: int, workers: int) -> tuple[dict, list[str]]:
             "wall_time_s": round(screened_wall, 3),
             "cone_skips": cone_skips,
             "cone_overlaps": registry.counters.get("analyze.cone.overlap", 0),
-            "static_rejects": rejects,
         },
         "unscreened": {"wall_time_s": round(off_wall, 3)},
         "pct_cone_skipped": round(100.0 * cone_skips / max(candidates, 1), 1),
-        "pct_static_rejected": round(100.0 * rejects / max(candidates, 1), 1),
         "e2e_speedup": round(off_wall / max(screened_wall, 1e-9), 2),
         "divergences": len(divergences),
     }
@@ -435,10 +422,9 @@ def main() -> int:
     )
     screening["min_screen_speedup"] = args.min_screen_speedup
     print(
-        f"screen full           {screening['screened']['wall_time_s']:6.2f}s   "
+        f"screen cone           {screening['screened']['wall_time_s']:6.2f}s   "
         f"{screening['screened']['cone_skips']} cone skips "
-        f"({screening['pct_cone_skipped']:.0f}%), "
-        f"{screening['screened']['static_rejects']} lint rejects over "
+        f"({screening['pct_cone_skipped']:.0f}%) over "
         f"{screening['candidates']} candidates"
     )
     print(
@@ -458,7 +444,7 @@ def main() -> int:
         return 1
 
     report = {
-        "schema": "bench_eval/v3",
+        "schema": "bench_eval/v4",
         "host": host_metadata(workers=args.workers),
         "config": {
             "scale": scale,

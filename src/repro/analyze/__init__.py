@@ -12,8 +12,7 @@ Three layers:
 * :mod:`repro.analyze.cone` -- assertion cone-of-influence screening: the
   edit-impact diff (via ISSUE-8 node content keys), the sound
   :func:`~repro.analyze.cone.cone_screen` that lets the verifier return the
-  base verdict without simulating, and the validated-but-unsound
-  :func:`~repro.analyze.cone.lint_screen` rejection tier.
+  base verdict without simulating.
 
 ``python -m repro.analyze <file.v>`` prints a per-design lint + cone report.
 """
@@ -21,12 +20,10 @@ Three layers:
 from repro.analyze.dfg import DfgNode, SignalDfg, build_dfg
 from repro.analyze.cone import (
     EditImpact,
-    LintRejection,
     ScreenDecision,
     cone_overlap,
     cone_screen,
     edit_impact,
-    lint_screen,
     union_assertion_cone,
 )
 from repro.analyze.passes import (
@@ -44,7 +41,6 @@ __all__ = [
     "AnalysisPass",
     "DfgNode",
     "EditImpact",
-    "LintRejection",
     "ScreenDecision",
     "SignalDfg",
     "build_dfg",
@@ -53,7 +49,6 @@ __all__ = [
     "edit_impact",
     "get_pass",
     "lint_passes",
-    "lint_screen",
     "register_pass",
     "registered_passes",
     "run_passes",

@@ -35,18 +35,12 @@ fail (1); clock, reset and ``disable iff`` drivers are inside every cone
 they matter to, so edits to them fail (4); assertion edits change assertion
 keys and fail (1).
 
-:func:`lint_screen` is the *unsound but validated* tier used by
-``static_screen=lint|full``: it rejects candidates that introduce new
-error-class structural breakage relative to the base design -- currently a
-signal newly left undriven while still read inside an assertion cone.  The
-screened benchmark leg hard-fails if a lint rejection ever disagrees with
-ground-truth simulation (a rejected candidate whose unscreened verdict was
-a confirmed repair).  Newly *introduced combinational loops* are
-deliberately NOT rejected here: a loop that settles (``a = a | b``)
-simulates to a genuine pass, so rejecting it statically would diverge.
-The cone tier already refuses to **skip** such candidates -- which is all
-soundness requires -- and they take the normal simulation path, where
-non-settling loops surface as ``sim_error`` on their own.
+A candidate the screen cannot skip is always simulated.  Newly
+*introduced combinational loops* in particular are never rejected
+statically -- a loop that settles (``a = a | b``) simulates to a genuine
+pass -- the screen only refuses to **skip** such candidates, which is all
+soundness requires, and non-settling loops surface as ``sim_error`` on the
+normal simulation path.
 """
 
 from __future__ import annotations
@@ -148,55 +142,11 @@ def cone_overlap(dfg: SignalDfg, signals: "frozenset[str] | set[str]") -> frozen
     return frozenset(signals) & union_assertion_cone(dfg)
 
 
-@dataclass(frozen=True)
-class LintRejection:
-    """One reason the lint screen rejects a candidate without simulating."""
-
-    code: str
-    message: str
-
-
-def _undriven_in_cone(dfg: SignalDfg) -> set[str]:
-    """Non-input signals with no driving node that feed an assertion cone."""
-    cone = union_assertion_cone(dfg)
-    undriven: set[str] = set()
-    for name, signal in dfg.design.signals.items():
-        if signal.is_input or name in dfg.defs_of:
-            continue
-        if name in cone:
-            undriven.add(name)
-    return undriven
-
-
-def lint_screen(base: SignalDfg, patched: SignalDfg) -> tuple[LintRejection, ...]:
-    """Candidate-introduced structural breakage, relative to the base design.
-
-    Only defects *absent from the base* count, so a pre-existing quirk of
-    the buggy design can never reject its own candidates.  Introduced
-    combinational loops are intentionally not rejected (see the module
-    docstring): a settling loop simulates to a real verdict, and the cone
-    tier already declines to skip loop-introducing candidates.
-    """
-    rejections: list[LintRejection] = []
-    base_undriven = _undriven_in_cone(base)
-    for name in sorted(_undriven_in_cone(patched) - base_undriven):
-        rejections.append(
-            LintRejection(
-                code="undriven-used",
-                message=f"candidate leaves signal '{name}' undriven"
-                " inside an assertion cone",
-            )
-        )
-    return tuple(rejections)
-
-
 __all__ = [
     "EditImpact",
-    "LintRejection",
     "ScreenDecision",
     "cone_overlap",
     "cone_screen",
     "edit_impact",
-    "lint_screen",
     "union_assertion_cone",
 ]

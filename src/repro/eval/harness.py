@@ -78,10 +78,10 @@ class EvalConfig:
     #: byte-identical for either mode and any tier.
     artifact_mode: str = "incremental"
     artifact_dir: Optional[Path] = None
-    #: Static screening mode for verification workers ("off" | "cone" |
-    #: "lint" | "full"; see :class:`~repro.eval.verifier.VerifierConfig`).
-    #: The cone tier is verdict-preserving by construction; screened runs
-    #: additionally mark each verdict's ``provenance``.
+    #: Static screening mode for verification workers ("off" | "cone"; see
+    #: :class:`~repro.eval.verifier.VerifierConfig`).  The cone screen is
+    #: verdict-preserving by construction; screened runs additionally mark
+    #: each verdict's ``provenance``.
     static_screen: str = "off"
 
     @property

@@ -87,8 +87,7 @@ class RepairVerdict:
     #: How the verdict was produced: "simulated" (the full compile +
     #: simulate + check loop), "cone_skip" (the static screen proved the
     #: edit invisible to every assertion and returned the memoised base
-    #: verdict), or "static_reject" (the lint screen rejected the candidate
-    #: without simulating; ``status`` is then also "static_reject").
+    #: verdict).
     provenance: str = "simulated"
 
     @property
@@ -148,14 +147,9 @@ class VerifierConfig:
     #:   assertion's cone of influence return the case's memoised base
     #:   verdict without simulating (sound: see
     #:   :func:`repro.analyze.cone.cone_screen`).
-    #: * ``"lint"`` -- candidates that *introduce* error-class structural
-    #:   breakage (fresh combinational loop, newly undriven signal feeding
-    #:   an assertion cone) are rejected with status ``static_reject``
-    #:   without simulating (validated by the screened benchmark leg).
-    #: * ``"full"`` -- cone first, then lint.
     #:
-    #: Any mode other than "off" gets its own verdict-cache keyspace, so
-    #: screened outcomes can never be served to unscreened runs.
+    #: ``"cone"`` gets its own verdict-cache keyspace, so screened outcomes
+    #: can never be served to unscreened runs.
     static_screen: str = "off"
 
 
@@ -178,6 +172,10 @@ class SemanticVerifier:
         artifacts=None,
     ):
         self.config = config or VerifierConfig()
+        if self.config.static_screen not in ("off", "cone"):
+            raise ValueError(
+                f"unknown static_screen {self.config.static_screen!r} (off | cone)"
+            )
         self.cache = cache
         self._memo: dict[str, RepairVerdict] = {}
         self.artifacts = None
@@ -250,8 +248,8 @@ class SemanticVerifier:
         # A forced backend gets its own cache keyspace: re-running with the
         # "interp" differential oracle must actually re-check, not be served
         # a compiled run's cached verdicts (which would mask any divergence).
-        # Screened runs are partitioned the same way: a cone_skip or
-        # static_reject entry must never answer an unscreened lookup.
+        # Screened runs are partitioned the same way: a cone_skip entry
+        # must never answer an unscreened lookup.
         version = self._unscreened_version()
         if self.config.static_screen != "off":
             version = f"{version}+screen:{self.config.static_screen}"
@@ -377,12 +375,11 @@ class SemanticVerifier:
 
         Returns ``None`` when the screen cannot decide (the candidate then
         takes the normal simulation path, whose verdict is byte-identical
-        to an unscreened run's).  The cone tier is sound; the lint tier is
-        validated empirically by the screened benchmark leg.
+        to an unscreened run's).  The cone screen is sound, so a skipped
+        candidate's verdict equals what simulating it would produce.
         """
-        from repro.analyze.cone import cone_screen, lint_screen
+        from repro.analyze.cone import cone_screen
 
-        mode = self.config.static_screen
         base_design = self._design_of(buggy_source)
         patched_design = self._design_of(patched_source)
         if base_design is None or patched_design is None:
@@ -393,31 +390,19 @@ class SemanticVerifier:
         with phase("verify.screen"):
             base_dfg = self._dfg_of(base_design)
             patched_dfg = self._dfg_of(patched_design)
-            if mode in ("cone", "full"):
-                decision = cone_screen(base_dfg, patched_dfg)
-                if decision.overlap:
-                    registry.inc("analyze.cone.overlap")
-                if decision.skip:
-                    base_verdict = self._base_verdict(buggy_source, seeds, cycles)
-                    # Refuse to skip onto anything but a clean simulation
-                    # outcome: a sim_error or compile_fail base says the
-                    # *base* is broken, not that the equality argument holds.
-                    if base_verdict.status in ("pass", "assertion_fail"):
-                        registry.inc("analyze.cone.skip")
-                        verdict = RepairVerdict.from_dict(base_verdict.to_dict())
-                        verdict.provenance = "cone_skip"
-                        return verdict
-            if mode in ("lint", "full"):
-                rejections = lint_screen(base_dfg, patched_dfg)
-                if rejections:
-                    registry.inc("analyze.screen.reject")
-                    return RepairVerdict(
-                        status="static_reject",
-                        seeds=seeds,
-                        cycles=cycles,
-                        detail="; ".join(r.message for r in rejections),
-                        provenance="static_reject",
-                    )
+            decision = cone_screen(base_dfg, patched_dfg)
+            if decision.overlap:
+                registry.inc("analyze.cone.overlap")
+            if decision.skip:
+                base_verdict = self._base_verdict(buggy_source, seeds, cycles)
+                # Refuse to skip onto anything but a clean simulation
+                # outcome: a sim_error or compile_fail base says the
+                # *base* is broken, not that the equality argument holds.
+                if base_verdict.status in ("pass", "assertion_fail"):
+                    registry.inc("analyze.cone.skip")
+                    verdict = RepairVerdict.from_dict(base_verdict.to_dict())
+                    verdict.provenance = "cone_skip"
+                    return verdict
         return None
 
     def verify_source(

@@ -19,8 +19,8 @@ snapshot back on the orchestrator, which is how worker-side counts reach
 the run's trace file.
 
 Names are dotted paths (``runtime.cache.hits``); a variable label rides in
-brackets via :func:`labeled` (``sva.vector_fallback[width 64 exceeds the
-int64 column limit]``), keeping keys plain JSON-safe strings.
+brackets via :func:`labeled` (``sva.fallback[width 64 exceeds the int64
+column limit]``), keeping keys plain JSON-safe strings.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The report answers the questions the raw JSONL cannot at a glance: where
 did the wall clock go (per-stage span table), which individual jobs were
 slow (top-N), did the cache help (hit rates), which SVA engine actually
-ran each assertion and why the vectorised one was skipped (fallback
+ran each assertion and why the attempt tensor refused any (fallback
 reasons), and what the fault machinery did (retries / timeouts /
 quarantines / pool rebuilds).  ``python -m repro.obs summarize <trace>``
 prints it.
@@ -36,16 +36,10 @@ _CACHE_COUNTERS = (
     "relower.assertions_reused",
 )
 _ENGINE_COUNTERS = (
-    "sva.lower.vectorised",
-    "sva.lower.closure",
+    "sva.lower.tensor",
     "sva.lower.tree_walker",
-    "sva.check.vectorised",
-    "sva.check.closure",
-    "sva.check.tree_walker",
     "sva.check.attempt_tensor",
-    "sva.attempt.tensor",
-    "sva.attempt.walk",
-    "sva.attempt.tree_walker",
+    "sva.check.tree_walker",
 )
 _FAULT_COUNTERS = (
     "runtime.retries",
@@ -187,59 +181,34 @@ def render_report(data: TraceData, top: int = 10) -> str:
 
     engine_totals = {
         engine: counters.get(f"sva.lower.{engine}", 0)
-        for engine in ("vectorised", "closure", "tree_walker")
+        for engine in ("tensor", "tree_walker")
     }
     fallbacks = {
         label: value
         for key, value in counters.items()
         for name, label in (split_label(key),)
-        if name == "sva.vector_fallback" and label is not None
+        if name == "sva.fallback" and label is not None
     }
-    attempt_fallbacks = {
-        label: value
-        for key, value in counters.items()
-        for name, label in (split_label(key),)
-        if name == "sva.attempt_fallback" and label is not None
-    }
-    consumed.update(
-        key
-        for key in counters
-        if split_label(key)[0] in ("sva.vector_fallback", "sva.attempt_fallback")
-    )
+    consumed.update(key for key in counters if split_label(key)[0] == "sva.fallback")
     consumed.update(_ENGINE_COUNTERS)
-    attempt_totals = {
-        engine: counters.get(f"sva.attempt.{engine}", 0)
-        for engine in ("tensor", "walk", "tree_walker")
+    checks = {
+        engine: counters.get(f"sva.check.{engine}", 0)
+        for engine in ("attempt_tensor", "tree_walker")
     }
-    if any(engine_totals.values()) or fallbacks or any(attempt_totals.values()):
+    if any(engine_totals.values()) or fallbacks or any(checks.values()):
         lines += ["", "sva engines (assertions lowered):"]
         lines.append(
             "  " + " · ".join(f"{k} {v}" for k, v in engine_totals.items())
         )
-        checks = {
-            engine: counters.get(f"sva.check.{engine}", 0)
-            for engine in ("attempt_tensor", "vectorised", "closure", "tree_walker")
-        }
         if any(checks.values()):
             lines.append(
                 "  checked: "
                 + " · ".join(f"{k} {v}" for k, v in checks.items())
             )
-        if any(attempt_totals.values()):
-            lines.append(
-                "  attempt engines: "
-                + " · ".join(f"{k} {v}" for k, v in attempt_totals.items())
-            )
         if fallbacks:
-            lines.append("  vectorisation fallback reasons:")
+            lines.append("  tree-walker fallback reasons:")
             for label, value in sorted(
                 fallbacks.items(), key=lambda item: (-item[1], item[0])
-            ):
-                lines.append(f"    {value:>4}  {label}")
-        if attempt_fallbacks:
-            lines.append("  attempt-tensor fallback reasons:")
-            for label, value in sorted(
-                attempt_fallbacks.items(), key=lambda item: (-item[1], item[0])
             ):
                 lines.append(f"    {value:>4}  {label}")
 
@@ -252,11 +221,9 @@ def render_report(data: TraceData, top: int = 10) -> str:
         lines += ["", "static analysis:"]
         skips = counters.get("analyze.cone.skip", 0)
         overlaps = counters.get("analyze.cone.overlap", 0)
-        rejects = counters.get("analyze.screen.reject", 0)
-        if skips or overlaps or rejects:
+        if skips or overlaps:
             lines.append(
                 f"  verifier screen: {skips} cone skips · {overlaps} cone overlaps"
-                f" · {rejects} lint rejects"
             )
         stage2_skips = counters.get("stage2.cone_skips", 0)
         if stage2_skips:

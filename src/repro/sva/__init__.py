@@ -8,14 +8,13 @@ everything that happens *after* parsing:
   sampled-value functions).  The tree-walking :class:`AssertionChecker` is
   the reference backend / differential oracle; the :func:`CheckerBackend`
   factory dispatches to the compiled backend by default.
-* :mod:`repro.sva.compile` -- the compiled checking backend: assertions
-  lowered once per design into closures over flat per-cycle arrays, with
-  precomputed sampled-value series and a disable-iff prefix mask.
-* :mod:`repro.sva.vector` -- the vectorised series engine the compiled
-  backend uses by default: element booleans and sampled-value series as
-  whole-trace numpy array expressions over the columnar trace view
-  (``Trace.columns()``), with a per-assertion fallback to the closure
-  path for constructs it refuses.
+* :mod:`repro.sva.compile` -- the compiled checking backend: two engines,
+  the attempt tensor and, per assertion it cannot lower, the tree-walking
+  oracle.
+* :mod:`repro.sva.vector` -- the attempt tensor's lowering: element
+  booleans and sampled-value series as whole-trace numpy array expressions
+  over the columnar trace view (``Trace.columns()``), and every attempt of
+  every trace resolved in one pass over (trace x start cycle) masks.
 * :mod:`repro.sva.logs` -- format assertion-failure logs in the style the
   paper's dataset records ("failed assertion <module>.<name>").
 * :mod:`repro.sva.generator` -- mine candidate assertions from a golden

@@ -23,8 +23,9 @@ Two checker backends implement these semantics:
 * :class:`AssertionChecker` (this module) -- the tree-walking reference
   implementation, kept as the differential-testing oracle;
 * :class:`repro.sva.compile.CompiledAssertionChecker` -- lowers every
-  assertion once per design into closures over flat per-cycle arrays,
-  the way :mod:`repro.sim.compile` lowers designs.
+  assertion once per design into whole-array numpy expressions over the
+  trace's columns (the attempt tensor), falling back to this module's
+  oracle per assertion it cannot lower.
 
 Use the :func:`CheckerBackend` factory (or :func:`check_assertions`, which
 routes through the process-wide compiled-artifact cache) unless you need a

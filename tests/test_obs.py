@@ -43,6 +43,7 @@ from repro.runtime import (
 from repro.runtime.faults import PHASE_WORKER
 from repro.sim.engine import Simulator
 from repro.sim.stimulus import StimulusGenerator
+from repro.sva.checker import AssertionChecker
 from repro.sva.compile import CompiledAssertionChecker
 from repro.sva.generator import (
     insert_assertions,
@@ -175,9 +176,9 @@ def test_metrics_merge_is_exact():
 
 
 def test_labeled_metric_keys_roundtrip():
-    key = labeled("sva.vector_fallback", "width 64\nexceeds limit")
-    assert key == "sva.vector_fallback[width 64 exceeds limit]"
-    assert split_label(key) == ("sva.vector_fallback", "width 64 exceeds limit")
+    key = labeled("sva.fallback", "width 64\nexceeds limit")
+    assert key == "sva.fallback[width 64 exceeds limit]"
+    assert split_label(key) == ("sva.fallback", "width 64 exceeds limit")
     assert split_label("plain.counter") == ("plain.counter", None)
 
 
@@ -373,61 +374,74 @@ def test_engine_choices_are_recorded_per_assertion():
         checker = CompiledAssertionChecker(design)
     assert set(checker.engine_choices) == {spec.name for spec in design.assertions}
     for choice in checker.engine_choices.values():
-        assert choice["engine"] in ("vectorised", "closure", "tree_walker")
-        if choice["engine"] == "vectorised":
-            assert choice["reason"] is None
+        assert choice == {"engine": "tensor", "reason": None}
     report = checker.engine_report()
-    assert sum(report["engines"].values()) == len(design.assertions)
+    assert report["engines"] == {"tensor": len(design.assertions), "tree_walker": 0}
     assert report["assertions"] == checker.engine_choices
-    lowered = sum(
-        registry.counter(f"sva.lower.{engine}")
-        for engine in ("vectorised", "closure", "tree_walker")
-    )
-    assert lowered == len(design.assertions)
+    assert registry.counter("sva.lower.tensor") == len(design.assertions)
+    assert registry.counter("sva.lower.tree_walker") == 0
 
 
-def test_disabling_vectorisation_records_the_reason():
-    design = _assertion_design()
+_WIDE_SOURCE = """
+module wideobs(input wire clk, input wire [70:0] a, output reg [70:0] b);
+    always @(posedge clk) b <= a;
+    a_follow: assert property (@(posedge clk) 1'b1 |-> $past(a) == b);
+endmodule
+"""
+
+
+def test_wide_operand_demotion_records_the_reason():
+    """A >63-bit operand demotes its assertion to the tree-walker; the
+    refusal is the recorded reason and its ``sva.fallback[...]`` label."""
+    design = compile_source(_WIDE_SOURCE).design
+    assert design is not None
     with scoped_registry() as registry:
-        checker = CompiledAssertionChecker(design, vectorise=False)
-    demoted = [c for c in checker.engine_choices.values() if c["engine"] == "closure"]
-    assert demoted, "vectorise=False must demote at least one assertion"
-    assert all(c["reason"] == "vectorisation disabled" for c in demoted)
-    key = labeled("sva.vector_fallback", "vectorisation disabled")
-    assert registry.counter(key) == len(demoted)
+        checker = CompiledAssertionChecker(design)
+    choice = checker.engine_choices["a_follow"]
+    assert choice["engine"] == "tree_walker"
+    assert "int64 column limit" in choice["reason"]
+    assert registry.counter("sva.lower.tree_walker") == 1
+    assert registry.counter(labeled("sva.fallback", choice["reason"])) == 1
+    assert checker.engine_report()["fallback_reasons"] == {choice["reason"]: 1}
+
+
+_MIXED_SOURCE = """
+module mixedobs(input wire clk, input wire [70:0] a, input wire [7:0] n,
+                output reg [70:0] b, output reg [7:0] m);
+    always @(posedge clk) begin
+        b <= a;
+        m <= n;
+    end
+    a_wide: assert property (@(posedge clk) 1'b1 |-> $past(a) == b);
+    a_narrow: assert property (@(posedge clk) 1'b1 |-> $past(n) == m);
+endmodule
+"""
 
 
 def test_attempt_engine_choices_are_recorded_per_assertion():
-    """The attempt layer's choice (tensor vs walk) is as visible as the
-    series engine's: counters at lowering, labeled fallback reasons, and
-    per-assertion fields in engine_report() -- no silent demotion."""
-    design = _assertion_design()
+    """The attempt layer's choice (attempt tensor vs tree-walker) is as
+    visible at check time as at lowering: each assertion is counted per
+    trace under the engine recorded in engine_choices -- no silent
+    demotion -- and both engines give the tree-walker's outcomes."""
+    design = compile_source(_MIXED_SOURCE).design
+    assert design is not None
+    traces = [
+        Simulator(design).run(
+            StimulusGenerator(design, seed=seed).mixed_stimulus(random_cycles=12).vectors
+        )
+        for seed in (1, 2, 3)
+    ]
     with scoped_registry() as registry:
         checker = CompiledAssertionChecker(design)
-    for choice in checker.engine_choices.values():
-        assert choice["attempt_engine"] in ("tensor", "walk", "tree_walker")
-        if choice["attempt_engine"] == "tensor":
-            assert choice["attempt_reason"] is None
-        else:
-            assert choice["attempt_reason"]
-    report = checker.engine_report()
-    assert sum(report["attempt_engines"].values()) == len(design.assertions)
-    assert report["attempt_engines"]["tensor"] == registry.counter("sva.attempt.tensor")
-    assert report["attempt_engines"]["tensor"] > 0
-
-    with scoped_registry() as registry:
-        walk_checker = CompiledAssertionChecker(design, attempt_tensor=False)
-    demoted = [
-        c
-        for c in walk_checker.engine_choices.values()
-        if c["attempt_engine"] == "walk" and c["attempt_reason"] == "attempt tensor disabled"
-    ]
-    assert demoted, "attempt_tensor=False must demote at least one assertion"
-    key = labeled("sva.attempt_fallback", "attempt tensor disabled")
-    assert registry.counter(key) == len(demoted)
-    assert walk_checker.engine_report()["attempt_fallback_reasons"][
-        "attempt tensor disabled"
-    ] == len(demoted)
+        reports = checker.check_batch(traces)
+    assert checker.engine_choices["a_narrow"] == {"engine": "tensor", "reason": None}
+    assert checker.engine_choices["a_wide"]["engine"] == "tree_walker"
+    assert checker.engine_choices["a_wide"]["reason"]
+    assert registry.counter("sva.check.attempt_tensor") == len(traces)
+    assert registry.counter("sva.check.tree_walker") == len(traces)
+    oracle = AssertionChecker(design)
+    for trace, report in zip(traces, reports):
+        assert report.outcomes == oracle.check(trace).outcomes
 
 
 # ---------------------------------------------------------------------- #
@@ -443,11 +457,11 @@ def _write_sample_trace(path) -> None:
     registry = MetricsRegistry()
     registry.inc("runtime.cache.hits", 3)
     registry.inc("runtime.cache.misses", 1)
-    registry.inc("sva.lower.vectorised", 2)
-    registry.inc(labeled("sva.vector_fallback", "width 64 exceeds limit"))
-    registry.inc("sva.attempt.tensor", 2)
-    registry.inc("sva.attempt.walk", 1)
-    registry.inc(labeled("sva.attempt_fallback", "attempt tensor disabled"))
+    registry.inc("sva.lower.tensor", 2)
+    registry.inc("sva.lower.tree_walker", 1)
+    registry.inc(labeled("sva.fallback", "width 64 exceeds limit"))
+    registry.inc("sva.check.attempt_tensor", 6)
+    registry.inc("sva.check.tree_walker", 3)
     write_trace(path, tracer, metrics=registry, meta={"kind": "test"})
 
 
@@ -458,9 +472,11 @@ def test_cli_summarize_renders_a_run_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "run report" in out
     assert "pipeline" in out and "hit rate" in out
-    assert "width 64 exceeds limit" in out
-    assert "attempt engines" in out and "tensor 2" in out
-    assert "attempt tensor disabled" in out
+    assert "tensor 2 · tree_walker 1" in out
+    assert "checked: attempt_tensor 6 · tree_walker 3" in out
+    assert "tree-walker fallback reasons:" in out and "width 64 exceeds limit" in out
+    # Consumed by the engine section: never duplicated under "other counters".
+    assert "sva.fallback[" not in out
 
 
 def test_cli_export_chrome_writes_next_to_the_trace(tmp_path):
@@ -490,7 +506,6 @@ def test_summarize_renders_static_analysis_section(tmp_path, capsys):
     registry = MetricsRegistry()
     registry.inc("analyze.cone.skip", 5)
     registry.inc("analyze.cone.overlap", 2)
-    registry.inc("analyze.screen.reject", 1)
     registry.inc("analyze.pass.dead-code", 3)
     registry.inc("analyze.pass.width-truncation", 1)
     registry.inc("stage2.cone_skips", 4)
@@ -499,7 +514,7 @@ def test_summarize_renders_static_analysis_section(tmp_path, capsys):
     assert obs_main(["summarize", str(trace)]) == 0
     out = capsys.readouterr().out
     assert "static analysis:" in out
-    assert "5 cone skips" in out and "2 cone overlaps" in out and "1 lint rejects" in out
+    assert "5 cone skips" in out and "2 cone overlaps" in out
     assert "stage2 mutants classified without simulation: 4" in out
     assert "dead-code" in out and "width-truncation" in out
     # Consumed by the dedicated section: never duplicated under "other counters".
@@ -522,7 +537,7 @@ endmodule
 """
     fix = CandidateFix(line_number=3, fixed_line="    assign hi = (n > 4'd9);")
     with scoped_registry() as registry:
-        screened = SemanticVerifier(VerifierConfig(cycles=16, static_screen="full"))
+        screened = SemanticVerifier(VerifierConfig(cycles=16, static_screen="cone"))
         verdict = screened.verify(source, fix, (3, 4))
         assert verdict.provenance == "cone_skip"
         assert registry.counter("analyze.cone.skip") == 1

@@ -1,4 +1,4 @@
-"""Tests for the columnar trace layer and the vectorised checking engine.
+"""Tests for the columnar trace layer and the attempt-tensor checking engine.
 
 Four contracts are pinned here:
 
@@ -7,14 +7,15 @@ Four contracts are pinned here:
   sampled values, are memoised per trace (invalidated on append), and a
   quiet design's DiffTrace builds its columns without materialising
   per-cycle sample dicts;
-* the four checking engines -- attempt tensor, vectorised series + Python
-  walk, per-cycle closures, tree-walking oracle -- are outcome-identical
-  across every template family and for injected mutants (including
-  failing reports), and the tensor actually engages (this suite fails if
-  the lowering silently refuses everything);
+* the two checking engines -- attempt tensor and tree-walking oracle --
+  are outcome-identical across every template family and for injected
+  mutants (including failing reports), and the tensor lowers *every*
+  template assertion (this suite fails if the lowering silently demotes
+  one);
 * adversarial attempt shapes (dense antecedent starts, attempts spanning
-  the trace end, ``disable iff`` pulses mid-attempt, pre-trace ``$past``)
-  and ragged-length stacked batches stay verdict-identical too;
+  the trace end, ``disable iff`` pulses mid-attempt, pre-trace ``$past``),
+  ragged-length stacked batches and a design mixing a tensor assertion
+  with a >63-bit tree-walker one stay verdict-identical too;
 * the ``Trace.render`` fixes: no name truncation, clear error for unknown
   names.
 """
@@ -157,18 +158,21 @@ endmodule
 """
 
 
-def test_wide_signals_use_object_columns_and_closure_fallback():
-    """>63-bit signals degrade to object columns; the checker falls back."""
+def test_wide_signals_use_object_columns_and_tree_walker_fallback():
+    """>63-bit signals degrade to object columns; the assertion reading
+    them is demoted to the tree-walker, naming the int64 column limit."""
     design = compile_source(WIDE_SOURCE).design
     assert design is not None
+    assert design.signals["a"].width > INT64_COLUMN_MAX_WIDTH
     big = (1 << 70) | 3
     trace = Simulator(design).run([{"a": big}] * 8)
     columns = trace.columns(["a"])
     assert columns.values["a"].dtype == object
     assert columns.values["a"].tolist() == [big] * 8
     checker = CompiledAssertionChecker(design)
-    lowered = list(checker._lowered.values())
-    assert all(entry is not None and entry.vector_fns is None for entry in lowered)
+    choice = checker.engine_choices["a_follow"]
+    assert choice["engine"] == "tree_walker"
+    assert "int64 column limit" in choice["reason"]
     report = checker.check(trace)
     oracle = AssertionChecker(design).check(trace)
     assert (
@@ -179,28 +183,20 @@ def test_wide_signals_use_object_columns_and_closure_fallback():
 
 
 # --------------------------------------------------------------------------- #
-# vectorised checker differential
+# attempt tensor vs tree-walker differential
 # --------------------------------------------------------------------------- #
 
 
-def assert_four_way_identical(design, trace):
-    """attempt-tensor vs vectorised+walk vs closure vs tree-walker."""
+def assert_engines_identical(design, trace):
+    """attempt tensor vs tree-walking oracle, outcome for outcome."""
     oracle = AssertionChecker(design).check(trace)
     tensor = CompiledAssertionChecker(design).check(trace)
-    walk = CompiledAssertionChecker(design, attempt_tensor=False).check(trace)
-    closure = CompiledAssertionChecker(design, vectorise=False).check(trace)
-    assert (
-        sorted(oracle.outcomes)
-        == sorted(tensor.outcomes)
-        == sorted(walk.outcomes)
-        == sorted(closure.outcomes)
-    )
+    assert sorted(oracle.outcomes) == sorted(tensor.outcomes)
     for name in oracle.outcomes:
-        a = oracle.outcomes[name].comparison_key()
-        b = tensor.outcomes[name].comparison_key()
-        c = walk.outcomes[name].comparison_key()
-        d = closure.outcomes[name].comparison_key()
-        assert a == b == c == d, f"assertion '{name}' diverges between checking paths"
+        assert (
+            oracle.outcomes[name].comparison_key()
+            == tensor.outcomes[name].comparison_key()
+        ), f"assertion '{name}' diverges between checking engines"
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=[f.name for f in FAMILIES])
@@ -209,16 +205,18 @@ def test_vectorised_outcomes_identical(family):
     if design is None or not design.assertions:
         pytest.skip("family yields no checkable assertions")
     checker = CompiledAssertionChecker(design)
-    vectorised = [
-        entry for entry in checker._lowered.values()
-        if entry is not None and entry.vector_fns is not None
-    ]
-    assert vectorised, "vector lowering refused every assertion of the family"
-    # The vectorised path must engage on both diff-backed and dict-backed
-    # traces (different columns() implementations).
+    # Every assertion must lower: a demotion costs ~60x on that assertion.
+    demoted = {
+        name: choice["reason"]
+        for name, choice in checker.engine_choices.items()
+        if choice["engine"] != "tensor"
+    }
+    assert not demoted, f"assertions demoted to the tree-walker: {demoted}"
+    # The tensor must engage on both diff-backed and dict-backed traces
+    # (different columns() implementations).
     diff_trace = simulate(design, seed=12, cycles=32, record_columns=True)
-    assert_four_way_identical(design, diff_trace)
-    assert_four_way_identical(design, simulate(design, seed=13, cycles=32).materialized())
+    assert_engines_identical(design, diff_trace)
+    assert_engines_identical(design, simulate(design, seed=13, cycles=32).materialized())
 
 
 def test_vectorised_mutant_outcomes_identical():
@@ -237,7 +235,7 @@ def test_vectorised_mutant_outcomes_identical():
                 trace = simulate(buggy.design, seed=9, record_columns=True)
             except SimulationError:
                 continue
-            assert_four_way_identical(buggy.design, trace)
+            assert_engines_identical(buggy.design, trace)
             checked += 1
             if not AssertionChecker(buggy.design).check(trace).passed:
                 failing += 1
@@ -258,32 +256,21 @@ def test_check_assertion_public_entry_point():
 
 
 def test_attempt_tensor_engages_and_is_observable():
-    """Vectorised assertions run the tensor by default, and the demotions
-    (knob off, closure series) are named in the engine report."""
+    """Template assertions run on the tensor, and a real demotion (a
+    >63-bit operand) is named in the engine report."""
     _, design = augmented_design(FAMILIES[0], prefix="eng")
     if design is None or not design.assertions:
         pytest.skip("family yields no checkable assertions")
-    tensor = CompiledAssertionChecker(design)
-    report = tensor.engine_report()
-    assert report["attempt_engines"]["tensor"] > 0
-    for choice in tensor.engine_choices.values():
-        if choice["engine"] == "vectorised":
-            assert choice["attempt_engine"] == "tensor"
-            assert choice["attempt_reason"] is None
-    walk = CompiledAssertionChecker(design, attempt_tensor=False)
-    for choice in walk.engine_choices.values():
-        if choice["engine"] == "vectorised":
-            assert choice["attempt_engine"] == "walk"
-            assert choice["attempt_reason"] == "attempt tensor disabled"
-    assert walk.engine_report()["attempt_fallback_reasons"].get(
-        "attempt tensor disabled", 0
-    ) > 0
-    closure = CompiledAssertionChecker(design, vectorise=False)
-    for choice in closure.engine_choices.values():
-        if choice["engine"] == "closure":
-            assert choice["attempt_engine"] == "walk"
-            assert choice["attempt_reason"].startswith("series engine is closure")
-    assert closure.engine_report()["attempt_engines"]["tensor"] == 0
+    report = CompiledAssertionChecker(design).engine_report()
+    assert set(report) == {"engines", "fallback_reasons", "assertions"}
+    assert report["engines"] == {"tensor": len(design.assertions), "tree_walker": 0}
+    assert report["fallback_reasons"] == {}
+    for choice in report["assertions"].values():
+        assert choice == {"engine": "tensor", "reason": None}
+    wide = CompiledAssertionChecker(compile_source(WIDE_SOURCE).design).engine_report()
+    assert wide["engines"] == {"tensor": 0, "tree_walker": 1}
+    [(reason, count)] = wide["fallback_reasons"].items()
+    assert "int64 column limit" in reason and count == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -350,11 +337,11 @@ def adversarial_trace(design, cycles, hold=True, pulse_at=()):
     return Simulator(design).run(vectors)
 
 
-def test_adversarial_attempt_shapes_four_way_identical():
+def test_adversarial_attempt_shapes_identical():
     design = adversarial_design()
     tensor = CompiledAssertionChecker(design)
     assert all(
-        choice["attempt_engine"] == "tensor"
+        choice["engine"] == "tensor"
         for choice in tensor.engine_choices.values()
     ), tensor.engine_choices
     traces = [
@@ -372,7 +359,7 @@ def test_adversarial_attempt_shapes_four_way_identical():
         adversarial_trace(design, 0),
     ]
     for trace in traces:
-        assert_four_way_identical(design, trace)
+        assert_engines_identical(design, trace)
     # The shapes must actually exercise every bucket somewhere, or this
     # test has no teeth.
     oracle = AssertionChecker(design)
@@ -412,6 +399,60 @@ def test_ragged_stacked_batch_matches_per_trace_and_oracle():
                 == single.outcomes[name].comparison_key()
                 == reference.outcomes[name].comparison_key()
             ), f"assertion '{name}' diverges on the stacked batch path"
+
+
+MIXED_WIDTH_SOURCE = """
+module mixed(
+    input wire clk,
+    input wire [70:0] a,
+    input wire [3:0] n,
+    output reg [70:0] b,
+    output reg [3:0] m
+);
+    always @(posedge clk) begin
+        b <= a;
+        m <= n;
+    end
+    property p_wide;
+        @(posedge clk) 1'b1 |-> $past(a) == b;
+    endproperty
+    a_wide: assert property (p_wide);
+    property p_narrow;
+        @(posedge clk) n != 4'd0 |=> m == $past(n);
+    endproperty
+    a_narrow: assert property (p_narrow);
+endmodule
+"""
+
+
+def test_mixed_width_ragged_batch_matches_oracle():
+    """One tensor assertion beside one >63-bit tree-walker assertion, over
+    ragged traces: the stacked grid carries the wide signal in an
+    object-dtype slot, and every outcome equals the per-trace oracle."""
+    design = compile_source(MIXED_WIDTH_SOURCE).design
+    assert design is not None
+    checker = CompiledAssertionChecker(design)
+    assert checker.engine_choices["a_narrow"]["engine"] == "tensor"
+    assert checker.engine_choices["a_wide"]["engine"] == "tree_walker"
+    big = 1 << 70
+    traces = [
+        Simulator(design).run(
+            [{"a": big | i, "n": (3 * i + seed) % 16} for i in range(cycles)]
+        )
+        for seed, cycles in ((1, 9), (2, 4), (3, 0))
+    ]
+    oracle = AssertionChecker(design)
+    batched = checker.check_batch(traces)
+    assert len(batched) == len(traces)
+    for trace, via_batch in zip(traces, batched):
+        reference = oracle.check(trace)
+        assert sorted(via_batch.outcomes) == sorted(reference.outcomes)
+        for name in reference.outcomes:
+            assert (
+                via_batch.outcomes[name].comparison_key()
+                == reference.outcomes[name].comparison_key()
+            ), f"assertion '{name}' diverges on the mixed-width batch"
+    assert sum(o.passes for r in batched for o in r.outcomes.values()) > 0
 
 
 def test_stacked_batch_on_template_families():
