@@ -3,9 +3,8 @@
 Times every leg of the repair-verification loop -- corpus + augmentation
 pipeline, policy training (pretrain -> SFT -> DPO with semantic challenging
 mining), the SVA-Eval-Machine benchmark run cold and warm against the
-verdict cache, and the mutant-heavy artifact-cache leg (full recompilation
-vs content-addressed incremental relowering on cold verdict caches) -- and
-records the resulting pass@k trajectory in ``BENCH_eval.json`` so
+verdict cache, and the artifact-cache leg (the same run against a cold and
+then a warm compiled-artifact store, no verdict cache) -- and records the resulting pass@k trajectory in ``BENCH_eval.json`` so
 successive PRs can track both the speed and the quality of the evaluation
 subsystem.
 
@@ -18,13 +17,15 @@ Usage::
 incremental-relowering speedup falls below ``X``; 0 (the default) only
 reports.  ``--min-screen-speedup`` gates the static-screening leg the same
 way.  The screening leg always hard-fails on any verdict divergence between
-the screened and unscreened runs, gate or no gate.
+the screened and unscreened runs, gate or no gate.  Every timed leg starts
+after a full garbage collection, so a collection triggered by an earlier
+leg's garbage is not billed to the next one.
 
-Schema of the output (``bench_eval/v4``; v3 without the lint-screen
-fields, v2 + the ``screening`` section)::
+Schema of the output (``bench_eval/v5``; v4 had a ``mode_off`` full-recompile
+leg; v3 without the lint-screen fields, v2 + the ``screening`` section)::
 
     {
-      "schema": "bench_eval/v4",
+      "schema": "bench_eval/v5",
       "config": {...},                       # scale knobs of this run
       "pipeline": {"wall_time_s", "sva_bug_entries", "eval_cases"},
       "training": {"wall_time_s", "stage", "challenging_cases"},
@@ -36,16 +37,14 @@ fields, v2 + the ``screening`` section)::
         "verdicts": {...},                   # status histogram
         "pass@k": {...}                      # the headline numbers
       },
-      "artifacts": {                         # the mutant-heavy leg
-        "mode_off": {"wall_time_s"},         # full recompile per candidate
-        "mode_incremental_cold": {           # first run: fills the store
+      "artifacts": {                         # the artifact-cache leg
+        "store_cold": {                      # first run: fills the store
           "wall_time_s", "artifact_hits", "artifact_misses", "nodes_reused"
         },
-        "mode_incremental_warm": {           # repeat run against the store
+        "store_warm": {                      # repeat run against the store
           "wall_time_s", "artifact_hits", "artifact_misses",
           "nodes_reused", "nodes_relowered", "assertions_reused"
         },
-        "e2e_speedup": <float>,              # off wall / warm wall
         "relower": {                         # the lowering microbench
           "entries", "reps", "full_s", "incremental_s", "speedup"
         },
@@ -66,6 +65,7 @@ fields, v2 + the ``screening`` section)::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import tempfile
@@ -108,6 +108,7 @@ def relower_microbench(entries) -> dict:
     simulated cycle: design lowering plus assertion lowering.
     """
     store = ArtifactStore()
+    gc.collect()
     full_wall = 0.0
     incremental_wall = 0.0
     measured = 0
@@ -205,9 +206,11 @@ def screening_leg(entries, seed: int, workers: int) -> tuple[dict, list[str]]:
     screened_jobs = [replace(job, static_screen="cone") for job in jobs]
 
     with scoped_registry() as registry:
+        gc.collect()
         started = time.perf_counter()
         screened_shards = run_verification_jobs(screened_jobs, workers=workers)
         screened_wall = time.perf_counter() - started
+    gc.collect()
     started = time.perf_counter()
     off_shards = run_verification_jobs(jobs, workers=workers)
     off_wall = time.perf_counter() - started
@@ -291,6 +294,7 @@ def main() -> int:
         pipeline_config = PipelineConfig.small(seed=args.seed)
         scale = "small"
 
+    gc.collect()
     started = time.perf_counter()
     datasets = DataAugmentationPipeline(pipeline_config).run()
     pipeline_wall = time.perf_counter() - started
@@ -303,6 +307,7 @@ def main() -> int:
         print("FAIL: held-out split is empty; increase --design-count")
         return 1
 
+    gc.collect()
     started = time.perf_counter()
     model = AssertSolverModel(seed=args.seed)
     model.pretrain(datasets.verilog_pt)
@@ -319,9 +324,11 @@ def main() -> int:
     eval_config = EvalConfig(seed=args.seed, ks=tuple(sorted(set(args.ks))), workers=args.workers)
     with tempfile.TemporaryDirectory(prefix="bench_eval_cache_") as cache_root:
         eval_config.cache_dir = Path(cache_root)
+        gc.collect()
         started = time.perf_counter()
         cold = EvalHarness(eval_config).run(model, datasets.sva_eval_machine)
         cold_wall = time.perf_counter() - started
+        gc.collect()
         started = time.perf_counter()
         warm = EvalHarness(eval_config).run(model, datasets.sva_eval_machine)
         warm_wall = time.perf_counter() - started
@@ -343,61 +350,44 @@ def main() -> int:
     print("pass rates            " + "  ".join(f"{k}={v:.3f}" for k, v in rates.items()))
 
     # ---------------------------------------------------------------- #
-    # the mutant-heavy artifact-cache leg
+    # the artifact-cache leg
     # ---------------------------------------------------------------- #
-    # No verdict cache on any of these runs -- the verdict tier would
-    # short-circuit the verification work the artifact cache accelerates;
-    # all three runs do the same simulations and differ only in how
-    # compilation is served: "off" recompiles everything from scratch,
-    # "cold" fills the artifact store, "warm" re-verifies against the
-    # filled store (the verification-as-a-service steady state, where
-    # almost all traffic is mutants of already-seen designs).  Summaries
-    # must stay byte-identical, so the legs double as a live differential.
-    off_config = EvalConfig(
-        seed=args.seed, ks=tuple(sorted(set(args.ks))), workers=args.workers,
-        artifact_mode="off",
-    )
-    started = time.perf_counter()
-    mode_off = EvalHarness(off_config).run(model, datasets.sva_eval_machine)
-    off_wall = time.perf_counter() - started
+    # No verdict cache on either run -- the verdict tier would
+    # short-circuit the verification work the artifact cache accelerates.
+    # "cold" fills a fresh artifact store (each case's buggy base lowered
+    # once, every candidate relowered against it), "warm" re-verifies
+    # against the filled store (the verification-as-a-service steady state,
+    # where almost all traffic is mutants of already-seen designs).
+    # Summaries must equal the verdict-cache leg's, so the runs double as a
+    # live differential.
     with tempfile.TemporaryDirectory(prefix="bench_eval_artifacts_") as artifact_root:
-        incremental_config = EvalConfig(
+        store_config = EvalConfig(
             seed=args.seed, ks=tuple(sorted(set(args.ks))), workers=args.workers,
-            artifact_mode="incremental", artifact_dir=Path(artifact_root),
+            artifact_dir=Path(artifact_root),
         )
         with scoped_registry() as cold_registry:
+            gc.collect()
             started = time.perf_counter()
-            mode_cold = EvalHarness(incremental_config).run(
-                model, datasets.sva_eval_machine
-            )
-            inc_cold_wall = time.perf_counter() - started
+            store_cold = EvalHarness(store_config).run(model, datasets.sva_eval_machine)
+            store_cold_wall = time.perf_counter() - started
         with scoped_registry() as registry:
+            gc.collect()
             started = time.perf_counter()
-            mode_warm = EvalHarness(incremental_config).run(
-                model, datasets.sva_eval_machine
-            )
-            inc_warm_wall = time.perf_counter() - started
-    if mode_off.summary() != mode_cold.summary() or mode_off.summary() != mode_warm.summary():
-        print("FAIL: artifact-cache run summary differs from the full-recompile run")
-        return 1
-    if mode_off.summary() != summary:
-        print("FAIL: mutant-heavy leg summary differs from the verdict-cache leg")
+            store_warm = EvalHarness(store_config).run(model, datasets.sva_eval_machine)
+            store_warm_wall = time.perf_counter() - started
+    if store_cold.summary() != summary or store_warm.summary() != summary:
+        print("FAIL: artifact-cache leg summary differs from the verdict-cache leg")
         return 1
     counters = registry.counters
-    e2e_speedup = off_wall / max(inc_warm_wall, 1e-9)
     print(
-        f"artifacts off         {off_wall:6.2f}s   full recompile per candidate"
-    )
-    print(
-        f"artifacts cold        {inc_cold_wall:6.2f}s   "
+        f"artifacts cold        {store_cold_wall:6.2f}s   "
         f"{cold_registry.counters.get('relower.nodes_reused', 0)} nodes reused "
         f"while filling the store"
     )
     print(
-        f"artifacts warm        {inc_warm_wall:6.2f}s   "
+        f"artifacts warm        {store_warm_wall:6.2f}s   "
         f"{counters.get('artifact.hits', 0)} hits, "
-        f"{counters.get('relower.nodes_reused', 0)} nodes reused "
-        f"({e2e_speedup:.1f}x faster than off)"
+        f"{counters.get('relower.nodes_reused', 0)} nodes reused"
     )
 
     relower = relower_microbench(datasets.sva_eval_machine)
@@ -444,7 +434,7 @@ def main() -> int:
         return 1
 
     report = {
-        "schema": "bench_eval/v4",
+        "schema": "bench_eval/v5",
         "host": host_metadata(workers=args.workers),
         "config": {
             "scale": scale,
@@ -480,22 +470,20 @@ def main() -> int:
             "pass@k": rates,
         },
         "artifacts": {
-            "mode_off": {"wall_time_s": round(off_wall, 3)},
-            "mode_incremental_cold": {
-                "wall_time_s": round(inc_cold_wall, 3),
+            "store_cold": {
+                "wall_time_s": round(store_cold_wall, 3),
                 "artifact_hits": cold_registry.counters.get("artifact.hits", 0),
                 "artifact_misses": cold_registry.counters.get("artifact.misses", 0),
                 "nodes_reused": cold_registry.counters.get("relower.nodes_reused", 0),
             },
-            "mode_incremental_warm": {
-                "wall_time_s": round(inc_warm_wall, 3),
+            "store_warm": {
+                "wall_time_s": round(store_warm_wall, 3),
                 "artifact_hits": counters.get("artifact.hits", 0),
                 "artifact_misses": counters.get("artifact.misses", 0),
                 "nodes_reused": counters.get("relower.nodes_reused", 0),
                 "nodes_relowered": counters.get("relower.nodes_lowered", 0),
                 "assertions_reused": counters.get("relower.assertions_reused", 0),
             },
-            "e2e_speedup": round(e2e_speedup, 2),
             "relower": relower,
             "min_relower_speedup": args.min_relower_speedup,
         },

@@ -11,11 +11,20 @@ cost one line's worth of lowering:
   an optional on-disk tier (over :class:`repro.runtime.cache.ResultCache`)
   that shares elaborated designs across worker processes.
 
-Consumers: :class:`repro.eval.verifier.SemanticVerifier` (compiles each
-case's buggy base once and relowers candidates incrementally),
-:mod:`repro.eval.executor` (per-process stores with a shared disk tier),
-Stage 2 (:mod:`repro.dataaug.stage2`, golden-trace and per-mutant reuse)
-and :func:`repro.sva.checker.check_assertions`.
+:meth:`ArtifactStore.elaborate_source` is the front door from source text
+to a design: the bug injector, Stage 2, ``RepairCase.design`` and the
+verifier elaborate through it, so a source is parsed once per process
+while its elaboration stays in the LRU.  Only Stage 1 and
+``python -m repro.analyze``, which render every diagnostic rather than the
+first, call :func:`repro.hdl.lint.compile_source` directly.
+
+Consumers: :func:`repro.sva.kernel.simulate_and_check` (the elaborate ->
+lower -> simulate -> check kernel shared by
+:class:`repro.eval.verifier.SemanticVerifier`, which compiles each case's
+buggy base once and relowers candidates incrementally, and by Stage 2's
+SVA validation and mutant triage), :mod:`repro.eval.executor`
+(per-process stores with a shared disk tier) and
+:func:`repro.sva.checker.check_assertions`.
 """
 
 from repro.artifacts.canon import (

@@ -16,10 +16,10 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.artifacts import default_store
 from repro.bugs.instance import BugInstance
 from repro.bugs.mutators import MutationCandidate, enumerate_mutations
 from repro.hdl.elaborate import ElaboratedDesign
-from repro.hdl.lint import compile_source
 from repro.hdl.source import SourceFile, strip_comment
 
 
@@ -30,7 +30,6 @@ class InjectionConfig:
     seed: int = 7
     max_bugs_per_design: int = 6
     max_candidates_per_line: int = 3
-    require_compile: bool = True
 
 
 #: line prefixes that never receive bugs (structure, declarations, assertions).
@@ -166,10 +165,12 @@ class BugInjector:
         elaborated_targets: Optional[list[str]] = None,
     ) -> Optional[BugInstance]:
         buggy_source = source_file.with_line_replaced(line_number, mutation.buggy_line).text
-        if self._config.require_compile:
-            result = compile_source(buggy_source)
-            if not result.ok:
-                return None
+        # Through the process-wide store: the elaboration stays in its LRU,
+        # so the validation stage simulating this mutant does not parse it
+        # again.
+        design, _ = default_store().elaborate_source(buggy_source, persist=False)
+        if design is None:
+            return None
         assigned = list(elaborated_targets) if elaborated_targets else self._assigned_signals(golden_line)
         return BugInstance(
             design_name=design_name,

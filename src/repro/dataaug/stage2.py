@@ -4,10 +4,11 @@ For every sample that survived Stage 1:
 
 1. candidate SVAs are collected from the design family's template assertions
    and from the assertion miner (the reproduction of Claude-3.5's SVA
-   generation),
+   generation), mined from a golden-design trace,
 2. the candidates are inserted into the golden source, compiled and checked
-   on a simulation trace; candidates that fail (or do not compile) are
-   discarded -- the first half of the paper's two-step validation,
+   on an independent simulation trace; candidates that fail (or do not
+   compile) are discarded -- the first half of the paper's two-step
+   validation,
 3. single-line bugs are injected with the mutation engine; mutants that do
    not compile are discarded -- the second half of the validation,
 4. every surviving mutant is simulated against the validated SVAs.  Mutants
@@ -17,6 +18,13 @@ For every sample that survived Stage 1:
    mutants whose edit is provably outside every assertion's cone of
    influence are classified as Verilog-Bug entries directly -- no assertion
    can observe such an edit -- without paying for the simulation.
+
+Every source is elaborated through the process-wide
+:class:`~repro.artifacts.ArtifactStore`, so the mutant the injector compiled
+in step 3 is an LRU hit in step 4, not a second parse.  Steps 2 and 4 run the
+simulate-and-check kernel the repair verifier uses
+(:func:`repro.sva.kernel.simulate_and_check`), each mutant relowered against
+the augmented golden design.
 """
 
 from __future__ import annotations
@@ -24,12 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.artifacts import default_store
 from repro.bugs.injector import BugInjector, InjectionConfig
+from repro.bugs.instance import BugInstance
 from repro.bugs.taxonomy import classify_direct
 from repro.corpus.generator import CorpusSample
 from repro.dataaug.datasets import SvaBugEntry, VerilogBugEntry
 from repro.hdl.elaborate import ElaboratedDesign
-from repro.hdl.lint import compile_source
 from repro.runtime import (
     FaultPlan,
     ResultCache,
@@ -40,13 +49,13 @@ from repro.runtime import (
 )
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.stimulus import StimulusGenerator
-from repro.sva.checker import check_assertions
 from repro.sva.generator import (
     MinedAssertion,
     insert_assertions,
     mine_assertions,
     template_assertion_blocks,
 )
+from repro.sva.kernel import lower_design, simulate_and_check
 from repro.sva.logs import format_failure_log
 
 #: Bumped whenever per-sample Stage-2 semantics change: keys old cached
@@ -109,7 +118,6 @@ class Stage2Config:
                 self.injection.seed,
                 self.injection.max_bugs_per_design,
                 self.injection.max_candidates_per_line,
-                self.injection.require_compile,
                 self.checker_backend,
                 self.job_timeout,
                 self.max_attempts,
@@ -172,11 +180,16 @@ class Stage2Result:
         )
 
 
-def _simulate(design: ElaboratedDesign, seed: int, cycles: int, compiled=None):
-    simulator = Simulator(design, compiled=compiled)
-    stimulus = StimulusGenerator(design, seed=seed).mixed_stimulus(random_cycles=cycles)
-    trace = simulator.run(stimulus.vectors)
-    return trace
+#: Reset cycles at the head of every Stage-2 stimulus.
+_RESET_CYCLES = 2
+
+
+def _mining_trace(design: ElaboratedDesign, seed: int, cycles: int, compiled):
+    """The golden design's trace the assertion miner learns invariants from."""
+    stimulus = StimulusGenerator(design, seed=seed).mixed_stimulus(
+        random_cycles=cycles, reset_cycles=_RESET_CYCLES
+    )
+    return Simulator(design, compiled=compiled).run(stimulus.vectors)
 
 
 class Stage2Runner:
@@ -224,21 +237,19 @@ class Stage2Runner:
         invariant trivially holds on its own mining trace, so validating
         there would be vacuous.
         """
-        from repro.artifacts import default_store
-
         store = default_store()
-        golden_compile = compile_source(sample.source)
-        if not golden_compile.ok or golden_compile.design is None:
+        config = self._config
+        golden_design, _ = store.elaborate_source(sample.source, persist=False)
+        if golden_design is None:
             return None, None
         # The golden design's lowering is the relowering base for everything
         # downstream: the augmented design adds only assertions (identical
         # sim nodes, so it reuses 100% of them) and every mutant is a
         # one-line variant of the augmented design.
-        golden_compiled = store.compiled_design(golden_compile.design)
+        golden_compiled = store.compiled_design(golden_design)
         try:
-            golden_trace = _simulate(
-                golden_compile.design, self._config.seed, self._config.random_cycles,
-                compiled=golden_compiled,
+            golden_trace = _mining_trace(
+                golden_design, config.seed, config.random_cycles, golden_compiled
             )
         except SimulationError:
             return None, None
@@ -248,9 +259,7 @@ class Stage2Runner:
         )
         candidates.extend(
             mine_assertions(
-                golden_compile.design,
-                golden_trace,
-                max_assertions=self._config.max_mined_assertions,
+                golden_design, golden_trace, max_assertions=config.max_mined_assertions
             )
         )
         result.candidate_svas += len(candidates)
@@ -259,44 +268,29 @@ class Stage2Runner:
             return None, None
 
         augmented = insert_assertions(sample.source, candidates)
-        augmented_compile = compile_source(augmented)
-        if not augmented_compile.ok or augmented_compile.design is None:
+        outcome = simulate_and_check(
+            store, augmented, (config.seed + 1,), config.random_cycles, _RESET_CYCLES,
+            config.checker_backend, (golden_compiled, None), "stage2",
+        )
+        if outcome.design is None or outcome.sim_error is not None:
             result.designs_without_valid_svas += 1
             return None, None
-        # The assertions do not change the signal set, so the validation
-        # trace can be produced from the golden design (compiled once above
-        # would even suffice structurally) -- but it must use a different
-        # stimulus seed than the mining trace to actually test anything.
-        augmented_compiled = store.compiled_design(
-            augmented_compile.design, base=golden_compiled
-        )
-        try:
-            validation_trace = _simulate(
-                augmented_compile.design, self._config.seed + 1, self._config.random_cycles,
-                compiled=augmented_compiled,
-            )
-        except SimulationError:
-            result.designs_without_valid_svas += 1
-            return None, None
-        report = check_assertions(
-            augmented_compile.design, validation_trace, backend=self._config.checker_backend
-        )
-        failing = set(report.failed_assertions)
-        if failing:
-            # Drop candidates whose assertion failed on the golden design and retry once.
-            valid = [c for c in candidates if _assertion_label(c) not in failing]
-            if not valid:
-                result.designs_without_valid_svas += 1
-                return None, None
-            augmented = insert_assertions(sample.source, valid)
-            augmented_compile = compile_source(augmented)
-            if not augmented_compile.ok or augmented_compile.design is None:
-                result.designs_without_valid_svas += 1
-                return None, None
-            result.validated_svas += len(valid)
-        else:
+        if outcome.failure is None:
             result.validated_svas += len(candidates)
-        return augmented, augmented_compile.design
+            return augmented, outcome.design
+        # Drop candidates whose assertion failed on the golden design and retry once.
+        failing = set(outcome.failure[1].failed_assertions)
+        valid = [c for c in candidates if _assertion_label(c) not in failing]
+        if not valid:
+            result.designs_without_valid_svas += 1
+            return None, None
+        augmented = insert_assertions(sample.source, valid)
+        augmented_design, _ = store.elaborate_source(augmented, persist=False)
+        if augmented_design is None:
+            result.designs_without_valid_svas += 1
+            return None, None
+        result.validated_svas += len(valid)
+        return augmented, augmented_design
 
     # ------------------------------------------------------------------ #
     # bug injection + validation
@@ -304,9 +298,8 @@ class Stage2Runner:
 
     def process_sample(self, sample: CorpusSample, result: Stage2Result) -> None:
         """Run the complete Stage 2 flow for one sample."""
-        from repro.artifacts import default_store
-
         store = default_store()
+        config = self._config
         augmented_golden, golden_design = self.validated_assertions(sample, result)
         if augmented_golden is None or golden_design is None:
             return
@@ -315,83 +308,41 @@ class Stage2Runner:
         # base each mutant relowers incrementally against; the checker base
         # likewise (mutations touch logic, not the assertions, so assertion
         # lowerings are reused wholesale).
-        base_compiled = store.compiled_design(golden_design)
-        try:
-            base_checker = store.checker(
-                golden_design, backend=self._config.checker_backend
-            )
-        except Exception:
-            base_checker = None
+        base = lower_design(store, golden_design, config.checker_backend, (None, None))
         bugs = self._sample_injector(sample).inject(sample.name, augmented_golden, golden_design)
         result.injected_bugs += len(bugs)
-        golden_dfg = (
-            store.dataflow(golden_design) if self._config.static_screen == "cone" else None
-        )
+        golden_dfg = store.dataflow(golden_design) if config.static_screen == "cone" else None
         for index, bug in enumerate(bugs):
-            buggy_compile = compile_source(bug.buggy_source)
-            if not buggy_compile.ok or buggy_compile.design is None:
-                result.rejected_not_compiling += 1
-                continue
             if golden_dfg is not None:
                 from repro.analyze.cone import cone_screen
                 from repro.obs import get_registry
 
-                decision = cone_screen(golden_dfg, store.dataflow(buggy_compile.design))
-                if decision.skip:
+                design, _ = store.elaborate_source(bug.buggy_source, persist=False)
+                if design is not None and cone_screen(golden_dfg, store.dataflow(design)).skip:
                     # The edit is invisible to every validated assertion, so
                     # this mutant can never fail one: it is a Verilog-Bug
                     # entry by construction, no simulation needed.
                     get_registry().inc("stage2.cone_skips")
-                    result.verilog_bug.append(
-                        VerilogBugEntry(
-                            name=f"{sample.name}_vb{index}",
-                            spec=sample.spec,
-                            buggy_source=bug.buggy_source,
-                            golden_line=bug.golden_line,
-                            buggy_line=bug.buggy_line,
-                            line_number=bug.line_number,
-                            edit_kind=bug.edit_kind,
-                            is_conditional=bug.is_conditional,
-                            description=bug.description,
-                        )
-                    )
+                    result.verilog_bug.append(_verilog_bug_entry(sample, index, bug))
                     continue
-            buggy_compiled = store.compiled_design(
-                buggy_compile.design, base=base_compiled
+            stimulus_seed = config.seed + 101 + index
+            # The injector elaborated this mutant through the same store, so
+            # the kernel's elaboration is an LRU hit.
+            outcome = simulate_and_check(
+                store, bug.buggy_source, (stimulus_seed,), config.random_cycles,
+                _RESET_CYCLES, config.checker_backend, base, "stage2",
             )
-            stimulus_seed = self._config.seed + 101 + index
-            try:
-                trace = _simulate(
-                    buggy_compile.design, stimulus_seed, self._config.random_cycles,
-                    compiled=buggy_compiled,
-                )
-            except SimulationError:
+            if outcome.design is None or outcome.sim_error is not None:
                 result.rejected_not_compiling += 1
                 continue
-            report = store.checker(
-                buggy_compile.design,
-                backend=self._config.checker_backend,
-                base=base_checker,
-            ).check(trace)
-            if report.passed:
-                result.verilog_bug.append(
-                    VerilogBugEntry(
-                        name=f"{sample.name}_vb{index}",
-                        spec=sample.spec,
-                        buggy_source=bug.buggy_source,
-                        golden_line=bug.golden_line,
-                        buggy_line=bug.buggy_line,
-                        line_number=bug.line_number,
-                        edit_kind=bug.edit_kind,
-                        is_conditional=bug.is_conditional,
-                        description=bug.description,
-                    )
-                )
+            if outcome.failure is None:
+                result.verilog_bug.append(_verilog_bug_entry(sample, index, bug))
                 continue
+            report = outcome.failure[1]
             failing_names = report.failed_assertions
             bug.failing_assertions = failing_names
             failing_specs = [
-                spec for spec in buggy_compile.design.assertions if spec.name in failing_names
+                spec for spec in outcome.design.assertions if spec.name in failing_names
             ]
             bug.is_direct = classify_direct(bug, failing_specs)
             logs = format_failure_log(sample.name, report)
@@ -415,7 +366,7 @@ class Stage2Runner:
                     mutation_name=bug.mutation_name,
                     description=bug.description,
                     stimulus_seed=stimulus_seed,
-                    stimulus_cycles=self._config.random_cycles,
+                    stimulus_cycles=config.random_cycles,
                 )
             )
 
@@ -482,6 +433,21 @@ def _sample_key(config: Stage2Config, sample: CorpusSample) -> str:
         sample.spec,
         sample.artifact.family,
         "\x01".join(sample.artifact.template_svas),
+    )
+
+
+def _verilog_bug_entry(sample: CorpusSample, index: int, bug: BugInstance) -> VerilogBugEntry:
+    """A mutant that no validated assertion catches, as a Verilog-Bug entry."""
+    return VerilogBugEntry(
+        name=f"{sample.name}_vb{index}",
+        spec=sample.spec,
+        buggy_source=bug.buggy_source,
+        golden_line=bug.golden_line,
+        buggy_line=bug.buggy_line,
+        line_number=bug.line_number,
+        edit_kind=bug.edit_kind,
+        is_conditional=bug.is_conditional,
+        description=bug.description,
     )
 
 

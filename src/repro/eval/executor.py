@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from repro.artifacts import process_store
 from repro.eval.cache import VerdictCache
 from repro.eval.verifier import CandidateFix, RepairVerdict, SemanticVerifier, VerifierConfig
 from repro.obs import annotate
@@ -57,27 +58,21 @@ class ShardResult:
 
 def _run_job(job: VerificationJob, context) -> ShardResult:
     """Worker function: verify one job (module-level so it pickles)."""
-    cache_dir, artifact_dir, artifact_mode = context
+    cache_dir, artifact_dir = context
     annotate(case=job.case_name, fixes=len(job.fixes))
     cache = VerdictCache(cache_dir) if cache_dir else None
-    artifacts = None
-    if artifact_mode != "off":
-        # One store per worker process (and per disk tier), shared across
-        # every job the worker handles: its LRU keeps each case's base
-        # artifacts warm, and the optional disk tier shares elaborated
-        # designs with every other worker.
-        from repro.artifacts import process_store
-
-        artifacts = process_store(artifact_dir)
     verifier = SemanticVerifier(
         config=VerifierConfig(
             cycles=job.cycles,
             checker_backend=job.checker_backend,
-            artifact_mode=artifact_mode,
             static_screen=job.static_screen,
         ),
         cache=cache,
-        artifacts=artifacts,
+        # One store per worker process (and per disk tier), shared across
+        # every job the worker handles: its LRU keeps each case's base
+        # artifacts warm, and the optional disk tier shares elaborated
+        # designs with every other worker.
+        artifacts=process_store(artifact_dir),
     )
     result = ShardResult(case_name=job.case_name)
     for fix in job.fixes:
@@ -117,7 +112,6 @@ def run_verification_jobs(
     fault_plan: Optional[FaultPlan] = None,
     tracer=None,
     artifact_dir: Optional[Path | str] = None,
-    artifact_mode: str = "incremental",
 ) -> list[ShardResult]:
     """Verify every job through the shared runtime executor.
 
@@ -126,8 +120,7 @@ def run_verification_jobs(
     ``max_attempts`` executions, or by exceeding ``job_timeout``) yields a
     shard of ``infra_error`` verdicts instead of aborting the run.
 
-    ``artifact_mode`` ("incremental" | "off") selects whether workers route
-    compilation through the per-process compiled-artifact cache;
+    Workers compile through a per-process compiled-artifact store;
     ``artifact_dir`` adds its shared on-disk elaboration tier.  Neither
     affects verdicts -- incremental relowering is byte-identical to full
     recompilation for any worker count or cache state.
@@ -138,7 +131,7 @@ def run_verification_jobs(
         jobs,
         _run_job,
         workers=workers,
-        context=(cache_arg, artifact_arg, artifact_mode),
+        context=(cache_arg, artifact_arg),
         on_error=on_error,
         timeout=job_timeout,
         max_attempts=max_attempts,

@@ -72,11 +72,9 @@ class EvalConfig:
     #: fallback).  Telemetry only: the report is byte-identical with tracing
     #: on or off.
     trace_path: Optional[str] = None
-    #: Compiled-artifact cache mode for the verification workers
-    #: ("incremental" | "off") and the directory of its shared on-disk
-    #: elaboration tier (None: memory-only).  Wall-time only: reports are
-    #: byte-identical for either mode and any tier.
-    artifact_mode: str = "incremental"
+    #: Directory of the verification workers' shared on-disk elaboration
+    #: tier (None: memory-only).  Wall-time only: reports are byte-identical
+    #: for any tier.
     artifact_dir: Optional[Path] = None
     #: Static screening mode for verification workers ("off" | "cone"; see
     #: :class:`~repro.eval.verifier.VerifierConfig`).  The cone screen is
@@ -351,7 +349,6 @@ class EvalHarness:
                 fault_plan=self._fault_plan,
                 tracer=self._tracer,
                 artifact_dir=config.artifact_dir,
-                artifact_mode=config.artifact_mode,
             )
 
         report = EvalReport(engine=engine.name, ks=config.ks)

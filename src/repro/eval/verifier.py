@@ -18,14 +18,11 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from repro.artifacts import default_store
 from repro.eval.cache import VerdictCache, verdict_key
-from repro.hdl.lint import compile_source
 from repro.obs import get_registry, phase
 from repro.hdl.source import SourceFile, lines_equivalent
-from repro.sim.compile import CompileError
-from repro.sim.engine import SimulationError, Simulator, SimulatorOptions
-from repro.sim.stimulus import StimulusGenerator
-from repro.sva.checker import CheckerBackend
+from repro.sva.kernel import lower_design, simulate_and_check
 
 #: Bumped whenever verdict semantics change: keys old cache entries out.
 #: v2: ``$past`` depth arguments are constant-folded with parameters and
@@ -133,13 +130,6 @@ class VerifierConfig:
     #: Assertion-checker backend: "auto" (compiled with tree-walking
     #: fallback), "compiled" or "interp" (the differential oracle).
     checker_backend: str = "auto"
-    #: "incremental" routes compilation through the artifact cache and
-    #: relowers each candidate against its case's buggy base; "off" compiles
-    #: every candidate from scratch (the historical path, kept for the
-    #: benchmark's cold leg and as an escape hatch).  Deliberately *not*
-    #: part of the verdict cache key: both modes are byte-identical in
-    #: verdicts, pinned by the differential tests.
-    artifact_mode: str = "incremental"
     #: Static screening in front of the simulator:
     #:
     #: * ``"off"`` -- every candidate simulates (the historical path).
@@ -178,20 +168,14 @@ class SemanticVerifier:
             )
         self.cache = cache
         self._memo: dict[str, RepairVerdict] = {}
-        self.artifacts = None
-        if self.config.artifact_mode != "off":
-            if artifacts is None:
-                from repro.artifacts import default_store
-
-                artifacts = default_store()
-            self.artifacts = artifacts
+        self.artifacts = artifacts if artifacts is not None else default_store()
         #: Per buggy source: its (compiled design, checker) base artifacts,
-        #: either of which may be None (uncompilable source / no base yet).
+        #: either of which may be None (uncompilable source, or a design the
+        #: compiled simulator rejects).
         self._bases: dict[str, tuple] = {}
-        #: Screening state: elaborated designs per source text and the base
-        #: (unpatched) verdict per (source, seeds, cycles) -- what cone_skip
-        #: returns in place of simulating an invisible edit.
-        self._designs: dict[str, object] = {}
+        #: Screening state: the base (unpatched) verdict per (source, seeds,
+        #: cycles) -- what cone_skip returns in place of simulating an
+        #: invisible edit.
         self._base_verdicts: dict[tuple, RepairVerdict] = {}
 
     # ------------------------------------------------------------------ #
@@ -287,27 +271,18 @@ class SemanticVerifier:
 
         Candidates are one-line mutants of their case's buggy source, so
         these artifacts are the relowering base for every candidate of the
-        case.  Either element may be ``None`` (artifact mode off, or the
-        base itself does not compile) -- candidates then lower fully, which
-        is always correct.
+        case.  Both are ``None`` when the base itself does not compile --
+        candidates then lower fully, which is always correct.
         """
-        if self.artifacts is None:
-            return (None, None)
         cached = self._bases.get(buggy_source)
         if cached is not None:
             return cached
-        base_compiled = None
-        base_checker = None
+        result = (None, None)
         design, _ = self.artifacts.elaborate_source(buggy_source)
         if design is not None:
-            base_compiled = self.artifacts.compiled_design(design)
-            try:
-                base_checker = self.artifacts.checker(
-                    design, backend=self.config.checker_backend
-                )
-            except CompileError:
-                base_checker = None
-        result = (base_compiled, base_checker)
+            result = lower_design(
+                self.artifacts, design, self.config.checker_backend, (None, None)
+            )
         self._bases[buggy_source] = result
         return result
 
@@ -320,25 +295,6 @@ class SemanticVerifier:
         if self.config.checker_backend != "auto":
             return f"{VERIFIER_VERSION}+{self.config.checker_backend}"
         return VERIFIER_VERSION
-
-    def _design_of(self, source: str):
-        """Elaborate ``source`` for screening, memoised per source text."""
-        if source in self._designs:
-            return self._designs[source]
-        if self.artifacts is not None:
-            design, _ = self.artifacts.elaborate_source(source, persist=False)
-        else:
-            result = compile_source(source)
-            design = result.design if result.ok else None
-        self._designs[source] = design
-        return design
-
-    def _dfg_of(self, design):
-        if self.artifacts is not None:
-            return self.artifacts.dataflow(design)
-        from repro.analyze.dfg import SignalDfg
-
-        return SignalDfg(design)
 
     def _base_verdict(self, buggy_source: str, seeds: tuple, cycles: int) -> RepairVerdict:
         """The buggy base's own simulated verdict (what cone_skip returns).
@@ -380,16 +336,16 @@ class SemanticVerifier:
         """
         from repro.analyze.cone import cone_screen
 
-        base_design = self._design_of(buggy_source)
-        patched_design = self._design_of(patched_source)
+        base_design, _ = self.artifacts.elaborate_source(buggy_source, persist=False)
+        patched_design, _ = self.artifacts.elaborate_source(patched_source, persist=False)
         if base_design is None or patched_design is None:
             # Compile failures keep the normal path so details stay
             # byte-identical to unscreened runs.
             return None
         registry = get_registry()
         with phase("verify.screen"):
-            base_dfg = self._dfg_of(base_design)
-            patched_dfg = self._dfg_of(patched_design)
+            base_dfg = self.artifacts.dataflow(base_design)
+            patched_dfg = self.artifacts.dataflow(patched_design)
             decision = cone_screen(base_dfg, patched_dfg)
             if decision.overlap:
                 registry.inc("analyze.cone.overlap")
@@ -414,95 +370,23 @@ class SemanticVerifier:
     ) -> RepairVerdict:
         """Compile + simulate + check ``patched_source`` on every seed.
 
-        The first seed is simulated and checked on its own -- most wrong
-        candidates already fail there, and that path must stay one
-        simulation + one check.  Only when it passes are the remaining
-        seeds simulated and their traces pushed through the lowered
-        checker in **one batch pass** (:meth:`check_batch`), paying the
-        per-assertion dispatch once for the rest of the batch -- and, for
-        attempt-tensor assertions, stacking the per-seed columns into one
-        padded (seed x cycle) grid so each assertion is resolved for all
-        remaining seeds in a single 2-D numpy evaluation.  (With many
-        verification seeds this trades away the old early exit on a
-        *middle* seed's assertion failure -- a candidate that already
-        survived seed one rarely fails later, and the default is two
-        seeds, so the batch is the better default.)  The
-        verdict is identical to the historical seed-by-seed loop --
-        failures are attributed to the first failing seed in seed order, a
-        simulation error on a later seed still loses to an assertion
-        failure on an earlier one, and ``exercised`` accumulates over
-        exactly the seeds the old loop would have checked -- so cached
-        verdicts stay valid.
+        One run of :func:`repro.sva.kernel.simulate_and_check`, relowered
+        against ``base`` (the case's buggy-base artifacts), mapped onto a
+        :class:`RepairVerdict`.
         """
         seeds = tuple(seeds)
         cycles = self.config.cycles if cycles is None else cycles
-        base_compiled, base_checker = base
-        compiled = None
-        with phase("verify.compile"):
-            if self.artifacts is not None:
-                # Candidates are one-shot: read the disk tier through but
-                # never write to it (only base designs persist, in
-                # :meth:`_base_artifacts`).
-                design, first_error = self.artifacts.elaborate_source(
-                    patched_source, persist=False
-                )
-                if design is None:
-                    return RepairVerdict(
-                        status="compile_fail", seeds=seeds, cycles=cycles,
-                        detail=first_error,
-                    )
-                # Lowered via the artifact cache (LRU hit for repeat
-                # candidates, incremental relowering against the case's
-                # buggy base otherwise); ``compiled`` stays None when the
-                # compiled backend rejects the design, and the Simulator
-                # factory falls back exactly as it always has.
-                compiled = self.artifacts.compiled_design(design, base=base_compiled)
-                try:
-                    checker = self.artifacts.checker(
-                        design, backend=self.config.checker_backend, base=base_checker
-                    )
-                except CompileError:
-                    checker = self.artifacts.checker(
-                        design, backend="auto", base=base_checker
-                    )
-            else:
-                result = compile_source(patched_source)
-                if not result.ok or result.design is None:
-                    first_error = (
-                        result.errors[0].render() if result.errors else "compilation failed"
-                    )
-                    return RepairVerdict(
-                        status="compile_fail", seeds=seeds, cycles=cycles,
-                        detail=first_error,
-                    )
-                design = result.design
-                # Lowered once per patched design, shared by every stimulus seed.
-                try:
-                    checker = CheckerBackend(design, backend=self.config.checker_backend)
-                except CompileError:
-                    # Only the strict "compiled" backend can raise (an
-                    # assertion the lowering rejects).  Verification must
-                    # yield a verdict, not an exception that aborts a whole
-                    # eval run, and "auto" is outcome-identical, so degrade
-                    # to the per-assertion fallback.
-                    checker = CheckerBackend(design, backend="auto")
-        def simulate(seed: int):
-            with phase("verify.simulate"):
-                stimulus = StimulusGenerator(design, seed=seed).mixed_stimulus(
-                    random_cycles=cycles, reset_cycles=self.config.reset_cycles
-                )
-                # Column recording streams per-signal (value, xmask) change
-                # events into the trace while simulating, so the vectorised
-                # checker's columnar view costs O(changes) per seed and the
-                # trace never needs to materialise per-cycle dicts; each
-                # candidate's columns are then built once per trace inside
-                # the batched checking pass.
-                options = SimulatorOptions(record_columns=True)
-                return Simulator(design, options, compiled=compiled).run(stimulus.vectors)
-
-        exercised = False
-
-        def failure_verdict(seed: int, report) -> RepairVerdict:
+        outcome = simulate_and_check(
+            self.artifacts, patched_source, seeds, cycles, self.config.reset_cycles,
+            self.config.checker_backend, base, "verify",
+        )
+        if outcome.design is None:
+            return RepairVerdict(
+                status="compile_fail", seeds=seeds, cycles=cycles,
+                detail=outcome.compile_error,
+            )
+        if outcome.failure is not None:
+            seed, report = outcome.failure
             first = report.first_failure()
             return RepairVerdict(
                 status="assertion_fail",
@@ -511,48 +395,15 @@ class SemanticVerifier:
                 failing_assertions=report.failed_assertions,
                 failing_seed=seed,
                 first_failure_cycle=first.fail_cycle if first else None,
-                exercised=exercised,
+                exercised=outcome.exercised,
                 detail=first.render() if first else "",
             )
-
-        # First seed alone: the common assertion_fail verdict exits here
-        # after exactly one simulation and one check.
-        try:
-            first_trace = simulate(seeds[0]) if seeds else None
-        except SimulationError as exc:
+        if outcome.sim_error is not None:
+            seed, message = outcome.sim_error
             return RepairVerdict(
                 status="sim_error", seeds=seeds, cycles=cycles,
-                failing_seed=seeds[0], detail=str(exc),
+                failing_seed=seed, detail=message,
             )
-        if first_trace is not None:
-            with phase("verify.check"):
-                report = checker.check(first_trace)
-            exercised = any(
-                outcome.antecedent_matches > 0 for outcome in report.outcomes.values()
-            )
-            if not report.passed:
-                return failure_verdict(seeds[0], report)
-
-        # Remaining seeds: simulate, then one batched checking pass.
-        simulated: list[tuple[int, object]] = []
-        sim_failure: Optional[tuple[int, str]] = None
-        for seed in seeds[1:]:
-            try:
-                simulated.append((seed, simulate(seed)))
-            except SimulationError as exc:
-                sim_failure = (seed, str(exc))
-                break
-        with phase("verify.check"):
-            reports = checker.check_batch([trace for _, trace in simulated])
-        for (seed, _), report in zip(simulated, reports):
-            exercised = exercised or any(
-                outcome.antecedent_matches > 0 for outcome in report.outcomes.values()
-            )
-            if not report.passed:
-                return failure_verdict(seed, report)
-        if sim_failure is not None:
-            return RepairVerdict(
-                status="sim_error", seeds=seeds, cycles=cycles,
-                failing_seed=sim_failure[0], detail=sim_failure[1],
-            )
-        return RepairVerdict(status="pass", seeds=seeds, cycles=cycles, exercised=exercised)
+        return RepairVerdict(
+            status="pass", seeds=seeds, cycles=cycles, exercised=outcome.exercised
+        )

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
+from repro.artifacts import default_store
 from repro.corpus.spec import spec_keywords
 from repro.dataaug.datasets import SvaBugEntry
 from repro.hdl.elaborate import AssertionSpec, ElaboratedDesign
-from repro.hdl.lint import compile_source
 from repro.hdl.source import SourceFile, strip_comment
 from repro.sva.logs import FailureLog, parse_failure_log
 
@@ -75,9 +75,12 @@ class RepairCase:
 
     @cached_property
     def design(self) -> Optional[ElaboratedDesign]:
-        """The elaborated buggy design, or ``None`` when it does not compile."""
-        result = compile_source(self.buggy_source)
-        return result.design if result.ok else None
+        """The elaborated buggy design, or ``None`` when it does not compile.
+
+        Elaborated through the process-wide artifact store, so the verifier
+        judging this case's candidates reuses it instead of parsing again.
+        """
+        return default_store().elaborate_source(self.buggy_source, persist=False)[0]
 
     @cached_property
     def failure_log(self) -> FailureLog:

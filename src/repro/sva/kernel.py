@@ -1,0 +1,151 @@
+"""The simulate-and-check kernel: one source text, judged on stimulus seeds.
+
+Both halves of the paper's loop run the same EDA steps: Stage 2 simulates
+every compiling mutant against the validated assertions, and the repair
+verifier re-runs them for every candidate fix.  :func:`simulate_and_check`
+is that loop, once:
+
+1. elaborate the source through an :class:`~repro.artifacts.ArtifactStore`
+   (the store's source-keyed LRU makes a repeat source a cache hit);
+2. lower it for the compiled simulator and the assertion checker, relowering
+   only the dirty cone against an optional base (:func:`lower_design`);
+3. simulate each seed with column recording on;
+4. check the first seed alone -- most failing designs already fail there
+   -- and the remaining seeds in one stacked :meth:`check_batch` pass.
+
+Callers map the returned :class:`CheckOutcome` onto their own records
+(:class:`~repro.eval.verifier.RepairVerdict`, Stage-2 dataset entries).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+from repro.hdl.elaborate import ElaboratedDesign
+from repro.obs import phase
+from repro.sim.compile import CompileError
+from repro.sim.engine import SimulationError, Simulator, SimulatorOptions
+from repro.sim.stimulus import StimulusGenerator
+from repro.sva.checker import CheckReport
+
+
+@dataclass
+class CheckOutcome:
+    """What one :func:`simulate_and_check` run found.
+
+    At most one of ``compile_error``, ``sim_error`` and ``failure`` is set;
+    none set means every seed simulated and every assertion held.
+    """
+
+    #: The elaborated design (None when the source does not compile).
+    design: Optional[ElaboratedDesign]
+    #: The first compile diagnostic, rendered (empty when it compiled).
+    compile_error: str = ""
+    #: ``(seed, message)`` of the first simulation error.
+    sim_error: Optional[tuple[int, str]] = None
+    #: ``(seed, report)`` of the first seed whose check failed.
+    failure: Optional[tuple[int, CheckReport]] = None
+    #: Some assertion's antecedent matched on some checked seed.
+    exercised: bool = False
+
+
+def lower_design(store, design: ElaboratedDesign, checker_backend: str, base: tuple) -> tuple:
+    """``design``'s (compiled simulator design, checker), via ``store``.
+
+    ``base`` is a ``(compiled design, checker)`` pair to relower against
+    (either may be None).  The compiled design is None when the compiled
+    simulator rejects the design; the :class:`Simulator` factory then falls
+    back to the interpreter.  A strict ``"compiled"`` checker that refuses
+    an assertion degrades to ``"auto"``, which is outcome-identical: a run
+    must yield an outcome, not an exception.
+    """
+    base_compiled, base_checker = base
+    compiled = store.compiled_design(design, base=base_compiled)
+    try:
+        checker = store.checker(design, backend=checker_backend, base=base_checker)
+    except CompileError:
+        checker = store.checker(design, backend="auto", base=base_checker)
+    return compiled, checker
+
+
+def _exercised(report: CheckReport) -> bool:
+    return any(outcome.antecedent_matches > 0 for outcome in report.outcomes.values())
+
+
+def simulate_and_check(
+    store,
+    source: str,
+    seeds: Sequence[int],
+    cycles: int,
+    reset_cycles: int,
+    checker_backend: str,
+    base: tuple,
+    stage: str,
+) -> CheckOutcome:
+    """Elaborate, lower, simulate and check ``source`` on every seed.
+
+    ``stage`` names the phases (``<stage>.compile`` / ``.simulate`` /
+    ``.check`` spans and histograms).  Sources are elaborated with
+    ``persist=False``: a checked source is one-shot, so it reads the
+    store's disk tier through but never writes to it.
+
+    The outcome is the historical seed-by-seed loop's: failures are
+    attributed to the first failing seed in seed order, a simulation error
+    on a later seed loses to an assertion failure on an earlier one, and
+    ``exercised`` accumulates over exactly the seeds that loop would have
+    checked.  (Checking the remaining seeds as one batch trades away an
+    early exit on a middle seed's failure; a design that survived the
+    first seed rarely fails later.)
+    """
+    with phase(f"{stage}.compile"):
+        design, first_error = store.elaborate_source(source, persist=False)
+        if design is None:
+            return CheckOutcome(design=None, compile_error=first_error)
+        compiled, checker = lower_design(store, design, checker_backend, base)
+
+    def simulate(seed: int):
+        with phase(f"{stage}.simulate"):
+            stimulus = StimulusGenerator(design, seed=seed).mixed_stimulus(
+                random_cycles=cycles, reset_cycles=reset_cycles
+            )
+            # Column recording streams per-signal (value, xmask) change
+            # events into the trace while simulating, so the checker's
+            # columnar view costs O(changes) per seed.
+            options = SimulatorOptions(record_columns=True)
+            return Simulator(design, options, compiled=compiled).run(stimulus.vectors)
+
+    outcome = CheckOutcome(design=design)
+    if not seeds:
+        return outcome
+    try:
+        first_trace = simulate(seeds[0])
+    except SimulationError as exc:
+        outcome.sim_error = (seeds[0], str(exc))
+        return outcome
+    with phase(f"{stage}.check"):
+        report = checker.check(first_trace)
+    outcome.exercised = _exercised(report)
+    if not report.passed:
+        outcome.failure = (seeds[0], report)
+        return outcome
+
+    simulated: list[tuple[int, object]] = []
+    sim_error: Optional[tuple[int, str]] = None
+    for seed in seeds[1:]:
+        try:
+            simulated.append((seed, simulate(seed)))
+        except SimulationError as exc:
+            sim_error = (seed, str(exc))
+            break
+    reports = []
+    if simulated:
+        with phase(f"{stage}.check"):
+            reports = checker.check_batch([trace for _, trace in simulated])
+    for (seed, _), report in zip(simulated, reports):
+        outcome.exercised = outcome.exercised or _exercised(report)
+        if not report.passed:
+            outcome.failure = (seed, report)
+            return outcome
+    outcome.sim_error = sim_error
+    return outcome

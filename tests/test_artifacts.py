@@ -25,7 +25,12 @@ from repro.artifacts import (
 from repro.bugs.mutators import enumerate_mutations
 from repro.corpus.templates import all_families
 from repro.eval.executor import VerificationJob, run_verification_jobs
-from repro.eval.verifier import CandidateFix, SemanticVerifier, VerifierConfig
+from repro.eval.verifier import (
+    CandidateFix,
+    RepairVerdict,
+    SemanticVerifier,
+    VerifierConfig,
+)
 from repro.hdl.lint import compile_source
 from repro.sim.compile import CompiledSimulator, compile_design
 from repro.sim.engine import SimulatorOptions
@@ -167,7 +172,7 @@ def test_incompatible_base_falls_back_to_full_lowering():
 
 
 # --------------------------------------------------------------------------- #
-# eval-report differential: artifact mode / tier / workers change nothing
+# eval-report differential: store tier / workers change nothing
 # --------------------------------------------------------------------------- #
 
 
@@ -211,25 +216,41 @@ def verdict_dicts(shards):
     return [[v.to_dict() for v in shard.verdicts] for shard in shards]
 
 
-def test_eval_reports_invariant_to_artifact_mode_tier_and_workers(tmp_path):
+def full_lowering_verdicts(jobs):
+    """The reference: every candidate lowered from scratch in a fresh store."""
+    shards = []
+    for job in jobs:
+        verdicts = []
+        for fix in job.fixes:
+            verifier = SemanticVerifier(
+                config=VerifierConfig(cycles=job.cycles), artifacts=ArtifactStore()
+            )
+            patched, line_number, detail = verifier.apply_fix(job.buggy_source, fix)
+            if patched is None:
+                verdict = RepairVerdict(
+                    status="not_applicable", seeds=job.seeds, cycles=job.cycles,
+                    detail=detail,
+                )
+            else:
+                verdict = verifier.verify_source(patched, job.seeds, base=(None, None))
+                verdict.applied_line_number = line_number
+            verdicts.append(verdict.to_dict())
+        shards.append(verdicts)
+    return shards
+
+
+def test_eval_reports_match_full_lowering_for_any_tier_and_workers(tmp_path):
     jobs = eval_jobs()
-    baseline = verdict_dicts(
-        run_verification_jobs(jobs, workers=1, artifact_mode="off")
-    )
+    baseline = full_lowering_verdicts(jobs)
     assert any(
         verdict["status"] == "pass" for shard in baseline for verdict in shard
     )
     variants = [
-        dict(workers=1, artifact_mode="incremental"),
-        dict(workers=2, artifact_mode="incremental"),
-        dict(
-            workers=1,
-            artifact_mode="incremental",
-            artifact_dir=tmp_path / "artifacts",
-        ),
+        dict(workers=1),
+        dict(workers=2),
+        dict(workers=1, artifact_dir=tmp_path / "artifacts"),
         dict(
             workers=2,
-            artifact_mode="incremental",
             artifact_dir=tmp_path / "artifacts",  # warm disk tier
             cache_dir=tmp_path / "verdicts",
         ),
@@ -251,6 +272,68 @@ def test_verifier_base_artifacts_are_compiled_once_per_case(tmp_path):
     before = store.stats()
     verifier.verify(job.buggy_source, job.fixes[0], job.seeds)
     assert store.stats()["misses"] == before["misses"]
+
+
+# --------------------------------------------------------------------------- #
+# the front door: every consumer elaborates through the store
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def parse_counts(monkeypatch):
+    """Parses per source text, counted wherever ``compile_source`` is bound.
+
+    Every ``repro`` module that imported the function by name gets the
+    counting wrapper too, and the process-wide stores start empty, so an
+    earlier test's LRU cannot hide a parse.
+    """
+    import sys
+    from collections import Counter
+
+    import repro.artifacts.store as store_module
+    import repro.hdl.lint as lint
+
+    counts = Counter()
+    original = lint.compile_source
+
+    def counting(source, *args, **kwargs):
+        counts[source] += 1
+        return original(source, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "compile_source", None) is original:
+            monkeypatch.setattr(module, "compile_source", counting)
+    monkeypatch.setattr(store_module, "_PROCESS_STORES", {})
+    return counts
+
+
+def test_each_mutant_and_case_source_is_parsed_once(parse_counts, monkeypatch):
+    import repro.artifacts.store as store_module
+    from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig
+    from repro.eval.verifier import derive_verification_seeds
+    from repro.model.case import RepairCase
+
+    datasets = DataAugmentationPipeline(PipelineConfig.small(workers=1)).run()
+    mutants = {entry.buggy_source for entry in datasets.all_sva_entries}
+    mutants |= {entry.buggy_source for entry in datasets.verilog_bug}
+    assert mutants
+    # Bug injection already elaborated every mutant it kept; Stage 2's
+    # triage must reuse that elaboration, not parse the mutant again.
+    reparsed = {source: parse_counts[source] for source in mutants if parse_counts[source] > 1}
+    assert not reparsed
+
+    entry = datasets.sva_eval_machine[0]
+    monkeypatch.setattr(store_module, "_PROCESS_STORES", {})
+    parse_counts.clear()
+    case = RepairCase.from_entry(entry)
+    assert case.design is not None
+    verdict = SemanticVerifier().verify(
+        entry.buggy_source,
+        CandidateFix(entry.line_number, entry.golden_line, entry.buggy_line),
+        derive_verification_seeds(entry.name, entry.stimulus_seed),
+    )
+    assert verdict.status in ("pass", "assertion_fail")
+    assert parse_counts[entry.buggy_source] == 1
 
 
 # --------------------------------------------------------------------------- #
