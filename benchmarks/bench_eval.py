@@ -4,28 +4,28 @@ Times every leg of the repair-verification loop -- corpus + augmentation
 pipeline, policy training (pretrain -> SFT -> DPO with semantic challenging
 mining), the SVA-Eval-Machine benchmark run cold and warm against the
 verdict cache, and the artifact-cache leg (the same run against a cold and
-then a warm compiled-artifact store, no verdict cache) -- and records the resulting pass@k trajectory in ``BENCH_eval.json`` so
-successive PRs can track both the speed and the quality of the evaluation
-subsystem.
+then a warm compiled-artifact store, no verdict cache) -- and records the
+resulting pass@k trajectory in ``BENCH_eval.json`` so successive PRs can
+track both the speed and the quality of the evaluation subsystem.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_eval.py [--design-count N] [--output PATH]
-        [--min-relower-speedup X] [--min-screen-speedup X]
+        [--min-relower-speedup X]
 
 ``--min-relower-speedup`` gates the run (exit 1) when the measured
 incremental-relowering speedup falls below ``X``; 0 (the default) only
-reports.  ``--min-screen-speedup`` gates the static-screening leg the same
-way.  The screening leg always hard-fails on any verdict divergence between
-the screened and unscreened runs, gate or no gate.  Every timed leg starts
+reports.  The run always hard-fails when the warm or artifact-cache legs'
+summaries diverge from the cold verdict-cache run's.  Every timed leg starts
 after a full garbage collection, so a collection triggered by an earlier
 leg's garbage is not billed to the next one.
 
-Schema of the output (``bench_eval/v5``; v4 had a ``mode_off`` full-recompile
-leg; v3 without the lint-screen fields, v2 + the ``screening`` section)::
+Schema of the output (``bench_eval/v6``; v5 had a ``screening`` section for
+the deleted static cone screen; v4 had a ``mode_off`` full-recompile leg; v3
+without the lint-screen fields, v2 + the ``screening`` section)::
 
     {
-      "schema": "bench_eval/v5",
+      "schema": "bench_eval/v6",
       "config": {...},                       # scale knobs of this run
       "pipeline": {"wall_time_s", "sva_bug_entries", "eval_cases"},
       "training": {"wall_time_s", "stage", "challenging_cases"},
@@ -49,15 +49,6 @@ leg; v3 without the lint-screen fields, v2 + the ``screening`` section)::
           "entries", "reps", "full_s", "incremental_s", "speedup"
         },
         "min_relower_speedup": <float>       # the CI gate this run ran under
-      },
-      "screening": {                         # the static-screening leg
-        "cases", "candidates",               # mutant-heavy workload size
-        "screened": {"wall_time_s", "cone_skips", "cone_overlaps"},
-        "unscreened": {"wall_time_s"},
-        "pct_cone_skipped",
-        "e2e_speedup",                       # unscreened wall / screened wall
-        "divergences": 0,                    # always 0 -- nonzero hard-fails
-        "min_screen_speedup": <float>        # the CI gate this run ran under
       }
     }
 """
@@ -74,15 +65,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dataclasses import replace  # noqa: E402
-
 from repro.artifacts import ArtifactStore  # noqa: E402
-from repro.bugs.mutators import enumerate_mutations  # noqa: E402
 from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig  # noqa: E402
-from repro.eval.executor import VerificationJob, run_verification_jobs  # noqa: E402
 from repro.eval.harness import EvalConfig, EvalHarness  # noqa: E402
-from repro.eval.verifier import CandidateFix, derive_verification_seeds  # noqa: E402
-from repro.hdl.lint import compile_source  # noqa: E402
 from repro.hdl.source import SourceFile  # noqa: E402
 from repro.model.assertsolver_model import AssertSolverModel  # noqa: E402
 from repro.obs import host_metadata  # noqa: E402
@@ -93,10 +78,6 @@ from repro.sva.checker import CheckerBackend  # noqa: E402
 #: Relower-microbench sizing: mutants measured and timing repetitions each.
 RELOWER_ENTRIES = 10
 RELOWER_REPS = 3
-
-#: Screening-leg workload sizing: eval cases and mutant candidates per case.
-SCREEN_CASES = 12
-SCREEN_MUTANTS_PER_CASE = 8
 
 
 def relower_microbench(entries) -> dict:
@@ -146,111 +127,6 @@ def relower_microbench(entries) -> dict:
     }
 
 
-def screening_workload(entries, seed: int) -> list[VerificationJob]:
-    """Mutant-heavy verification jobs: one enumerated mutant per source line.
-
-    Policy candidates cluster on the failing line (inside the assertion
-    cone), which under-exercises the screen; enumerated single-line mutants
-    spread edits across the whole design, mixing in-cone candidates (must
-    simulate) with out-of-cone ones (provably skippable) -- the workload a
-    verification-as-a-service deployment actually sees.
-    """
-    jobs: list[VerificationJob] = []
-    for entry in entries[:SCREEN_CASES]:
-        design = compile_source(entry.buggy_source).design
-        if design is None:
-            continue
-        signals = sorted(design.signals)
-        fixes: list[CandidateFix] = []
-        for number, line in enumerate(entry.buggy_source.splitlines(), start=1):
-            for candidate in enumerate_mutations(line, signals):
-                fixes.append(
-                    CandidateFix(line_number=number, fixed_line=candidate.buggy_line)
-                )
-                break  # one mutant per line spreads candidates across the design
-        if not fixes:
-            continue
-        if len(fixes) > SCREEN_MUTANTS_PER_CASE:
-            # Even stride over the whole file, not a prefix: early lines are
-            # ports and declarations (almost always in-cone), and a prefix
-            # sample would starve the skip path the leg exists to measure.
-            stride = len(fixes) / SCREEN_MUTANTS_PER_CASE
-            fixes = [fixes[int(i * stride)] for i in range(SCREEN_MUTANTS_PER_CASE)]
-        jobs.append(
-            VerificationJob(
-                case_name=entry.name,
-                buggy_source=entry.buggy_source,
-                fixes=tuple(fixes),
-                seeds=derive_verification_seeds(
-                    entry.name, entry.stimulus_seed, count=2, base_seed=seed
-                ),
-                cycles=entry.stimulus_cycles,
-            )
-        )
-    return jobs
-
-
-def screening_leg(entries, seed: int, workers: int) -> tuple[dict, list[str]]:
-    """Time screen=cone vs screen=off on the mutant-heavy workload.
-
-    Returns ``(report_section, divergences)``; any divergence is a
-    correctness failure the caller must hard-fail on: every screened
-    verdict, simulated or ``cone_skip``, must be byte-identical (minus
-    provenance) to the unscreened ground truth.
-
-    The screened leg runs *first*, so the shared in-process artifact store
-    is cold for it and warm for the unscreened leg -- any bias makes the
-    reported speedup conservative.  Neither leg uses a verdict cache.
-    """
-    jobs = screening_workload(entries, seed)
-    screened_jobs = [replace(job, static_screen="cone") for job in jobs]
-
-    with scoped_registry() as registry:
-        gc.collect()
-        started = time.perf_counter()
-        screened_shards = run_verification_jobs(screened_jobs, workers=workers)
-        screened_wall = time.perf_counter() - started
-    gc.collect()
-    started = time.perf_counter()
-    off_shards = run_verification_jobs(jobs, workers=workers)
-    off_wall = time.perf_counter() - started
-
-    divergences: list[str] = []
-    candidates = 0
-    cone_skips = 0
-    for job, off_shard, screened_shard in zip(jobs, off_shards, screened_shards):
-        for fix, truth, screened in zip(
-            job.fixes, off_shard.verdicts, screened_shard.verdicts
-        ):
-            candidates += 1
-            where = f"{job.case_name}:{fix.line_number}"
-            truth_core = truth.to_dict()
-            truth_core.pop("provenance")
-            screened_core = screened.to_dict()
-            provenance = screened_core.pop("provenance")
-            if provenance == "cone_skip":
-                cone_skips += 1
-            if screened_core != truth_core:
-                divergences.append(
-                    f"{where}: {provenance} verdict differs from ground truth "
-                    f"({screened.status} != {truth.status}, {fix.fixed_line!r})"
-                )
-    section = {
-        "cases": len(jobs),
-        "candidates": candidates,
-        "screened": {
-            "wall_time_s": round(screened_wall, 3),
-            "cone_skips": cone_skips,
-            "cone_overlaps": registry.counters.get("analyze.cone.overlap", 0),
-        },
-        "unscreened": {"wall_time_s": round(off_wall, 3)},
-        "pct_cone_skipped": round(100.0 * cone_skips / max(candidates, 1), 1),
-        "e2e_speedup": round(off_wall / max(screened_wall, 1e-9), 2),
-        "divergences": len(divergences),
-    }
-    return section, divergences
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -271,14 +147,6 @@ def main() -> int:
         default=0.0,
         help="fail (exit 1) when incremental relowering is not at least this "
         "many times faster than full recompilation (0: report only)",
-    )
-    parser.add_argument(
-        "--min-screen-speedup",
-        type=float,
-        default=0.0,
-        help="fail (exit 1) when the statically screened leg is not at least "
-        "this many times faster than the unscreened one (0: report only; "
-        "verdict divergence always fails regardless)",
     )
     parser.add_argument(
         "--output",
@@ -404,37 +272,8 @@ def main() -> int:
         )
         return 1
 
-    # ---------------------------------------------------------------- #
-    # the static-screening leg
-    # ---------------------------------------------------------------- #
-    screening, divergences = screening_leg(
-        datasets.sva_eval_machine, seed=args.seed, workers=args.workers
-    )
-    screening["min_screen_speedup"] = args.min_screen_speedup
-    print(
-        f"screen cone           {screening['screened']['wall_time_s']:6.2f}s   "
-        f"{screening['screened']['cone_skips']} cone skips "
-        f"({screening['pct_cone_skipped']:.0f}%) over "
-        f"{screening['candidates']} candidates"
-    )
-    print(
-        f"screen off            {screening['unscreened']['wall_time_s']:6.2f}s   "
-        f"({screening['e2e_speedup']:.1f}x screened-leg speedup)"
-    )
-    if divergences:
-        print(f"FAIL: {len(divergences)} screened verdicts diverge from ground truth")
-        for message in divergences[:10]:
-            print(f"  {message}")
-        return 1
-    if args.min_screen_speedup > 0 and screening["e2e_speedup"] < args.min_screen_speedup:
-        print(
-            f"FAIL: screening speedup {screening['e2e_speedup']:.2f}x is below "
-            f"the --min-screen-speedup gate {args.min_screen_speedup:.2f}x"
-        )
-        return 1
-
     report = {
-        "schema": "bench_eval/v5",
+        "schema": "bench_eval/v6",
         "host": host_metadata(workers=args.workers),
         "config": {
             "scale": scale,
@@ -487,7 +326,6 @@ def main() -> int:
             "relower": relower,
             "min_relower_speedup": args.min_relower_speedup,
         },
-        "screening": screening,
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.output}")

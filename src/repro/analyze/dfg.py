@@ -3,10 +3,9 @@
 The graph has two granularities:
 
 * **nodes** -- one :class:`DfgNode` per continuous assign, procedural block
-  and initial block, carrying its def (written) and use (read) signal sets
-  plus the ISSUE-8 content key of the node.  Def/use chains
-  (:attr:`SignalDfg.defs_of` / :attr:`SignalDfg.uses_of`) answer "who drives
-  / who reads signal X".
+  and initial block, carrying its def (written) and use (read) signal sets.
+  Def/use chains (:attr:`SignalDfg.defs_of` / :attr:`SignalDfg.uses_of`)
+  answer "who drives / who reads signal X".
 * **signals** -- a per-signal fan-in relation mirroring the elaborator's
   conservative dependency graph (condition/case context counts as a source,
   clock edges count as sources of every clocked target), plus the inverse
@@ -14,17 +13,15 @@ The graph has two granularities:
   :meth:`ElaboratedDesign.cone_of_influence` and the two may be used
   interchangeably.
 
-The cone-based candidate screen (:mod:`repro.analyze.cone`) leans on two
-graph queries with soundness obligations:
+Two graph queries carry stronger contracts:
 
-* :meth:`SignalDfg.assertion_cone` must over-approximate every signal whose
+* :meth:`SignalDfg.assertion_cone` over-approximates every signal whose
   value can influence an assertion's verdict, so its roots include the
   assertion's clock and ``disable iff`` identifiers, not just the property
   body.
-* :meth:`SignalDfg.combinational_cycles` must find every static cycle in
-  the combinational subgraph: a design with zero static cycles settles
-  deterministically, which is what lets the screen rule out data-dependent
-  simulation errors.
+* :meth:`SignalDfg.combinational_cycles` finds every static cycle in the
+  combinational subgraph (the ``comb-loop`` pass reports them); a design
+  with none settles deterministically.
 
 Graphs are built once per design and cached content-addressed through
 :meth:`repro.artifacts.ArtifactStore.dataflow`.
@@ -35,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from repro.artifacts.canon import assign_node_key, block_node_key, initial_node_key
 from repro.hdl import ast
 from repro.hdl.elaborate import (
     AssertionSpec,
@@ -51,7 +47,6 @@ class DfgNode:
     kind: str  # "assign" | "comb" | "seq" | "initial"
     index: int  # position within the design's list for that kind
     line: int
-    key: str  # ISSUE-8 per-node content key
     defs: frozenset[str]  # signals written by the node
     uses: frozenset[str]  # signals read by the node (incl. conditions/indices)
 
@@ -149,7 +144,6 @@ class SignalDfg:
                 kind="assign",
                 index=index,
                 line=assign.line,
-                key=assign_node_key(assign),
                 defs=frozenset(ast._target_names(assign.target)),
                 uses=frozenset(_assign_reads(assign)),
             )
@@ -161,7 +155,6 @@ class SignalDfg:
                     kind=kind,
                     index=index,
                     line=block.line,
-                    key=block_node_key(block),
                     defs=frozenset(ast.assignment_targets(block.body)),
                     uses=frozenset(uses),
                 )
@@ -170,7 +163,6 @@ class SignalDfg:
                 kind="initial",
                 index=index,
                 line=initial.line,
-                key=initial_node_key(initial),
                 defs=frozenset(ast.assignment_targets(initial.body)),
                 uses=frozenset(_statement_reads(initial.body)),
             )
@@ -267,25 +259,6 @@ class SignalDfg:
                     on_path.pop(name, None)
                     stack.pop()
         return tuple(cycles)
-
-    # ------------------------------------------------------------------ #
-    # node key views (used by the edit-impact computation)
-    # ------------------------------------------------------------------ #
-
-    def node_keys(self) -> dict[str, int]:
-        """Multiset of node content keys (key -> occurrence count)."""
-        counts: dict[str, int] = {}
-        for node in self.nodes:
-            counts[node.key] = counts.get(node.key, 0) + 1
-        return counts
-
-    def defs_of_key(self, key: str) -> frozenset[str]:
-        """Union of def sets over nodes carrying content key ``key``."""
-        defs: set[str] = set()
-        for node in self.nodes:
-            if node.key == key:
-                defs |= node.defs
-        return frozenset(defs)
 
 
 def build_dfg(design: ElaboratedDesign) -> SignalDfg:

@@ -181,9 +181,9 @@ class ArtifactStore:
         """The design's signal dataflow graph, via the LRU.
 
         Content-addressed like the other lowered artifacts: two designs
-        with equal fingerprints share one graph, so the verifier's screen
-        pays graph construction once per base design rather than once per
-        candidate.
+        with equal fingerprints share one graph, so analysis passes run with
+        ``run_passes(..., store=)`` build it once per design content rather
+        than once per elaboration.
         """
         from repro.analyze.dfg import SignalDfg
 

@@ -14,10 +14,7 @@ For every sample that survived Stage 1:
 4. every surviving mutant is simulated against the validated SVAs.  Mutants
    that trigger at least one assertion failure become SVA-Bug entries (with
    the captured failure log); mutants that keep all assertions happy become
-   Verilog-Bug entries.  With ``Stage2Config.static_screen = "cone"``,
-   mutants whose edit is provably outside every assertion's cone of
-   influence are classified as Verilog-Bug entries directly -- no assertion
-   can observe such an edit -- without paying for the simulation.
+   Verilog-Bug entries.
 
 Every source is elaborated through the process-wide
 :class:`~repro.artifacts.ArtifactStore`, so the mutant the injector compiled
@@ -49,6 +46,7 @@ from repro.runtime import (
 )
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.stimulus import StimulusGenerator
+from repro.sva.checker import require_checker_backend
 from repro.sva.generator import (
     MinedAssertion,
     insert_assertions,
@@ -89,14 +87,6 @@ class Stage2Config:
     job_timeout: Optional[float] = None
     #: Executions charged to a sample's job before it is quarantined/raised.
     max_attempts: int = 1
-    #: Static screening of injected mutants: "off" simulates every compiling
-    #: mutant (the historical path); "cone" classifies mutants whose edit is
-    #: provably outside every validated assertion's cone of influence as
-    #: Verilog-Bug entries *without simulating* -- no assertion can observe
-    #: such an edit, so it can never become an SVA-Bug entry.  Changes which
-    #: pipeline path produces each entry, so it is part of
-    #: :meth:`content_fingerprint`.
-    static_screen: str = "off"
 
     def content_fingerprint(self) -> str:
         """Every config field that can change a per-sample result.
@@ -121,7 +111,6 @@ class Stage2Config:
                 self.checker_backend,
                 self.job_timeout,
                 self.max_attempts,
-                self.static_screen,
             )
         )
 
@@ -207,6 +196,7 @@ class Stage2Runner:
         tracer=None,
     ):
         self._config = config or Stage2Config()
+        require_checker_backend(self._config.checker_backend)
         #: Deterministic fault injection for the per-sample jobs (tests only).
         self._fault_plan = fault_plan
         #: Out-of-band telemetry; never part of content keys or results.
@@ -311,20 +301,7 @@ class Stage2Runner:
         base = lower_design(store, golden_design, config.checker_backend, (None, None))
         bugs = self._sample_injector(sample).inject(sample.name, augmented_golden, golden_design)
         result.injected_bugs += len(bugs)
-        golden_dfg = store.dataflow(golden_design) if config.static_screen == "cone" else None
         for index, bug in enumerate(bugs):
-            if golden_dfg is not None:
-                from repro.analyze.cone import cone_screen
-                from repro.obs import get_registry
-
-                design, _ = store.elaborate_source(bug.buggy_source, persist=False)
-                if design is not None and cone_screen(golden_dfg, store.dataflow(design)).skip:
-                    # The edit is invisible to every validated assertion, so
-                    # this mutant can never fail one: it is a Verilog-Bug
-                    # entry by construction, no simulation needed.
-                    get_registry().inc("stage2.cone_skips")
-                    result.verilog_bug.append(_verilog_bug_entry(sample, index, bug))
-                    continue
             stimulus_seed = config.seed + 101 + index
             # The injector elaborated this mutant through the same store, so
             # the kernel's elaboration is an LRU hit.

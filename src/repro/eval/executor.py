@@ -23,6 +23,7 @@ from repro.eval.cache import VerdictCache
 from repro.eval.verifier import CandidateFix, RepairVerdict, SemanticVerifier, VerifierConfig
 from repro.obs import annotate
 from repro.runtime import FaultPlan, JobFailure, run_jobs
+from repro.sva.checker import require_checker_backend
 
 
 @dataclass(frozen=True)
@@ -37,9 +38,9 @@ class VerificationJob:
     #: Assertion-checker backend each worker verifies with (outcome-identical
     #: across backends; "interp" forces the differential oracle).
     checker_backend: str = "auto"
-    #: Static screening mode (see :class:`~repro.eval.verifier.VerifierConfig`):
-    #: "off" | "cone".
-    static_screen: str = "off"
+
+    def __post_init__(self) -> None:
+        require_checker_backend(self.checker_backend)
 
 
 @dataclass
@@ -65,7 +66,6 @@ def _run_job(job: VerificationJob, context) -> ShardResult:
         config=VerifierConfig(
             cycles=job.cycles,
             checker_backend=job.checker_backend,
-            static_screen=job.static_screen,
         ),
         cache=cache,
         # One store per worker process (and per disk tier), shared across

@@ -42,6 +42,7 @@ from repro.obs import (
     set_tracer,
     write_trace,
 )
+from repro.sva.checker import require_checker_backend
 
 
 @dataclass
@@ -76,11 +77,6 @@ class EvalConfig:
     #: tier (None: memory-only).  Wall-time only: reports are byte-identical
     #: for any tier.
     artifact_dir: Optional[Path] = None
-    #: Static screening mode for verification workers ("off" | "cone"; see
-    #: :class:`~repro.eval.verifier.VerifierConfig`).  The cone screen is
-    #: verdict-preserving by construction; screened runs additionally mark
-    #: each verdict's ``provenance``.
-    static_screen: str = "off"
 
     @property
     def k(self) -> int:
@@ -236,6 +232,7 @@ class EvalHarness:
 
     def __init__(self, config: Optional[EvalConfig] = None, fault_plan=None, tracer=None):
         self.config = config or EvalConfig()
+        require_checker_backend(self.config.checker_backend)
         #: Deterministic fault injection for verification jobs (tests only).
         self._fault_plan = fault_plan
         #: Tracer ownership mirrors the pipeline: an explicit ``tracer``
@@ -319,7 +316,6 @@ class EvalHarness:
                     seeds=seeds,
                     cycles=cycles,
                     checker_backend=config.checker_backend,
-                    static_screen=config.static_screen,
                 )
             )
             responses_per_case.append(responses)

@@ -20,8 +20,9 @@ from typing import Optional, Sequence
 
 from repro.artifacts import default_store
 from repro.eval.cache import VerdictCache, verdict_key
-from repro.obs import get_registry, phase
+from repro.obs import get_registry
 from repro.hdl.source import SourceFile, lines_equivalent
+from repro.sva.checker import require_checker_backend
 from repro.sva.kernel import lower_design, simulate_and_check
 
 #: Bumped whenever verdict semantics change: keys old cache entries out.
@@ -81,10 +82,9 @@ class RepairVerdict:
     first_failure_cycle: Optional[int] = None
     exercised: bool = False  # some assertion's antecedent matched on some seed
     detail: str = ""
-    #: How the verdict was produced: "simulated" (the full compile +
-    #: simulate + check loop), "cone_skip" (the static screen proved the
-    #: edit invisible to every assertion and returned the memoised base
-    #: verdict).
+    #: How the verdict was produced.  Always "simulated" (the full compile +
+    #: simulate + check loop); kept so reports and cached verdict payloads
+    #: keep their shape.
     provenance: str = "simulated"
 
     @property
@@ -130,17 +130,6 @@ class VerifierConfig:
     #: Assertion-checker backend: "auto" (compiled with tree-walking
     #: fallback), "compiled" or "interp" (the differential oracle).
     checker_backend: str = "auto"
-    #: Static screening in front of the simulator:
-    #:
-    #: * ``"off"`` -- every candidate simulates (the historical path).
-    #: * ``"cone"`` -- candidates whose edit is provably outside every
-    #:   assertion's cone of influence return the case's memoised base
-    #:   verdict without simulating (sound: see
-    #:   :func:`repro.analyze.cone.cone_screen`).
-    #:
-    #: ``"cone"`` gets its own verdict-cache keyspace, so screened outcomes
-    #: can never be served to unscreened runs.
-    static_screen: str = "off"
 
 
 class SemanticVerifier:
@@ -162,10 +151,7 @@ class SemanticVerifier:
         artifacts=None,
     ):
         self.config = config or VerifierConfig()
-        if self.config.static_screen not in ("off", "cone"):
-            raise ValueError(
-                f"unknown static_screen {self.config.static_screen!r} (off | cone)"
-            )
+        require_checker_backend(self.config.checker_backend)
         self.cache = cache
         self._memo: dict[str, RepairVerdict] = {}
         self.artifacts = artifacts if artifacts is not None else default_store()
@@ -173,10 +159,6 @@ class SemanticVerifier:
         #: either of which may be None (uncompilable source, or a design the
         #: compiled simulator rejects).
         self._bases: dict[str, tuple] = {}
-        #: Screening state: the base (unpatched) verdict per (source, seeds,
-        #: cycles) -- what cone_skip returns in place of simulating an
-        #: invisible edit.
-        self._base_verdicts: dict[tuple, RepairVerdict] = {}
 
     # ------------------------------------------------------------------ #
     # fix application
@@ -232,11 +214,9 @@ class SemanticVerifier:
         # A forced backend gets its own cache keyspace: re-running with the
         # "interp" differential oracle must actually re-check, not be served
         # a compiled run's cached verdicts (which would mask any divergence).
-        # Screened runs are partitioned the same way: a cone_skip entry
-        # must never answer an unscreened lookup.
-        version = self._unscreened_version()
-        if self.config.static_screen != "off":
-            version = f"{version}+screen:{self.config.static_screen}"
+        version = VERIFIER_VERSION
+        if self.config.checker_backend != "auto":
+            version = f"{version}+{self.config.checker_backend}"
         key = verdict_key(patched, seeds, cycles, self.config.reset_cycles, version)
         verdict = self._memo.get(key)
         if verdict is not None:
@@ -249,12 +229,6 @@ class SemanticVerifier:
                 self._memo[key] = verdict
             else:
                 get_registry().inc("eval.verdict_cache.misses")
-        if verdict is None and self.config.static_screen != "off":
-            verdict = self._static_screen(buggy_source, patched, seeds, cycles)
-            if verdict is not None:
-                self._memo[key] = verdict
-                if self.cache is not None:
-                    self.cache.put(key, verdict.to_dict())
         if verdict is None:
             base = self._base_artifacts(buggy_source)
             verdict = self.verify_source(patched, seeds, cycles=cycles, base=base)
@@ -285,81 +259,6 @@ class SemanticVerifier:
             )
         self._bases[buggy_source] = result
         return result
-
-    # ------------------------------------------------------------------ #
-    # static screening (VerifierConfig.static_screen != "off")
-    # ------------------------------------------------------------------ #
-
-    def _unscreened_version(self) -> str:
-        """The verdict-key version an unscreened run of this config uses."""
-        if self.config.checker_backend != "auto":
-            return f"{VERIFIER_VERSION}+{self.config.checker_backend}"
-        return VERIFIER_VERSION
-
-    def _base_verdict(self, buggy_source: str, seeds: tuple, cycles: int) -> RepairVerdict:
-        """The buggy base's own simulated verdict (what cone_skip returns).
-
-        Produced by the same unscreened pipeline a no-op candidate would
-        run, and cached under the *unscreened* keyspace: it is a genuine
-        simulation result, shared with (and byte-identical to) what a
-        ``static_screen="off"`` run of the same source would compute.
-        """
-        memo_key = (buggy_source, seeds, cycles)
-        verdict = self._base_verdicts.get(memo_key)
-        if verdict is not None:
-            return verdict
-        key = verdict_key(
-            buggy_source, seeds, cycles, self.config.reset_cycles, self._unscreened_version()
-        )
-        if self.cache is not None:
-            stored = self.cache.get(key)
-            if stored is not None:
-                get_registry().inc("eval.verdict_cache.hits")
-                verdict = RepairVerdict.from_dict(stored)
-        if verdict is None:
-            base = self._base_artifacts(buggy_source)
-            verdict = self.verify_source(buggy_source, seeds, cycles=cycles, base=base)
-            if self.cache is not None:
-                self.cache.put(key, verdict.to_dict())
-        self._base_verdicts[memo_key] = verdict
-        return verdict
-
-    def _static_screen(
-        self, buggy_source: str, patched_source: str, seeds: tuple, cycles: int
-    ) -> Optional[RepairVerdict]:
-        """Try to decide the candidate without simulating it.
-
-        Returns ``None`` when the screen cannot decide (the candidate then
-        takes the normal simulation path, whose verdict is byte-identical
-        to an unscreened run's).  The cone screen is sound, so a skipped
-        candidate's verdict equals what simulating it would produce.
-        """
-        from repro.analyze.cone import cone_screen
-
-        base_design, _ = self.artifacts.elaborate_source(buggy_source, persist=False)
-        patched_design, _ = self.artifacts.elaborate_source(patched_source, persist=False)
-        if base_design is None or patched_design is None:
-            # Compile failures keep the normal path so details stay
-            # byte-identical to unscreened runs.
-            return None
-        registry = get_registry()
-        with phase("verify.screen"):
-            base_dfg = self.artifacts.dataflow(base_design)
-            patched_dfg = self.artifacts.dataflow(patched_design)
-            decision = cone_screen(base_dfg, patched_dfg)
-            if decision.overlap:
-                registry.inc("analyze.cone.overlap")
-            if decision.skip:
-                base_verdict = self._base_verdict(buggy_source, seeds, cycles)
-                # Refuse to skip onto anything but a clean simulation
-                # outcome: a sim_error or compile_fail base says the
-                # *base* is broken, not that the equality argument holds.
-                if base_verdict.status in ("pass", "assertion_fail"):
-                    registry.inc("analyze.cone.skip")
-                    verdict = RepairVerdict.from_dict(base_verdict.to_dict())
-                    verdict.provenance = "cone_skip"
-                    return verdict
-        return None
 
     def verify_source(
         self,

@@ -130,9 +130,9 @@ class RepairCase:
 
         Unlike :attr:`cone_signals` (fan-in of the asserted body signals),
         this includes each failing assertion's clocking signal and
-        ``disable iff`` identifiers -- the exact signal set the verifier's
-        cone screen uses.  Falls back to :attr:`cone_signals` when no
-        failing assertion resolves in the design.
+        ``disable iff`` identifiers (:meth:`SignalDfg.assertion_cone`).
+        Falls back to :attr:`cone_signals` when no failing assertion
+        resolves in the design.
         """
         dfg = self.dataflow
         if dfg is None:

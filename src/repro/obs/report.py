@@ -216,18 +216,8 @@ def render_report(data: TraceData, top: int = 10) -> str:
         key: value for key, value in sorted(counters.items()) if key.startswith("analyze.")
     }
     consumed.update(analyze_counters)
-    consumed.add("stage2.cone_skips")
-    if analyze_counters or counters.get("stage2.cone_skips", 0):
+    if analyze_counters:
         lines += ["", "static analysis:"]
-        skips = counters.get("analyze.cone.skip", 0)
-        overlaps = counters.get("analyze.cone.overlap", 0)
-        if skips or overlaps:
-            lines.append(
-                f"  verifier screen: {skips} cone skips · {overlaps} cone overlaps"
-            )
-        stage2_skips = counters.get("stage2.cone_skips", 0)
-        if stage2_skips:
-            lines.append(f"  stage2 mutants classified without simulation: {stage2_skips}")
         pass_counts = {
             key[len("analyze.pass."):]: value
             for key, value in analyze_counters.items()

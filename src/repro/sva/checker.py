@@ -422,6 +422,19 @@ class AssertionChecker:
             return LogicValue.from_int(int(current.to_int() != previous.to_int()), 1)
         return LogicValue.unknown(1)
 
+
+#: Every name :func:`CheckerBackend` accepts.
+CHECKER_BACKENDS = ("auto", "compiled", "interp")
+
+
+def require_checker_backend(backend: str) -> None:
+    """Raise ``ValueError`` unless ``backend`` is one of :data:`CHECKER_BACKENDS`."""
+    if backend not in CHECKER_BACKENDS:
+        raise ValueError(
+            f"unknown checker backend '{backend}' (expected 'auto', 'compiled' or 'interp')"
+        )
+
+
 def CheckerBackend(design: ElaboratedDesign, backend: str = "auto", base=None):
     """Build an assertion checker for ``design``, mirroring :func:`Simulator`.
 
@@ -440,10 +453,7 @@ def CheckerBackend(design: ElaboratedDesign, backend: str = "auto", base=None):
     Both backends expose the same ``check(trace, assertions=None)`` API and
     produce outcome-identical :class:`CheckReport` objects.
     """
-    if backend not in ("auto", "compiled", "interp"):
-        raise ValueError(
-            f"unknown checker backend '{backend}' (expected 'auto', 'compiled' or 'interp')"
-        )
+    require_checker_backend(backend)
     if backend == "interp":
         return AssertionChecker(design)
     # Imported lazily: repro.sva.compile imports from this module.

@@ -107,25 +107,6 @@ def test_dfg_detects_combinational_cycles_with_path():
     assert build_dfg(design_of(COUNTER)).combinational_cycles() == ()
 
 
-def test_dfg_node_keys_diff_under_edit():
-    base = build_dfg(design_of(COUNTER))
-    patched = build_dfg(design_of(COUNTER.replace("4'd15", "4'd14")))
-    base_keys = base.node_keys()
-    patched_keys = patched.node_keys()
-    changed = {
-        key
-        for key in set(base_keys) | set(patched_keys)
-        if base_keys.get(key, 0) != patched_keys.get(key, 0)
-    }
-    # Exactly the at_max assign differs, in both directions.
-    assert len(changed) == 2
-    touched = set()
-    for dfg in (base, patched):
-        for key in changed:
-            touched |= dfg.defs_of_key(key)
-    assert touched == {"at_max"}
-
-
 def test_artifact_store_caches_dataflow_by_fingerprint():
     store = ArtifactStore()
     design = design_of(COUNTER)

@@ -5,15 +5,20 @@ mining."""
 import pytest
 
 from repro.dataaug.datasets import SvaBugEntry
+from repro.analyze import build_dfg
 from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig
+from repro.dataaug.stage2 import Stage2Config, Stage2Runner
 from repro.eval.cache import VerdictCache, verdict_key
+from repro.eval.executor import VerificationJob
 from repro.eval.harness import EvalConfig, EvalHarness
 from repro.eval.reports import read_split, write_reports
 from repro.eval.verifier import (
     CandidateFix,
     SemanticVerifier,
+    VerifierConfig,
     derive_verification_seeds,
 )
+from repro.hdl.lint import compile_source
 from repro.model.assertsolver_model import AssertSolverModel
 from repro.model.challenging import collect_challenging_cases, response_is_correct
 from repro.model.response import RepairEngine, RepairResponse
@@ -115,6 +120,56 @@ def test_verifier_cycles_override_controls_stimulus_length():
     default = verifier.verify(entry.buggy_source, fix, seeds)
     assert short.cycles == 8 and short.passed
     assert default.cycles == 48 and default.passed
+
+
+_COMB_LOOP_BASE = """
+module adv #(parameter LIMIT = 7) (
+    input wire clk,
+    input wire rst_n,
+    input wire en,
+    output reg [3:0] count,
+    output wire done
+);
+    assign done = (count == LIMIT);
+    always @(posedge clk or negedge rst_n) begin
+        if (!rst_n) count <= 4'd0;
+        else if (en) count <= count + 4'd1;
+    end
+    property p_reset;
+        @(posedge clk) disable iff (!rst_n) en |=> count != 4'd0 || $past(count) == 4'd15;
+    endproperty
+    a_reset: assert property (p_reset);
+endmodule
+"""
+
+
+def test_settling_comb_loop_candidate_simulates_to_pass():
+    """A candidate that closes a combinational loop is never rejected
+    statically: ``done = done | ...`` settles, so it simulates to a real pass."""
+    fix = CandidateFix(
+        line_number=0,
+        bug_line="    assign done = (count == LIMIT);",
+        fixed_line="    assign done = done | (count == LIMIT);",
+    )
+    verifier = SemanticVerifier(VerifierConfig(cycles=24))
+    patched, _, _ = verifier.apply_fix(_COMB_LOOP_BASE, fix)
+    assert build_dfg(compile_source(patched).design).combinational_cycles()
+    verdict = verifier.verify(_COMB_LOOP_BASE, fix, (101, 102))
+    assert verdict.status == "pass" and verdict.provenance == "simulated"
+
+
+def test_unknown_checker_backend_is_refused():
+    """A misspelt checker backend is refused where each consumer is built,
+    not turned into quarantined ``infra_error`` verdicts (which pass@k drops)
+    or quarantined Stage-2 samples."""
+    with pytest.raises(ValueError, match="unknown checker backend 'compield'"):
+        SemanticVerifier(VerifierConfig(checker_backend="compield"))
+    with pytest.raises(ValueError, match="compield"):
+        EvalHarness(eval_config(checker_backend="compield"))
+    with pytest.raises(ValueError, match="compield"):
+        Stage2Runner(Stage2Config(checker_backend="compield"))
+    with pytest.raises(ValueError, match="compield"):
+        VerificationJob("case", _COMB_LOOP_BASE, (), (1,), checker_backend="compield")
 
 
 def test_verdict_cache_round_trip(tmp_path):
