@@ -72,6 +72,7 @@ from repro.hdl.source import SourceFile  # noqa: E402
 from repro.model.assertsolver_model import AssertSolverModel  # noqa: E402
 from repro.obs import host_metadata  # noqa: E402
 from repro.obs.metrics import scoped_registry  # noqa: E402
+from repro.runtime import JobPolicy  # noqa: E402
 from repro.sim.compile import CompileError, compile_design  # noqa: E402
 from repro.sva.checker import CheckerBackend  # noqa: E402
 
@@ -189,7 +190,8 @@ def main() -> int:
         f"{challenging} challenging cases mined semantically"
     )
 
-    eval_config = EvalConfig(seed=args.seed, ks=tuple(sorted(set(args.ks))), workers=args.workers)
+    policy = JobPolicy(workers=args.workers)
+    eval_config = EvalConfig(seed=args.seed, ks=tuple(sorted(set(args.ks))), job_policy=policy)
     with tempfile.TemporaryDirectory(prefix="bench_eval_cache_") as cache_root:
         eval_config.cache_dir = Path(cache_root)
         gc.collect()
@@ -230,7 +232,7 @@ def main() -> int:
     # live differential.
     with tempfile.TemporaryDirectory(prefix="bench_eval_artifacts_") as artifact_root:
         store_config = EvalConfig(
-            seed=args.seed, ks=tuple(sorted(set(args.ks))), workers=args.workers,
+            seed=args.seed, ks=tuple(sorted(set(args.ks))), job_policy=policy,
             artifact_dir=Path(artifact_root),
         )
         with scoped_registry() as cold_registry:

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.corpus.corruptor import CorruptedSample, SyntaxCorruptor
 from repro.corpus.metadata import DesignArtifact, DesignFamily
 from repro.corpus.spec import build_spec
 from repro.corpus.templates import all_families, family_by_name
-from repro.runtime import FaultPlan, run_jobs
+from repro.runtime import FaultPlan, JobPolicy, run_stage_jobs
 
 
 @dataclass
@@ -28,16 +27,6 @@ class CorpusConfig:
     design_count: int = 120
     corrupted_fraction: float = 0.2
     jitter_widths: bool = True
-    #: Worker-pool size for the per-design build fan-out; <= 1 runs in-process.
-    workers: int = 1
-    #: Failure policy for build jobs: "raise" aborts on the first failure
-    #: (historical behaviour), "quarantine" drops the failed design into
-    #: :attr:`Corpus.skipped` and keeps generating.
-    on_error: str = "raise"
-    #: Per-design build timeout in seconds (None: unlimited).
-    job_timeout: Optional[float] = None
-    #: Executions charged to a build job before it is quarantined/raised.
-    max_attempts: int = 1
 
     def corrupted_count(self) -> int:
         return max(1, int(self.design_count * self.corrupted_fraction))
@@ -65,7 +54,7 @@ class Corpus:
 
     samples: list[CorpusSample] = field(default_factory=list)
     corrupted: list[tuple[CorpusSample, CorruptedSample]] = field(default_factory=list)
-    #: Designs whose build job was quarantined (``on_error="quarantine"``):
+    #: Designs whose build job was quarantined (``JobPolicy.on_error``):
     #: one record per lost design with the structured failure summary.
     skipped: list[dict] = field(default_factory=list)
 
@@ -92,9 +81,11 @@ class CorpusGenerator:
         "register_file": 2,
     }
 
-    def __init__(self, config: CorpusConfig | None = None, fault_plan: FaultPlan | None = None,
-                 tracer=None):
+    def __init__(self, config: CorpusConfig | None = None, policy: JobPolicy = JobPolicy(),
+                 fault_plan: FaultPlan | None = None, tracer=None):
         self._config = config or CorpusConfig()
+        #: How the per-design build jobs run (pool size, failure mode, ...).
+        self._policy = policy
         self._random = random.Random(self._config.seed)
         self._families = all_families()
         #: Deterministic fault injection for the build jobs (tests only).
@@ -111,7 +102,7 @@ class CorpusGenerator:
 
         Instance planning and seed drawing stay serial (they share the
         generator's RNG stream), then the per-design builds -- the actual
-        cost -- fan out through :func:`repro.runtime.run_jobs`.  Every job
+        cost -- fan out through :func:`repro.runtime.run_stage_jobs`.  Every job
         carries its own spec seed, drawn up front in instance order, so the
         corpus is byte-identical for any worker count.
         """
@@ -122,33 +113,16 @@ class CorpusGenerator:
              self._random.randint(0, 1_000_000))
             for index, (family, params) in enumerate(instances)
         ]
-        if self._config.on_error == "quarantine":
-            outcomes = run_jobs(
-                jobs,
-                _build_sample_job,
-                workers=self._config.workers,
-                on_error="quarantine",
-                timeout=self._config.job_timeout,
-                max_attempts=self._config.max_attempts,
-                fault_plan=self._fault_plan,
-                tracer=self._tracer,
-            )
-            corpus.samples = [outcome.result for outcome in outcomes if outcome.ok]
-            corpus.skipped = [
-                {"stage": "corpus", "name": job[2], **outcome.failure.summary()}
-                for job, outcome in zip(jobs, outcomes)
-                if not outcome.ok
-            ]
-        else:
-            corpus.samples = run_jobs(
-                jobs,
-                _build_sample_job,
-                workers=self._config.workers,
-                timeout=self._config.job_timeout,
-                max_attempts=self._config.max_attempts,
-                fault_plan=self._fault_plan,
-                tracer=self._tracer,
-            )
+        samples, corpus.skipped = run_stage_jobs(
+            "corpus",
+            jobs,
+            _build_sample_job,
+            self._policy,
+            [job[2] for job in jobs],
+            fault_plan=self._fault_plan,
+            tracer=self._tracer,
+        )
+        corpus.samples = [sample for sample in samples if sample is not None]
         corruptor = SyntaxCorruptor(seed=self._config.seed + 1)
         victims = self._random.sample(
             corpus.samples, min(self._config.corrupted_count(), len(corpus.samples))

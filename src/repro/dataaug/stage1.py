@@ -19,7 +19,7 @@ from repro.corpus.corruptor import CorruptedSample
 from repro.dataaug.datasets import VerilogPTEntry
 from repro.hdl.lint import compile_source
 from repro.hdl.source import normalize_line
-from repro.runtime import FaultPlan, run_jobs
+from repro.runtime import FaultPlan, JobPolicy, run_stage_jobs
 
 
 @dataclass
@@ -30,7 +30,7 @@ class Stage1Result:
     verilog_pt: list[VerilogPTEntry] = field(default_factory=list)
     filtered_out: int = 0
     compile_failures: int = 0
-    #: Samples whose check job was quarantined (``on_error="quarantine"``):
+    #: Samples whose check job was quarantined (``JobPolicy.on_error``):
     #: excluded from every downstream split, surfaced in pipeline stats.
     skipped: list[dict] = field(default_factory=list)
 
@@ -84,21 +84,17 @@ def _check_sample_job(source: str) -> dict:
 
 def run_stage1(
     corpus: Corpus,
-    workers: int = 1,
-    on_error: str = "raise",
-    job_timeout: float | None = None,
-    max_attempts: int = 1,
+    policy: JobPolicy = JobPolicy(),
     fault_plan: FaultPlan | None = None,
     tracer=None,
 ) -> Stage1Result:
     """Run Stage 1 over a generated corpus.
 
     The per-sample work (filtering facts + the compile check, the stage's
-    cost) fans out through :func:`repro.runtime.run_jobs`; deduplication and
-    routing fold the results serially in corpus order, so the output is
-    byte-identical for any worker count.  With ``on_error="quarantine"``, a
-    sample whose check job fails is skipped (recorded in
-    :attr:`Stage1Result.skipped`) instead of aborting the stage.
+    cost) fans out through :func:`repro.runtime.run_stage_jobs`;
+    deduplication and routing fold the results serially in corpus order, so
+    the output is byte-identical for any worker count.  A sample whose check
+    job is quarantined is skipped (recorded in :attr:`Stage1Result.skipped`).
     """
     result = Stage1Result()
     seen: set[str] = set()
@@ -109,30 +105,18 @@ def run_stage1(
     considered.extend(
         (sample, corrupted.source, corrupted) for sample, corrupted in corpus.corrupted
     )
-    checks = run_jobs(
+    checks, result.skipped = run_stage_jobs(
+        "stage1",
         [source for _, source, _ in considered],
         _check_sample_job,
-        workers=workers,
-        on_error=on_error,
-        timeout=job_timeout,
-        max_attempts=max_attempts,
+        policy,
+        [sample.name for sample, _, _ in considered],
         fault_plan=fault_plan,
         tracer=tracer,
     )
-    if on_error == "quarantine":
-        quarantined = checks
-        checks = []
-        for (sample, _source, _corruption), outcome in zip(considered, quarantined):
-            if outcome.ok:
-                checks.append(outcome.result)
-            else:
-                checks.append(None)
-                result.skipped.append(
-                    {"stage": "stage1", "name": sample.name, **outcome.failure.summary()}
-                )
 
     for (sample, source, corruption), check in zip(considered, checks):
-        if check is None:  # quarantined above: the sample is simply skipped
+        if check is None:  # quarantined: the sample is simply skipped
             continue
         if check["filtered"]:
             # Truncated/garbled samples can lose their envelope entirely; they

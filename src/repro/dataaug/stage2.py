@@ -38,11 +38,11 @@ from repro.dataaug.datasets import SvaBugEntry, VerilogBugEntry
 from repro.hdl.elaborate import ElaboratedDesign
 from repro.runtime import (
     FaultPlan,
+    JobPolicy,
     ResultCache,
     content_key,
-    default_workers,
     derive_seed,
-    run_jobs,
+    run_stage_jobs,
 )
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.stimulus import StimulusGenerator
@@ -57,7 +57,7 @@ from repro.sva.kernel import lower_design, simulate_and_check
 from repro.sva.logs import format_failure_log
 
 #: Bumped whenever per-sample Stage-2 semantics change: keys old cached
-#: results out of any ``Stage2Config.cache_dir`` directory.
+#: results out of any Stage-2 result cache directory.
 STAGE2_RESULT_VERSION = "stage2_result/v1"
 
 
@@ -70,29 +70,15 @@ class Stage2Config:
     max_mined_assertions: int = 5
     max_bugs_per_design: int = 6
     injection: InjectionConfig = field(default_factory=InjectionConfig)
-    #: Worker-pool size for the per-sample fan-out; <= 1 runs in-process.
-    #: Defaults to the machine's cores (capped, ``REPRO_WORKERS``-overridable).
-    workers: int = field(default_factory=default_workers)
     #: Assertion-checker backend for SVA validation and bug triage
     #: ("auto" | "compiled" | "interp"); both produce identical outcomes.
     checker_backend: str = "auto"
-    #: Optional content-addressed result cache directory: per-sample results
-    #: are persisted so re-runs only process samples whose inputs changed.
-    cache_dir: Optional[str] = None
-    #: Failure policy for per-sample jobs: "raise" aborts the stage on the
-    #: first failure (historical behaviour), "quarantine" records the sample
-    #: in :attr:`Stage2Result.skipped` and keeps going.
-    on_error: str = "raise"
-    #: Per-sample job timeout in seconds (None: unlimited).
-    job_timeout: Optional[float] = None
-    #: Executions charged to a sample's job before it is quarantined/raised.
-    max_attempts: int = 1
 
-    def content_fingerprint(self) -> str:
-        """Every config field that can change a per-sample result.
+    def content_fingerprint(self, policy: JobPolicy) -> str:
+        """Every config field and policy value that can change a per-sample result.
 
-        Worker count and cache location deliberately excluded -- they can
-        only change wall time, never output.  ``job_timeout`` and
+        The policy's worker count is deliberately excluded -- it can only
+        change wall time, never output.  Its ``timeout`` and
         ``max_attempts`` are *included*: a cached-through failure record is
         only valid for the fault-tolerance budget it was produced under
         (``on_error`` itself only changes aggregation, never a per-sample
@@ -109,8 +95,8 @@ class Stage2Config:
                 self.injection.max_bugs_per_design,
                 self.injection.max_candidates_per_line,
                 self.checker_backend,
-                self.job_timeout,
-                self.max_attempts,
+                policy.timeout,
+                policy.max_attempts,
             )
         )
 
@@ -126,7 +112,7 @@ class Stage2Result:
     injected_bugs: int = 0
     rejected_not_compiling: int = 0
     designs_without_valid_svas: int = 0
-    #: Samples whose job was quarantined (``on_error="quarantine"``): one
+    #: Samples whose job was quarantined (``JobPolicy.on_error``): one
     #: record per skipped sample with the structured failure summary.
     skipped: list[dict] = field(default_factory=list)
 
@@ -184,19 +170,27 @@ def _mining_trace(design: ElaboratedDesign, seed: int, cycles: int, compiled):
 class Stage2Runner:
     """Runs Stage 2 for a batch of compiled corpus samples.
 
-    Samples are independent, so ``run`` fans them out through the shared
-    :func:`repro.runtime.run_jobs` executor when ``config.workers > 1``.
-    Mutation seeding is derived per sample (from the config seed and the
-    sample name), which makes the output identical whether the batch runs
-    serially or in parallel, and independent of sample order.
+    Samples are independent, so ``run`` fans them out through
+    :func:`repro.runtime.run_stage_jobs` under ``policy``.  Mutation
+    seeding is derived per sample (from the config seed and the sample
+    name), which makes the output identical whether the batch runs serially
+    or in parallel, and independent of sample order.  With ``cache_dir``,
+    per-sample results are persisted content-addressed there, so re-runs
+    only process samples whose inputs changed.
     """
 
     def __init__(
-        self, config: Optional[Stage2Config] = None, fault_plan: Optional[FaultPlan] = None,
+        self,
+        config: Optional[Stage2Config] = None,
+        policy: JobPolicy = JobPolicy(),
+        cache_dir: Optional[str] = None,
+        fault_plan: Optional[FaultPlan] = None,
         tracer=None,
     ):
         self._config = config or Stage2Config()
         require_checker_backend(self._config.checker_backend)
+        self._policy = policy
+        self._cache_dir = cache_dir
         #: Deterministic fault injection for the per-sample jobs (tests only).
         self._fault_plan = fault_plan
         #: Out-of-band telemetry; never part of content keys or results.
@@ -351,40 +345,31 @@ class Stage2Runner:
         """Run Stage 2 for every sample through the runtime executor.
 
         Results are merged in submission order, so worker count never
-        changes the output; with ``config.cache_dir`` set, per-sample
-        results are served content-addressed from disk on re-runs
-        (quarantined failures are cached through too, so warm re-runs make
-        the same skip decisions byte-for-byte).
+        changes the output; with a cache directory, per-sample results are
+        served content-addressed from disk on re-runs (quarantined failures
+        are cached through too, so warm re-runs make the same skip
+        decisions byte-for-byte).
         """
-        config = self._config
-        cache = ResultCache(config.cache_dir) if config.cache_dir else None
-        sample_results = run_jobs(
+        config, policy = self._config, self._policy
+        sample_results, skipped = run_stage_jobs(
+            "stage2",
             samples,
             _process_sample_job,
-            workers=config.workers,
+            policy,
+            [sample.name for sample in samples],
             context=config,
-            cache=cache,
-            key_fn=lambda sample: _sample_key(config, sample),
+            cache=ResultCache(self._cache_dir) if self._cache_dir else None,
+            key_fn=lambda sample: _sample_key(config, policy, sample),
             encode=Stage2Result.to_dict,
             decode=Stage2Result.from_dict,
-            on_error=config.on_error,
-            timeout=config.job_timeout,
-            max_attempts=config.max_attempts,
             fault_plan=self._fault_plan,
             tracer=self._tracer,
         )
         result = Stage2Result()
-        if config.on_error == "quarantine":
-            for sample, outcome in zip(samples, sample_results):
-                if outcome.ok:
-                    result.merge(outcome.result)
-                else:
-                    result.skipped.append(
-                        {"stage": "stage2", "name": sample.name, **outcome.failure.summary()}
-                    )
-            return result
         for sample_result in sample_results:
-            result.merge(sample_result)
+            if sample_result is not None:
+                result.merge(sample_result)
+        result.skipped.extend(skipped)
         return result
 
 
@@ -395,16 +380,16 @@ def _process_sample_job(sample: CorpusSample, config: Stage2Config) -> Stage2Res
     return result
 
 
-def _sample_key(config: Stage2Config, sample: CorpusSample) -> str:
+def _sample_key(config: Stage2Config, policy: JobPolicy, sample: CorpusSample) -> str:
     """Content address of one sample's Stage-2 result.
 
-    Covers everything the per-sample flow reads: the config (minus
-    wall-time-only knobs), the golden source, the spec, and the artifact
+    Covers everything the per-sample flow reads: the config and the
+    policy's fault budget, the golden source, the spec, and the artifact
     fields that feed candidate SVAs.
     """
     return content_key(
         STAGE2_RESULT_VERSION,
-        config.content_fingerprint(),
+        config.content_fingerprint(policy),
         sample.name,
         sample.source,
         sample.spec,
@@ -434,7 +419,3 @@ def _assertion_label(candidate: MinedAssertion) -> str:
     label = text.split(":", 1)[0].strip()
     return label
 
-
-def run_stage2(samples: list[CorpusSample], config: Optional[Stage2Config] = None) -> Stage2Result:
-    """Convenience wrapper running Stage 2 over a sample list."""
-    return Stage2Runner(config).run(samples)

@@ -22,7 +22,7 @@ from typing import Optional
 
 from repro.dataaug.datasets import SvaBugEntry
 from repro.hdl.source import SourceFile, lines_equivalent, strip_comment
-from repro.runtime import FaultPlan, derive_seed, run_jobs
+from repro.runtime import FaultPlan, JobPolicy, derive_seed, run_stage_jobs
 from repro.sva.logs import parse_failure_log
 
 
@@ -32,16 +32,6 @@ class Stage3Config:
 
     seed: int = 17
     drift_probability: float = 0.25  # fraction of CoTs that reason to the wrong place
-    #: Worker-pool size for the per-entry fan-out; <= 1 runs in-process.
-    workers: int = 1
-    #: Failure policy for per-entry CoT jobs: "raise" aborts the stage on
-    #: the first failure (historical behaviour), "quarantine" leaves the
-    #: entry without a CoT and records it in the returned skip list.
-    on_error: str = "raise"
-    #: Per-entry job timeout in seconds (None: unlimited).
-    job_timeout: Optional[float] = None
-    #: Executions charged to an entry's job before it is quarantined/raised.
-    max_attempts: int = 1
 
 
 @dataclass
@@ -100,10 +90,15 @@ class CotGenerator:
     """
 
     def __init__(
-        self, config: Optional[Stage3Config] = None, fault_plan: Optional[FaultPlan] = None,
+        self,
+        config: Optional[Stage3Config] = None,
+        policy: JobPolicy = JobPolicy(),
+        fault_plan: Optional[FaultPlan] = None,
         tracer=None,
     ):
         self._config = config or Stage3Config()
+        #: How the per-entry CoT jobs run (pool size, failure mode, ...).
+        self._policy = policy
         #: Deterministic fault injection for the per-entry jobs (tests only).
         self._fault_plan = fault_plan
         #: Out-of-band telemetry; never part of results.
@@ -158,44 +153,30 @@ class CotGenerator:
     def annotate(self, entries: list[SvaBugEntry]) -> tuple[int, int, list[dict]]:
         """Generate + validate CoTs for every entry in place.
 
-        Per-entry jobs fan out through :func:`repro.runtime.run_jobs`
+        Per-entry jobs fan out through :func:`repro.runtime.run_stage_jobs`
         (entries carry all their own state and the drift RNG is derived per
         entry), and the drafts are applied back in entry order, so the
-        annotations are byte-identical for any worker count.  With
-        ``on_error="quarantine"``, entries whose CoT job fails keep
-        ``cot=None``/``cot_valid=False`` and are reported in the skip list.
+        annotations are byte-identical for any worker count.  Entries whose
+        CoT job is quarantined keep ``cot=None``/``cot_valid=False`` and are
+        reported in the skip list.
 
         Returns:
             (generated_count, valid_count, skipped_records)
         """
-        config = self._config
-        drafts = run_jobs(
+        drafts, skipped = run_stage_jobs(
+            "stage3",
             entries,
             _cot_job,
-            workers=config.workers,
-            context=config,
-            on_error=config.on_error,
-            timeout=config.job_timeout,
-            max_attempts=config.max_attempts,
+            self._policy,
+            [entry.name for entry in entries],
+            context=self._config,
             fault_plan=self._fault_plan,
             tracer=self._tracer,
         )
-        skipped: list[dict] = []
-        if config.on_error == "quarantine":
-            outcomes = drafts
-            drafts = []
-            for entry, outcome in zip(entries, outcomes):
-                if outcome.ok:
-                    drafts.append(outcome.result)
-                else:
-                    drafts.append(None)
-                    skipped.append(
-                        {"stage": "stage3", "name": entry.name, **outcome.failure.summary()}
-                    )
         valid = 0
         generated = 0
         for entry, draft in zip(entries, drafts):
-            if draft is None:  # quarantined above: entry stays un-annotated
+            if draft is None:  # quarantined: the entry stays un-annotated
                 continue
             text, cot_valid = draft
             entry.cot = text
@@ -216,8 +197,9 @@ def _cot_job(entry: SvaBugEntry, config: Stage3Config) -> tuple[str, bool]:
 def run_stage3(
     entries: list[SvaBugEntry],
     config: Optional[Stage3Config] = None,
+    policy: JobPolicy = JobPolicy(),
     fault_plan: Optional[FaultPlan] = None,
     tracer=None,
 ) -> tuple[int, int, list[dict]]:
     """Convenience wrapper: annotate ``entries`` with CoTs and return the counts."""
-    return CotGenerator(config, fault_plan=fault_plan, tracer=tracer).annotate(entries)
+    return CotGenerator(config, policy, fault_plan, tracer).annotate(entries)

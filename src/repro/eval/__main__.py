@@ -161,7 +161,7 @@ def _run(args, tracer) -> int:
         seed=args.seed,
         ks=tuple(sorted(set(args.ks))),
         verification_seeds=args.verification_seeds,
-        workers=args.workers,
+        job_policy=pipeline_config.job_policy,
         cache_dir=args.cache_dir,
     )
     started = time.perf_counter()

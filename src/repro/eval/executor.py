@@ -3,8 +3,8 @@
 A :class:`VerificationJob` is one evaluation case with its ranked candidate
 fixes -- everything a worker needs, as plain picklable data.  Jobs are
 independent, every seed is carried inside the job, and the fan-out is the
-shared :func:`repro.runtime.run_jobs` executor (submission-order merging),
-so the output is bit-identical for any worker count -- the same determinism
+shared :func:`repro.runtime.run_stage_jobs` (submission-order merging), so
+the output is bit-identical for any worker count -- the same determinism
 contract every stage of the pipeline runs under.
 
 The per-fix verdict cache stays *inside* the worker (each fix of a job can
@@ -22,7 +22,7 @@ from repro.artifacts import process_store
 from repro.eval.cache import VerdictCache
 from repro.eval.verifier import CandidateFix, RepairVerdict, SemanticVerifier, VerifierConfig
 from repro.obs import annotate
-from repro.runtime import FaultPlan, JobFailure, run_jobs
+from repro.runtime import FaultPlan, JobPolicy, run_stage_jobs
 from repro.sva.checker import require_checker_backend
 
 
@@ -84,14 +84,15 @@ def _run_job(job: VerificationJob, context) -> ShardResult:
     return result
 
 
-def _infra_shard(job: VerificationJob, failure: JobFailure) -> ShardResult:
+def _infra_shard(job: VerificationJob, record: dict) -> ShardResult:
     """A quarantined job's stand-in shard: one ``infra_error`` verdict per fix.
 
-    ``infra_error`` means the harness infrastructure failed (worker crash,
-    hang, unexpected exception), not that the repair failed verification --
-    scoring excludes these cases from pass@k denominators.
+    ``record`` is the job's skip record.  ``infra_error`` means the harness
+    infrastructure failed (worker crash, hang, unexpected exception), not
+    that the repair failed verification -- scoring excludes these cases from
+    pass@k denominators.
     """
-    detail = f"{failure.exception_type}: {failure.message} (phase={failure.phase})"
+    detail = f"{record['exception_type']}: {record['message']} (phase={record['phase']})"
     shard = ShardResult(case_name=job.case_name)
     shard.verdicts = [
         RepairVerdict(
@@ -104,21 +105,18 @@ def _infra_shard(job: VerificationJob, failure: JobFailure) -> ShardResult:
 
 def run_verification_jobs(
     jobs: list[VerificationJob],
-    workers: int = 1,
+    policy: JobPolicy = JobPolicy(),
     cache_dir: Optional[Path | str] = None,
-    on_error: str = "raise",
-    job_timeout: Optional[float] = None,
-    max_attempts: int = 1,
     fault_plan: Optional[FaultPlan] = None,
     tracer=None,
     artifact_dir: Optional[Path | str] = None,
 ) -> list[ShardResult]:
-    """Verify every job through the shared runtime executor.
+    """Verify every job through the shared runtime executor under ``policy``.
 
-    Returns one :class:`ShardResult` per job, in job order.  With
-    ``on_error="quarantine"``, a job whose worker fails (after
-    ``max_attempts`` executions, or by exceeding ``job_timeout``) yields a
-    shard of ``infra_error`` verdicts instead of aborting the run.
+    Returns one :class:`ShardResult` per job, in job order.  A job the
+    policy quarantines (after ``max_attempts`` executions, or by exceeding
+    its timeout) yields a shard of ``infra_error`` verdicts instead of
+    aborting the run.
 
     Workers compile through a per-process compiled-artifact store;
     ``artifact_dir`` adds its shared on-disk elaboration tier.  Neither
@@ -127,20 +125,18 @@ def run_verification_jobs(
     """
     cache_arg = str(cache_dir) if cache_dir is not None else None
     artifact_arg = str(artifact_dir) if artifact_dir is not None else None
-    results = run_jobs(
+    shards, skipped = run_stage_jobs(
+        "eval",
         jobs,
         _run_job,
-        workers=workers,
+        policy,
+        [job.case_name for job in jobs],
         context=(cache_arg, artifact_arg),
-        on_error=on_error,
-        timeout=job_timeout,
-        max_attempts=max_attempts,
         fault_plan=fault_plan,
         tracer=tracer,
     )
-    if on_error != "quarantine":
-        return results
+    records = iter(skipped)
     return [
-        outcome.result if outcome.ok else _infra_shard(job, outcome.failure)
-        for job, outcome in zip(jobs, results)
+        shard if shard is not None else _infra_shard(job, next(records))
+        for job, shard in zip(jobs, shards)
     ]

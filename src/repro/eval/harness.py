@@ -32,16 +32,8 @@ from repro.eval.verifier import (
 )
 from repro.model.case import RepairCase
 from repro.model.response import RepairEngine
-from repro.obs import (
-    NULL_TRACER,
-    MetricsRegistry,
-    Tracer,
-    get_registry,
-    resolve_trace_path,
-    set_registry,
-    set_tracer,
-    write_trace,
-)
+from repro.obs import NULL_TRACER, traced_run
+from repro.runtime import JobPolicy
 from repro.sva.checker import require_checker_backend
 
 
@@ -55,20 +47,14 @@ class EvalConfig:
     temperature: float = 0.2
     verification_seeds: int = DEFAULT_SEED_COUNT
     cycles: Optional[int] = None  # None: use each entry's own stimulus_cycles
-    workers: int = 1
+    #: How the per-case verification jobs run; a quarantined job records
+    #: ``infra_error`` verdicts for its case instead of aborting the run.
+    job_policy: JobPolicy = JobPolicy()
     cache_dir: Optional[Path] = None
     #: Assertion-checker backend the verification workers use
     #: ("auto" | "compiled" | "interp"); outcomes are backend-independent,
     #: so this only changes wall time (or forces the differential oracle).
     checker_backend: str = "auto"
-    #: Failure policy for verification jobs: "raise" aborts the run on the
-    #: first infrastructure failure (historical behaviour), "quarantine"
-    #: records ``infra_error`` verdicts for the affected case and keeps going.
-    on_error: str = "raise"
-    #: Per-case verification timeout in seconds (None: unlimited).
-    job_timeout: Optional[float] = None
-    #: Executions charged to a case's job before it is quarantined/raised.
-    max_attempts: int = 1
     #: Write a JSONL trace of the run here (``REPRO_TRACE`` is the env
     #: fallback).  Telemetry only: the report is byte-identical with tracing
     #: on or off.
@@ -235,115 +221,86 @@ class EvalHarness:
         require_checker_backend(self.config.checker_backend)
         #: Deterministic fault injection for verification jobs (tests only).
         self._fault_plan = fault_plan
-        #: Tracer ownership mirrors the pipeline: an explicit ``tracer``
-        #: means the caller writes the trace; otherwise ``config.trace_path``
-        #: / ``REPRO_TRACE`` make this harness own one and write it after
-        #: :meth:`run`.
-        self._owned_trace_path = (
-            resolve_trace_path(self.config.trace_path) if tracer is None else None
-        )
-        self._tracer = tracer if tracer is not None else (
-            Tracer() if self._owned_trace_path else None
-        )
+        #: An explicit ``tracer`` means the caller writes the trace;
+        #: otherwise ``config.trace_path`` / ``REPRO_TRACE`` make
+        #: :meth:`run` own one.
+        self._tracer = tracer
 
     def _case_seed(self, name: str) -> int:
         return (zlib.crc32(name.encode()) ^ self.config.seed) & 0x7FFFFFFF
 
     def run(self, engine: RepairEngine, entries: Sequence[SvaBugEntry]) -> EvalReport:
         """Sample, verify and score ``engine`` over ``entries``."""
-        if self._tracer is None:
-            return self._run(engine, entries)
-        previous_tracer = set_tracer(self._tracer)
-        previous_registry = None
-        if self._owned_trace_path:
-            previous_registry = set_registry(MetricsRegistry())
-        try:
-            with self._tracer.span("eval", engine=engine.name, cases=len(entries)):
-                report = self._run(engine, entries)
-        finally:
-            registry = get_registry()
-            set_tracer(previous_tracer)
-            if previous_registry is not None:
-                set_registry(previous_registry)
-            if self._owned_trace_path:
-                write_trace(
-                    self._owned_trace_path,
-                    self._tracer,
-                    metrics=registry,
-                    meta={"kind": "eval"},
-                )
-        return report
+        with traced_run(
+            self._tracer, self.config.trace_path, "eval",
+            engine=engine.name, cases=len(entries),
+        ) as tracer:
+            return self._run(engine, entries, tracer)
 
-    def _run(self, engine: RepairEngine, entries: Sequence[SvaBugEntry]) -> EvalReport:
+    def _run(self, engine: RepairEngine, entries: Sequence[SvaBugEntry], traced) -> EvalReport:
         config = self.config
-        tracer = self._tracer if self._tracer is not None else NULL_TRACER
+        tracer = traced if traced is not None else NULL_TRACER
         ordered = sorted(entries, key=lambda entry: entry.name)
 
-        propose_span = tracer.span("eval.propose")
-        propose_span.__enter__()
-        jobs: list[VerificationJob] = []
-        skeletons: list[CaseResult] = []
-        responses_per_case: list[list] = []
-        for entry in ordered:
-            case = RepairCase.from_entry(entry)
-            responses = engine.propose_topk(
-                case,
-                k=config.k,
-                samples=config.samples,
-                temperature=config.temperature,
-                seed=self._case_seed(entry.name),
-            )
-            seeds = derive_verification_seeds(
-                entry.name,
-                entry.stimulus_seed,
-                count=config.verification_seeds,
-                base_seed=config.seed,
-            )
-            cycles = config.cycles if config.cycles is not None else entry.stimulus_cycles
-            fixes = tuple(
-                CandidateFix(
-                    line_number=response.line_number,
-                    fixed_line=response.fixed_line,
-                    bug_line=response.bug_line,
+        with tracer.span("eval.propose") as propose_span:
+            jobs: list[VerificationJob] = []
+            skeletons: list[CaseResult] = []
+            responses_per_case: list[list] = []
+            for entry in ordered:
+                case = RepairCase.from_entry(entry)
+                responses = engine.propose_topk(
+                    case,
+                    k=config.k,
+                    samples=config.samples,
+                    temperature=config.temperature,
+                    seed=self._case_seed(entry.name),
                 )
-                for response in responses
-            )
-            jobs.append(
-                VerificationJob(
-                    case_name=entry.name,
-                    buggy_source=entry.buggy_source,
-                    fixes=fixes,
-                    seeds=seeds,
-                    cycles=cycles,
-                    checker_backend=config.checker_backend,
+                seeds = derive_verification_seeds(
+                    entry.name,
+                    entry.stimulus_seed,
+                    count=config.verification_seeds,
+                    base_seed=config.seed,
                 )
-            )
-            responses_per_case.append(responses)
-            skeletons.append(
-                CaseResult(
-                    name=entry.name,
-                    design_name=entry.design_name,
-                    family=entry.family,
-                    length_bin=entry.length_bin,
-                    bug_type_labels=entry.bug_type_labels,
-                    verification_seeds=seeds,
-                    mining_seed=entry.stimulus_seed,
+                cycles = config.cycles if config.cycles is not None else entry.stimulus_cycles
+                fixes = tuple(
+                    CandidateFix(
+                        line_number=response.line_number,
+                        fixed_line=response.fixed_line,
+                        bug_line=response.bug_line,
+                    )
+                    for response in responses
                 )
-            )
-
-        propose_span.set(jobs=len(jobs))
-        propose_span.__exit__(None, None, None)
+                jobs.append(
+                    VerificationJob(
+                        case_name=entry.name,
+                        buggy_source=entry.buggy_source,
+                        fixes=fixes,
+                        seeds=seeds,
+                        cycles=cycles,
+                        checker_backend=config.checker_backend,
+                    )
+                )
+                responses_per_case.append(responses)
+                skeletons.append(
+                    CaseResult(
+                        name=entry.name,
+                        design_name=entry.design_name,
+                        family=entry.family,
+                        length_bin=entry.length_bin,
+                        bug_type_labels=entry.bug_type_labels,
+                        verification_seeds=seeds,
+                        mining_seed=entry.stimulus_seed,
+                    )
+                )
+            propose_span.set(jobs=len(jobs))
 
         with tracer.span("eval.verify", jobs=len(jobs)):
             shards = run_verification_jobs(
                 jobs,
-                workers=config.workers,
+                config.job_policy,
                 cache_dir=config.cache_dir,
-                on_error=config.on_error,
-                job_timeout=config.job_timeout,
-                max_attempts=config.max_attempts,
                 fault_plan=self._fault_plan,
-                tracer=self._tracer,
+                tracer=traced,
                 artifact_dir=config.artifact_dir,
             )
 

@@ -692,8 +692,7 @@ def _statement_dependencies(
             if isinstance(node.target, (ast.BitSelect, ast.PartSelect)):
                 sources |= node.target.identifiers()
             for target in ast._target_names(node.target):
-                dependencies.setdefault(target, set()).update(sources - {target} | sources & {target})
-                dependencies[target].update(sources)
+                dependencies.setdefault(target, set()).update(sources)
 
     visit(statement, context)
     return dependencies

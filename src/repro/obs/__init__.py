@@ -25,6 +25,9 @@ pins end to end.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
+from typing import Any, Optional
 
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -84,6 +87,43 @@ def annotate(**attrs) -> None:
     get_tracer().annotate(**attrs)
 
 
+@contextmanager
+def traced_run(
+    tracer: Optional[Tracer],
+    trace_path: Optional[str],
+    name: str,
+    **attrs: Any,
+) -> Iterator[Optional[Tracer]]:
+    """Run one component (pipeline, eval harness) under its root span.
+
+    An explicit ``tracer`` belongs to the caller, who writes the trace (the
+    eval CLI merges pipeline + eval into one file this way).  Otherwise
+    ``trace_path`` / ``REPRO_TRACE`` make the block own a fresh tracer and
+    metrics registry and write the file, stamped ``meta={"kind": name}``,
+    on exit.  Either tracer is ambient for the block, inside a root span
+    ``name`` carrying ``attrs``; with neither, the block runs untraced and
+    receives None.  Telemetry only: never part of any output.
+    """
+    owned_path = resolve_trace_path(trace_path) if tracer is None else None
+    if owned_path:
+        tracer = Tracer()
+    if tracer is None:
+        yield None
+        return
+    previous_tracer = set_tracer(tracer)
+    previous_registry = set_registry(MetricsRegistry()) if owned_path else None
+    try:
+        with tracer.span(name, **attrs):
+            yield tracer
+    finally:
+        registry = get_registry()
+        set_tracer(previous_tracer)
+        if previous_registry is not None:
+            set_registry(previous_registry)
+        if owned_path:
+            write_trace(owned_path, tracer, metrics=registry, meta={"kind": name})
+
+
 __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
@@ -106,6 +146,7 @@ __all__ = [
     "set_registry",
     "set_tracer",
     "split_label",
+    "traced_run",
     "write_chrome_trace",
     "write_trace",
 ]

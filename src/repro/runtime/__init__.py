@@ -4,6 +4,10 @@ The paper's pipeline (Fig. 2) is embarrassingly parallel end to end; this
 package is the single layer all of its workloads plug into instead of each
 hand-rolling a ``multiprocessing`` pool:
 
+* :class:`JobPolicy` / :func:`run_stage_jobs` -- one execution policy
+  (workers, failure mode, timeout, retry budget) per run, and the one
+  function every stage runs its jobs through: results in job order plus
+  the skip records of quarantined jobs;
 * :func:`run_jobs` -- the sharded-map executor (pool lifecycle, chunking,
   submission-order merging, optional content-addressed result caching,
   per-job timeouts, bounded retries, broken-pool recovery, quarantine);
@@ -26,11 +30,13 @@ from repro.runtime.cache import ResultCache, content_key
 from repro.runtime.executor import (
     DEFAULT_WORKER_CAP,
     MAX_CHUNKSIZE,
+    JobPolicy,
     WORKERS_ENV,
     auto_chunksize,
     default_workers,
     derive_seed,
     run_jobs,
+    run_stage_jobs,
 )
 from repro.runtime.faults import (
     FAULT_CRASH,
@@ -55,6 +61,7 @@ __all__ = [
     "JobExecutionError",
     "JobFailure",
     "JobOutcome",
+    "JobPolicy",
     "JobTimeoutError",
     "MAX_CHUNKSIZE",
     "ResultCache",
@@ -65,4 +72,5 @@ __all__ = [
     "default_workers",
     "derive_seed",
     "run_jobs",
+    "run_stage_jobs",
 ]

@@ -70,13 +70,15 @@ with a ``timeout`` (or ``isolate=True``) runs through a pool even for
 ``workers=1``; without either, single-worker runs stay in-process and a
 worker exception is the only recoverable failure there.
 
-One platform note: because several stage configs default their worker
-count to :func:`default_workers`, library code that reaches ``run_jobs``
-from a top-level script must live behind the standard
-``if __name__ == "__main__":`` guard on multiprocessing start methods that
-re-import the main module (``spawn``/``forkserver``) -- the usual
-requirement for any pool user.  Set ``REPRO_WORKERS=1`` to force every
-default serial.
+Stages do not call ``run_jobs`` with their own knobs: each takes one
+:class:`JobPolicy` (workers, ``on_error``, timeout, retry budget) and runs
+through :func:`run_stage_jobs`, the one place that turns quarantined
+outcomes into the stage's skip records.  Library defaults are serial; the
+CLIs size pools with :func:`default_workers`.  One platform note: library
+code that reaches a pool from a top-level script must live behind the
+standard ``if __name__ == "__main__":`` guard on multiprocessing start
+methods that re-import the main module (``spawn``/``forkserver``) -- the
+usual requirement for any pool user.
 """
 
 from __future__ import annotations
@@ -91,6 +93,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Any, Callable, Optional, Sequence
 
@@ -170,6 +173,23 @@ def derive_seed(base: int, *tokens: str) -> int:
 def auto_chunksize(pending: int, workers: int) -> int:
     """Jobs per pool submission: a few waves per worker, capped."""
     return max(1, min(MAX_CHUNKSIZE, pending // (workers * 4)))
+
+
+@dataclass(frozen=True)
+class JobPolicy:
+    """How a stage's jobs run -- never what they compute.
+
+    One value per run, shared by every stage: the pool size, what a job
+    failure does (``"raise"`` aborts, ``"quarantine"`` skips the job and
+    records it), the per-job timeout in seconds (None: unlimited) and the
+    executions charged to a job before it fails.  Output bytes depend on
+    none of them, except that a quarantined job is missing from it.
+    """
+
+    workers: int = 1
+    on_error: str = "raise"
+    timeout: Optional[float] = None
+    max_attempts: int = 1
 
 
 class _NoContext:
@@ -410,6 +430,43 @@ def run_jobs(
         if not outcome.ok:
             raise_failure(outcome)
     return [outcome.result for outcome in outcomes]
+
+
+def run_stage_jobs(
+    stage: str,
+    jobs: Sequence[Any],
+    worker_fn: Callable,
+    policy: JobPolicy,
+    names: Sequence[str],
+    **options: Any,
+) -> tuple[list[Any], list[dict]]:
+    """Run one stage's jobs under ``policy``: :func:`run_jobs` plus the skip fold.
+
+    ``names[i]`` names ``jobs[i]`` in its skip record; ``options`` are the
+    remaining :func:`run_jobs` keywords (context, cache, fault plan, ...).
+
+    Returns every job's result in job order -- ``None`` for a quarantined
+    job -- and one ``{"stage", "name", "phase", "exception_type",
+    "message"}`` record per quarantined job, in job order.  Under
+    ``on_error="raise"`` the first failure raises and the list is empty.
+    """
+    outcomes = run_jobs(
+        jobs,
+        worker_fn,
+        workers=policy.workers,
+        on_error=policy.on_error,
+        timeout=policy.timeout,
+        max_attempts=policy.max_attempts,
+        **options,
+    )
+    if policy.on_error == "raise":
+        return outcomes, []
+    skipped = [
+        {"stage": stage, "name": name, **outcome.failure.summary()}
+        for name, outcome in zip(names, outcomes)
+        if not outcome.ok
+    ]
+    return [outcome.result for outcome in outcomes], skipped
 
 
 class _PendingRun:

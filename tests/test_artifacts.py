@@ -32,6 +32,7 @@ from repro.eval.verifier import (
     VerifierConfig,
 )
 from repro.hdl.lint import compile_source
+from repro.runtime import JobPolicy
 from repro.sim.compile import CompiledSimulator, compile_design
 from repro.sim.engine import SimulatorOptions
 from repro.sim.stimulus import StimulusGenerator
@@ -246,11 +247,11 @@ def test_eval_reports_match_full_lowering_for_any_tier_and_workers(tmp_path):
         verdict["status"] == "pass" for shard in baseline for verdict in shard
     )
     variants = [
-        dict(workers=1),
-        dict(workers=2),
-        dict(workers=1, artifact_dir=tmp_path / "artifacts"),
+        dict(policy=JobPolicy(workers=1)),
+        dict(policy=JobPolicy(workers=2)),
+        dict(policy=JobPolicy(workers=1), artifact_dir=tmp_path / "artifacts"),
         dict(
-            workers=2,
+            policy=JobPolicy(workers=2),
             artifact_dir=tmp_path / "artifacts",  # warm disk tier
             cache_dir=tmp_path / "verdicts",
         ),

@@ -23,6 +23,7 @@ from repro.model.assertsolver_model import AssertSolverModel
 from repro.model.challenging import collect_challenging_cases, response_is_correct
 from repro.model.response import RepairEngine, RepairResponse
 from repro.model.sft import SftConfig
+from repro.runtime import JobPolicy
 
 
 @pytest.fixture(scope="module")
@@ -213,8 +214,8 @@ def test_cache_keys_on_the_patched_source_not_the_fix():
 
 
 def test_harness_is_worker_count_invariant(datasets, sft_model):
-    serial = EvalHarness(eval_config(workers=1)).run(sft_model, datasets.sva_eval_machine)
-    fanned = EvalHarness(eval_config(workers=4)).run(sft_model, datasets.sva_eval_machine)
+    serial = EvalHarness(eval_config(job_policy=JobPolicy(workers=1))).run(sft_model, datasets.sva_eval_machine)
+    fanned = EvalHarness(eval_config(job_policy=JobPolicy(workers=4))).run(sft_model, datasets.sva_eval_machine)
     assert serial.summary() == fanned.summary()
     assert [case.to_dict() for case in serial.cases] == [case.to_dict() for case in fanned.cases]
 
@@ -222,7 +223,7 @@ def test_harness_is_worker_count_invariant(datasets, sft_model):
 def test_harness_is_cache_state_invariant(datasets, sft_model, tmp_path):
     cache_dir = tmp_path / "verdicts"
     cold = EvalHarness(eval_config(cache_dir=cache_dir)).run(sft_model, datasets.sva_eval_machine)
-    warm = EvalHarness(eval_config(cache_dir=cache_dir, workers=2)).run(
+    warm = EvalHarness(eval_config(cache_dir=cache_dir, job_policy=JobPolicy(workers=2))).run(
         sft_model, datasets.sva_eval_machine
     )
     assert cold.summary() == warm.summary()
@@ -236,7 +237,7 @@ def test_harness_is_checker_backend_invariant(datasets, sft_model):
     change any outcome -- forcing the tree-walking oracle through the full
     harness path must reproduce the compiled run byte for byte."""
     compiled = EvalHarness(eval_config()).run(sft_model, datasets.sva_eval_machine)
-    oracle = EvalHarness(eval_config(checker_backend="interp", workers=2)).run(
+    oracle = EvalHarness(eval_config(checker_backend="interp", job_policy=JobPolicy(workers=2))).run(
         sft_model, datasets.sva_eval_machine
     )
     assert compiled.summary() == oracle.summary()

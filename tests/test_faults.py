@@ -6,6 +6,7 @@ the result cache, and the adopters' skipped-job / ``infra_error`` surfacing
 
 import os
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from repro.runtime import (
     MAX_CHUNKSIZE,
     FaultPlan,
     InjectedFault,
+    JobPolicy,
     JobTimeoutError,
     ResultCache,
     WorkerCrashError,
@@ -25,9 +27,15 @@ from repro.runtime import (
     default_workers,
     run_jobs,
 )
-from repro.runtime.faults import PHASE_TIMEOUT, PHASE_WORKER, PHASE_WORKER_DEATH
+from repro.runtime.faults import (
+    PHASE_TIMEOUT,
+    PHASE_WORKER,
+    PHASE_WORKER_DEATH,
+    default_fault_key,
+)
 
 JOBS = [f"job_{i}" for i in range(8)]
+QUARANTINE = JobPolicy(on_error="quarantine")
 
 
 # ---------------------------------------------------------------------- #
@@ -54,6 +62,17 @@ def raise_on_job_2(job):
 def corpus_job_name(job):
     """Fault key for corpus build jobs: ``(family, params, name, seed)``."""
     return job[2]
+
+
+def stage_job_key(job):
+    """Fault key that names every pipeline job within its stage, so one
+    victim faults in exactly one stage: corpus build tuples by design name,
+    Stage-1 source texts by the text, named jobs by their name."""
+    if isinstance(job, tuple):
+        return "corpus:" + corpus_job_name(job)
+    if isinstance(job, str):
+        return "stage1:" + job
+    return default_fault_key(job)
 
 
 def assert_unaffected_jobs_match(outcomes, clean, faulted: set[str]):
@@ -299,7 +318,7 @@ def test_corpus_generator_quarantines_failed_builds(tmp_path):
         victim, FAULT_RAISE
     )
     corpus = CorpusGenerator(
-        CorpusConfig(design_count=6, on_error="quarantine"), fault_plan=plan
+        CorpusConfig(design_count=6), QUARANTINE, fault_plan=plan
     ).generate()
     assert [s.name for s in corpus.samples] == [
         s.name for s in clean.samples if s.name != victim
@@ -320,9 +339,9 @@ def test_stage2_runner_quarantines_failed_samples(tmp_path):
     assert len(compiled) >= 2
     victim = compiled[0].name
     plan = FaultPlan(tmp_path / "plan").inject(victim, FAULT_RAISE)
-    config = Stage2Config(random_cycles=16, max_bugs_per_design=2, on_error="quarantine")
-    faulted = Stage2Runner(config, fault_plan=plan).run(compiled)
-    clean = Stage2Runner(config).run(compiled)
+    config = Stage2Config(random_cycles=16, max_bugs_per_design=2)
+    faulted = Stage2Runner(config, QUARANTINE, fault_plan=plan).run(compiled)
+    clean = Stage2Runner(config, QUARANTINE).run(compiled)
 
     (record,) = faulted.skipped
     assert record["stage"] == "stage2" and record["name"] == victim
@@ -331,21 +350,34 @@ def test_stage2_runner_quarantines_failed_samples(tmp_path):
     assert {e.name for e in faulted.sva_bug} == clean_names
 
 
-def test_pipeline_surfaces_quarantined_jobs_in_statistics(tmp_path):
+@pytest.mark.parametrize("stage", ["corpus", "stage1", "stage2", "stage3"])
+def test_pipeline_surfaces_quarantined_jobs_in_statistics(tmp_path, stage):
+    """The pipeline's one policy reaches every stage: a job quarantined in
+    any of them becomes exactly one skip record carrying that stage."""
+    from repro.corpus.generator import CorpusGenerator
     from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig
 
-    clean = DataAugmentationPipeline(PipelineConfig.small()).run()
-    victim = clean.sva_bug_train[0].name
-    plan = FaultPlan(tmp_path / "plan").inject(victim, FAULT_RAISE)
     config = PipelineConfig.small()
-    config.on_error = "quarantine"
+    clean = DataAugmentationPipeline(config).run()
+    samples = CorpusGenerator(config.corpus).generate().samples
+    victims = {
+        "corpus": (samples[2].name, "corpus:" + samples[2].name),
+        "stage1": (samples[2].name, "stage1:" + samples[2].source),
+        "stage2": (clean.sva_bug_train[0].design_name,) * 2,
+        "stage3": (clean.sva_bug_train[0].name,) * 2,
+    }
+    name, key = victims[stage]
+    plan = FaultPlan(tmp_path / "plan", key_fn=stage_job_key).inject(key, FAULT_RAISE)
+    config = replace(config, job_policy=QUARANTINE)
     datasets = DataAugmentationPipeline(config, fault_plan=plan).run()
 
     (record,) = datasets.statistics.skipped_jobs
-    assert record["stage"] == "stage3" and record["name"] == victim
-    assert datasets.statistics.cot_generated == clean.statistics.cot_generated - 1
-    entry = next(e for e in datasets.sva_bug_train if e.name == victim)
-    assert entry.cot is None and entry.cot_valid is False
+    assert record["stage"] == stage and record["name"] == name
+    assert record["exception_type"] == "InjectedFault"
+    if stage == "stage3":
+        assert datasets.statistics.cot_generated == clean.statistics.cot_generated - 1
+        entry = next(e for e in datasets.sva_bug_train if e.name == name)
+        assert entry.cot is None and entry.cot_valid is False
 
 
 def test_quarantine_mode_without_faults_is_byte_identical():
@@ -354,8 +386,7 @@ def test_quarantine_mode_without_faults_is_byte_identical():
     from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig
 
     base = DataAugmentationPipeline(PipelineConfig.small()).run()
-    config = PipelineConfig.small()
-    config.on_error = "quarantine"
+    config = replace(PipelineConfig.small(), job_policy=QUARANTINE)
     quarantined = DataAugmentationPipeline(config).run()
     assert [e.to_dict() for e in quarantined.sva_bug_train] == [
         e.to_dict() for e in base.sva_bug_train
@@ -380,7 +411,7 @@ def test_verification_quarantine_yields_infra_error_verdicts(tmp_path):
         for name in ("case_a", "case_b")
     ]
     plan = FaultPlan(tmp_path / "plan").inject("case_a", FAULT_RAISE)
-    shards = run_verification_jobs(jobs, on_error="quarantine", fault_plan=plan)
+    shards = run_verification_jobs(jobs, QUARANTINE, fault_plan=plan)
     clean = run_verification_jobs(jobs[1:])
 
     assert [v.status for v in shards[0].verdicts] == ["infra_error", "infra_error"]

@@ -10,10 +10,12 @@ from dataclasses import replace
 
 import pytest
 
+from repro.dataaug.datasets import SvaBugEntry
 from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig
 from repro.eval.harness import EvalConfig, EvalHarness
 from repro.hdl.lint import compile_source
 from repro.model.assertsolver_model import AssertSolverModel
+from repro.model.response import RepairEngine
 from repro.obs import (
     NULL_TRACER,
     TRACE_SCHEMA,
@@ -281,7 +283,7 @@ def test_eval_report_identical_traced_or_untraced(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     datasets = DataAugmentationPipeline(PipelineConfig.small(seed=31)).run()
     assert datasets.sva_eval_machine
-    config = EvalConfig(seed=2027, ks=(1, 2), verification_seeds=1, workers=1)
+    config = EvalConfig(seed=2027, ks=(1, 2), verification_seeds=1)
 
     def summary_of(harness_config) -> str:
         model = AssertSolverModel(seed=31)
@@ -302,6 +304,29 @@ def test_eval_report_identical_traced_or_untraced(tmp_path, monkeypatch):
     assert summary_of(config) == plain
     assert env_trace.exists()
     assert {"eval", "verify.compile"} <= {s.name for s in read_trace(env_trace).spans}
+
+
+class _RaisingEngine(RepairEngine):
+    """An engine whose proposal step fails mid-run."""
+
+    name = "raising"
+
+    def propose(self, case, samples=20, temperature=0.2, seed=0):
+        raise RuntimeError("propose failed")
+
+
+def test_eval_propose_span_closes_when_the_engine_raises():
+    entry = SvaBugEntry(
+        name="case_a", design_name="d", family="f", origin="machine", spec="",
+        golden_source="", buggy_source="module d; endmodule", logs="",
+        failing_assertions=[], line_number=1, golden_line="", buggy_line="",
+        edit_kind="op", is_conditional=False, is_direct=True,
+    )
+    tracer = Tracer()
+    with pytest.raises(RuntimeError, match="propose failed"):
+        EvalHarness(EvalConfig(), tracer=tracer).run(_RaisingEngine(), [entry])
+    assert {"eval", "eval.propose"} <= {span.name for span in tracer.spans}
+    assert tracer._stack == []
 
 
 # ---------------------------------------------------------------------- #

@@ -8,7 +8,9 @@ import pytest
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig
 from repro.dataaug.stage1 import run_stage1
+from repro.dataaug.stage2 import Stage2Config
 from repro.dataaug.stage3 import CotGenerator, Stage3Config
+from repro.runtime import JobPolicy
 
 
 def dataset_bytes(datasets) -> str:
@@ -50,6 +52,18 @@ def test_pipeline_is_cache_state_invariant(tmp_path):
     assert list((tmp_path / "stage2").glob("*/*/*.json"))  # the cache was filled
 
 
+def test_stage2_result_key_covers_the_fault_budget_not_the_pool():
+    """The Stage-2 cache key keeps its historical bytes: the policy's
+    timeout and retry budget are in it (a cached-through failure depends on
+    them), its worker count and failure mode are not."""
+    config = Stage2Config()
+    assert config.content_fingerprint(JobPolicy()) == "11|48|5|6|7|6|3|auto|None|1"
+    budget = JobPolicy(timeout=2.5, max_attempts=3)
+    assert config.content_fingerprint(budget) == "11|48|5|6|7|6|3|auto|2.5|3"
+    pooled = JobPolicy(workers=4, on_error="quarantine", timeout=2.5, max_attempts=3)
+    assert config.content_fingerprint(pooled) == config.content_fingerprint(budget)
+
+
 def test_pipeline_records_stage_timings():
     pipeline = DataAugmentationPipeline(PipelineConfig.small(seed=31))
     pipeline.run()
@@ -58,8 +72,9 @@ def test_pipeline_records_stage_timings():
 
 
 def test_corpus_generator_is_worker_count_invariant():
-    serial = CorpusGenerator(CorpusConfig(seed=5, design_count=12, workers=1)).generate()
-    fanned = CorpusGenerator(CorpusConfig(seed=5, design_count=12, workers=3)).generate()
+    config = CorpusConfig(seed=5, design_count=12)
+    serial = CorpusGenerator(config, JobPolicy(workers=1)).generate()
+    fanned = CorpusGenerator(config, JobPolicy(workers=3)).generate()
     assert [(s.name, s.source, s.spec) for s in serial.samples] == [
         (s.name, s.source, s.spec) for s in fanned.samples
     ]
@@ -72,8 +87,8 @@ def test_stage1_is_worker_count_invariant():
     corpus = CorpusGenerator(
         CorpusConfig(seed=5, design_count=12, corrupted_fraction=0.4)
     ).generate()
-    serial = run_stage1(corpus, workers=1)
-    fanned = run_stage1(corpus, workers=3)
+    serial = run_stage1(corpus, JobPolicy(workers=1))
+    fanned = run_stage1(corpus, JobPolicy(workers=3))
     assert [s.name for s in serial.compiled] == [s.name for s in fanned.compiled]
     assert [vars(e) for e in serial.verilog_pt] == [vars(e) for e in fanned.verilog_pt]
     assert (serial.filtered_out, serial.compile_failures) == (
@@ -93,9 +108,9 @@ def stage3_entries():
 def test_stage3_is_worker_count_invariant(stage3_entries):
     def annotate(workers):
         entries = [entry.from_dict(entry.to_dict()) for entry in stage3_entries]
-        CotGenerator(Stage3Config(seed=3, drift_probability=0.5, workers=workers)).annotate(
-            entries
-        )
+        CotGenerator(
+            Stage3Config(seed=3, drift_probability=0.5), JobPolicy(workers=workers)
+        ).annotate(entries)
         return [(entry.name, entry.cot, entry.cot_valid) for entry in entries]
 
     assert annotate(1) == annotate(4)

@@ -156,7 +156,9 @@ def test_default_workers_env_override_and_cap(monkeypatch):
 )
 def test_migrated_modules_have_no_bespoke_pools(module):
     """Every fan-out must route through repro.runtime -- no hand-rolled
-    ``multiprocessing`` pools outside the executor itself."""
+    ``multiprocessing`` pools outside the executor itself, and no bespoke
+    quarantine fold: each adopter runs its jobs through ``run_stage_jobs``."""
     text = (SRC / module).read_text()
     assert "multiprocessing" not in text, module
-    assert "run_jobs" in text, module
+    assert "run_stage_jobs" in text, module
+    assert '"quarantine"' not in text, module

@@ -4,6 +4,7 @@ from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig
 from repro.dataaug.stage1 import run_stage1
 from repro.dataaug.stage2 import Stage2Config, Stage2Runner
+from repro.runtime import JobPolicy
 
 
 def fingerprint(result):
@@ -30,12 +31,9 @@ def compiled_samples(seed: int = 42, count: int = 6):
 
 def test_parallel_equals_serial():
     samples = compiled_samples()
-    serial = Stage2Runner(
-        Stage2Config(seed=5, random_cycles=20, max_bugs_per_design=3, workers=1)
-    ).run(samples)
-    parallel = Stage2Runner(
-        Stage2Config(seed=5, random_cycles=20, max_bugs_per_design=3, workers=2)
-    ).run(samples)
+    config = Stage2Config(seed=5, random_cycles=20, max_bugs_per_design=3)
+    serial = Stage2Runner(config, JobPolicy(workers=1)).run(samples)
+    parallel = Stage2Runner(config, JobPolicy(workers=2)).run(samples)
     assert fingerprint(serial) == fingerprint(parallel)
     assert serial.injected_bugs > 0
 
