@@ -65,6 +65,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import repro.artifacts.store as store_module  # noqa: E402
 from repro.artifacts import ArtifactStore  # noqa: E402
 from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig  # noqa: E402
 from repro.eval.harness import EvalConfig, EvalHarness  # noqa: E402
@@ -74,7 +75,7 @@ from repro.obs import host_metadata  # noqa: E402
 from repro.obs.metrics import scoped_registry  # noqa: E402
 from repro.runtime import JobPolicy  # noqa: E402
 from repro.sim.compile import CompileError, compile_design  # noqa: E402
-from repro.sva.checker import CheckerBackend  # noqa: E402
+from repro.sva.compile import CompiledAssertionChecker  # noqa: E402
 
 #: Relower-microbench sizing: mutants measured and timing repetitions each.
 RELOWER_ENTRIES = 10
@@ -106,18 +107,18 @@ def relower_microbench(entries) -> dict:
             continue
         try:
             base_compiled = compile_design(base_design)
-            base_checker = CheckerBackend(base_design)
+            base_checker = CompiledAssertionChecker(base_design)
         except CompileError:
             continue
         measured += 1
         for _ in range(RELOWER_REPS):
             started = time.perf_counter()
             compile_design(mutant_design)
-            CheckerBackend(mutant_design)
+            CompiledAssertionChecker(mutant_design)
             full_wall += time.perf_counter() - started
             started = time.perf_counter()
             compile_design(mutant_design, base=base_compiled)
-            CheckerBackend(mutant_design, base=base_checker)
+            CompiledAssertionChecker(mutant_design, base=base_checker)
             incremental_wall += time.perf_counter() - started
     return {
         "entries": measured,
@@ -224,27 +225,26 @@ def main() -> int:
     # ---------------------------------------------------------------- #
     # No verdict cache on either run -- the verdict tier would
     # short-circuit the verification work the artifact cache accelerates.
-    # "cold" fills a fresh artifact store (each case's buggy base lowered
-    # once, every candidate relowered against it), "warm" re-verifies
-    # against the filled store (the verification-as-a-service steady state,
-    # where almost all traffic is mutants of already-seen designs).
-    # Summaries must equal the verdict-cache leg's, so the runs double as a
-    # live differential.
-    with tempfile.TemporaryDirectory(prefix="bench_eval_artifacts_") as artifact_root:
-        store_config = EvalConfig(
-            seed=args.seed, ks=tuple(sorted(set(args.ks))), job_policy=policy,
-            artifact_dir=Path(artifact_root),
-        )
-        with scoped_registry() as cold_registry:
-            gc.collect()
-            started = time.perf_counter()
-            store_cold = EvalHarness(store_config).run(model, datasets.sva_eval_machine)
-            store_cold_wall = time.perf_counter() - started
-        with scoped_registry() as registry:
-            gc.collect()
-            started = time.perf_counter()
-            store_warm = EvalHarness(store_config).run(model, datasets.sva_eval_machine)
-            store_warm_wall = time.perf_counter() - started
+    # "cold" starts from an empty process store (each case's buggy base
+    # lowered once, every candidate relowered against it), "warm"
+    # re-verifies against the store the cold run filled (the
+    # verification-as-a-service steady state, where almost all traffic is
+    # mutants of already-seen designs).  With --workers above 1 each run
+    # forks fresh workers from this process, whose store neither run
+    # fills, so both runs start cold.  Summaries must equal the
+    # verdict-cache leg's, so the runs double as a live differential.
+    store_config = EvalConfig(seed=args.seed, ks=tuple(sorted(set(args.ks))), job_policy=policy)
+    store_module._DEFAULT_STORE = None  # drop what the earlier legs cached
+    with scoped_registry() as cold_registry:
+        gc.collect()
+        started = time.perf_counter()
+        store_cold = EvalHarness(store_config).run(model, datasets.sva_eval_machine)
+        store_cold_wall = time.perf_counter() - started
+    with scoped_registry() as registry:
+        gc.collect()
+        started = time.perf_counter()
+        store_warm = EvalHarness(store_config).run(model, datasets.sva_eval_machine)
+        store_warm_wall = time.perf_counter() - started
     if store_cold.summary() != summary or store_warm.summary() != summary:
         print("FAIL: artifact-cache leg summary differs from the verdict-cache leg")
         return 1

@@ -8,7 +8,7 @@ its template + mined assertions, like Stage 2 produces):
 * the resulting speedup,
 
 plus an end-to-end leg through :class:`repro.eval.verifier.SemanticVerifier`
-(compile -> simulate -> check on fresh seeds) with each checker backend, and
+(compile -> simulate -> check on fresh seeds) with each checker, and
 writes everything to ``BENCH_sva.json`` so successive PRs can track the
 trajectory next to ``BENCH_sim.json`` and ``BENCH_eval.json``.
 
@@ -74,6 +74,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.artifacts import ArtifactStore  # noqa: E402
 from repro.corpus.templates import all_families  # noqa: E402
 from repro.eval.verifier import SemanticVerifier, VerifierConfig  # noqa: E402
 from repro.hdl.lint import compile_source  # noqa: E402
@@ -189,24 +190,30 @@ def bench_family(family, cycles: int, repeat: int) -> dict | None:
     }
 
 
-def bench_verifier(cycles: int, families: list) -> dict:
-    """End-to-end repro.eval leg: apply-fix verification with each backend.
+class _TreeWalkerStore(ArtifactStore):
+    """An artifact store whose checker is the tree-walking oracle."""
 
-    Each case compiles and simulates identically; only the checker backend
+    def checker(self, design, base=None):
+        return AssertionChecker(design)
+
+
+def bench_verifier(cycles: int, families: list) -> dict:
+    """End-to-end repro.eval leg: apply-fix verification with each checker.
+
+    Each side verifies through its own fresh artifact store, so each case
+    compiles and simulates identically; only the checker the store builds
     differs, so the delta is exactly what the compiled checker buys the
     verification fan-out per candidate.
     """
     sources = [s for s in (augmented_source(f) for f in families) if s is not None]
     seeds = (1009, 2027)
     walls = {}
-    for backend in ("interp", "auto"):
-        verifier = SemanticVerifier(
-            VerifierConfig(cycles=cycles, checker_backend=backend)
-        )
+    for side, store in (("interp", _TreeWalkerStore()), ("auto", ArtifactStore())):
+        verifier = SemanticVerifier(VerifierConfig(cycles=cycles), artifacts=store)
         start = time.perf_counter()
         for source in sources:
             verifier.verify_source(source, seeds)
-        walls[backend] = time.perf_counter() - start
+        walls[side] = time.perf_counter() - start
     return {
         "cases": len(sources),
         "interp_wall_s": round(walls["interp"], 3),

@@ -7,9 +7,8 @@ cost one line's worth of lowering:
   :func:`design_fingerprint` (the content address) and per-node keys (the
   unit of incremental relowering);
 * :mod:`repro.artifacts.store` -- :class:`ArtifactStore`: a bounded
-  in-process LRU of lowered simulators/checkers keyed by fingerprint, plus
-  an optional on-disk tier (over :class:`repro.runtime.cache.ResultCache`)
-  that shares elaborated designs across worker processes.
+  in-process LRU of elaborations and lowered simulators/checkers keyed by
+  source hash and fingerprint, one :func:`default_store` per process.
 
 :meth:`ArtifactStore.elaborate_source` is the front door from source text
 to a design: the bug injector, Stage 2, ``RepairCase.design`` and the
@@ -22,8 +21,8 @@ Consumers: :func:`repro.sva.kernel.simulate_and_check` (the elaborate ->
 lower -> simulate -> check kernel shared by
 :class:`repro.eval.verifier.SemanticVerifier`, which compiles each case's
 buggy base once and relowers candidates incrementally, and by Stage 2's
-SVA validation and mutant triage), :mod:`repro.eval.executor`
-(per-process stores with a shared disk tier) and
+SVA validation and mutant triage), :mod:`repro.eval.executor` (each
+worker verifies through its process's store) and
 :func:`repro.sva.checker.check_assertions`.
 """
 
@@ -38,16 +37,13 @@ from repro.artifacts.canon import (
 )
 from repro.artifacts.store import (
     DEFAULT_LRU_ENTRIES,
-    ELABORATION_VERSION,
     ArtifactStore,
     default_store,
-    process_store,
 )
 
 __all__ = [
     "ArtifactStore",
     "DEFAULT_LRU_ENTRIES",
-    "ELABORATION_VERSION",
     "FINGERPRINT_VERSION",
     "assertion_key",
     "assign_node_key",
@@ -56,5 +52,4 @@ __all__ = [
     "design_canonical_text",
     "design_fingerprint",
     "initial_node_key",
-    "process_store",
 ]

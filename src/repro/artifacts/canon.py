@@ -37,8 +37,8 @@ import hashlib
 from repro.hdl import ast
 from repro.hdl.elaborate import AssertionSpec, ElaboratedDesign, ProceduralBlock
 
-#: Bumped whenever the canonical rendering changes meaning: keys every
-#: previously stored artifact out of the on-disk tier.
+#: Bumped whenever the canonical rendering changes meaning, so no
+#: fingerprint computed under the old rendering can match a new one.
 FINGERPRINT_VERSION = "repro_design_fingerprint/v1"
 
 

@@ -1,56 +1,43 @@
-"""The compiled-artifact cache: a bounded LRU plus an on-disk tier.
+"""The compiled-artifact cache: a bounded in-process LRU.
 
 Every candidate repair the verification loop judges is a one-line mutant of
 a design it has already compiled, yet historically each one paid a full
 parse + elaborate + lower.  :class:`ArtifactStore` removes that waste at
-three levels:
+two levels:
 
 * an **in-process LRU** keyed by :func:`~repro.artifacts.canon.design_fingerprint`
   holds lowered state -- :class:`~repro.sim.compile.CompiledDesign` and
-  :class:`~repro.sva.checker.CheckerBackend` instances.  Lowered closures
-  are process-local by nature (they do not pickle), so this tier is bounded
-  (``REPRO_ARTIFACT_LRU``, default 128 entries) and evicts least-recently
-  used entries instead of pinning them forever;
-* an optional **on-disk tier** (a :class:`~repro.runtime.cache.ResultCache`)
-  shares *elaborated designs* across worker processes, keyed by the SHA-256
-  of the source text: a worker that misses in memory skips the parse +
-  elaborate of a design any other worker has already seen (the payload is a
-  pickled :class:`~repro.hdl.elaborate.ElaboratedDesign`; compile failures
-  are cached with their first rendered diagnostic so a failing candidate is
-  diagnosed once per fleet, not once per worker);
+  :class:`~repro.sva.compile.CompiledAssertionChecker` instances -- plus
+  source-keyed elaborations.  Lowered closures are process-local by nature
+  (they cannot be serialised), so the LRU is bounded (:data:`DEFAULT_LRU_ENTRIES`)
+  and evicts least-recently used entries instead of pinning them forever;
+  each process, worker processes included, has one :func:`default_store`;
 * **incremental relowering**: the typed helpers accept a ``base`` artifact
   and hand it to :func:`repro.sim.compile.compile_design` /
-  :func:`repro.sva.checker.CheckerBackend`, which reuse the base's closures
-  for every content-identical node and relower only the dirty cone.
+  :class:`~repro.sva.compile.CompiledAssertionChecker`, which reuse the
+  base's closures for every content-identical node and relower only the
+  dirty cone.
 
-Counters (``artifact.hits`` / ``artifact.misses`` / ``artifact.evictions``,
-``artifact.disk.hits`` / ``artifact.disk.misses``) land in the ambient
-:mod:`repro.obs` registry and surface in ``python -m repro.obs summarize``.
-Cache state never changes results: incremental relowering is byte-identical
-to full recompilation (pinned by ``tests/test_artifacts.py``).
+Counters (``artifact.hits`` / ``artifact.misses`` / ``artifact.evictions``)
+land in the ambient :mod:`repro.obs` registry and surface in
+``python -m repro.obs summarize``.  Cache state never changes results:
+incremental relowering is byte-identical to full recompilation (pinned by
+``tests/test_artifacts.py``).  Tests substitute the checker a store builds
+by subclassing it and overriding :meth:`ArtifactStore.checker`.
 """
 
 from __future__ import annotations
 
-import base64
-import os
-import pickle
 import weakref
 from collections import OrderedDict
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from repro.artifacts.canon import design_fingerprint
 from repro.hdl.elaborate import ElaboratedDesign
 from repro.obs.metrics import get_registry
-from repro.runtime.cache import ResultCache, content_key
+from repro.runtime.cache import content_key
 
-#: Versions the on-disk elaboration payloads: bump on pickle-incompatible
-#: changes to ElaboratedDesign or on parser/elaborator semantic changes.
-ELABORATION_VERSION = "repro_artifacts_elaboration/v1"
-
-#: Default in-process LRU bound (entries, not bytes); ``REPRO_ARTIFACT_LRU``
-#: overrides it per process.
+#: The in-process LRU bound (entries, not bytes).
 DEFAULT_LRU_ENTRIES = 128
 
 #: Cached marker for designs the compiled simulator backend rejects, so the
@@ -58,26 +45,11 @@ DEFAULT_LRU_ENTRIES = 128
 _UNCOMPILABLE = "uncompilable"
 
 
-def _lru_bound() -> int:
-    raw = os.environ.get("REPRO_ARTIFACT_LRU", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_LRU_ENTRIES
-
-
 class ArtifactStore:
     """Content-addressed cache of compiled simulators, checkers and designs."""
 
-    def __init__(
-        self,
-        max_entries: Optional[int] = None,
-        disk: Union[ResultCache, Path, str, None] = None,
-    ):
-        self.max_entries = max_entries if max_entries is not None else _lru_bound()
-        if disk is not None and not isinstance(disk, ResultCache):
-            disk = ResultCache(disk)
-        self.disk: Optional[ResultCache] = disk
+    def __init__(self, max_entries: int = DEFAULT_LRU_ENTRIES):
+        self.max_entries = max_entries
         self._lru: "OrderedDict[str, object]" = OrderedDict()
         #: Fingerprints memoised per design *object*, keyed by ``id()`` with a
         #: weakref finalizer evicting the entry when the design dies (designs
@@ -161,19 +133,19 @@ class ArtifactStore:
             self.put(key, entry)
         return None if entry is _UNCOMPILABLE else entry
 
-    def checker(self, design: ElaboratedDesign, backend: str = "auto", base=None):
-        """An assertion checker for ``design``, via the LRU (per backend).
+    def checker(self, design: ElaboratedDesign, base=None):
+        """The compiled assertion checker for ``design``, via the LRU.
 
-        The strict ``"compiled"`` backend can raise
-        :class:`~repro.sim.compile.CompileError` exactly as the factory
-        does; failures are not cached.
+        ``base`` is an optional checker for a signal-compatible design to
+        relower incrementally against on a miss; the checker ignores a base
+        it cannot reuse.
         """
-        from repro.sva.checker import CheckerBackend
+        from repro.sva.compile import CompiledAssertionChecker
 
-        key = f"sva:{backend}:{self.fingerprint(design)}"
+        key = f"sva:{self.fingerprint(design)}"
         entry = self.get(key)
         if entry is None:
-            entry = CheckerBackend(design, backend=backend, base=base)
+            entry = CompiledAssertionChecker(design, base=base)
             self.put(key, entry)
         return entry
 
@@ -195,96 +167,47 @@ class ArtifactStore:
         return entry
 
     # ------------------------------------------------------------------ #
-    # the on-disk elaboration tier
+    # the front door: source text to design
     # ------------------------------------------------------------------ #
 
-    def elaborate_source(
-        self, source: str, persist: bool = True
-    ) -> tuple[Optional[ElaboratedDesign], str]:
-        """Compile Verilog text to a design, through the on-disk tier if any.
+    def elaborate_source(self, source: str) -> tuple[Optional[ElaboratedDesign], str]:
+        """Compile Verilog text to a design, via the LRU.
 
         Returns ``(design, "")`` on success and ``(None, first_error)`` on a
         compile failure, with ``first_error`` rendered exactly as
         :func:`repro.hdl.lint.compile_source` callers render it -- cached
         and fresh paths must produce byte-identical verdict details.
 
-        ``persist=False`` still reads through the disk tier but never writes
-        to it: right for one-shot sources (candidate mutants, verified once
-        and never seen by another process) where pickling every elaboration
-        would cost more than the tier can ever give back.  Base designs --
-        the ones mutants are deltas of -- persist.
-
-        Elaborations also live in the in-process LRU keyed by the source
-        hash (parse + elaborate dominates the cost of verifying a small
-        candidate, so a warm store skips it entirely on repeat sources).
+        Elaborations live in the LRU keyed by the source hash (parse +
+        elaborate dominates the cost of verifying a small candidate, so a
+        warm store skips it entirely on repeat sources).
         """
         from repro.hdl.lint import compile_source
 
-        registry = get_registry()
-        source_key = f"src:{content_key(ELABORATION_VERSION, source)}"
+        source_key = f"src:{content_key(source)}"
         cached = self.get(source_key)
         if cached is not None:
             return cached
-        key = None
-        if self.disk is not None:
-            key = content_key(ELABORATION_VERSION, source)
-            payload = self.disk.get(key)
-            if payload is not None:
-                if not payload.get("ok"):
-                    registry.inc("artifact.disk.hits")
-                    entry = (None, str(payload.get("error", "compilation failed")))
-                    self.put(source_key, entry)
-                    return entry
-                try:
-                    design = pickle.loads(base64.b64decode(payload["design"]))
-                except Exception:
-                    design = None  # corrupt payload: fall through and recompute
-                if isinstance(design, ElaboratedDesign):
-                    registry.inc("artifact.disk.hits")
-                    self.put(source_key, (design, ""))
-                    return design, ""
-            registry.inc("artifact.disk.misses")
         result = compile_source(source)
-        write_through = self.disk is not None and persist
         if not result.ok or result.design is None:
             error = result.errors[0].render() if result.errors else "compilation failed"
-            if write_through:
-                self.disk.put(key, {"ok": False, "error": error})
-            self.put(source_key, (None, error))
-            return None, error
-        if write_through:
-            blob = base64.b64encode(
-                pickle.dumps(result.design, protocol=pickle.HIGHEST_PROTOCOL)
-            ).decode("ascii")
-            self.disk.put(key, {"ok": True, "design": blob})
-        self.put(source_key, (result.design, ""))
-        return result.design, ""
+            entry: tuple[Optional[ElaboratedDesign], str] = (None, error)
+        else:
+            entry = (result.design, "")
+        self.put(source_key, entry)
+        return entry
 
 
-# --------------------------------------------------------------------------- #
-# process-wide stores
-# --------------------------------------------------------------------------- #
-
-_PROCESS_STORES: dict[Optional[str], ArtifactStore] = {}
-
-
-def process_store(disk_dir: Union[Path, str, None] = None) -> ArtifactStore:
-    """The per-process shared store for one on-disk tier (or none).
-
-    Worker processes handle many jobs over their lifetime; routing them all
-    through one store makes the LRU pay across jobs, and ``disk_dir`` (the
-    directory of the shared :class:`~repro.runtime.cache.ResultCache` tier)
-    is part of the identity so two harnesses with different tiers never
-    alias.
-    """
-    key = str(disk_dir) if disk_dir is not None else None
-    store = _PROCESS_STORES.get(key)
-    if store is None:
-        store = ArtifactStore(disk=disk_dir)
-        _PROCESS_STORES[key] = store
-    return store
+_DEFAULT_STORE: Optional[ArtifactStore] = None
 
 
 def default_store() -> ArtifactStore:
-    """The process-wide store with no on-disk tier (memory-only)."""
-    return process_store(None)
+    """The process-wide store.
+
+    Worker processes handle many jobs over their lifetime; routing them all
+    through one store makes the LRU pay across jobs.
+    """
+    global _DEFAULT_STORE
+    if _DEFAULT_STORE is None:
+        _DEFAULT_STORE = ArtifactStore()
+    return _DEFAULT_STORE

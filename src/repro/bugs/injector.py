@@ -168,7 +168,7 @@ class BugInjector:
         # Through the process-wide store: the elaboration stays in its LRU,
         # so the validation stage simulating this mutant does not parse it
         # again.
-        design, _ = default_store().elaborate_source(buggy_source, persist=False)
+        design, _ = default_store().elaborate_source(buggy_source)
         if design is None:
             return None
         assigned = list(elaborated_targets) if elaborated_targets else self._assigned_signals(golden_line)

@@ -46,7 +46,6 @@ from repro.runtime import (
 )
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.stimulus import StimulusGenerator
-from repro.sva.checker import require_checker_backend
 from repro.sva.generator import (
     MinedAssertion,
     insert_assertions,
@@ -70,9 +69,6 @@ class Stage2Config:
     max_mined_assertions: int = 5
     max_bugs_per_design: int = 6
     injection: InjectionConfig = field(default_factory=InjectionConfig)
-    #: Assertion-checker backend for SVA validation and bug triage
-    #: ("auto" | "compiled" | "interp"); both produce identical outcomes.
-    checker_backend: str = "auto"
 
     def content_fingerprint(self, policy: JobPolicy) -> str:
         """Every config field and policy value that can change a per-sample result.
@@ -94,7 +90,7 @@ class Stage2Config:
                 self.injection.seed,
                 self.injection.max_bugs_per_design,
                 self.injection.max_candidates_per_line,
-                self.checker_backend,
+                "auto",  # deleted checker-backend slot: keeps old cache keys valid
                 policy.timeout,
                 policy.max_attempts,
             )
@@ -188,7 +184,6 @@ class Stage2Runner:
         tracer=None,
     ):
         self._config = config or Stage2Config()
-        require_checker_backend(self._config.checker_backend)
         self._policy = policy
         self._cache_dir = cache_dir
         #: Deterministic fault injection for the per-sample jobs (tests only).
@@ -223,7 +218,7 @@ class Stage2Runner:
         """
         store = default_store()
         config = self._config
-        golden_design, _ = store.elaborate_source(sample.source, persist=False)
+        golden_design, _ = store.elaborate_source(sample.source)
         if golden_design is None:
             return None, None
         # The golden design's lowering is the relowering base for everything
@@ -254,7 +249,7 @@ class Stage2Runner:
         augmented = insert_assertions(sample.source, candidates)
         outcome = simulate_and_check(
             store, augmented, (config.seed + 1,), config.random_cycles, _RESET_CYCLES,
-            config.checker_backend, (golden_compiled, None), "stage2",
+            (golden_compiled, None), "stage2",
         )
         if outcome.design is None or outcome.sim_error is not None:
             result.designs_without_valid_svas += 1
@@ -269,7 +264,7 @@ class Stage2Runner:
             result.designs_without_valid_svas += 1
             return None, None
         augmented = insert_assertions(sample.source, valid)
-        augmented_design, _ = store.elaborate_source(augmented, persist=False)
+        augmented_design, _ = store.elaborate_source(augmented)
         if augmented_design is None:
             result.designs_without_valid_svas += 1
             return None, None
@@ -292,7 +287,7 @@ class Stage2Runner:
         # base each mutant relowers incrementally against; the checker base
         # likewise (mutations touch logic, not the assertions, so assertion
         # lowerings are reused wholesale).
-        base = lower_design(store, golden_design, config.checker_backend, (None, None))
+        base = lower_design(store, golden_design, (None, None))
         bugs = self._sample_injector(sample).inject(sample.name, augmented_golden, golden_design)
         result.injected_bugs += len(bugs)
         for index, bug in enumerate(bugs):
@@ -301,7 +296,7 @@ class Stage2Runner:
             # the kernel's elaboration is an LRU hit.
             outcome = simulate_and_check(
                 store, bug.buggy_source, (stimulus_seed,), config.random_cycles,
-                _RESET_CYCLES, config.checker_backend, base, "stage2",
+                _RESET_CYCLES, base, "stage2",
             )
             if outcome.design is None or outcome.sim_error is not None:
                 result.rejected_not_compiling += 1

@@ -42,6 +42,14 @@ from repro.obs import (
 from repro.runtime import default_workers
 
 
+def _seed_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        # No seeds would make every compiling candidate pass vacuously.
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.eval", description=__doc__.splitlines()[0]
@@ -70,7 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--verification-seeds", type=int, default=2, help="independent stimulus seeds per candidate"
+        "--verification-seeds",
+        type=_seed_count,
+        default=2,
+        help="independent stimulus seeds per candidate (at least 1)",
     )
     parser.add_argument(
         "--output-dir", type=Path, default=Path("eval_out"), help="where the reports are written"

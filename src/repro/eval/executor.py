@@ -18,12 +18,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from repro.artifacts import process_store
 from repro.eval.cache import VerdictCache
 from repro.eval.verifier import CandidateFix, RepairVerdict, SemanticVerifier, VerifierConfig
 from repro.obs import annotate
 from repro.runtime import FaultPlan, JobPolicy, run_stage_jobs
-from repro.sva.checker import require_checker_backend
 
 
 @dataclass(frozen=True)
@@ -35,12 +33,6 @@ class VerificationJob:
     fixes: tuple[CandidateFix, ...]
     seeds: tuple[int, ...]
     cycles: int = 48
-    #: Assertion-checker backend each worker verifies with (outcome-identical
-    #: across backends; "interp" forces the differential oracle).
-    checker_backend: str = "auto"
-
-    def __post_init__(self) -> None:
-        require_checker_backend(self.checker_backend)
 
 
 @dataclass
@@ -57,23 +49,16 @@ class ShardResult:
     cache_corrupt: int = 0
 
 
-def _run_job(job: VerificationJob, context) -> ShardResult:
-    """Worker function: verify one job (module-level so it pickles)."""
-    cache_dir, artifact_dir = context
+def _run_job(job: VerificationJob, cache_dir: Optional[str]) -> ShardResult:
+    """Worker function: verify one job (module-level so it pickles).
+
+    The verifier uses the worker process's default artifact store, shared
+    across every job the worker handles, so its LRU keeps each case's base
+    artifacts warm.
+    """
     annotate(case=job.case_name, fixes=len(job.fixes))
     cache = VerdictCache(cache_dir) if cache_dir else None
-    verifier = SemanticVerifier(
-        config=VerifierConfig(
-            cycles=job.cycles,
-            checker_backend=job.checker_backend,
-        ),
-        cache=cache,
-        # One store per worker process (and per disk tier), shared across
-        # every job the worker handles: its LRU keeps each case's base
-        # artifacts warm, and the optional disk tier shares elaborated
-        # designs with every other worker.
-        artifacts=process_store(artifact_dir),
-    )
+    verifier = SemanticVerifier(config=VerifierConfig(cycles=job.cycles), cache=cache)
     result = ShardResult(case_name=job.case_name)
     for fix in job.fixes:
         result.verdicts.append(verifier.verify(job.buggy_source, fix, job.seeds))
@@ -109,7 +94,6 @@ def run_verification_jobs(
     cache_dir: Optional[Path | str] = None,
     fault_plan: Optional[FaultPlan] = None,
     tracer=None,
-    artifact_dir: Optional[Path | str] = None,
 ) -> list[ShardResult]:
     """Verify every job through the shared runtime executor under ``policy``.
 
@@ -118,20 +102,18 @@ def run_verification_jobs(
     its timeout) yields a shard of ``infra_error`` verdicts instead of
     aborting the run.
 
-    Workers compile through a per-process compiled-artifact store;
-    ``artifact_dir`` adds its shared on-disk elaboration tier.  Neither
-    affects verdicts -- incremental relowering is byte-identical to full
-    recompilation for any worker count or cache state.
+    Workers compile through their process's compiled-artifact store,
+    which never affects verdicts -- incremental relowering is
+    byte-identical to full recompilation for any worker count or cache
+    state.
     """
-    cache_arg = str(cache_dir) if cache_dir is not None else None
-    artifact_arg = str(artifact_dir) if artifact_dir is not None else None
     shards, skipped = run_stage_jobs(
         "eval",
         jobs,
         _run_job,
         policy,
         [job.case_name for job in jobs],
-        context=(cache_arg, artifact_arg),
+        context=str(cache_dir) if cache_dir is not None else None,
         fault_plan=fault_plan,
         tracer=tracer,
     )

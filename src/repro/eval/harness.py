@@ -34,7 +34,6 @@ from repro.model.case import RepairCase
 from repro.model.response import RepairEngine
 from repro.obs import NULL_TRACER, traced_run
 from repro.runtime import JobPolicy
-from repro.sva.checker import require_checker_backend
 
 
 @dataclass
@@ -51,18 +50,17 @@ class EvalConfig:
     #: ``infra_error`` verdicts for its case instead of aborting the run.
     job_policy: JobPolicy = JobPolicy()
     cache_dir: Optional[Path] = None
-    #: Assertion-checker backend the verification workers use
-    #: ("auto" | "compiled" | "interp"); outcomes are backend-independent,
-    #: so this only changes wall time (or forces the differential oracle).
-    checker_backend: str = "auto"
     #: Write a JSONL trace of the run here (``REPRO_TRACE`` is the env
     #: fallback).  Telemetry only: the report is byte-identical with tracing
     #: on or off.
     trace_path: Optional[str] = None
-    #: Directory of the verification workers' shared on-disk elaboration
-    #: tier (None: memory-only).  Wall-time only: reports are byte-identical
-    #: for any tier.
-    artifact_dir: Optional[Path] = None
+
+    def __post_init__(self) -> None:
+        # No seeds would make every compiling candidate pass vacuously.
+        if self.verification_seeds < 1:
+            raise ValueError(
+                f"verification_seeds must be at least 1, got {self.verification_seeds}"
+            )
 
     @property
     def k(self) -> int:
@@ -218,7 +216,6 @@ class EvalHarness:
 
     def __init__(self, config: Optional[EvalConfig] = None, fault_plan=None, tracer=None):
         self.config = config or EvalConfig()
-        require_checker_backend(self.config.checker_backend)
         #: Deterministic fault injection for verification jobs (tests only).
         self._fault_plan = fault_plan
         #: An explicit ``tracer`` means the caller writes the trace;
@@ -277,7 +274,6 @@ class EvalHarness:
                         fixes=fixes,
                         seeds=seeds,
                         cycles=cycles,
-                        checker_backend=config.checker_backend,
                     )
                 )
                 responses_per_case.append(responses)
@@ -301,7 +297,6 @@ class EvalHarness:
                 cache_dir=config.cache_dir,
                 fault_plan=self._fault_plan,
                 tracer=traced,
-                artifact_dir=config.artifact_dir,
             )
 
         report = EvalReport(engine=engine.name, ks=config.ks)

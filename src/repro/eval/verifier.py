@@ -22,7 +22,6 @@ from repro.artifacts import default_store
 from repro.eval.cache import VerdictCache, verdict_key
 from repro.obs import get_registry
 from repro.hdl.source import SourceFile, lines_equivalent
-from repro.sva.checker import require_checker_backend
 from repro.sva.kernel import lower_design, simulate_and_check
 
 #: Bumped whenever verdict semantics change: keys old cache entries out.
@@ -123,13 +122,10 @@ class RepairVerdict:
 
 @dataclass(frozen=True)
 class VerifierConfig:
-    """Stimulus sizing and backend selection for verification runs."""
+    """Stimulus sizing for verification runs."""
 
     cycles: int = 48
     reset_cycles: int = 2
-    #: Assertion-checker backend: "auto" (compiled with tree-walking
-    #: fallback), "compiled" or "interp" (the differential oracle).
-    checker_backend: str = "auto"
 
 
 class SemanticVerifier:
@@ -141,7 +137,9 @@ class SemanticVerifier:
     artifacts (lowered simulators and checkers) come from an
     :class:`~repro.artifacts.ArtifactStore`: each case's buggy base is
     compiled once, and every candidate -- a one-line mutant of it -- is
-    relowered incrementally against that base.
+    relowered incrementally against that base.  A test reaches the
+    tree-walking checker oracle by passing a store whose ``checker()``
+    returns it.
     """
 
     def __init__(
@@ -151,7 +149,6 @@ class SemanticVerifier:
         artifacts=None,
     ):
         self.config = config or VerifierConfig()
-        require_checker_backend(self.config.checker_backend)
         self.cache = cache
         self._memo: dict[str, RepairVerdict] = {}
         self.artifacts = artifacts if artifacts is not None else default_store()
@@ -211,13 +208,7 @@ class SemanticVerifier:
             return RepairVerdict(
                 status="not_applicable", seeds=seeds, cycles=cycles, detail=detail
             )
-        # A forced backend gets its own cache keyspace: re-running with the
-        # "interp" differential oracle must actually re-check, not be served
-        # a compiled run's cached verdicts (which would mask any divergence).
-        version = VERIFIER_VERSION
-        if self.config.checker_backend != "auto":
-            version = f"{version}+{self.config.checker_backend}"
-        key = verdict_key(patched, seeds, cycles, self.config.reset_cycles, version)
+        key = verdict_key(patched, seeds, cycles, self.config.reset_cycles, VERIFIER_VERSION)
         verdict = self._memo.get(key)
         if verdict is not None:
             get_registry().inc("eval.memo.hits")
@@ -254,9 +245,7 @@ class SemanticVerifier:
         result = (None, None)
         design, _ = self.artifacts.elaborate_source(buggy_source)
         if design is not None:
-            result = lower_design(
-                self.artifacts, design, self.config.checker_backend, (None, None)
-            )
+            result = lower_design(self.artifacts, design, (None, None))
         self._bases[buggy_source] = result
         return result
 
@@ -277,7 +266,7 @@ class SemanticVerifier:
         cycles = self.config.cycles if cycles is None else cycles
         outcome = simulate_and_check(
             self.artifacts, patched_source, seeds, cycles, self.config.reset_cycles,
-            self.config.checker_backend, base, "verify",
+            base, "verify",
         )
         if outcome.design is None:
             return RepairVerdict(

@@ -80,7 +80,7 @@ class RepairCase:
         Elaborated through the process-wide artifact store, so the verifier
         judging this case's candidates reuses it instead of parsing again.
         """
-        return default_store().elaborate_source(self.buggy_source, persist=False)[0]
+        return default_store().elaborate_source(self.buggy_source)[0]
 
     @cached_property
     def failure_log(self) -> FailureLog:

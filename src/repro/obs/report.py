@@ -29,8 +29,6 @@ _CACHE_COUNTERS = (
     "artifact.hits",
     "artifact.misses",
     "artifact.evictions",
-    "artifact.disk.hits",
-    "artifact.disk.misses",
     "relower.nodes_reused",
     "relower.nodes_lowered",
     "relower.assertions_reused",
@@ -159,13 +157,6 @@ def render_report(data: TraceData, top: int = 10) -> str:
         cache_lines.append(
             f"  artifact cache: {ahits} hits · {amisses} misses"
             f" · hit rate {_hit_rate(ahits, amisses)} · evictions {evictions}"
-        )
-    dhits = counters.get("artifact.disk.hits", 0)
-    dmisses = counters.get("artifact.disk.misses", 0)
-    if dhits or dmisses:
-        cache_lines.append(
-            f"  artifact disk tier: {dhits} hits · {dmisses} misses"
-            f" · hit rate {_hit_rate(dhits, dmisses)}"
         )
     reused = counters.get("relower.nodes_reused", 0)
     relowered = counters.get("relower.nodes_lowered", 0)

@@ -42,12 +42,10 @@ class ResultCache:
     """A two-level sharded directory of ``<k[:2]>/<k[2:4]>/<key>.json`` files.
 
     Two levels of hash-prefix sharding keep every directory small (256
-    entries of fanout each) at the 10k+ entry counts artifact and verdict
+    entries of fanout each) at the 10k+ entry counts verdict and Stage-2
     caches reach, where a flat directory degrades listing and creation.
-    Entries written by older layouts -- flat ``<key>.json`` and one-level
-    ``<k[:2]>/<key>.json`` -- are still read transparently; new writes
-    always land in the sharded layout, so legacy entries age out naturally
-    as versions bump rather than via a migration step.
+    Files in any other layout are ignored: their keys miss and are
+    recomputed.
     """
 
     def __init__(self, root: Path | str):
@@ -74,12 +72,7 @@ class ResultCache:
         touched, so concurrent writers in other processes are never raced.
         """
         cutoff = time.time() - self.STALE_TMP_SECONDS
-        stale_candidates = (
-            stale
-            for pattern in ("*/*/*.json.tmp*", "*/*.json.tmp*", "*.json.tmp*")
-            for stale in self.root.glob(pattern)
-        )
-        for stale in stale_candidates:
+        for stale in self.root.glob("*/*/*.json.tmp*"):
             try:
                 if stale.stat().st_mtime < cutoff:
                     stale.unlink()
@@ -91,11 +84,6 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / key[2:4] / f"{key}.json"
 
-    def _legacy_paths(self, key: str):
-        """Where older cache layouts stored this key (read-through only)."""
-        yield self.root / key[:2] / f"{key}.json"  # one-level sharding
-        yield self.root / f"{key}.json"  # original flat layout
-
     def get(self, key: str) -> Optional[dict]:
         """The stored payload, or ``None`` on a miss.
 
@@ -103,14 +91,9 @@ class ResultCache:
         corruption) counts as both a miss and a corrupt entry; the caller
         recomputes and :meth:`put` overwrites the bad file.
         """
-        text = None
-        for path in (self._path(key), *self._legacy_paths(key)):
-            try:
-                text = path.read_text()
-            except OSError:
-                continue
-            break
-        if text is None:
+        try:
+            text = self._path(key).read_text()
+        except OSError:
             self.misses += 1
             get_registry().inc("runtime.cache.misses")
             return None
@@ -145,8 +128,4 @@ class ResultCache:
         }
 
     def __len__(self) -> int:
-        return sum(
-            1
-            for pattern in ("*/*/*.json", "*/*.json", "*.json")
-            for _ in self.root.glob(pattern)
-        )
+        return sum(1 for _ in self.root.glob("*/*/*.json"))

@@ -33,7 +33,12 @@ from typing import Callable, Mapping, Optional
 
 from repro.hdl import ast
 from repro.hdl.elaborate import ElaboratedDesign, ProceduralBlock
-from repro.sim.engine import SimulationError, SimulatorOptions, detect_clock
+from repro.sim.engine import (
+    _MAX_SETTLE_ITERATIONS,
+    SimulationError,
+    SimulatorOptions,
+    detect_clock,
+)
 from repro.sim.trace import DiffTrace, TraceSample
 from repro.sim.values import LogicValue
 
@@ -1027,7 +1032,7 @@ class CompiledSimulator:
         self._design = design
         self._options = options or SimulatorOptions()
         self._compiled = compiled if compiled is not None else compile_design(design)
-        self._clock = self._options.clock or detect_clock(design)
+        self._clock = detect_clock(design)
 
         c = self._compiled
         self._names = list(c.names)
@@ -1084,7 +1089,7 @@ class CompiledSimulator:
         self._xm: list[int] = [0] * n
         self._dirty: list[bool] = [False] * len(self._nodes)
         self._heap: list[int] = []
-        self._budget = self._options.max_settle_iterations * max(1, len(self._nodes))
+        self._budget = _MAX_SETTLE_ITERATIONS * max(1, len(self._nodes))
         self._rec_changed: set[int] = set()
         self._input_lookup: dict[str, tuple[int, int]] = {}
         self._prev_async_v: list[int] = [0] * len(self._async_slots)
@@ -1111,8 +1116,6 @@ class CompiledSimulator:
             for i in range(n)
         }
         self._trace = DiffTrace(signals=sorted(design.signals), base=base)
-        if self._options.record_columns:
-            self._trace.enable_column_recording()
 
     # ------------------------------------------------------------------ #
     # public API (mirrors InterpSimulator)
@@ -1396,9 +1399,8 @@ class CompiledSimulator:
                 shadow_v[slot] = v
                 shadow_x[slot] = x
                 diff[names[slot]] = _fast_logic_value(v, x, widths[slot])
-                if column_events is not None:
-                    # Straight into the column buffers: flat ints, no
-                    # LogicValue unpacking when columns() is consumed later.
-                    column_events.setdefault(names[slot], []).append((event_cycle, v, x))
+                # Straight into the column buffers: flat ints, no
+                # LogicValue unpacking when columns() is consumed later.
+                column_events.setdefault(names[slot], []).append((event_cycle, v, x))
         self._rec_changed.clear()
         return diff

@@ -13,6 +13,12 @@ cycle at a time:
 
 This two-phase scheme reproduces the scheduling behaviour that matters for
 the designs and assertions in this project without a full event queue.
+
+:class:`InterpSimulator` implements it by walking the AST; the
+:func:`Simulator` factory builds the compiled backend
+(:mod:`repro.sim.compile`) instead and falls back to the interpreter only
+when the compiler rejects the design.  The differential tests construct
+both classes directly.
 """
 
 from __future__ import annotations
@@ -38,16 +44,7 @@ class SimulationError(Exception):
 class SimulatorOptions:
     """Behavioural knobs for the simulator."""
 
-    clock: Optional[str] = None  # name of the clock signal; autodetected if None
     x_initial_state: bool = False  # initialise registers to x instead of 0
-    max_settle_iterations: int = _MAX_SETTLE_ITERATIONS
-    backend: str = "auto"  # "auto" | "compiled" | "interp"
-    #: Compiled backend only: stream per-signal column change events (flat
-    #: ints) into the DiffTrace while simulating, so ``trace.columns()`` --
-    #: what the vectorised SVA checker consumes -- never has to unpack
-    #: LogicValue diffs.  The interpreter ignores this (its plain Trace
-    #: builds columns from samples).
-    record_columns: bool = False
 
 
 def detect_clock(design: ElaboratedDesign) -> str:
@@ -75,7 +72,7 @@ class InterpSimulator:
     def __init__(self, design: ElaboratedDesign, options: Optional[SimulatorOptions] = None):
         self._design = design
         self._options = options or SimulatorOptions()
-        self._clock = self._options.clock or self._detect_clock()
+        self._clock = detect_clock(design)
         self._env: dict[str, LogicValue] = {}
         self._previous_env: dict[str, LogicValue] = {}
         self._trace = Trace(signals=sorted(design.signals))
@@ -146,9 +143,6 @@ class InterpSimulator:
     # initialisation
     # ------------------------------------------------------------------ #
 
-    def _detect_clock(self) -> str:
-        return detect_clock(self._design)
-
     def _initialise_state(self) -> None:
         for signal in self._design.signals.values():
             if self._options.x_initial_state and not signal.is_input:
@@ -183,7 +177,7 @@ class InterpSimulator:
 
     def _settle(self) -> None:
         """Iterate combinational logic to a fixed point."""
-        for _ in range(self._options.max_settle_iterations):
+        for _ in range(_MAX_SETTLE_ITERATIONS):
             changed = False
             evaluator = Evaluator(self._env, self._design.parameters)
             for assign in self._design.continuous_assigns:
@@ -302,38 +296,28 @@ def Simulator(
     options: Optional[SimulatorOptions] = None,
     compiled=None,
 ):
-    """Build a simulator for ``design``, choosing the fastest usable backend.
+    """Build a simulator for ``design``: compiled, else the interpreter.
 
-    With ``options.backend == "auto"`` (the default) the design is lowered by
-    the compiled backend (:mod:`repro.sim.compile`); constructs the compiler
-    does not support fall back to the tree-walking :class:`InterpSimulator`.
-    ``"compiled"`` and ``"interp"`` force one backend (``"compiled"`` raises
-    :class:`SimulationError` when the design cannot be compiled).
+    The design is lowered by the compiled backend (:mod:`repro.sim.compile`);
+    a design using a construct the compiler rejects falls back to the
+    tree-walking :class:`InterpSimulator`.  Tests that need one backend
+    construct :class:`InterpSimulator` or
+    :class:`~repro.sim.compile.CompiledSimulator` directly.
 
     ``compiled`` is an optional pre-lowered
     :class:`~repro.sim.compile.CompiledDesign` for this design (e.g. from the
     compiled-artifact cache): the compiled backend instantiates from it
-    instead of lowering again.  The ``"interp"`` backend ignores it.
+    instead of lowering again.
 
     Both backends expose the same API (``step``/``run``/``trace``/``value``/
     ``peek``) and produce `equals()`-identical traces.
     """
-    options = options or SimulatorOptions()
-    backend = options.backend
-    if backend not in ("auto", "compiled", "interp"):
-        raise ValueError(
-            f"unknown simulator backend '{backend}' (expected 'auto', 'compiled' or 'interp')"
-        )
-    if backend == "interp":
-        return InterpSimulator(design, options=options)
     # Imported lazily: repro.sim.compile imports from this module.
     from repro.sim.compile import CompiledSimulator, CompileError
 
     try:
         return CompiledSimulator(design, options=options, compiled=compiled)
-    except CompileError as exc:
-        if backend == "compiled":
-            raise SimulationError(f"design cannot be compiled: {exc}") from exc
+    except CompileError:
         return InterpSimulator(design, options=options)
 
 

@@ -318,12 +318,12 @@ class DiffTrace(Trace):
         self._pre_diffs: list[dict[str, LogicValue]] = []
         self._post_diffs: list[dict[str, LogicValue]] = []
         self._cache: list[TraceSample] = []
-        #: Optional simulator-recorded column buffers: per-signal change
-        #: events ``(sample_cycle, value, xmask)`` as plain ints, written
-        #: straight from the compiled simulator's flat arrays (see
-        #: ``SimulatorOptions.record_columns``).  When present,
-        #: :meth:`columns` reads them instead of unpacking LogicValue diffs.
-        self._column_events: Optional[dict[str, list[tuple[int, int, int]]]] = None
+        #: Per-signal change events ``(sample_cycle, value, xmask)`` as plain
+        #: ints, appended by the recording simulator straight from its flat
+        #: arrays -- deliberately no per-event method call on a loop that
+        #: runs for every changed signal of every cycle.  :meth:`columns`
+        #: reads them instead of unpacking LogicValue diffs.
+        self._column_events: dict[str, list[tuple[int, int, int]]] = {}
 
     # -- recording (used by the compiled backend) ----------------------- #
 
@@ -331,28 +331,18 @@ class DiffTrace(Trace):
         self, pre_diff: dict[str, LogicValue], post_diff: dict[str, LogicValue]
     ) -> None:
         """Record one cycle as (changes up to the preponed sample, changes up
-        to the post-edge sample)."""
+        to the post-edge sample).
+
+        The recorder must already have appended the same changes to
+        ``_column_events``: a pre-edge change at its own cycle, a post-edge
+        change at the next one.
+        """
         self._pre_diffs.append(pre_diff)
         self._post_diffs.append(post_diff)
         self._invalidate_columns()
 
     def append(self, sample: TraceSample) -> None:  # pragma: no cover - guard
         raise TypeError("DiffTrace records cycles via append_diffs(), not append()")
-
-    def enable_column_recording(self) -> None:
-        """Let the recording simulator stream column events into this trace.
-
-        The producer (the compiled simulator's diff recorder) appends
-        ``(sample_cycle, value, xmask)`` tuples straight into
-        ``_column_events`` -- deliberately no per-event method call on a
-        loop that runs for every changed signal of every cycle.
-        """
-        if self._column_events is None:
-            self._column_events = {}
-
-    @property
-    def records_columns(self) -> bool:
-        return self._column_events is not None
 
     # -- lazy materialisation ------------------------------------------- #
 
@@ -396,44 +386,28 @@ class DiffTrace(Trace):
         return all(name in base for name in names)
 
     def _build_columns(self, names: Optional[list[str]] = None) -> TraceColumns:
-        """Columnar view built **directly from the recorded diffs**.
+        """Columnar view built from the simulator-recorded column events.
 
         Unlike the base implementation this never materialises per-cycle
-        sample dicts: each diff entry becomes one change event and quiet
-        stretches become one slice fill, so a quiet design's columns cost
-        O(changes), not O(cycles x signals).  When the simulator recorded
-        column events (``SimulatorOptions.record_columns``), those flat int
-        buffers are consumed as-is.
+        sample dicts: each recorded change is one event and quiet stretches
+        become one slice fill, so a quiet design's columns cost
+        O(changes), not O(cycles x signals).  The sample-built base
+        implementation is the oracle it is tested against.
         """
         names = list(names) if names is not None else list(self.signals)
         base = self._base
         missing = sorted(name for name in names if name not in base)
         if missing:
             raise KeyError(f"signals not in trace: {', '.join(missing)}")
-        cycles = len(self._pre_diffs)
         widths = {name: base[name].width for name in names}
         events: dict[str, list[tuple[int, int, int]]] = {
             name: [(0, base[name].value, base[name].xmask)] for name in names
         }
-        if self._column_events is not None:
-            for name in names:
-                recorded = self._column_events.get(name)
-                if recorded:
-                    events[name].extend(recorded)
-        else:
-            wanted = set(names)
-            # A pre-edge change holds from its own cycle; a post-edge change
-            # is first *sampled* one cycle later.  Iterating cycle-by-cycle
-            # appends events in exactly the order the diffs were applied, so
-            # a later event at the same start cycle correctly overrides.
-            for cycle in range(cycles):
-                for name, value in self._pre_diffs[cycle].items():
-                    if name in wanted:
-                        events[name].append((cycle, value.value, value.xmask))
-                for name, value in self._post_diffs[cycle].items():
-                    if name in wanted:
-                        events[name].append((cycle + 1, value.value, value.xmask))
-        return _fill_columns_from_events(names, events, widths, cycles)
+        for name in names:
+            recorded = self._column_events.get(name)
+            if recorded:
+                events[name].extend(recorded)
+        return _fill_columns_from_events(names, events, widths, len(self._pre_diffs))
 
     # -- cheap accessors that avoid materialising the whole run ---------- #
 

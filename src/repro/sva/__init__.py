@@ -6,8 +6,7 @@ everything that happens *after* parsing:
 * :mod:`repro.sva.checker` -- evaluate concurrent assertions over simulation
   traces (preponed sampling, ``disable iff``, ``##N`` delays, ``|->``/``|=>``,
   sampled-value functions).  The tree-walking :class:`AssertionChecker` is
-  the reference backend / differential oracle; the :func:`CheckerBackend`
-  factory dispatches to the compiled backend by default.
+  the reference backend / differential oracle.
 * :mod:`repro.sva.compile` -- the compiled checking backend: two engines,
   the attempt tensor and, per assertion it cannot lower, the tree-walking
   oracle.
@@ -26,7 +25,6 @@ from repro.sva.checker import (
     AssertionChecker,
     AssertionFailure,
     AssertionOutcome,
-    CheckerBackend,
     CheckReport,
     check_assertions,
     infer_expression_width,
@@ -39,7 +37,6 @@ __all__ = [
     "AssertionChecker",
     "AssertionFailure",
     "AssertionOutcome",
-    "CheckerBackend",
     "CheckReport",
     "check_assertions",
     "infer_expression_width",

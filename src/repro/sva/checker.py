@@ -27,9 +27,10 @@ Two checker backends implement these semantics:
   trace's columns (the attempt tensor), falling back to this module's
   oracle per assertion it cannot lower.
 
-Use the :func:`CheckerBackend` factory (or :func:`check_assertions`, which
-routes through the process-wide compiled-artifact cache) unless you need a
-specific backend.
+Production code gets its checker from
+:meth:`repro.artifacts.ArtifactStore.checker` (or :func:`check_assertions`,
+which routes through the process-wide store), which always builds the
+compiled checker; tests construct either class directly.
 """
 
 from __future__ import annotations
@@ -423,55 +424,12 @@ class AssertionChecker:
         return LogicValue.unknown(1)
 
 
-#: Every name :func:`CheckerBackend` accepts.
-CHECKER_BACKENDS = ("auto", "compiled", "interp")
-
-
-def require_checker_backend(backend: str) -> None:
-    """Raise ``ValueError`` unless ``backend`` is one of :data:`CHECKER_BACKENDS`."""
-    if backend not in CHECKER_BACKENDS:
-        raise ValueError(
-            f"unknown checker backend '{backend}' (expected 'auto', 'compiled' or 'interp')"
-        )
-
-
-def CheckerBackend(design: ElaboratedDesign, backend: str = "auto", base=None):
-    """Build an assertion checker for ``design``, mirroring :func:`Simulator`.
-
-    ``"auto"`` (the default) lowers every assertion with the compiled backend
-    (:mod:`repro.sva.compile`); assertions using constructs the lowering does
-    not support transparently fall back to the tree-walking evaluation, so
-    the auto backend never fails to construct.  ``"compiled"`` additionally
-    raises :class:`repro.sim.compile.CompileError` when any assertion could
-    not be lowered; ``"interp"`` forces the tree-walking oracle.
-
-    ``base`` is an optional previously built checker for a signal-compatible
-    design (typically the unpatched base of a candidate repair): assertions
-    whose content key is unchanged reuse its lowering verbatim.  It is
-    ignored by the ``"interp"`` backend and by non-compiled base instances.
-
-    Both backends expose the same ``check(trace, assertions=None)`` API and
-    produce outcome-identical :class:`CheckReport` objects.
-    """
-    require_checker_backend(backend)
-    if backend == "interp":
-        return AssertionChecker(design)
-    # Imported lazily: repro.sva.compile imports from this module.
-    from repro.sva.compile import CompiledAssertionChecker
-
-    if not isinstance(base, CompiledAssertionChecker):
-        base = None
-    return CompiledAssertionChecker(design, strict=backend == "compiled", base=base)
-
-
-def check_assertions(
-    design: ElaboratedDesign, trace: Trace, backend: str = "auto"
-) -> CheckReport:
+def check_assertions(design: ElaboratedDesign, trace: Trace) -> CheckReport:
     """Check all assertions of ``design`` over ``trace``.
 
     The lowered checker comes from the process-wide artifact cache
     (:func:`repro.artifacts.default_store`), keyed by the design's content
-    fingerprint and the backend name: callers that check the same design --
+    fingerprint: callers that check the same design --
     or *any* equal-fingerprint elaboration of it -- on several traces pay
     the one-off assertion lowering once, and the cache's LRU bound means
     lowered closures no longer live exactly as long as the design object
@@ -479,4 +437,4 @@ def check_assertions(
     """
     from repro.artifacts import default_store
 
-    return default_store().checker(design, backend=backend).check(trace)
+    return default_store().checker(design).check(trace)

@@ -35,8 +35,8 @@ signal falls back to the oracle for the whole call.  Both engines are
 outcome-identical by differential testing (`tests/test_sva_compile`,
 `tests/test_trace_columns`): attempts, antecedent matches, passes,
 vacuous/pending/disabled counts and every failure's start and failing
-cycle agree.  Use the :func:`~repro.sva.checker.CheckerBackend` factory to
-construct one.
+cycle agree.  :meth:`repro.artifacts.ArtifactStore.checker` builds the
+production instance.
 """
 
 from __future__ import annotations
@@ -376,18 +376,3 @@ class CompiledAssertionChecker:
             xmasks,
             lengths,
         )
-
-
-def compile_assertions(
-    design: ElaboratedDesign,
-    strict: bool = False,
-    base: Optional[CompiledAssertionChecker] = None,
-) -> CompiledAssertionChecker:
-    """Lower ``design``'s assertions for the compiled checker backend.
-
-    With ``base`` (a checker for a signal-compatible design, typically the
-    unpatched base of a candidate repair), assertions whose content key is
-    unchanged reuse the base's lowering; only assertions whose support cone
-    the patch touched are relowered.
-    """
-    return CompiledAssertionChecker(design, strict=strict, base=base)

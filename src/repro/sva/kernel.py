@@ -7,11 +7,17 @@ is that loop, once:
 
 1. elaborate the source through an :class:`~repro.artifacts.ArtifactStore`
    (the store's source-keyed LRU makes a repeat source a cache hit);
-2. lower it for the compiled simulator and the assertion checker, relowering
-   only the dirty cone against an optional base (:func:`lower_design`);
-3. simulate each seed with column recording on;
+2. lower it for the compiled simulator and the compiled assertion checker,
+   relowering only the dirty cone against an optional base
+   (:func:`lower_design`);
+3. simulate each seed (the compiled simulator streams the trace's columns
+   while it runs);
 4. check the first seed alone -- most failing designs already fail there
    -- and the remaining seeds in one stacked :meth:`check_batch` pass.
+
+There is one configuration.  Tests reach the oracles by handing the kernel
+a store whose :meth:`~repro.artifacts.ArtifactStore.checker` returns the
+tree-walking :class:`~repro.sva.checker.AssertionChecker`.
 
 Callers map the returned :class:`CheckOutcome` onto their own records
 (:class:`~repro.eval.verifier.RepairVerdict`, Stage-2 dataset entries).
@@ -24,8 +30,7 @@ from typing import Optional, Sequence
 
 from repro.hdl.elaborate import ElaboratedDesign
 from repro.obs import phase
-from repro.sim.compile import CompileError
-from repro.sim.engine import SimulationError, Simulator, SimulatorOptions
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.stimulus import StimulusGenerator
 from repro.sva.checker import CheckReport
 
@@ -50,23 +55,17 @@ class CheckOutcome:
     exercised: bool = False
 
 
-def lower_design(store, design: ElaboratedDesign, checker_backend: str, base: tuple) -> tuple:
+def lower_design(store, design: ElaboratedDesign, base: tuple) -> tuple:
     """``design``'s (compiled simulator design, checker), via ``store``.
 
     ``base`` is a ``(compiled design, checker)`` pair to relower against
     (either may be None).  The compiled design is None when the compiled
     simulator rejects the design; the :class:`Simulator` factory then falls
-    back to the interpreter.  A strict ``"compiled"`` checker that refuses
-    an assertion degrades to ``"auto"``, which is outcome-identical: a run
-    must yield an outcome, not an exception.
+    back to the interpreter.
     """
     base_compiled, base_checker = base
     compiled = store.compiled_design(design, base=base_compiled)
-    try:
-        checker = store.checker(design, backend=checker_backend, base=base_checker)
-    except CompileError:
-        checker = store.checker(design, backend="auto", base=base_checker)
-    return compiled, checker
+    return compiled, store.checker(design, base=base_checker)
 
 
 def _exercised(report: CheckReport) -> bool:
@@ -79,16 +78,15 @@ def simulate_and_check(
     seeds: Sequence[int],
     cycles: int,
     reset_cycles: int,
-    checker_backend: str,
     base: tuple,
     stage: str,
 ) -> CheckOutcome:
     """Elaborate, lower, simulate and check ``source`` on every seed.
 
     ``stage`` names the phases (``<stage>.compile`` / ``.simulate`` /
-    ``.check`` spans and histograms).  Sources are elaborated with
-    ``persist=False``: a checked source is one-shot, so it reads the
-    store's disk tier through but never writes to it.
+    ``.check`` spans and histograms).  ``seeds`` must not be empty: a
+    source judged on no stimulus would pass vacuously, so an empty tuple
+    raises ``ValueError``.
 
     The outcome is the historical seed-by-seed loop's: failures are
     attributed to the first failing seed in seed order, a simulation error
@@ -98,26 +96,22 @@ def simulate_and_check(
     early exit on a middle seed's failure; a design that survived the
     first seed rarely fails later.)
     """
+    if not seeds:
+        raise ValueError("simulate_and_check needs at least one stimulus seed")
     with phase(f"{stage}.compile"):
-        design, first_error = store.elaborate_source(source, persist=False)
+        design, first_error = store.elaborate_source(source)
         if design is None:
             return CheckOutcome(design=None, compile_error=first_error)
-        compiled, checker = lower_design(store, design, checker_backend, base)
+        compiled, checker = lower_design(store, design, base)
 
     def simulate(seed: int):
         with phase(f"{stage}.simulate"):
             stimulus = StimulusGenerator(design, seed=seed).mixed_stimulus(
                 random_cycles=cycles, reset_cycles=reset_cycles
             )
-            # Column recording streams per-signal (value, xmask) change
-            # events into the trace while simulating, so the checker's
-            # columnar view costs O(changes) per seed.
-            options = SimulatorOptions(record_columns=True)
-            return Simulator(design, options, compiled=compiled).run(stimulus.vectors)
+            return Simulator(design, compiled=compiled).run(stimulus.vectors)
 
     outcome = CheckOutcome(design=design)
-    if not seeds:
-        return outcome
     try:
         first_trace = simulate(seeds[0])
     except SimulationError as exc:

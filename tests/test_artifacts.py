@@ -2,15 +2,14 @@
 
 The hard invariant this file pins: **incremental relowering is
 byte-identical to full recompilation** -- simulator traces, per-assertion
-verdicts, and whole eval reports must not change with cache state, cache
-tier, worker count, or relowering base.  The sweep covers every template
+verdicts, and whole eval reports must not change with cache state, worker
+count, or relowering base.  The sweep covers every template
 family crossed with one representative mutation per mutation kind, so
 every lowering construct the corpus can produce goes through the
 incremental path at least once.
 
 Plus the store mechanics: fingerprint stability, the LRU bound/eviction
-behaviour, the on-disk elaboration tier, and the two-level ResultCache
-sharding with legacy-layout read-through.
+behaviour, and the two-level ResultCache sharding (older layouts miss).
 """
 
 import json
@@ -18,6 +17,7 @@ import json
 import pytest
 
 from repro.artifacts import (
+    DEFAULT_LRU_ENTRIES,
     ArtifactStore,
     design_canonical_text,
     design_fingerprint,
@@ -34,9 +34,8 @@ from repro.eval.verifier import (
 from repro.hdl.lint import compile_source
 from repro.runtime import JobPolicy
 from repro.sim.compile import CompiledSimulator, compile_design
-from repro.sim.engine import SimulatorOptions
 from repro.sim.stimulus import StimulusGenerator
-from repro.sva.checker import CheckerBackend
+from repro.sva.compile import CompiledAssertionChecker
 from repro.sva.generator import insert_assertions, template_assertion_blocks
 
 CYCLES = 24
@@ -84,8 +83,7 @@ def run_trace(design, compiled, seed=7):
     vectors = StimulusGenerator(design, seed=seed).mixed_stimulus(
         random_cycles=CYCLES
     ).vectors
-    options = SimulatorOptions(record_columns=True)
-    return CompiledSimulator(design, options=options, compiled=compiled).run(vectors)
+    return CompiledSimulator(design, compiled=compiled).run(vectors)
 
 
 def report_keys(report):
@@ -126,7 +124,7 @@ def test_incremental_relowering_is_byte_identical(family):
         pytest.skip(f"{family.name}: no compilable case")
     source, design = case
     base_compiled = compile_design(design)
-    base_checker = CheckerBackend(design)
+    base_checker = CompiledAssertionChecker(design)
     mutants = representative_mutants(source, design)
     if not mutants:
         pytest.skip(f"{family.name}: no compiling mutants")
@@ -146,8 +144,8 @@ def test_incremental_relowering_is_byte_identical(family):
             kind,
         )
         if mutant.assertions:
-            full_check = CheckerBackend(mutant)
-            incremental_check = CheckerBackend(mutant, base=base_checker)
+            full_check = CompiledAssertionChecker(mutant)
+            incremental_check = CompiledAssertionChecker(mutant, base=base_checker)
             assert report_keys(incremental_check.check(incremental_trace)) == report_keys(
                 full_check.check(full_trace)
             ), (family.name, kind)
@@ -173,7 +171,7 @@ def test_incompatible_base_falls_back_to_full_lowering():
 
 
 # --------------------------------------------------------------------------- #
-# eval-report differential: store tier / workers change nothing
+# eval-report differential: store state / workers change nothing
 # --------------------------------------------------------------------------- #
 
 
@@ -249,12 +247,7 @@ def test_eval_reports_match_full_lowering_for_any_tier_and_workers(tmp_path):
     variants = [
         dict(policy=JobPolicy(workers=1)),
         dict(policy=JobPolicy(workers=2)),
-        dict(policy=JobPolicy(workers=1), artifact_dir=tmp_path / "artifacts"),
-        dict(
-            policy=JobPolicy(workers=2),
-            artifact_dir=tmp_path / "artifacts",  # warm disk tier
-            cache_dir=tmp_path / "verdicts",
-        ),
+        dict(policy=JobPolicy(workers=2), cache_dir=tmp_path / "verdicts"),
     ]
     for options in variants:
         assert verdict_dicts(run_verification_jobs(jobs, **options)) == baseline, options
@@ -285,7 +278,7 @@ def parse_counts(monkeypatch):
     """Parses per source text, counted wherever ``compile_source`` is bound.
 
     Every ``repro`` module that imported the function by name gets the
-    counting wrapper too, and the process-wide stores start empty, so an
+    counting wrapper too, and the process-wide store starts empty, so an
     earlier test's LRU cannot hide a parse.
     """
     import sys
@@ -304,7 +297,7 @@ def parse_counts(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("repro") and getattr(module, "compile_source", None) is original:
             monkeypatch.setattr(module, "compile_source", counting)
-    monkeypatch.setattr(store_module, "_PROCESS_STORES", {})
+    monkeypatch.setattr(store_module, "_DEFAULT_STORE", None)
     return counts
 
 
@@ -324,7 +317,7 @@ def test_each_mutant_and_case_source_is_parsed_once(parse_counts, monkeypatch):
     assert not reparsed
 
     entry = datasets.sva_eval_machine[0]
-    monkeypatch.setattr(store_module, "_PROCESS_STORES", {})
+    monkeypatch.setattr(store_module, "_DEFAULT_STORE", None)
     parse_counts.clear()
     case = RepairCase.from_entry(entry)
     assert case.design is not None
@@ -361,16 +354,7 @@ def test_lru_bound_evicts_and_recomputes():
     assert store.compiled_design(designs[2]) is compiled[2]
     recomputed = store.compiled_design(designs[0])
     assert recomputed is not None and recomputed is not compiled[0]
-
-
-def test_lru_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_ARTIFACT_LRU", "1")
-    store = ArtifactStore()
-    assert store.max_entries == 1
-    monkeypatch.setenv("REPRO_ARTIFACT_LRU", "not-a-number")
-    from repro.artifacts import DEFAULT_LRU_ENTRIES
-
-    assert ArtifactStore().max_entries == DEFAULT_LRU_ENTRIES
+    assert ArtifactStore().max_entries == DEFAULT_LRU_ENTRIES == 128
 
 
 def test_uncompilable_designs_are_negative_cached():
@@ -393,40 +377,7 @@ def test_uncompilable_designs_are_negative_cached():
 
 
 # --------------------------------------------------------------------------- #
-# the on-disk elaboration tier
-# --------------------------------------------------------------------------- #
-
-
-def test_disk_tier_shares_elaborations_and_compile_failures(tmp_path):
-    source = (
-        "module dut_x(input wire clk, input wire [3:0] a, output wire [3:0] q);\n"
-        "  assign q = a + 4'd1;\nendmodule\n"
-    )
-    bad_source = "module dut_x(input wire clk;\nendmodule\n"
-    writer = ArtifactStore(disk=tmp_path / "tier")
-    design, error = writer.elaborate_source(source)
-    assert design is not None and error == ""
-    _, bad_error = writer.elaborate_source(bad_source)
-    assert bad_error
-
-    # A different process would open its own store over the same directory.
-    reader = ArtifactStore(disk=tmp_path / "tier")
-    again, error = reader.elaborate_source(source)
-    assert error == "" and again is not None
-    assert design_fingerprint(again) == design_fingerprint(design)
-    _, bad_again = reader.elaborate_source(bad_source)
-    assert bad_again == bad_error  # byte-identical verdict detail
-
-    # And the memory-only store recomputes the same answers.
-    memory = ArtifactStore()
-    fresh, _ = memory.elaborate_source(source)
-    assert design_fingerprint(fresh) == design_fingerprint(design)
-    _, fresh_error = memory.elaborate_source(bad_source)
-    assert fresh_error == bad_error
-
-
-# --------------------------------------------------------------------------- #
-# ResultCache sharding (satellite: two-level layout + legacy read-through)
+# ResultCache sharding: the two-level layout is the only one read
 # --------------------------------------------------------------------------- #
 
 
@@ -446,8 +397,10 @@ def test_result_cache_two_level_sharding_and_legacy_read_through(tmp_path):
         json.dumps({"c": 3})
     )
 
+    # Entries in the older flat and one-level layouts are neither read nor
+    # counted: they miss, and the caller recomputes them.
     assert cache.get(key) == {"a": 1}
-    assert cache.get(flat_key) == {"b": 2}
-    assert cache.get(one_level_key) == {"c": 3}
-    assert len(cache) == 3
+    assert cache.get(flat_key) is None
+    assert cache.get(one_level_key) is None
+    assert len(cache) == 1
     assert cache.get(content_key("v", "absent")) is None

@@ -116,10 +116,10 @@ def test_stimulus_write_to_comb_driven_signal_matches_interpreter():
     )
     result = compile_source(source)
     assert result.ok and result.design is not None
-    for backend in ("interp", "compiled"):
-        sim = Simulator(result.design, options=SimulatorOptions(backend=backend))
+    for simulator_class in (InterpSimulator, CompiledSimulator):
+        sim = simulator_class(result.design)
         sim.step({"a": 1, "b": 1, "y": 0})
-        assert sim.peek("y") == 1, f"{backend}: the continuous driver must win"
+        assert sim.peek("y") == 1, f"{simulator_class.__name__}: the continuous driver must win"
     assert_traces_identical(result.design, [{"a": 1, "b": 1, "y": 0}, {"a": 0, "b": 1, "y": 1}])
 
 
@@ -135,6 +135,26 @@ def test_difftrace_supports_slice_indexing():
 def test_factory_prefers_compiled_backend():
     design = design_for(FAMILIES[0])
     assert isinstance(Simulator(design), CompiledSimulator)
-    assert isinstance(
-        Simulator(design, options=SimulatorOptions(backend="interp")), InterpSimulator
+
+
+def test_factory_falls_back_to_interpreter_when_compile_rejects():
+    """The one simulator selection left: a construct the compiled backend
+    rejects gets the interpreter, and the verifier reports what that
+    simulation says as a verdict instead of raising."""
+    from repro.eval.verifier import SemanticVerifier
+    from repro.sim.compile import CompileError, compile_design
+
+    source = (
+        "module cat_nba(input wire clk, input wire [1:0] a, output reg [1:0] q, output reg r);\n"
+        "    always @(posedge clk) begin\n"
+        "        {q[1], r} <= a;\n"
+        "    end\n"
+        "endmodule\n"
     )
+    result = compile_source(source)
+    assert result.ok and result.design is not None, result.render()
+    with pytest.raises(CompileError, match="concatenation targets"):
+        compile_design(result.design)
+    assert isinstance(Simulator(result.design), InterpSimulator)
+    verdict = SemanticVerifier().verify_source(source, (1, 2))
+    assert verdict.status == "sim_error", (verdict.status, verdict.detail)

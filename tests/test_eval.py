@@ -4,12 +4,11 @@ mining."""
 
 import pytest
 
+from repro.artifacts import ArtifactStore
 from repro.dataaug.datasets import SvaBugEntry
 from repro.analyze import build_dfg
 from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig
-from repro.dataaug.stage2 import Stage2Config, Stage2Runner
 from repro.eval.cache import VerdictCache, verdict_key
-from repro.eval.executor import VerificationJob
 from repro.eval.harness import EvalConfig, EvalHarness
 from repro.eval.reports import read_split, write_reports
 from repro.eval.verifier import (
@@ -20,10 +19,12 @@ from repro.eval.verifier import (
 )
 from repro.hdl.lint import compile_source
 from repro.model.assertsolver_model import AssertSolverModel
+from repro.model.case import RepairCase
 from repro.model.challenging import collect_challenging_cases, response_is_correct
 from repro.model.response import RepairEngine, RepairResponse
 from repro.model.sft import SftConfig
 from repro.runtime import JobPolicy
+from repro.sva.checker import AssertionChecker
 
 
 @pytest.fixture(scope="module")
@@ -159,18 +160,23 @@ def test_settling_comb_loop_candidate_simulates_to_pass():
     assert verdict.status == "pass" and verdict.provenance == "simulated"
 
 
-def test_unknown_checker_backend_is_refused():
-    """A misspelt checker backend is refused where each consumer is built,
-    not turned into quarantined ``infra_error`` verdicts (which pass@k drops)
-    or quarantined Stage-2 samples."""
-    with pytest.raises(ValueError, match="unknown checker backend 'compield'"):
-        SemanticVerifier(VerifierConfig(checker_backend="compield"))
-    with pytest.raises(ValueError, match="compield"):
-        EvalHarness(eval_config(checker_backend="compield"))
-    with pytest.raises(ValueError, match="compield"):
-        Stage2Runner(Stage2Config(checker_backend="compield"))
-    with pytest.raises(ValueError, match="compield"):
-        VerificationJob("case", _COMB_LOOP_BASE, (), (1,), checker_backend="compield")
+def test_zero_verification_seeds_are_refused(datasets):
+    """Judging a source on no stimulus would pass it vacuously, so an empty
+    seed tuple, ``EvalConfig(verification_seeds=0)`` and
+    ``--verification-seeds 0`` are refused instead of scored."""
+    from repro.eval.__main__ import build_parser
+
+    entry = datasets.sva_eval_machine[0]
+    verifier = SemanticVerifier()
+    seeds = derive_verification_seeds(entry.name, entry.stimulus_seed)
+    assert verifier.verify_source(entry.buggy_source, seeds).status == "assertion_fail"
+    with pytest.raises(ValueError, match="at least one stimulus seed"):
+        verifier.verify_source(entry.buggy_source, ())
+    with pytest.raises(ValueError, match="verification_seeds"):
+        eval_config(verification_seeds=0)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--verification-seeds", "0"])
+    assert build_parser().parse_args(["--verification-seeds", "1"]).verification_seeds == 1
 
 
 def test_verdict_cache_round_trip(tmp_path):
@@ -232,33 +238,35 @@ def test_harness_is_cache_state_invariant(datasets, sft_model, tmp_path):
     assert warm.cache_misses == 0 and warm.cache_hits == cold.cache_misses
 
 
+class TreeWalkerStore(ArtifactStore):
+    """A store whose checker is the tree-walking oracle."""
+
+    def checker(self, design, base=None):
+        return AssertionChecker(design)
+
+
 def test_harness_is_checker_backend_invariant(datasets, sft_model):
-    """The checker backend reaches the verification workers and cannot
-    change any outcome -- forcing the tree-walking oracle through the full
-    harness path must reproduce the compiled run byte for byte."""
-    compiled = EvalHarness(eval_config()).run(sft_model, datasets.sva_eval_machine)
-    oracle = EvalHarness(eval_config(checker_backend="interp", job_policy=JobPolicy(workers=2))).run(
-        sft_model, datasets.sva_eval_machine
-    )
-    assert compiled.summary() == oracle.summary()
-    assert [case.to_dict() for case in compiled.cases] == [
-        case.to_dict() for case in oracle.cases
-    ]
-
-
-def test_forced_oracle_backend_does_not_reuse_compiled_cache(datasets, sft_model, tmp_path):
-    """A differential re-run with the tree-walking oracle must re-verify:
-    serving it the compiled run's cached verdicts would mask divergences."""
-    cache_dir = tmp_path / "verdicts"
-    compiled = EvalHarness(eval_config(cache_dir=cache_dir)).run(
-        sft_model, datasets.sva_eval_machine
-    )
-    oracle = EvalHarness(eval_config(cache_dir=cache_dir, checker_backend="interp")).run(
-        sft_model, datasets.sva_eval_machine
-    )
-    assert compiled.cache_misses > 0
-    assert oracle.cache_misses == compiled.cache_misses  # nothing served cross-backend
-    assert compiled.summary() == oracle.summary()
+    """Every verdict of a fanned-out harness run equals the verdict the
+    tree-walking checker oracle gives the same candidate, serially."""
+    config = eval_config(job_policy=JobPolicy(workers=2))
+    report = EvalHarness(config).run(sft_model, datasets.sva_eval_machine)
+    oracle = SemanticVerifier(artifacts=TreeWalkerStore())
+    entries = {entry.name: entry for entry in datasets.sva_eval_machine}
+    compared = 0
+    for case in report.cases:
+        entry = entries[case.name]
+        responses = sft_model.propose_topk(RepairCase.from_entry(entry), k=config.k)
+        assert len(responses) == len(case.candidates)
+        for response, candidate in zip(responses, case.candidates):
+            verdict = oracle.verify(
+                entry.buggy_source,
+                CandidateFix(response.line_number, response.fixed_line, response.bug_line),
+                case.verification_seeds,
+                cycles=entry.stimulus_cycles,
+            )
+            assert verdict.to_dict() == candidate.verdict.to_dict(), (case.name, candidate.rank)
+            compared += 1
+    assert compared > 0
 
 
 def test_harness_is_entry_order_invariant(datasets, sft_model):

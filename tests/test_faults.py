@@ -268,7 +268,7 @@ def test_orphaned_tmp_files_are_invisible_and_swept_on_open(tmp_path):
     cache = ResultCache(root)
     key = content_key("v1", "x")
     cache.put(key, {"answer": 1})
-    orphan = root / key[:2] / f"{key}.json.tmp99999"
+    orphan = cache._path(key).with_name(f"{key}.json.tmp99999")
     orphan.write_text('{"answer":')  # a killed writer's leftover
 
     # Never counted, never returned.

@@ -354,7 +354,7 @@ def test_result_cache_stats_and_counters(tmp_path):
 def test_result_cache_sweeps_stale_tmp_files(tmp_path):
     root = tmp_path / "cache"
     ResultCache(root)
-    orphan = root / "ab" / "deadbeef.json.tmp999"
+    orphan = root / "de" / "ad" / "deadbeef.json.tmp999"
     orphan.parent.mkdir(parents=True, exist_ok=True)
     orphan.write_text("partial")
     ancient = time.time() - 2 * ResultCache.STALE_TMP_SECONDS

@@ -12,6 +12,8 @@ semantics fixes: ``$past(x, DEPTH)`` with a parameter depth, and the width
 of the pre-cycle-0 unknown for non-identifier ``$past`` arguments.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.bugs.injector import BugInjector, InjectionConfig
@@ -24,7 +26,6 @@ from repro.sim.engine import SimulationError, Simulator
 from repro.sim.stimulus import StimulusGenerator
 from repro.sva.checker import (
     AssertionChecker,
-    CheckerBackend,
     check_assertions,
     infer_expression_width,
     sampled_past_depth,
@@ -34,6 +35,9 @@ from repro.sva.generator import insert_assertions, mine_assertions, template_ass
 
 FAMILIES = all_families()
 
+#: The production checker, required to lower every assertion to the tensor.
+strict_compiled = partial(CompiledAssertionChecker, strict=True)
+
 
 def outcome_fields(outcome):
     return outcome.comparison_key()
@@ -41,7 +45,7 @@ def outcome_fields(outcome):
 
 def assert_reports_identical(design, trace):
     interp = AssertionChecker(design).check(trace)
-    compiled = CheckerBackend(design, backend="compiled").check(trace)
+    compiled = strict_compiled(design).check(trace)
     assert sorted(interp.outcomes) == sorted(compiled.outcomes)
     for name in interp.outcomes:
         assert outcome_fields(interp.outcomes[name]) == outcome_fields(
@@ -78,8 +82,10 @@ def test_family_outcomes_identical(family):
     assert_reports_identical(design, Simulator(design).run(vectors))
 
 
-@pytest.mark.parametrize("backend", ["compiled", "interp"])
-def test_check_batch_matches_per_trace_check(backend):
+@pytest.mark.parametrize(
+    "checker_class", [strict_compiled, AssertionChecker], ids=["compiled", "interp"]
+)
+def test_check_batch_matches_per_trace_check(checker_class, request):
     """One batched pass over several seed traces (the verifier's shape) must
     be outcome-identical to checking each trace individually, in order.
 
@@ -87,10 +93,10 @@ def test_check_batch_matches_per_trace_check(backend):
     ragged trace lengths make the padding/masking load-bearing."""
     checked = 0
     for family in FAMILIES[:8]:
-        _, design = augmented_design(family, prefix=f"batch_{backend}")
+        _, design = augmented_design(family, prefix=f"batch_{request.node.callspec.id}")
         if design is None or not design.assertions:
             continue
-        checker = CheckerBackend(design, backend=backend)
+        checker = checker_class(design)
         traces = [
             Simulator(design).run(
                 StimulusGenerator(design, seed=40 + index)
@@ -142,7 +148,7 @@ def test_mutant_outcomes_identical(seed):
 
 
 # --------------------------------------------------------------------------- #
-# backend dispatch
+# the shift2 design: store caching, strictness, subsets
 # --------------------------------------------------------------------------- #
 
 
@@ -193,15 +199,6 @@ def shift2_trace(design, cycles=24):
     return Simulator(design).run(vectors)
 
 
-def test_checker_backend_factory_dispatch():
-    design = shift2_design()
-    assert isinstance(CheckerBackend(design, backend="interp"), AssertionChecker)
-    assert isinstance(CheckerBackend(design, backend="auto"), CompiledAssertionChecker)
-    assert isinstance(CheckerBackend(design, backend="compiled"), CompiledAssertionChecker)
-    with pytest.raises(ValueError):
-        CheckerBackend(design, backend="fpga")
-
-
 def test_check_assertions_caches_checker_in_artifact_store():
     # The lowered checker lives in the process-wide artifact cache keyed by
     # content fingerprint -- not as a hidden attribute pinned on the design
@@ -216,6 +213,7 @@ def test_check_assertions_caches_checker_in_artifact_store():
     first = check_assertions(design, trace)
     assert "_checker_backend_cache" not in design.__dict__
     checker = default_store().checker(design)
+    assert isinstance(checker, CompiledAssertionChecker)
     second = check_assertions(design, trace)
     assert default_store().checker(design) is checker
     assert default_store().checker(shift2_design()) is checker
@@ -243,17 +241,17 @@ def test_strict_compiled_backend_rejects_unloweable_assertions():
     )
     design.assertions.append(ghost)
     with pytest.raises(CompileError):
-        CheckerBackend(design, backend="compiled")
+        strict_compiled(design)
     trace = shift2_trace(design)
     assert_reports_identical_auto(design, trace)
     # The unknown reference never evaluates to a hard failure on either side.
-    report = CheckerBackend(design, backend="auto").check(trace)
+    report = CompiledAssertionChecker(design).check(trace)
     assert not report.outcomes["a_ghost"].failures
 
 
 def assert_reports_identical_auto(design, trace):
     interp = AssertionChecker(design).check(trace)
-    compiled = CheckerBackend(design, backend="auto").check(trace)
+    compiled = CompiledAssertionChecker(design).check(trace)
     for name in interp.outcomes:
         assert outcome_fields(interp.outcomes[name]) == outcome_fields(
             compiled.outcomes[name]
@@ -265,7 +263,7 @@ def test_subset_checking_matches_tree_walker():
     trace = shift2_trace(design)
     subset = design.assertions[:1]
     interp = AssertionChecker(design).check(trace, assertions=subset)
-    compiled = CheckerBackend(design).check(trace, assertions=subset)
+    compiled = CompiledAssertionChecker(design).check(trace, assertions=subset)
     assert sorted(interp.outcomes) == sorted(compiled.outcomes) == [subset[0].name]
     for name in interp.outcomes:
         assert outcome_fields(interp.outcomes[name]) == outcome_fields(compiled.outcomes[name])
@@ -276,8 +274,10 @@ def test_subset_checking_matches_tree_walker():
 # --------------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", ["interp", "auto"])
-def test_past_parameter_depth_is_honoured(backend):
+@pytest.mark.parametrize(
+    "checker_class", [AssertionChecker, CompiledAssertionChecker], ids=["interp", "auto"]
+)
+def test_past_parameter_depth_is_honoured(checker_class):
     """``$past(a, DEPTH)`` with ``parameter DEPTH = 2`` must look 2 back.
 
     Before the fix both backends silently used depth 1 for any non-literal
@@ -286,7 +286,7 @@ def test_past_parameter_depth_is_honoured(backend):
     the true 2-deep relation holds, the 1-deep one fails.
     """
     design = shift2_design()
-    report = CheckerBackend(design, backend=backend).check(shift2_trace(design))
+    report = checker_class(design).check(shift2_trace(design))
     depth2 = report.outcomes["a_depth"]
     depth1 = report.outcomes["a_one"]
     assert depth2.antecedent_matches > 4
@@ -309,8 +309,10 @@ def test_past_depth_constant_folding():
     assert sampled_past_depth(signal_depth, design.parameters) == 1
 
 
-@pytest.mark.parametrize("backend", ["interp", "auto"])
-def test_past_pre_trace_unknown_has_expression_width(backend):
+@pytest.mark.parametrize(
+    "checker_class", [AssertionChecker, CompiledAssertionChecker], ids=["interp", "auto"]
+)
+def test_past_pre_trace_unknown_has_expression_width(checker_class):
     """Pre-cycle-0 ``$past(a ^ b)`` must be a 4-bit x, not a 1-bit x.
 
     ``a_width`` asserts ``!($past(a ^ b) === 1'bx)``: with the old 1-bit
@@ -318,7 +320,7 @@ def test_past_pre_trace_unknown_has_expression_width(backend):
     4-bit unknown is not case-equal to ``1'bx``, so every cycle passes.
     """
     design = shift2_design()
-    report = CheckerBackend(design, backend=backend).check(shift2_trace(design))
+    report = checker_class(design).check(shift2_trace(design))
     width = report.outcomes["a_width"]
     assert not width.failures, [f.render() for f in width.failures]
     assert width.passes == width.attempts

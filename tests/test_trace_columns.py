@@ -2,11 +2,12 @@
 
 Four contracts are pinned here:
 
-* ``Trace.columns()`` / ``DiffTrace.columns()`` (diff-derived and
-  simulator-recorded) agree element-for-element with the row-oriented
-  sampled values, are memoised per trace (invalidated on append), and a
-  quiet design's DiffTrace builds its columns without materialising
-  per-cycle sample dicts;
+* ``DiffTrace.columns()`` (built from the column events the compiled
+  simulator records) agrees element-for-element with the row-oriented
+  sampled values and with the sample-built ``Trace.columns()`` oracle,
+  columns are memoised per trace (invalidated on append), and a quiet
+  design's DiffTrace builds its columns without materialising per-cycle
+  sample dicts;
 * the two checking engines -- attempt tensor and tree-walking oracle --
   are outcome-identical across every template family and for injected
   mutants (including failing reports), and the tensor lowers *every*
@@ -28,7 +29,7 @@ import pytest
 from repro.bugs.injector import BugInjector, InjectionConfig
 from repro.corpus.templates import all_families
 from repro.hdl.lint import compile_source
-from repro.sim.engine import SimulationError, Simulator, SimulatorOptions
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.stimulus import StimulusGenerator
 from repro.sim.trace import INT64_COLUMN_MAX_WIDTH
 from repro.sva.checker import AssertionChecker
@@ -57,10 +58,9 @@ def augmented_design(family, prefix="col"):
     return augmented, result.design
 
 
-def simulate(design, seed=11, cycles=24, record_columns=False):
+def simulate(design, seed=11, cycles=24):
     vectors = StimulusGenerator(design, seed=seed).mixed_stimulus(random_cycles=cycles).vectors
-    options = SimulatorOptions(record_columns=record_columns)
-    return Simulator(design, options).run(vectors)
+    return Simulator(design).run(vectors)
 
 
 def assert_columns_match_samples(trace, names):
@@ -82,18 +82,13 @@ def assert_columns_match_samples(trace, names):
 
 @pytest.mark.parametrize("family", FAMILIES[:10], ids=[f.name for f in FAMILIES[:10]])
 def test_columns_match_sampled_values(family):
-    """Diff-derived, recorded and dict-backed columns all equal the samples."""
+    """Recorded and dict-backed columns both equal the samples."""
     _, design = augmented_design(family)
     if design is None:
         pytest.skip("family yields no augmented design")
     names = sorted(design.signals)
-    # DiffTrace, columns derived from the recorded diffs.
-    diff_trace = simulate(design)
-    assert_columns_match_samples(diff_trace, names)
     # DiffTrace with simulator-recorded column events.
-    recorded_trace = simulate(design, record_columns=True)
-    assert recorded_trace.records_columns
-    assert_columns_match_samples(recorded_trace, names)
+    assert_columns_match_samples(simulate(design), names)
     # Fully materialised dict-backed trace.
     assert_columns_match_samples(simulate(design).materialized(), names)
 
@@ -103,8 +98,9 @@ def test_recorded_and_derived_columns_identical():
     if design is None:
         pytest.skip("family yields no augmented design")
     names = sorted(design.signals)
-    derived = simulate(design).columns(names)
-    recorded = simulate(design, record_columns=True).columns(names)
+    # The oracle: columns derived from the materialised samples.
+    derived = simulate(design).materialized().columns(names)
+    recorded = simulate(design).columns(names)
     for name in names:
         assert np.array_equal(derived.values[name], recorded.values[name])
         assert np.array_equal(derived.xmasks[name], recorded.xmasks[name])
@@ -120,7 +116,8 @@ endmodule
 
 
 def test_difftrace_columns_do_not_densify():
-    """A quiet design's columns must come from diffs, not materialised dicts."""
+    """A quiet design's columns must come from the recorded events, not
+    materialised dicts."""
     design = compile_source(QUIET_SOURCE).design
     assert design is not None
     # Constant input: after the first cycle nothing changes.
@@ -129,11 +126,6 @@ def test_difftrace_columns_do_not_densify():
     assert trace._cache == [], "columns() materialised per-cycle samples"
     assert columns.values["a"].tolist() == [5] * 40
     assert columns.values["b"].tolist()[2:] == [5] * 38
-    # The recorded-buffer path must not densify either.
-    recorded = Simulator(design, SimulatorOptions(record_columns=True)).run([{"a": 5}] * 40)
-    recorded_columns = recorded.columns(["b"])
-    assert recorded._cache == []
-    assert recorded_columns.values["b"].tolist() == columns.values["b"].tolist()
 
 
 def test_columns_unknown_signal_raises_clear_error():
@@ -214,7 +206,7 @@ def test_vectorised_outcomes_identical(family):
     assert not demoted, f"assertions demoted to the tree-walker: {demoted}"
     # The tensor must engage on both diff-backed and dict-backed traces
     # (different columns() implementations).
-    diff_trace = simulate(design, seed=12, cycles=32, record_columns=True)
+    diff_trace = simulate(design, seed=12, cycles=32)
     assert_engines_identical(design, diff_trace)
     assert_engines_identical(design, simulate(design, seed=13, cycles=32).materialized())
 
@@ -232,7 +224,7 @@ def test_vectorised_mutant_outcomes_identical():
             if not buggy.ok or buggy.design is None:
                 continue
             try:
-                trace = simulate(buggy.design, seed=9, record_columns=True)
+                trace = simulate(buggy.design, seed=9)
             except SimulationError:
                 continue
             assert_engines_identical(buggy.design, trace)
@@ -464,7 +456,7 @@ def test_stacked_batch_on_template_families():
             continue
         checker = CompiledAssertionChecker(design)
         traces = [
-            simulate(design, seed=60 + i, cycles=12 + 9 * i, record_columns=True)
+            simulate(design, seed=60 + i, cycles=12 + 9 * i)
             for i in range(3)
         ]
         batched = checker.check_batch(traces)
