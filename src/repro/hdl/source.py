@@ -11,15 +11,21 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceFile:
-    """A Verilog source file held as text with convenient line access."""
+    """A Verilog source file held as text with convenient line access.
+
+    Immutable: the text is split into lines once, on first use, and every
+    later ``line()`` call indexes that list.  Callers must not mutate the
+    list ``lines`` returns; ``with_line_replaced`` builds a new file.
+    """
 
     text: str
 
-    @property
+    @cached_property
     def lines(self) -> list[str]:
         return self.text.split("\n")
 

@@ -70,6 +70,12 @@ class RepairCase:
     # ------------------------------------------------------------------ #
 
     @cached_property
+    def content_key(self) -> tuple[str, str, str, str]:
+        """What the model reads of the case: two cases with equal keys get
+        equal candidate lines and features."""
+        return (self.name, self.buggy_source, self.logs, self.spec)
+
+    @cached_property
     def source_file(self) -> SourceFile:
         return SourceFile(self.buggy_source)
 
@@ -105,6 +111,30 @@ class RepairCase:
             for spec in self.design.assertions:
                 signals |= spec.identifiers()
         return signals
+
+    @cached_property
+    def asserted_distance(self) -> dict[str, int]:
+        """signal -> dependency distance back to the nearest asserted signal.
+
+        Breadth-first search backwards (along fan-in) from the asserted
+        signals of the buggy design; asserted signals are at distance 0 and
+        signals outside their fan-in are absent.
+        """
+        design = self.design
+        if design is None:
+            return {}
+        graph = design.dependency_graph
+        distance = {name: 0 for name in self.asserted_signals if name in graph}
+        frontier = list(distance)
+        while frontier:
+            next_frontier = []
+            for name in frontier:
+                for dep in graph.get(name, ()):  # fan-in
+                    if dep not in distance:
+                        distance[dep] = distance[name] + 1
+                        next_frontier.append(dep)
+            frontier = next_frontier
+        return distance
 
     @cached_property
     def cone_signals(self) -> set[str]:
@@ -172,6 +202,16 @@ class RepairCase:
         return self.source_file.code_line_numbers()
 
     @cached_property
+    def normalised_code_lines(self) -> frozenset[str]:
+        """Every code line of the buggy source, comment dropped and runs of
+        whitespace collapsed to one space."""
+        lines = self.source_file.lines
+        return frozenset(
+            " ".join(strip_comment(lines[number - 1]).strip().split())
+            for number in self.code_line_numbers
+        )
+
+    @cached_property
     def assigned_by_line(self) -> dict[int, list[str]]:
         """line number -> signals assigned on that line (from the elaborated design)."""
         assigned: dict[int, list[str]] = {}
@@ -230,8 +270,10 @@ class RepairCase:
     def line_text(self, number: int) -> str:
         return self.source_file.line(number)
 
-    def in_scope_signals(self) -> list[str]:
+    @cached_property
+    def in_scope_signals(self) -> tuple[str, ...]:
+        """The buggy design's signals, sorted by name."""
         design = self.design
         if design is None:
-            return []
-        return sorted(design.signals)
+            return ()
+        return tuple(sorted(design.signals))

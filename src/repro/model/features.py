@@ -120,18 +120,7 @@ class LocalisationFeatureExtractor:
         to the asserted signals (0 when the line assigns an asserted signal)."""
         if not assigned or case.design is None or not case.asserted_signals:
             return 0.0
-        graph = case.design.dependency_graph
-        # breadth-first search backwards from the asserted signals.
-        distance = {name: 0 for name in case.asserted_signals if name in graph}
-        frontier = list(distance)
-        while frontier:
-            next_frontier = []
-            for name in frontier:
-                for dep in graph.get(name, ()):  # fan-in
-                    if dep not in distance:
-                        distance[dep] = distance[name] + 1
-                        next_frontier.append(dep)
-            frontier = next_frontier
+        distance = case.asserted_distance
         best = min((distance.get(name, 99) for name in assigned), default=99)
         return 1.0 / (1.0 + best)
 
@@ -169,70 +158,71 @@ class FixFeatureExtractor:
     def extract(
         self, case: RepairCase, original_line: str, candidate_line: str
     ) -> np.ndarray:
-        original_code = strip_comment(original_line).strip()
-        candidate_code = strip_comment(candidate_line).strip()
-        lm_gain = self._lm_gain(original_code, candidate_code)
-        spec_gain = self._spec_overlap(case, candidate_code) - self._spec_overlap(case, original_code)
-        reuses = float(self._reuses_existing_line(case, candidate_code, original_code))
-        touches_failing = float(
-            bool(set(line_identifiers(candidate_code)) & case.asserted_signals)
-        )
-        edit_size = self._edit_size(original_code, candidate_code)
-        cone_gain = self._cone_overlap_gain(case, original_code, candidate_code)
-        return np.array(
-            [1.0, lm_gain, spec_gain, reuses, touches_failing, edit_size, cone_gain]
-        )
+        """The feature row of one rewrite of ``original_line``."""
+        return self.extract_batch(case, original_line, [candidate_line])[0]
 
     def extract_batch(
         self, case: RepairCase, original_line: str, candidates: Sequence[str]
     ) -> np.ndarray:
-        rows = [self.extract(case, original_line, candidate) for candidate in candidates]
-        if not rows:
+        """A (len(candidates), n_features) matrix: one row per rewrite of
+        ``original_line``.  The original line's terms are computed once."""
+        if not candidates:
             return np.zeros((0, len(FIX_FEATURE_NAMES)))
-        return np.vstack(rows)
+        original_code = strip_comment(original_line).strip()
+        original_identifiers = set(line_identifiers(original_code))
+        original_normalised = " ".join(original_code.split())
+        original_naturalness = self._naturalness(original_code)
+        original_spec = self._spec_overlap(case, original_identifiers)
+        cone = case.failing_cone
+        original_cone = self._cone_fraction(cone, original_identifiers)
+        existing_lines = case.normalised_code_lines
+        asserted = case.asserted_signals
+        rows = []
+        for candidate_line in candidates:
+            code = strip_comment(candidate_line).strip()
+            identifiers = set(line_identifiers(code))
+            lm_gain = 0.0
+            if original_naturalness is not None:
+                gain = self._naturalness(code) - original_naturalness
+                lm_gain = float(np.clip(gain, -2.0, 2.0))
+            spec_gain = self._spec_overlap(case, identifiers) - original_spec
+            # Does the candidate replicate another line of the design (a common idiom)?
+            normalised = " ".join(code.split())
+            reuses = float(
+                bool(normalised)
+                and normalised != original_normalised
+                and normalised in existing_lines
+            )
+            touches_failing = float(bool(identifiers & asserted))
+            edit_size = self._edit_size(original_code, code)
+            # How much the rewrite moves the line *into* the failing cone
+            # (the failing assertions' cone of influence per the dataflow
+            # graph, clock and ``disable iff`` signals included).  A fix
+            # that swaps cone signals for unrelated ones moves the logic
+            # away from what the assertion observes.
+            cone_gain = self._cone_fraction(cone, identifiers) - original_cone if cone else 0.0
+            rows.append([1.0, lm_gain, spec_gain, reuses, touches_failing, edit_size, cone_gain])
+        return np.array(rows)
 
-    def _lm_gain(self, original: str, candidate: str) -> float:
+    def _naturalness(self, code: str) -> Optional[float]:
+        """The language model's naturalness of ``code``; ``None`` without a
+        fitted model."""
         if self.language_model is None or self.language_model.total_tokens == 0:
-            return 0.0
-        gain = self.language_model.line_naturalness(candidate) - self.language_model.line_naturalness(original)
-        return float(np.clip(gain, -2.0, 2.0))
-
-    def _spec_overlap(self, case: RepairCase, code: str) -> float:
-        identifiers = {name.lower() for name in line_identifiers(code)}
-        if not identifiers:
-            return 0.0
-        return len(identifiers & case.spec_tokens) / len(identifiers)
+            return None
+        return self.language_model.line_naturalness(code)
 
     @staticmethod
-    def _cone_fraction(cone: set[str], code: str) -> float:
-        identifiers = set(line_identifiers(code))
+    def _spec_overlap(case: RepairCase, identifiers: set[str]) -> float:
+        if not identifiers:
+            return 0.0
+        lowered = {name.lower() for name in identifiers}
+        return len(lowered & case.spec_tokens) / len(lowered)
+
+    @staticmethod
+    def _cone_fraction(cone: set[str], identifiers: set[str]) -> float:
         if not identifiers:
             return 0.0
         return len(identifiers & cone) / len(identifiers)
-
-    def _cone_overlap_gain(self, case: RepairCase, original: str, candidate: str) -> float:
-        """How much the rewrite moves the line *into* the failing cone.
-
-        The cone is the failing assertions' cone of influence per the
-        dataflow graph (clock and ``disable iff`` signals included).  A fix
-        that swaps cone signals for unrelated ones is moving the logic away
-        from what the assertion observes -- usually the wrong direction.
-        """
-        cone = case.failing_cone
-        if not cone:
-            return 0.0
-        return self._cone_fraction(cone, candidate) - self._cone_fraction(cone, original)
-
-    def _reuses_existing_line(self, case: RepairCase, candidate: str, original: str) -> bool:
-        """Does the candidate replicate another line of the design (a common idiom)?"""
-        normalised = " ".join(candidate.split())
-        if not normalised or normalised == " ".join(original.split()):
-            return False
-        for number in case.code_line_numbers:
-            other = " ".join(strip_comment(case.line_text(number)).strip().split())
-            if other == normalised:
-                return True
-        return False
 
     @staticmethod
     def _edit_size(original: str, candidate: str) -> float:

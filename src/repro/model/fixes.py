@@ -71,7 +71,7 @@ def ranked_scope_signals(case: RepairCase, line: str) -> list[str]:
     cone of influence, then everything else -- this ordering is what the
     ``var_substitution`` fix pattern explores first.
     """
-    all_signals = case.in_scope_signals()
+    all_signals = case.in_scope_signals
     asserted = [s for s in all_signals if s in case.asserted_signals]
     cone = [s for s in all_signals if s in case.cone_signals and s not in case.asserted_signals]
     rest = [s for s in all_signals if s not in case.asserted_signals and s not in case.cone_signals]

@@ -32,6 +32,10 @@ class NgramLanguageModel:
     unigrams: Counter = field(default_factory=Counter)
     bigrams: dict = field(default_factory=lambda: defaultdict(Counter))
     trigrams: dict = field(default_factory=lambda: defaultdict(Counter))
+    #: per-context token counts, ``sum(bigrams[c].values())`` kept exact at
+    #: fit time so scoring a token does not re-sum its context.
+    bigram_totals: Counter = field(default_factory=Counter)
+    trigram_totals: Counter = field(default_factory=Counter)
     total_tokens: int = 0
     trained_sequences: int = 0
 
@@ -49,6 +53,8 @@ class NgramLanguageModel:
             self.unigrams[token] += 1
             self.bigrams[previous][token] += 1
             self.trigrams[previous2][token] += 1
+            self.bigram_totals[previous] += 1
+            self.trigram_totals[previous2] += 1
             self.total_tokens += 1
         self.trained_sequences += 1
 
@@ -68,41 +74,47 @@ class NgramLanguageModel:
     def vocabulary_size(self) -> int:
         return max(1, len(self.unigrams))
 
-    def _unigram_probability(self, token: str) -> float:
-        return (self.unigrams.get(token, 0) + self.alpha) / (
-            self.total_tokens + self.alpha * self.vocabulary_size
-        )
+    # ``smoothing`` is the additive mass ``alpha * vocabulary_size`` of the
+    # denominators, computed once per scored sequence.
 
-    def _bigram_probability(self, previous: str, token: str) -> float:
+    def _unigram_probability(self, token: str, smoothing: float) -> float:
+        return (self.unigrams.get(token, 0) + self.alpha) / (self.total_tokens + smoothing)
+
+    def _bigram_probability(self, previous: str, token: str, smoothing: float) -> float:
         context = self.bigrams.get(previous)
         if not context:
-            return self._unigram_probability(token)
-        total = sum(context.values())
-        return (context.get(token, 0) + self.alpha) / (total + self.alpha * self.vocabulary_size)
+            return self._unigram_probability(token, smoothing)
+        total = self.bigram_totals[previous]
+        return (context.get(token, 0) + self.alpha) / (total + smoothing)
 
-    def _trigram_probability(self, previous2: tuple[str, str], token: str) -> float:
+    def _trigram_probability(
+        self, previous2: tuple[str, str], token: str, smoothing: float
+    ) -> float:
         context = self.trigrams.get(previous2)
         if not context:
-            return self._bigram_probability(previous2[1], token)
-        total = sum(context.values())
-        return (context.get(token, 0) + self.alpha) / (total + self.alpha * self.vocabulary_size)
+            return self._bigram_probability(previous2[1], token, smoothing)
+        total = self.trigram_totals[previous2]
+        return (context.get(token, 0) + self.alpha) / (total + smoothing)
 
-    def token_probability(self, previous2: tuple[str, str], token: str) -> float:
+    def _token_probability(
+        self, previous2: tuple[str, str], token: str, smoothing: float
+    ) -> float:
         """Interpolated probability of ``token`` after the two-token context."""
         lambda1, lambda2, lambda3 = self.interpolation
         return (
-            lambda1 * self._unigram_probability(token)
-            + lambda2 * self._bigram_probability(previous2[1], token)
-            + lambda3 * self._trigram_probability(previous2, token)
+            lambda1 * self._unigram_probability(token, smoothing)
+            + lambda2 * self._bigram_probability(previous2[1], token, smoothing)
+            + lambda3 * self._trigram_probability(previous2, token, smoothing)
         )
 
     def sequence_log_probability(self, tokens: Sequence[str]) -> float:
         """Sum of log probabilities of a token sequence (natural log)."""
         padded = [BOS_TOKEN, BOS_TOKEN, *tokens, EOS_TOKEN]
+        smoothing = self.alpha * self.vocabulary_size
         total = 0.0
         for index in range(2, len(padded)):
-            probability = self.token_probability(
-                (padded[index - 2], padded[index - 1]), padded[index]
+            probability = self._token_probability(
+                (padded[index - 2], padded[index - 1]), padded[index], smoothing
             )
             total += math.log(max(probability, 1e-12))
         return total

@@ -103,7 +103,7 @@ class RepairPolicy:
         self.language_model = language_model
         self._localisation_extractor = LocalisationFeatureExtractor(language_model)
         self._fix_extractor = FixFeatureExtractor(language_model)
-        self._analysis_cache: dict[str, CaseAnalysis] = {}
+        self._analysis_cache: dict[tuple[str, str, str, str], CaseAnalysis] = {}
 
     # ------------------------------------------------------------------ #
     # analysis
@@ -117,14 +117,14 @@ class RepairPolicy:
         self._analysis_cache.clear()
 
     def analyse(self, case: RepairCase) -> CaseAnalysis:
-        """Candidate lines and their features (cached per case name)."""
-        cached = self._analysis_cache.get(case.name)
+        """Candidate lines and their features (cached per case content)."""
+        cached = self._analysis_cache.get(case.content_key)
         if cached is not None:
             return cached
         line_numbers = case.candidate_lines()
         features = self._localisation_extractor.extract(case, line_numbers)
         analysis = CaseAnalysis(line_numbers=line_numbers, line_features=features)
-        self._analysis_cache[case.name] = analysis
+        self._analysis_cache[case.content_key] = analysis
         return analysis
 
     def fix_options(self, case: RepairCase, line_number: int) -> tuple[
