@@ -16,7 +16,7 @@ from repro.corpus.corruptor import CorruptedSample, SyntaxCorruptor
 from repro.corpus.metadata import DesignArtifact, DesignFamily
 from repro.corpus.spec import build_spec
 from repro.corpus.templates import all_families, family_by_name
-from repro.runtime import FaultPlan, JobPolicy, run_stage_jobs
+from repro.runtime import JobPolicy, run_stage_jobs
 
 
 @dataclass
@@ -81,17 +81,12 @@ class CorpusGenerator:
         "register_file": 2,
     }
 
-    def __init__(self, config: CorpusConfig | None = None, policy: JobPolicy = JobPolicy(),
-                 fault_plan: FaultPlan | None = None, tracer=None):
+    def __init__(self, config: CorpusConfig | None = None, policy: JobPolicy = JobPolicy()):
         self._config = config or CorpusConfig()
         #: How the per-design build jobs run (pool size, failure mode, ...).
         self._policy = policy
         self._random = random.Random(self._config.seed)
         self._families = all_families()
-        #: Deterministic fault injection for the build jobs (tests only).
-        self._fault_plan = fault_plan
-        #: Out-of-band telemetry; never part of the corpus.
-        self._tracer = tracer
 
     @property
     def families(self) -> list[DesignFamily]:
@@ -119,8 +114,6 @@ class CorpusGenerator:
             _build_sample_job,
             self._policy,
             [job[2] for job in jobs],
-            fault_plan=self._fault_plan,
-            tracer=self._tracer,
         )
         corpus.samples = [sample for sample in samples if sample is not None]
         corruptor = SyntaxCorruptor(seed=self._config.seed + 1)

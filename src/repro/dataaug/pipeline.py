@@ -27,8 +27,8 @@ from repro.dataaug.datasets import AugmentedDatasets, DatasetStatistics, SvaBugE
 from repro.dataaug.stage1 import run_stage1
 from repro.dataaug.stage2 import Stage2Config, Stage2Runner
 from repro.dataaug.stage3 import Stage3Config, run_stage3
-from repro.obs import get_registry, traced_run
-from repro.runtime import FaultPlan, JobPolicy
+from repro.obs import phase, traced_run
+from repro.runtime import JobPolicy
 
 
 @dataclass
@@ -96,54 +96,40 @@ class DataAugmentationPipeline:
     ``stage3``) -- telemetry only, never part of the datasets.
     """
 
-    def __init__(
-        self,
-        config: Optional[PipelineConfig] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        tracer=None,
-    ):
+    def __init__(self, config: Optional[PipelineConfig] = None):
         self._config = config or PipelineConfig()
         self.stage_timings: dict[str, float] = {}
-        #: Deterministic fault injection threaded into every stage (tests only).
-        self._fault_plan = fault_plan
-        #: An explicit ``tracer`` means the caller collects and writes the
-        #: trace (the CLI merges pipeline + eval into one file); otherwise
-        #: ``config.trace_path`` / ``REPRO_TRACE`` make :meth:`run` own one.
-        self._tracer = tracer
 
     def run(self, corpus: Optional[Corpus] = None) -> AugmentedDatasets:
-        """Execute the full pipeline and return the datasets."""
-        with traced_run(
-            self._tracer, self._config.trace_path, "pipeline", seed=self._config.seed
-        ) as tracer:
-            return self._run(corpus, tracer)
+        """Execute the full pipeline and return the datasets.
 
-    def _run(self, corpus: Optional[Corpus], tracer) -> AugmentedDatasets:
+        Traced under a ``pipeline`` root span (see
+        :func:`repro.obs.traced_run`): an enabled ambient tracer is joined,
+        else ``config.trace_path`` / ``REPRO_TRACE`` make the run own one.
+        """
+        with traced_run(self._config.trace_path, "pipeline", seed=self._config.seed):
+            return self._run(corpus)
+
+    def _run(self, corpus: Optional[Corpus]) -> AugmentedDatasets:
         config = self._config
-        policy, plan = config.job_policy, self._fault_plan
+        policy = config.job_policy
         statistics = DatasetStatistics()
         timings: dict[str, float] = {}
 
         def timed(label: str, step):
             started = time.perf_counter()
-            if tracer is not None:
-                with tracer.span(f"pipeline.{label}"):
-                    value = step()
-            else:
+            with phase(f"pipeline.{label}"):
                 value = step()
-            elapsed = time.perf_counter() - started
-            timings[label] = elapsed
-            get_registry().observe(f"pipeline.{label}_s", elapsed)
+            timings[label] = time.perf_counter() - started
             return value
 
         corpus = corpus or timed(
-            "corpus",
-            lambda: CorpusGenerator(config.corpus, policy, plan, tracer).generate(),
+            "corpus", lambda: CorpusGenerator(config.corpus, policy).generate()
         )
         statistics.corpus_samples = len(corpus.samples) + len(corpus.corrupted)
         statistics.skipped_jobs.extend(corpus.skipped)
 
-        stage1 = timed("stage1", lambda: run_stage1(corpus, policy, plan, tracer))
+        stage1 = timed("stage1", lambda: run_stage1(corpus, policy))
         statistics.filtered_out = stage1.filtered_out
         statistics.compile_failures = stage1.compile_failures
         statistics.verilog_pt_entries = len(stage1.verilog_pt)
@@ -151,9 +137,7 @@ class DataAugmentationPipeline:
 
         stage2 = timed(
             "stage2",
-            lambda: Stage2Runner(
-                config.stage2, policy, config.cache_dir, plan, tracer
-            ).run(stage1.compiled),
+            lambda: Stage2Runner(config.stage2, policy, config.cache_dir).run(stage1.compiled),
         )
         statistics.candidate_svas = stage2.candidate_svas
         statistics.validated_svas = stage2.validated_svas
@@ -172,7 +156,7 @@ class DataAugmentationPipeline:
 
         generated, valid, stage3_skipped = timed(
             "stage3",
-            lambda: run_stage3(train_entries, config.stage3, policy, plan, tracer),
+            lambda: run_stage3(train_entries, config.stage3, policy),
         )
         statistics.cot_generated = generated
         statistics.cot_valid = valid

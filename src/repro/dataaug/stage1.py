@@ -19,7 +19,7 @@ from repro.corpus.corruptor import CorruptedSample
 from repro.dataaug.datasets import VerilogPTEntry
 from repro.hdl.lint import compile_source
 from repro.hdl.source import normalize_line
-from repro.runtime import FaultPlan, JobPolicy, run_stage_jobs
+from repro.runtime import JobPolicy, run_stage_jobs
 
 
 @dataclass
@@ -82,12 +82,7 @@ def _check_sample_job(source: str) -> dict:
     }
 
 
-def run_stage1(
-    corpus: Corpus,
-    policy: JobPolicy = JobPolicy(),
-    fault_plan: FaultPlan | None = None,
-    tracer=None,
-) -> Stage1Result:
+def run_stage1(corpus: Corpus, policy: JobPolicy = JobPolicy()) -> Stage1Result:
     """Run Stage 1 over a generated corpus.
 
     The per-sample work (filtering facts + the compile check, the stage's
@@ -111,8 +106,6 @@ def run_stage1(
         _check_sample_job,
         policy,
         [sample.name for sample, _, _ in considered],
-        fault_plan=fault_plan,
-        tracer=tracer,
     )
 
     for (sample, source, corruption), check in zip(considered, checks):

@@ -37,7 +37,6 @@ from repro.corpus.generator import CorpusSample
 from repro.dataaug.datasets import SvaBugEntry, VerilogBugEntry
 from repro.hdl.elaborate import ElaboratedDesign
 from repro.runtime import (
-    FaultPlan,
     JobPolicy,
     ResultCache,
     content_key,
@@ -180,16 +179,10 @@ class Stage2Runner:
         config: Optional[Stage2Config] = None,
         policy: JobPolicy = JobPolicy(),
         cache_dir: Optional[str] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        tracer=None,
     ):
         self._config = config or Stage2Config()
         self._policy = policy
         self._cache_dir = cache_dir
-        #: Deterministic fault injection for the per-sample jobs (tests only).
-        self._fault_plan = fault_plan
-        #: Out-of-band telemetry; never part of content keys or results.
-        self._tracer = tracer
 
     def _sample_injector(self, sample: CorpusSample) -> BugInjector:
         """A fresh, deterministically seeded injector for one sample."""
@@ -357,8 +350,6 @@ class Stage2Runner:
             key_fn=lambda sample: _sample_key(config, policy, sample),
             encode=Stage2Result.to_dict,
             decode=Stage2Result.from_dict,
-            fault_plan=self._fault_plan,
-            tracer=self._tracer,
         )
         result = Stage2Result()
         for sample_result in sample_results:

@@ -22,7 +22,7 @@ from typing import Optional
 
 from repro.dataaug.datasets import SvaBugEntry
 from repro.hdl.source import SourceFile, lines_equivalent, strip_comment
-from repro.runtime import FaultPlan, JobPolicy, derive_seed, run_stage_jobs
+from repro.runtime import JobPolicy, derive_seed, run_stage_jobs
 from repro.sva.logs import parse_failure_log
 
 
@@ -89,20 +89,10 @@ class CotGenerator:
     sharded across workers.
     """
 
-    def __init__(
-        self,
-        config: Optional[Stage3Config] = None,
-        policy: JobPolicy = JobPolicy(),
-        fault_plan: Optional[FaultPlan] = None,
-        tracer=None,
-    ):
+    def __init__(self, config: Optional[Stage3Config] = None, policy: JobPolicy = JobPolicy()):
         self._config = config or Stage3Config()
         #: How the per-entry CoT jobs run (pool size, failure mode, ...).
         self._policy = policy
-        #: Deterministic fault injection for the per-entry jobs (tests only).
-        self._fault_plan = fault_plan
-        #: Out-of-band telemetry; never part of results.
-        self._tracer = tracer
 
     def _entry_rng(self, entry: SvaBugEntry) -> random.Random:
         return random.Random(derive_seed(self._config.seed, entry.name))
@@ -170,8 +160,6 @@ class CotGenerator:
             self._policy,
             [entry.name for entry in entries],
             context=self._config,
-            fault_plan=self._fault_plan,
-            tracer=self._tracer,
         )
         valid = 0
         generated = 0
@@ -198,8 +186,6 @@ def run_stage3(
     entries: list[SvaBugEntry],
     config: Optional[Stage3Config] = None,
     policy: JobPolicy = JobPolicy(),
-    fault_plan: Optional[FaultPlan] = None,
-    tracer=None,
 ) -> tuple[int, int, list[dict]]:
     """Convenience wrapper: annotate ``entries`` with CoTs and return the counts."""
-    return CotGenerator(config, policy, fault_plan, tracer).annotate(entries)
+    return CotGenerator(config, policy).annotate(entries)

@@ -31,21 +31,15 @@ from repro.eval.harness import EvalConfig, EvalHarness
 from repro.eval.reports import write_reports
 from repro.eval.verifier import SemanticVerifier
 from repro.model.assertsolver_model import AssertSolverModel
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
-    resolve_trace_path,
-    scoped_registry,
-    set_tracer,
-    write_trace,
-)
+from repro.obs import traced_run
 from repro.runtime import default_workers
 
 
-def _seed_count(text: str) -> int:
+def _positive_int(text: str) -> int:
+    # No seeds would make every compiling candidate pass vacuously, and
+    # pass@0 would always report 0.
     count = int(text)
     if count < 1:
-        # No seeds would make every compiling candidate pass vacuously.
         raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
     return count
 
@@ -67,7 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="sft",
         help="how far to train the policy before evaluating",
     )
-    parser.add_argument("--ks", type=int, nargs="+", default=[1, 5], help="report pass@k for these k")
+    parser.add_argument(
+        "--ks", type=_positive_int, nargs="+", default=[1, 5], help="report pass@k for these k"
+    )
     parser.add_argument(
         "--workers",
         type=int,
@@ -79,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--verification-seeds",
-        type=_seed_count,
+        type=_positive_int,
         default=2,
         help="independent stimulus seeds per candidate (at least 1)",
     )
@@ -126,26 +122,17 @@ def train_model(stage: str, datasets, seed: int, cache_dir=None) -> AssertSolver
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    trace_path = resolve_trace_path(args.trace)
-    if trace_path is None:
-        return _run(args, tracer=None)
-    # One tracer and one metrics registry span the whole run (pipeline,
-    # training, eval), written to a single trace file at the end.  The
-    # components are handed the tracer explicitly so neither resolves
-    # REPRO_TRACE itself and double-writes the same path.
-    tracer = Tracer()
-    previous_tracer = set_tracer(tracer)
-    with scoped_registry(MetricsRegistry()) as registry:
-        try:
-            code = _run(args, tracer=tracer)
-        finally:
-            set_tracer(previous_tracer)
-            write_trace(trace_path, tracer, metrics=registry, meta={"kind": "eval_cli"})
-            print(f"wrote trace: {trace_path}", file=sys.stderr)
+    # One ambient tracer and metrics registry span the whole run (pipeline,
+    # training, eval); the pipeline and the harness join it, so the run
+    # writes a single trace file.
+    with traced_run(args.trace, "eval_cli") as trace_path:
+        code = _run(args)
+    if trace_path:
+        print(f"wrote trace: {trace_path}", file=sys.stderr)
     return code
 
 
-def _run(args, tracer) -> int:
+def _run(args) -> int:
     if args.design_count > 0:
         pipeline_config = PipelineConfig.default(
             seed=args.seed, design_count=args.design_count, workers=args.workers
@@ -154,7 +141,7 @@ def _run(args, tracer) -> int:
         pipeline_config = PipelineConfig.small(seed=args.seed, workers=args.workers)
 
     started = time.perf_counter()
-    datasets = DataAugmentationPipeline(pipeline_config, tracer=tracer).run()
+    datasets = DataAugmentationPipeline(pipeline_config).run()
     print(
         f"pipeline: {datasets.statistics.sva_bug_entries} SVA-Bug entries, "
         f"{len(datasets.sva_eval_machine)} held out for SVA-Eval-Machine "
@@ -176,7 +163,7 @@ def _run(args, tracer) -> int:
         cache_dir=args.cache_dir,
     )
     started = time.perf_counter()
-    report = EvalHarness(config, tracer=tracer).run(model, datasets.sva_eval_machine)
+    report = EvalHarness(config).run(model, datasets.sva_eval_machine)
     elapsed = time.perf_counter() - started
 
     paths = write_reports(report, args.output_dir, split=datasets.sva_eval_machine)

@@ -21,7 +21,7 @@ from typing import Optional
 from repro.eval.cache import VerdictCache
 from repro.eval.verifier import CandidateFix, RepairVerdict, SemanticVerifier, VerifierConfig
 from repro.obs import annotate
-from repro.runtime import FaultPlan, JobPolicy, run_stage_jobs
+from repro.runtime import JobPolicy, run_stage_jobs
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,6 @@ def run_verification_jobs(
     jobs: list[VerificationJob],
     policy: JobPolicy = JobPolicy(),
     cache_dir: Optional[Path | str] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    tracer=None,
 ) -> list[ShardResult]:
     """Verify every job through the shared runtime executor under ``policy``.
 
@@ -114,8 +112,6 @@ def run_verification_jobs(
         policy,
         [job.case_name for job in jobs],
         context=str(cache_dir) if cache_dir is not None else None,
-        fault_plan=fault_plan,
-        tracer=tracer,
     )
     records = iter(skipped)
     return [

@@ -10,14 +10,13 @@ Runs one repair engine over the held-out ``sva_eval_machine`` split:
    template family and length bin -- the axes of the paper's Tables III/IV.
 
 pass@k here is the *ranked* variant: a case counts for pass@k when any of
-the engine's top-k distinct candidates verifies.  Sampling seeds and
-verification seeds are both derived per case name, so the report is
-identical for any worker count, case order, or cache state.
+the engine's top-k distinct candidates verifies.  Proposal is exact and
+verification seeds are derived per case name, so the report is identical
+for any worker count, case order, or cache state.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -32,7 +31,7 @@ from repro.eval.verifier import (
 )
 from repro.model.case import RepairCase
 from repro.model.response import RepairEngine
-from repro.obs import NULL_TRACER, traced_run
+from repro.obs import get_tracer, traced_run
 from repro.runtime import JobPolicy
 
 
@@ -42,7 +41,6 @@ class EvalConfig:
 
     seed: int = 2027
     ks: tuple[int, ...] = (1, 5)  # report pass@k for each; max(ks) candidates are drawn
-    samples: int = 20  # sampling budget for engines without an exact top-k
     temperature: float = 0.2
     verification_seeds: int = DEFAULT_SEED_COUNT
     cycles: Optional[int] = None  # None: use each entry's own stimulus_cycles
@@ -56,6 +54,9 @@ class EvalConfig:
     trace_path: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # pass@0 would verify one candidate and always report 0.
+        if not self.ks or min(self.ks) < 1:
+            raise ValueError(f"every k in ks must be at least 1, got {self.ks}")
         # No seeds would make every compiling candidate pass vacuously.
         if self.verification_seeds < 1:
             raise ValueError(
@@ -214,29 +215,23 @@ class EvalReport:
 class EvalHarness:
     """Evaluates repair engines on held-out SVA-Bug entries."""
 
-    def __init__(self, config: Optional[EvalConfig] = None, fault_plan=None, tracer=None):
+    def __init__(self, config: Optional[EvalConfig] = None):
         self.config = config or EvalConfig()
-        #: Deterministic fault injection for verification jobs (tests only).
-        self._fault_plan = fault_plan
-        #: An explicit ``tracer`` means the caller writes the trace;
-        #: otherwise ``config.trace_path`` / ``REPRO_TRACE`` make
-        #: :meth:`run` own one.
-        self._tracer = tracer
-
-    def _case_seed(self, name: str) -> int:
-        return (zlib.crc32(name.encode()) ^ self.config.seed) & 0x7FFFFFFF
 
     def run(self, engine: RepairEngine, entries: Sequence[SvaBugEntry]) -> EvalReport:
-        """Sample, verify and score ``engine`` over ``entries``."""
-        with traced_run(
-            self._tracer, self.config.trace_path, "eval",
-            engine=engine.name, cases=len(entries),
-        ) as tracer:
-            return self._run(engine, entries, tracer)
+        """Propose, verify and score ``engine`` over ``entries``.
 
-    def _run(self, engine: RepairEngine, entries: Sequence[SvaBugEntry], traced) -> EvalReport:
-        config = self.config
-        tracer = traced if traced is not None else NULL_TRACER
+        Traced under an ``eval`` root span (see
+        :func:`repro.obs.traced_run`): an enabled ambient tracer is joined,
+        else ``config.trace_path`` / ``REPRO_TRACE`` make the run own one.
+        """
+        with traced_run(
+            self.config.trace_path, "eval", engine=engine.name, cases=len(entries)
+        ):
+            return self._run(engine, entries)
+
+    def _run(self, engine: RepairEngine, entries: Sequence[SvaBugEntry]) -> EvalReport:
+        config, tracer = self.config, get_tracer()
         ordered = sorted(entries, key=lambda entry: entry.name)
 
         with tracer.span("eval.propose") as propose_span:
@@ -246,11 +241,7 @@ class EvalHarness:
             for entry in ordered:
                 case = RepairCase.from_entry(entry)
                 responses = engine.propose_topk(
-                    case,
-                    k=config.k,
-                    samples=config.samples,
-                    temperature=config.temperature,
-                    seed=self._case_seed(entry.name),
+                    case, k=config.k, temperature=config.temperature
                 )
                 seeds = derive_verification_seeds(
                     entry.name,
@@ -291,13 +282,7 @@ class EvalHarness:
             propose_span.set(jobs=len(jobs))
 
         with tracer.span("eval.verify", jobs=len(jobs)):
-            shards = run_verification_jobs(
-                jobs,
-                config.job_policy,
-                cache_dir=config.cache_dir,
-                fault_plan=self._fault_plan,
-                tracer=traced,
-            )
+            shards = run_verification_jobs(jobs, config.job_policy, cache_dir=config.cache_dir)
 
         report = EvalReport(engine=engine.name, ks=config.ks)
         with tracer.span("eval.score"):

@@ -192,18 +192,11 @@ class AssertSolverModel(RepairEngine):
         return responses
 
     def propose_topk(
-        self,
-        case: RepairCase,
-        k: int = 5,
-        samples: int = 20,
-        temperature: float = 0.2,
-        seed: int = 0,
+        self, case: RepairCase, k: int = 5, temperature: float = 0.2
     ) -> list[RepairResponse]:
         """Exact top-k: enumerate the policy's joint distribution directly.
 
-        Unlike the sampling default on :class:`RepairEngine`, this is
-        deterministic for a fixed set of weights (``samples`` and ``seed``
-        are accepted for interface compatibility and ignored).
+        Deterministic for a fixed set of weights: no sampling, no seed.
         """
         ranked = self.policy.top_candidates(case, k=k, temperature=temperature)
         if not ranked:

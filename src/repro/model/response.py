@@ -1,10 +1,12 @@
-"""Repair responses and the engine interface shared by all models.
+"""Repair responses and the engine interface the evaluation drives.
 
-Every model in the comparison (AssertSolver, its SFT-only ablation, the base
-model, and the proxy engines standing in for the closed/open-source LLMs)
-implements :class:`RepairEngine`: given a :class:`~repro.model.case.RepairCase`
-it returns ``n`` :class:`RepairResponse` objects, the JSON-shaped output of
-Fig. 2 (III).
+:class:`RepairEngine` is what the harness and challenging-case mining call:
+given a :class:`~repro.model.case.RepairCase`, an engine samples responses
+(:meth:`~RepairEngine.propose`) or ranks its best distinct ones
+(:meth:`~RepairEngine.propose_topk`), each a :class:`RepairResponse` -- the
+JSON-shaped output of Fig. 2 (III).  The one implementation is
+:class:`~repro.model.assertsolver_model.AssertSolverModel`, at any training
+stage (base, SFT, DPO).
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import abc
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.hdl.source import normalize_line
 from repro.model.case import RepairCase
@@ -78,7 +79,7 @@ class RepairResponse:
 class RepairEngine(abc.ABC):
     """Interface implemented by every repair model in the evaluation."""
 
-    #: display name used in tables (e.g. "AssertSolver", "o1-preview (proxy)").
+    #: display name used in tables and reports (e.g. "AssertSolver").
     name: str = "engine"
 
     @abc.abstractmethod
@@ -87,50 +88,8 @@ class RepairEngine(abc.ABC):
     ) -> list[RepairResponse]:
         """Produce ``samples`` candidate repairs for one case."""
 
-    def propose_one(self, case: RepairCase, seed: int = 0) -> RepairResponse:
-        """Convenience: a single (greedy-ish) response."""
-        responses = self.propose(case, samples=1, temperature=0.05, seed=seed)
-        return responses[0]
-
+    @abc.abstractmethod
     def propose_topk(
-        self,
-        case: RepairCase,
-        k: int = 5,
-        samples: int = 20,
-        temperature: float = 0.2,
-        seed: int = 0,
+        self, case: RepairCase, k: int = 5, temperature: float = 0.2
     ) -> list[RepairResponse]:
-        """Up to ``k`` *distinct* candidate repairs, best first.
-
-        The default implementation draws ``samples`` responses, merges the
-        duplicates (same line, equivalent rewrite) and ranks the survivors by
-        how often they were sampled, then by confidence -- the empirical
-        ranking used for pass@k when an engine has no exact candidate
-        enumeration.  Engines with tractable candidate spaces should override
-        this with an exact top-k.
-        """
-        budget = max(samples, 2 * k)
-        responses = self.propose(case, samples=budget, temperature=temperature, seed=seed)
-        merged: dict[str, tuple[int, float, int, RepairResponse]] = {}
-        for index, response in enumerate(responses):
-            key = candidate_key(response.line_number, response.fixed_line)
-            count, best_confidence, first_index, first = merged.get(
-                key, (0, response.confidence, index, response)
-            )
-            merged[key] = (
-                count + 1,
-                max(best_confidence, response.confidence),
-                first_index,
-                first,
-            )
-        ranked = sorted(
-            merged.values(), key=lambda item: (-item[0], -item[1], item[2])
-        )
-        return [item[3] for item in ranked[:k]]
-
-
-def responses_as_json(responses: Sequence[RepairResponse]) -> str:
-    """Render a batch of responses as a JSON array (used by examples/logging)."""
-    return json.dumps(
-        [json.loads(response.to_json()) for response in responses], indent=2
-    )
+        """Up to ``k`` *distinct* candidate repairs, best first (the pass@k ranking)."""

@@ -88,39 +88,30 @@ def annotate(**attrs) -> None:
 
 
 @contextmanager
-def traced_run(
-    tracer: Optional[Tracer],
-    trace_path: Optional[str],
-    name: str,
-    **attrs: Any,
-) -> Iterator[Optional[Tracer]]:
-    """Run one component (pipeline, eval harness) under its root span.
+def traced_run(trace_path: Optional[str], name: str, **attrs: Any) -> Iterator[Optional[str]]:
+    """Run one component (pipeline, eval harness, CLI) under its root span ``name``.
 
-    An explicit ``tracer`` belongs to the caller, who writes the trace (the
-    eval CLI merges pipeline + eval into one file this way).  Otherwise
-    ``trace_path`` / ``REPRO_TRACE`` make the block own a fresh tracer and
-    metrics registry and write the file, stamped ``meta={"kind": name}``,
-    on exit.  Either tracer is ambient for the block, inside a root span
-    ``name`` carrying ``attrs``; with neither, the block runs untraced and
-    receives None.  Telemetry only: never part of any output.
+    Joins an enabled ambient tracer when there is one: the root span opens
+    on it and whoever installed it writes the file (the eval CLI merges
+    pipeline + eval into one trace this way).  Otherwise ``trace_path`` /
+    ``REPRO_TRACE`` make the block own a fresh ambient tracer and metrics
+    registry and write the file, stamped ``meta={"kind": name}``, on exit;
+    with neither the block runs untraced.  Yields the path the block will
+    write, or None.  Telemetry only: never part of any output.
     """
-    owned_path = resolve_trace_path(trace_path) if tracer is None else None
+    tracer = get_tracer()
+    owned_path = None if tracer.enabled else resolve_trace_path(trace_path)
     if owned_path:
         tracer = Tracer()
-    if tracer is None:
-        yield None
-        return
-    previous_tracer = set_tracer(tracer)
-    previous_registry = set_registry(MetricsRegistry()) if owned_path else None
+        previous_tracer = set_tracer(tracer)
+        previous_registry = set_registry(MetricsRegistry())
     try:
         with tracer.span(name, **attrs):
-            yield tracer
+            yield owned_path
     finally:
-        registry = get_registry()
-        set_tracer(previous_tracer)
-        if previous_registry is not None:
-            set_registry(previous_registry)
         if owned_path:
+            registry = set_registry(previous_registry)
+            set_tracer(previous_tracer)
             write_trace(owned_path, tracer, metrics=registry, meta={"kind": name})
 
 

@@ -5,12 +5,14 @@ package is the single layer all of its workloads plug into instead of each
 hand-rolling a ``multiprocessing`` pool:
 
 * :class:`JobPolicy` / :func:`run_stage_jobs` -- one execution policy
-  (workers, failure mode, timeout, retry budget) per run, and the one
-  function every stage runs its jobs through: results in job order plus
-  the skip records of quarantined jobs;
-* :func:`run_jobs` -- the sharded-map executor (pool lifecycle, chunking,
-  submission-order merging, optional content-addressed result caching,
-  per-job timeouts, bounded retries, broken-pool recovery, quarantine);
+  (workers, failure mode, timeout, retry budget, tests-only fault plan)
+  per run, validated when built, and the one function every stage runs
+  its jobs through: results in job order plus the skip records of
+  quarantined jobs;
+* :func:`run_jobs` -- the sharded-map executor under a policy (pool
+  lifecycle, chunking, submission-order merging, optional
+  content-addressed result caching, per-job timeouts, bounded retries,
+  broken-pool recovery, quarantine), reporting to the ambient tracer;
 * :func:`derive_seed` -- per-job seed derivation, the invariance trick that
   makes output independent of worker count and job order;
 * :func:`default_workers` -- the one shared "how many workers" default

@@ -31,21 +31,22 @@ The determinism contract for a workload plugging in:
 3. results must be picklable, and -- when caching -- ``encode``/``decode``
    must round-trip them through JSON exactly.
 
-Under that contract ``run_jobs(jobs, fn, workers=k)`` is byte-identical to
-``[fn(job, context) for job in jobs]`` for every ``k``, which is what the
-pipeline's worker-count invariance tests assert end to end.  Retries and
-timeouts never change the value of a successful result: a retried job is
-re-executed from the same payload through the same pure function.
+Under that contract ``run_jobs(jobs, fn, JobPolicy(workers=k))`` is
+byte-identical to ``[fn(job, context) for job in jobs]`` for every ``k``,
+which is what the pipeline's worker-count invariance tests assert end to
+end.  Retries and timeouts never change the value of a successful result:
+a retried job is re-executed from the same payload through the same pure
+function.
 
 Failure handling
 ----------------
 
-``on_error`` selects what a job failure does to the run:
+The policy's ``on_error`` selects what a job failure does to the run:
 
-* ``"raise"`` (the default -- existing callers are unchanged): the first
-  job that exhausts its attempts aborts the run.  The original worker
-  exception is re-raised when it survived pickling; failures with no
-  exception surface as :class:`~repro.runtime.faults.JobTimeoutError` /
+* ``"raise"`` (the default): the first job that exhausts its attempts
+  aborts the run.  The original worker exception is re-raised when it
+  survived pickling; failures with no exception surface as
+  :class:`~repro.runtime.faults.JobTimeoutError` /
   :class:`~repro.runtime.faults.WorkerCrashError` /
   :class:`~repro.runtime.faults.JobExecutionError`.
 * ``"quarantine"``: the run always completes.  ``run_jobs`` then returns
@@ -66,19 +67,19 @@ rescheduled for free); a job that keeps hanging or crashing is quarantined
 after ``max_attempts`` charges rather than retried forever.
 
 Timeout enforcement and crash recovery need process isolation, so a call
-with a ``timeout`` (or ``isolate=True``) runs through a pool even for
-``workers=1``; without either, single-worker runs stay in-process and a
-worker exception is the only recoverable failure there.
+with a ``timeout`` runs through a pool even for ``workers=1``; without one,
+single-worker runs stay in-process and a worker exception is the only
+recoverable failure there.
 
-Stages do not call ``run_jobs`` with their own knobs: each takes one
-:class:`JobPolicy` (workers, ``on_error``, timeout, retry budget) and runs
-through :func:`run_stage_jobs`, the one place that turns quarantined
-outcomes into the stage's skip records.  Library defaults are serial; the
-CLIs size pools with :func:`default_workers`.  One platform note: library
-code that reaches a pool from a top-level script must live behind the
-standard ``if __name__ == "__main__":`` guard on multiprocessing start
-methods that re-import the main module (``spawn``/``forkserver``) -- the
-usual requirement for any pool user.
+Every knob above lives in one :class:`JobPolicy` (workers, ``on_error``,
+timeout, retry budget, and the tests-only fault plan): stages take one
+policy and run through :func:`run_stage_jobs`, the one place that turns
+quarantined outcomes into the stage's skip records.  Library defaults are
+serial; the CLIs size pools with :func:`default_workers`.  One platform
+note: library code that reaches a pool from a top-level script must live
+behind the standard ``if __name__ == "__main__":`` guard on multiprocessing
+start methods that re-import the main module (``spawn``/``forkserver``) --
+the usual requirement for any pool user.
 """
 
 from __future__ import annotations
@@ -184,12 +185,26 @@ class JobPolicy:
     records it), the per-job timeout in seconds (None: unlimited) and the
     executions charged to a job before it fails.  Output bytes depend on
     none of them, except that a quarantined job is missing from it.
+    ``faults`` injects deterministic faults into chosen jobs (tests only).
+    An invalid policy is refused when it is built, not when a job runs.
     """
 
     workers: int = 1
     on_error: str = "raise"
     timeout: Optional[float] = None
     max_attempts: int = 1
+    faults: Optional[FaultPlan] = None
+
+    def __post_init__(self) -> None:
+        if self.on_error not in ("raise", "quarantine"):
+            raise ValueError(
+                f"on_error must be 'raise' or 'quarantine', not {self.on_error!r}"
+            )
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        # A zero deadline would make quarantine decisions depend on timing.
+        if self.timeout is not None and self.timeout <= 0:
+            raise ValueError(f"timeout must be positive or None, got {self.timeout}")
 
 
 class _NoContext:
@@ -292,30 +307,28 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 def run_jobs(
     jobs: Sequence[Any],
     worker_fn: Callable,
+    policy: JobPolicy = JobPolicy(),
     *,
-    workers: int = 1,
     context: Any = _NoContext,
     cache: Optional[ResultCache] = None,
     key_fn: Optional[Callable[[Any], str]] = None,
     encode: Callable[[Any], dict] = lambda result: result,
     decode: Callable[[dict], Any] = lambda payload: payload,
-    chunksize: Optional[int] = None,
-    on_error: str = "raise",
-    timeout: Optional[float] = None,
-    max_attempts: int = 1,
-    retry_backoff: float = 0.0,
-    isolate: bool = False,
-    fault_plan: Optional[FaultPlan] = None,
-    tracer=None,
 ) -> list[Any]:
-    """Map ``worker_fn`` over ``jobs``, fanning out across processes.
+    """Map ``worker_fn`` over ``jobs`` under ``policy``, fanning out across processes.
 
     Args:
         jobs: independent, picklable job payloads.
         worker_fn: module-level callable, invoked as ``worker_fn(job)`` or
             ``worker_fn(job, context)`` when ``context`` is given.
-        workers: pool size; ``<= 1`` (or one job) runs in-process unless
-            ``timeout``/``isolate`` demand process isolation.
+        policy: how the jobs run (:class:`JobPolicy`).  ``workers <= 1`` (or
+            one job) runs in-process unless a ``timeout`` demands process
+            isolation.  Submission is chunked by :func:`auto_chunksize`.  A
+            job's ``timeout`` is enforced at chunk granularity (a chunk's
+            deadline is ``timeout * len(chunk)``) with exact per-job
+            enforcement on singleton re-runs.  Only attributable failures
+            are charged against ``max_attempts``: a job that merely shared
+            a chunk with a hang or crash is re-run for free.
         context: shared read-only payload (e.g. a stage config) handed to
             every invocation alongside the job; when given (``None``
             included), the worker is called as ``worker_fn(job, context)``.
@@ -328,51 +341,22 @@ def run_jobs(
             can change the result -- and nothing that cannot).
         encode / decode: JSON round-trip for cached results; default
             identity (results must then already be JSON-safe).
-        chunksize: jobs per pool submission; default
-            :func:`auto_chunksize` (a few waves per worker, capped at
-            :data:`MAX_CHUNKSIZE` to keep loss attribution sharp).
-        on_error: ``"raise"`` (default: first exhausted failure aborts the
-            run, exactly as before this layer existed) or ``"quarantine"``
-            (the run completes; returns per-job
-            :class:`~repro.runtime.faults.JobOutcome` records).
-        timeout: per-job wall-clock budget in seconds.  Enforced at chunk
-            granularity (a chunk's deadline is ``timeout * len(chunk)``)
-            with exact per-job enforcement on singleton re-runs; forces the
-            pooled path so a hung worker can be killed.
-        max_attempts: executions charged to a job before it is quarantined
-            (or raised).  Only attributable failures are charged: a job
-            that merely shared a chunk with a hang or crash is re-run for
-            free.
-        retry_backoff: seconds slept before retry ``n`` (scaled by ``n``);
-            deterministic, and irrelevant to output under the purity
-            contract.
-        isolate: force the pooled path even for one worker, so a crash or
-            hang cannot take down the calling process.
-        fault_plan: optional :class:`~repro.runtime.faults.FaultPlan`
-            injecting deterministic faults into chosen jobs (tests only).
-        tracer: optional :class:`~repro.obs.trace.Tracer`; defaults to the
-            process's ambient tracer.  When tracing is enabled, every job
-            runs under a worker-side span whose buffer ships back with the
-            result, and run counters (cache traffic, retries, timeouts,
-            quarantines, pool rebuilds) land in the ambient metrics
-            registry.  Telemetry is out-of-band: it never changes results,
-            cache keys, or output bytes.
+
+    Telemetry goes to the ambient tracer and metrics registry: when tracing
+    is enabled, every job runs under a worker-side span whose buffer ships
+    back with the result, and run counters (cache traffic, retries,
+    timeouts, quarantines, pool rebuilds) land in the registry.  It never
+    changes results, cache keys, or output bytes.
 
     Returns:
         With ``on_error="raise"``: one result per job, in submission order,
         for any worker count.  With ``on_error="quarantine"``: one
         :class:`~repro.runtime.faults.JobOutcome` per job, same order.
     """
-    if on_error not in ("raise", "quarantine"):
-        raise ValueError(f"on_error must be 'raise' or 'quarantine', not {on_error!r}")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
     if cache is not None and key_fn is None:
         raise ValueError("run_jobs(cache=...) requires key_fn")
     jobs = list(jobs)
     outcomes: list[Optional[JobOutcome]] = [None] * len(jobs)
-    tracer = tracer if tracer is not None else get_tracer()
-    registry = get_registry()
 
     pending = list(range(len(jobs)))
     keys: list[Optional[str]] = [None] * len(jobs)
@@ -396,35 +380,22 @@ def run_jobs(
                 cache.put(keys[index], outcome.failure_payload())
         outcomes[index] = outcome
 
-    fail_fast = on_error == "raise"
     if pending:
-        effective = min(workers, len(pending))
-        pooled = effective > 1 or timeout is not None or isolate
-        runner = _PendingRun(
-            jobs=jobs,
-            worker_fn=worker_fn,
-            context=context,
-            fault_plan=fault_plan,
-            timeout=timeout,
-            max_attempts=max_attempts,
-            retry_backoff=retry_backoff,
-            settle=settle,
-            fail_fast=fail_fast,
-            tracer=tracer,
-            registry=registry,
-        )
-        with tracer.span(
+        effective = max(1, min(policy.workers, len(pending)))
+        pooled = effective > 1 or policy.timeout is not None
+        runner = _PendingRun(jobs, worker_fn, context, policy, settle)
+        with runner.tracer.span(
             "run_jobs",
             jobs=len(jobs),
             pending=len(pending),
-            workers=max(1, effective) if pooled else 1,
+            workers=effective if pooled else 1,
         ):
             if pooled:
-                runner.run_pooled(pending, max(1, effective), chunksize)
+                runner.run_pooled(pending, effective)
             else:
                 runner.run_serial(pending)
 
-    if on_error == "quarantine":
+    if policy.on_error == "quarantine":
         return outcomes
     for outcome in outcomes:
         if not outcome.ok:
@@ -443,22 +414,14 @@ def run_stage_jobs(
     """Run one stage's jobs under ``policy``: :func:`run_jobs` plus the skip fold.
 
     ``names[i]`` names ``jobs[i]`` in its skip record; ``options`` are the
-    remaining :func:`run_jobs` keywords (context, cache, fault plan, ...).
+    remaining :func:`run_jobs` keywords (context, cache, key_fn, ...).
 
     Returns every job's result in job order -- ``None`` for a quarantined
     job -- and one ``{"stage", "name", "phase", "exception_type",
     "message"}`` record per quarantined job, in job order.  Under
     ``on_error="raise"`` the first failure raises and the list is empty.
     """
-    outcomes = run_jobs(
-        jobs,
-        worker_fn,
-        workers=policy.workers,
-        on_error=policy.on_error,
-        timeout=policy.timeout,
-        max_attempts=policy.max_attempts,
-        **options,
-    )
+    outcomes = run_jobs(jobs, worker_fn, policy, **options)
     if policy.on_error == "raise":
         return outcomes, []
     skipped = [
@@ -477,28 +440,21 @@ class _PendingRun:
         jobs: list,
         worker_fn: Callable,
         context: Any,
-        fault_plan: Optional[FaultPlan],
-        timeout: Optional[float],
-        max_attempts: int,
-        retry_backoff: float,
+        policy: JobPolicy,
         settle: Callable[[int, JobOutcome], None],
-        fail_fast: bool,
-        tracer=None,
-        registry: Optional[MetricsRegistry] = None,
     ):
         self.jobs = jobs
         self.worker_fn = worker_fn
         self.context = context
-        self.fault_plan = fault_plan
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.retry_backoff = retry_backoff
+        self.fault_plan = policy.faults
+        self.timeout = policy.timeout
+        self.max_attempts = policy.max_attempts
         self.settle = settle
-        self.fail_fast = fail_fast
-        self.tracer = tracer if tracer is not None else get_tracer()
-        self.registry = registry if registry is not None else get_registry()
+        self.fail_fast = policy.on_error == "raise"
+        self.tracer = get_tracer()
+        self.registry = get_registry()
         #: Ship worker-side telemetry only when someone is collecting it.
-        self.telemetry = bool(getattr(self.tracer, "enabled", False))
+        self.telemetry = self.tracer.enabled
         self.attempts: dict[int, int] = {}
         #: Jobs implicated in a pool loss or awaiting a retry: re-run as
         #: singleton chunks, one at a time, so failures are attributable.
@@ -536,8 +492,6 @@ class _PendingRun:
         charged = self._charged(index)
         if charged < self.max_attempts:
             self.registry.inc("runtime.retries")
-            if self.retry_backoff > 0:
-                time.sleep(self.retry_backoff * charged)
             return True
         self.registry.inc(labeled("runtime.failure", failure.phase))
         if not self.fail_fast:
@@ -599,9 +553,8 @@ class _PendingRun:
     # pooled path
     # ------------------------------------------------------------------ #
 
-    def run_pooled(self, pending: Sequence[int], workers: int, chunksize: Optional[int]) -> None:
-        if chunksize is None:
-            chunksize = auto_chunksize(len(pending), workers)
+    def run_pooled(self, pending: Sequence[int], workers: int) -> None:
+        chunksize = auto_chunksize(len(pending), workers)
         queue: deque[tuple[int, ...]] = deque(
             tuple(pending[start:start + chunksize])
             for start in range(0, len(pending), chunksize)

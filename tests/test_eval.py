@@ -163,7 +163,8 @@ def test_settling_comb_loop_candidate_simulates_to_pass():
 def test_zero_verification_seeds_are_refused(datasets):
     """Judging a source on no stimulus would pass it vacuously, so an empty
     seed tuple, ``EvalConfig(verification_seeds=0)`` and
-    ``--verification-seeds 0`` are refused instead of scored."""
+    ``--verification-seeds 0`` are refused instead of scored.  So is a
+    pass@0, which would verify one candidate and always report 0."""
     from repro.eval.__main__ import build_parser
 
     entry = datasets.sva_eval_machine[0]
@@ -177,6 +178,13 @@ def test_zero_verification_seeds_are_refused(datasets):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--verification-seeds", "0"])
     assert build_parser().parse_args(["--verification-seeds", "1"]).verification_seeds == 1
+    with pytest.raises(ValueError, match="ks"):
+        eval_config(ks=(0,))
+    with pytest.raises(ValueError, match="ks"):
+        eval_config(ks=(1, 0))
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--ks", "1", "0"])
+    assert build_parser().parse_args(["--ks", "1", "3"]).ks == [1, 3]
 
 
 def test_verdict_cache_round_trip(tmp_path):
@@ -298,7 +306,7 @@ def test_propose_topk_is_distinct_ranked_and_deterministic(datasets, sft_model):
 
     case = RepairCase.from_entry(datasets.sva_eval_machine[0])
     first = sft_model.propose_topk(case, k=5)
-    second = sft_model.propose_topk(case, k=5, seed=12345)  # seed must not matter
+    second = sft_model.propose_topk(case, k=5)
     assert [(r.line_number, r.fixed_line) for r in first] == [
         (r.line_number, r.fixed_line) for r in second
     ]
@@ -363,6 +371,9 @@ class ScriptedEngine(RepairEngine):
 
     def propose(self, case, samples=20, temperature=0.2, seed=0):
         return list(self._responses)
+
+    def propose_topk(self, case, k=5, temperature=0.2):
+        return list(self._responses[:k])
 
 
 def test_semantic_correctness_accepts_equivalent_rewrites():

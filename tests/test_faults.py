@@ -96,9 +96,7 @@ def assert_unaffected_jobs_match(outcomes, clean, faulted: set[str]):
 @pytest.mark.parametrize("workers", [1, 4])
 def test_quarantine_isolates_a_raised_exception(tmp_path, workers):
     plan = FaultPlan(tmp_path / "plan").inject("job_3", FAULT_RAISE)
-    outcomes = run_jobs(
-        JOBS, stamp, workers=workers, on_error="quarantine", fault_plan=plan
-    )
+    outcomes = run_jobs(JOBS, stamp, replace(QUARANTINE, workers=workers, faults=plan))
     assert_unaffected_jobs_match(outcomes, run_jobs(JOBS, stamp), {"job_3"})
     failure = outcomes[3].failure
     assert failure.phase == PHASE_WORKER
@@ -115,15 +113,11 @@ def test_quarantine_isolates_a_raised_exception(tmp_path, workers):
 
 @pytest.mark.parametrize("workers,isolate", [(1, True), (3, False)])
 def test_quarantine_survives_a_worker_crash(tmp_path, workers, isolate):
+    """A ``timeout`` puts even one worker in a pool, so its crash is contained."""
     plan = FaultPlan(tmp_path / "plan").inject("job_2", FAULT_CRASH)
-    outcomes = run_jobs(
-        JOBS,
-        stamp,
-        workers=workers,
-        isolate=isolate,
-        on_error="quarantine",
-        fault_plan=plan,
-    )
+    timeout = 60.0 if isolate else None
+    policy = replace(QUARANTINE, workers=workers, timeout=timeout, faults=plan)
+    outcomes = run_jobs(JOBS, stamp, policy)
     assert_unaffected_jobs_match(outcomes, run_jobs(JOBS, stamp), {"job_2"})
     assert outcomes[2].failure.phase == PHASE_WORKER_DEATH
     assert outcomes[2].failure.exception_type == "WorkerCrashError"
@@ -137,14 +131,8 @@ def test_quarantine_survives_a_worker_crash(tmp_path, workers, isolate):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_quarantine_reaps_a_hung_job(tmp_path, workers):
     plan = FaultPlan(tmp_path / "plan").inject("job_5", FAULT_HANG, hang_seconds=60.0)
-    outcomes = run_jobs(
-        JOBS,
-        stamp,
-        workers=workers,
-        on_error="quarantine",
-        timeout=0.5,
-        fault_plan=plan,
-    )
+    policy = replace(QUARANTINE, workers=workers, timeout=0.5, faults=plan)
+    outcomes = run_jobs(JOBS, stamp, policy)
     assert_unaffected_jobs_match(outcomes, run_jobs(JOBS, stamp), {"job_5"})
     assert outcomes[5].failure.phase == PHASE_TIMEOUT
     assert outcomes[5].failure.exception_type == "JobTimeoutError"
@@ -157,9 +145,7 @@ def test_quarantine_reaps_a_hung_job(tmp_path, workers):
 
 def test_flaky_raise_retries_to_an_identical_success(tmp_path):
     plan = FaultPlan(tmp_path / "plan").inject("job_1", FAULT_RAISE, times=2)
-    outcomes = run_jobs(
-        JOBS, stamp, on_error="quarantine", max_attempts=3, fault_plan=plan
-    )
+    outcomes = run_jobs(JOBS, stamp, replace(QUARANTINE, max_attempts=3, faults=plan))
     assert all(outcome.ok for outcome in outcomes)
     # Retries never change a successful result's value.
     assert [outcome.result for outcome in outcomes] == run_jobs(JOBS, stamp)
@@ -169,21 +155,19 @@ def test_flaky_raise_retries_to_an_identical_success(tmp_path):
 
 def test_flaky_raise_recovers_in_raise_mode_too(tmp_path):
     plan = FaultPlan(tmp_path / "plan").inject("job_1", FAULT_RAISE, times=1)
-    results = run_jobs(JOBS, stamp, max_attempts=2, fault_plan=plan)
+    results = run_jobs(JOBS, stamp, JobPolicy(max_attempts=2, faults=plan))
     assert results == run_jobs(JOBS, stamp)
 
 
 def test_crash_then_succeed_recovers_across_a_pool_rebuild(tmp_path):
     plan = FaultPlan(tmp_path / "plan").inject("job_0", FAULT_CRASH, times=1)
-    results = run_jobs(JOBS, stamp, workers=2, max_attempts=2, fault_plan=plan)
+    results = run_jobs(JOBS, stamp, JobPolicy(workers=2, max_attempts=2, faults=plan))
     assert results == run_jobs(JOBS, stamp)
 
 
 def test_exhausted_retries_still_quarantine(tmp_path):
     plan = FaultPlan(tmp_path / "plan").inject("job_4", FAULT_RAISE)  # every invocation
-    outcomes = run_jobs(
-        JOBS, stamp, on_error="quarantine", max_attempts=3, fault_plan=plan
-    )
+    outcomes = run_jobs(JOBS, stamp, replace(QUARANTINE, max_attempts=3, faults=plan))
     assert not outcomes[4].ok and outcomes[4].attempts == 3
 
 
@@ -195,22 +179,22 @@ def test_exhausted_retries_still_quarantine(tmp_path):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_raise_mode_propagates_the_original_exception(workers):
     with pytest.raises(ValueError, match="boom job_2"):
-        run_jobs(JOBS, raise_on_job_2, workers=workers)
+        run_jobs(JOBS, raise_on_job_2, JobPolicy(workers=workers))
 
 
 def test_raise_mode_propagates_injected_faults(tmp_path):
     plan = FaultPlan(tmp_path / "plan").inject("job_0", FAULT_RAISE)
     with pytest.raises(InjectedFault):
-        run_jobs(JOBS[:2], stamp, fault_plan=plan)
+        run_jobs(JOBS[:2], stamp, JobPolicy(faults=plan))
 
 
 def test_raise_mode_surfaces_timeouts_and_crashes_as_typed_errors(tmp_path):
     hang = FaultPlan(tmp_path / "hang").inject("job_0", FAULT_HANG, hang_seconds=60.0)
     with pytest.raises(JobTimeoutError):
-        run_jobs(JOBS[:2], stamp, timeout=0.4, fault_plan=hang)
+        run_jobs(JOBS[:2], stamp, JobPolicy(timeout=0.4, faults=hang))
     crash = FaultPlan(tmp_path / "crash").inject("job_0", FAULT_CRASH)
     with pytest.raises(WorkerCrashError):
-        run_jobs(JOBS[:2], stamp, isolate=True, fault_plan=crash)
+        run_jobs(JOBS[:2], stamp, JobPolicy(timeout=60.0, faults=crash))
 
 
 # ---------------------------------------------------------------------- #
@@ -225,9 +209,10 @@ def test_quarantine_decisions_are_cached_through(tmp_path):
     key_fn = lambda job: content_key("faults/v1", job)  # noqa: E731
     plan = FaultPlan(tmp_path / "plan").inject("job_3", FAULT_RAISE)
 
+    policy = replace(QUARANTINE, faults=plan)
     cold = run_jobs(
-        JOBS, record_and_stamp, context=context, cache=ResultCache(tmp_path / "cache"),
-        key_fn=key_fn, on_error="quarantine", fault_plan=plan,
+        JOBS, record_and_stamp, policy, context=context,
+        cache=ResultCache(tmp_path / "cache"), key_fn=key_fn,
     )
     assert not cold[3].ok and sum(outcome.ok for outcome in cold) == len(JOBS) - 1
 
@@ -235,8 +220,7 @@ def test_quarantine_decisions_are_cached_through(tmp_path):
         marker.unlink()
     warm_cache = ResultCache(tmp_path / "cache")
     warm = run_jobs(
-        JOBS, record_and_stamp, context=context, cache=warm_cache,
-        key_fn=key_fn, on_error="quarantine", fault_plan=plan,
+        JOBS, record_and_stamp, policy, context=context, cache=warm_cache, key_fn=key_fn
     )
     # Same outcomes (including the quarantine), with zero re-execution.
     assert warm == cold
@@ -318,7 +302,7 @@ def test_corpus_generator_quarantines_failed_builds(tmp_path):
         victim, FAULT_RAISE
     )
     corpus = CorpusGenerator(
-        CorpusConfig(design_count=6), QUARANTINE, fault_plan=plan
+        CorpusConfig(design_count=6), replace(QUARANTINE, faults=plan)
     ).generate()
     assert [s.name for s in corpus.samples] == [
         s.name for s in clean.samples if s.name != victim
@@ -340,7 +324,7 @@ def test_stage2_runner_quarantines_failed_samples(tmp_path):
     victim = compiled[0].name
     plan = FaultPlan(tmp_path / "plan").inject(victim, FAULT_RAISE)
     config = Stage2Config(random_cycles=16, max_bugs_per_design=2)
-    faulted = Stage2Runner(config, QUARANTINE, fault_plan=plan).run(compiled)
+    faulted = Stage2Runner(config, replace(QUARANTINE, faults=plan)).run(compiled)
     clean = Stage2Runner(config, QUARANTINE).run(compiled)
 
     (record,) = faulted.skipped
@@ -368,8 +352,8 @@ def test_pipeline_surfaces_quarantined_jobs_in_statistics(tmp_path, stage):
     }
     name, key = victims[stage]
     plan = FaultPlan(tmp_path / "plan", key_fn=stage_job_key).inject(key, FAULT_RAISE)
-    config = replace(config, job_policy=QUARANTINE)
-    datasets = DataAugmentationPipeline(config, fault_plan=plan).run()
+    config = replace(config, job_policy=replace(QUARANTINE, faults=plan))
+    datasets = DataAugmentationPipeline(config).run()
 
     (record,) = datasets.statistics.skipped_jobs
     assert record["stage"] == stage and record["name"] == name
@@ -411,7 +395,7 @@ def test_verification_quarantine_yields_infra_error_verdicts(tmp_path):
         for name in ("case_a", "case_b")
     ]
     plan = FaultPlan(tmp_path / "plan").inject("case_a", FAULT_RAISE)
-    shards = run_verification_jobs(jobs, QUARANTINE, fault_plan=plan)
+    shards = run_verification_jobs(jobs, replace(QUARANTINE, faults=plan))
     clean = run_verification_jobs(jobs[1:])
 
     assert [v.status for v in shards[0].verdicts] == ["infra_error", "infra_error"]

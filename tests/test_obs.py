@@ -38,6 +38,7 @@ from repro.runtime import (
     FAULT_HANG,
     FAULT_RAISE,
     FaultPlan,
+    JobPolicy,
     ResultCache,
     content_key,
     run_jobs,
@@ -203,8 +204,9 @@ def test_phase_records_span_and_duration_histogram():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_worker_spans_ship_back_through_run_jobs(workers):
     tracer = Tracer()
+    set_tracer(tracer)
     with scoped_registry():
-        results = run_jobs(list(range(6)), tag_and_double, workers=workers, tracer=tracer)
+        results = run_jobs(list(range(6)), tag_and_double, JobPolicy(workers=workers))
     assert results == [0, 2, 4, 6, 8, 10]
 
     run_span = next(span for span in tracer.spans if span.name == "run_jobs")
@@ -231,7 +233,7 @@ def test_retry_and_quarantine_counters_match_the_fault_plan(tmp_path):
     )
     with scoped_registry() as registry:
         outcomes = run_jobs(
-            jobs, stamp, on_error="quarantine", max_attempts=3, fault_plan=plan
+            jobs, stamp, JobPolicy(on_error="quarantine", max_attempts=3, faults=plan)
         )
     assert outcomes[1].ok and outcomes[1].attempts == 3
     assert not outcomes[4].ok and outcomes[4].attempts == 3
@@ -246,7 +248,7 @@ def test_timeout_counter_matches_the_fault_plan(tmp_path):
     plan = FaultPlan(tmp_path / "plan").inject("job_2", FAULT_HANG, hang_seconds=60.0)
     with scoped_registry() as registry:
         outcomes = run_jobs(
-            jobs, stamp, on_error="quarantine", timeout=0.5, fault_plan=plan
+            jobs, stamp, JobPolicy(on_error="quarantine", timeout=0.5, faults=plan)
         )
     assert not outcomes[2].ok and outcomes[2].failure.exception_type == "JobTimeoutError"
     assert registry.counter("runtime.timeouts") == 1
@@ -306,12 +308,63 @@ def test_eval_report_identical_traced_or_untraced(tmp_path, monkeypatch):
     assert {"eval", "verify.compile"} <= {s.name for s in read_trace(env_trace).spans}
 
 
+def _within(inner, outer) -> bool:
+    return (
+        outer.start_s - 1e-6 <= inner.start_s
+        and inner.start_s + inner.duration_s <= outer.start_s + outer.duration_s + 1e-6
+    )
+
+
+def test_eval_cli_writes_one_trace_file(tmp_path, monkeypatch):
+    """The CLI's ``--trace`` owns the run's one tracer: the pipeline and the
+    harness join it under their own roots, and neither resolves
+    ``REPRO_TRACE`` into a second file."""
+    from repro.eval.__main__ import main as eval_main
+
+    flag_trace, env_trace = tmp_path / "flag.jsonl", tmp_path / "env.jsonl"
+    monkeypatch.setenv("REPRO_TRACE", str(env_trace))
+    code = eval_main([
+        "--trace", str(flag_trace), "--stage", "base", "--verification-seeds", "1",
+        "--workers", "1", "--output-dir", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    assert not env_trace.exists()
+    data = read_trace(flag_trace)
+    assert data.meta["kind"] == "eval_cli"
+    roots = {name: [span for span in data.spans if span.name == name]
+             for name in ("eval_cli", "pipeline", "eval")}
+    assert {name: len(spans) for name, spans in roots.items()} == {
+        "eval_cli": 1, "pipeline": 1, "eval": 1,
+    }
+    (cli,) = roots["eval_cli"]
+    assert _within(roots["pipeline"][0], cli) and _within(roots["eval"][0], cli)
+
+
+def test_traced_component_joins_an_enabled_ambient_tracer(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    own_trace = tmp_path / "own.jsonl"
+    tracer = Tracer()
+    set_tracer(tracer)
+    with tracer.span("outer"):
+        DataAugmentationPipeline(
+            replace(PipelineConfig.small(seed=31), trace_path=str(own_trace))
+        ).run()
+    assert not own_trace.exists()
+    assert get_tracer() is tracer
+    spans = {span.name: span for span in tracer.spans}
+    assert {"pipeline", "pipeline.stage2", "run_jobs", "job"} <= set(spans)
+    assert _within(spans["pipeline"], spans["outer"])
+
+
 class _RaisingEngine(RepairEngine):
     """An engine whose proposal step fails mid-run."""
 
     name = "raising"
 
     def propose(self, case, samples=20, temperature=0.2, seed=0):
+        raise RuntimeError("propose failed")
+
+    def propose_topk(self, case, k=5, temperature=0.2):
         raise RuntimeError("propose failed")
 
 
@@ -323,8 +376,9 @@ def test_eval_propose_span_closes_when_the_engine_raises():
         edit_kind="op", is_conditional=False, is_direct=True,
     )
     tracer = Tracer()
+    set_tracer(tracer)
     with pytest.raises(RuntimeError, match="propose failed"):
-        EvalHarness(EvalConfig(), tracer=tracer).run(_RaisingEngine(), [entry])
+        EvalHarness(EvalConfig()).run(_RaisingEngine(), [entry])
     assert {"eval", "eval.propose"} <= {span.name for span in tracer.spans}
     assert tracer._stack == []
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.runtime import (
     DEFAULT_WORKER_CAP,
+    JobPolicy,
     ResultCache,
     content_key,
     default_workers,
@@ -49,24 +50,39 @@ def record_call(job, context):
 
 def test_run_jobs_preserves_submission_order():
     jobs = list(range(20))
-    assert run_jobs(jobs, square, workers=1) == [j * j for j in jobs]
-    assert run_jobs(jobs, square, workers=4) == [j * j for j in jobs]
+    assert run_jobs(jobs, square, JobPolicy(workers=1)) == [j * j for j in jobs]
+    assert run_jobs(jobs, square, JobPolicy(workers=4)) == [j * j for j in jobs]
 
 
 def test_run_jobs_is_worker_count_invariant_with_derived_seeds():
     jobs = [f"design_{i:03d}" for i in range(12)]
     context = {"seed": 99}
-    serial = run_jobs(jobs, seeded_draw, workers=1, context=context)
-    fanned = run_jobs(jobs, seeded_draw, workers=3, context=context)
+    serial = run_jobs(jobs, seeded_draw, JobPolicy(workers=1), context=context)
+    fanned = run_jobs(jobs, seeded_draw, JobPolicy(workers=3), context=context)
     assert serial == fanned
     # ...and independent of job order (modulo the reordering itself).
-    reversed_out = run_jobs(list(reversed(jobs)), seeded_draw, workers=2, context=context)
+    reversed_out = run_jobs(
+        list(reversed(jobs)), seeded_draw, JobPolicy(workers=2), context=context
+    )
     assert reversed_out == list(reversed(serial))
 
 
 def test_run_jobs_handles_empty_and_single_job_lists():
-    assert run_jobs([], square, workers=4) == []
-    assert run_jobs([7], square, workers=4) == [49]
+    assert run_jobs([], square, JobPolicy(workers=4)) == []
+    assert run_jobs([7], square, JobPolicy(workers=4)) == [49]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"on_error": "skip"}, {"max_attempts": 0}, {"timeout": 0}, {"timeout": -1.0}],
+    ids=["on_error", "max_attempts", "zero_timeout", "negative_timeout"],
+)
+def test_job_policy_refuses_invalid_values_when_built(fields):
+    """A bad policy fails where it is written, not when its first job runs
+    (under ``EvalConfig.job_policy`` that is after every case is proposed);
+    a zero timeout would make quarantine decisions race the clock."""
+    with pytest.raises(ValueError):
+        JobPolicy(**fields)
 
 
 def test_derive_seed_matches_the_stage2_formula():
@@ -100,7 +116,7 @@ def test_run_jobs_cache_serves_warm_runs_without_recomputing(tmp_path):
     key_fn = lambda job: content_key("test/v1", job)  # noqa: E731
 
     cold_cache = ResultCache(tmp_path / "cache")
-    cold = run_jobs(jobs, record_call, workers=2, context=context,
+    cold = run_jobs(jobs, record_call, JobPolicy(workers=2), context=context,
                     cache=cold_cache, key_fn=key_fn)
     assert cold == [{"job": job} for job in jobs]
     assert len(list(Path(context["dir"]).glob("*.ran"))) == 6
@@ -109,7 +125,7 @@ def test_run_jobs_cache_serves_warm_runs_without_recomputing(tmp_path):
     for marker in Path(context["dir"]).glob("*.ran"):
         marker.unlink()
     warm_cache = ResultCache(tmp_path / "cache")
-    warm = run_jobs(jobs, record_call, workers=2, context=context,
+    warm = run_jobs(jobs, record_call, JobPolicy(workers=2), context=context,
                     cache=warm_cache, key_fn=key_fn)
     assert warm == cold
     assert warm_cache.hits == 6 and warm_cache.misses == 0
