@@ -18,7 +18,7 @@ from repro.hdl.errors import (
     Diagnostic,
     Severity,
 )
-from repro.hdl.lexer import Lexer, Token, TokenKind, tokenize
+from repro.hdl.lexer import Token, TokenKind, tokenize
 from repro.hdl.parser import Parser, parse_source
 from repro.hdl.elaborate import ElaboratedDesign, Elaborator, elaborate
 from repro.hdl.lint import CompileResult, compile_source, lint_design
@@ -32,7 +32,6 @@ __all__ = [
     "LintError",
     "Diagnostic",
     "Severity",
-    "Lexer",
     "Token",
     "TokenKind",
     "tokenize",

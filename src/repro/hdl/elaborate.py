@@ -92,7 +92,15 @@ class ProceduralBlock:
 
 @dataclass
 class ElaboratedDesign:
-    """A flat, simulatable representation of one top-level module."""
+    """A flat, simulatable representation of one top-level module.
+
+    The design shares AST nodes with the parsed :class:`~repro.hdl.ast.SourceUnit`
+    it came from: top-level statements, expressions and properties are not
+    copied (only the items of an instance are, to prefix their names).  So
+    the AST is read-only after parsing: nothing may write a node reachable
+    from a unit or a design, and two elaborations of one parse have equal
+    fingerprints (:func:`repro.artifacts.canon.design_fingerprint`).
+    """
 
     name: str
     signals: dict[str, Signal] = field(default_factory=dict)
@@ -403,7 +411,7 @@ class Elaborator:
                 else:
                     design.comb_blocks.append(block)
             elif isinstance(item, ast.InitialBlock):
-                body = _prefix_statement(copy.deepcopy(item.body), prefix)
+                body = _prefix_statement(item.body, prefix)
                 design.initial_blocks.append(ast.InitialBlock(body=body, line=item.line))
             elif isinstance(item, ast.Instantiation):
                 self._flatten_instance(item, design, prefix, depth)
@@ -417,8 +425,7 @@ class Elaborator:
     def _elaborate_always(
         self, block: ast.AlwaysBlock, design: ElaboratedDesign, prefix: str
     ) -> ProceduralBlock:
-        body = copy.deepcopy(block.body)
-        body = _unroll_statement(body, design.parameters)
+        body = _unroll_statement(block.body, design.parameters)
         body = _prefix_statement(body, prefix)
         sensitivity = [
             ast.SensitivityItem(edge=item.edge, signal=prefix + item.signal)
@@ -532,8 +539,14 @@ def _prefix_expression(expr: ast.Expression, prefix: str) -> ast.Expression:
 
 
 def _prefix_statement(statement: ast.Statement, prefix: str) -> ast.Statement:
+    """A copy of ``statement`` with every identifier prefixed.
+
+    Without a prefix (a top-level item) the statement itself is returned,
+    shared with the parse: the AST is read-only after parsing.
+    """
     if not prefix:
         return statement
+    statement = copy.deepcopy(statement)
     for node in statement.walk():
         if isinstance(node, ast.Assign):
             node.target = _prefix_expression(node.target, prefix)

@@ -1,14 +1,27 @@
-"""Tokenizer for the Verilog-2001 / SVA subset used throughout the project.
+r"""Tokenizer for the Verilog-2001 / SVA subset used throughout the project.
 
 The lexer is deliberately strict: anything outside the supported subset is
 reported as a :class:`~repro.hdl.errors.LexError` with a line/column, which
 is exactly what the data-augmentation pipeline needs from its "compiler"
 stage (accept/reject plus a diagnostic).
+
+:func:`tokenize` is one loop over a compiled alternation (``_MASTER``) whose
+branches each match a whole token.  Every branch is maximal munch without
+backtracking: a branch either ends in a class that cannot stop early
+(``[\w$]*``, where ``\w`` is exactly ``str.isalnum() or "_"``) or in a
+lookahead that rejects any character that could extend the token.  The rare
+constructs -- block comments, strings with escapes, escaped identifiers,
+tokens that start with or are cut by a non-ASCII character, and every
+:class:`LexError` -- fall through to the one character-level branch,
+:func:`_lex_slow`.  ``tests/test_lexer_differential.py`` keeps the previous
+character-at-a-time lexer as the oracle this one must match token for token.
 """
 
 from __future__ import annotations
 
 import enum
+import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.hdl.errors import LexError
@@ -107,9 +120,12 @@ _SINGLE_CHAR_OPERATORS: frozenset[str] = frozenset("+-*/%&|^~!<>=?:#")
 _PUNCTUATION: frozenset[str] = frozenset("()[]{},;.@'")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
-    """A single lexical token with its source position (1-based)."""
+    """A single lexical token with its source position (1-based).
+
+    Slotted and never mutated after lexing; nothing hashes a token.
+    """
 
     kind: TokenKind
     value: str
@@ -129,187 +145,187 @@ class Token:
         return f"Token({self.kind.value}, {self.value!r}, {self.line}:{self.column})"
 
 
-class Lexer:
-    """Converts Verilog source text into a list of :class:`Token` objects."""
+def _char_class(chars: frozenset[str]) -> str:
+    return "[" + "".join(re.escape(ch) for ch in sorted(chars)) + "]"
 
-    def __init__(self, text: str):
-        self._text = text
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-        self._tokens: list[Token] = []
 
-    def tokenize(self) -> list[Token]:
-        """Tokenize the whole input, raising :class:`LexError` on bad input."""
-        while self._pos < len(self._text):
-            ch = self._text[self._pos]
-            if ch in " \t\r":
-                self._advance(1)
-            elif ch == "\n":
-                self._advance_newline()
-            elif ch == "/" and self._peek(1) == "/":
-                self._skip_line_comment()
-            elif ch == "/" and self._peek(1) == "*":
-                self._skip_block_comment()
-            elif ch == "`":
-                self._skip_directive()
-            elif ch == '"':
-                self._lex_string()
-            elif ch == "$":
-                self._lex_system_ident()
-            elif ch.isdigit() or (ch == "'" and self._peek(1) in "bBdDhHoO"):
-                self._lex_number()
-            elif ch.isalpha() or ch == "_" or ch == "\\":
-                self._lex_identifier()
-            else:
-                self._lex_operator_or_punct()
-        self._tokens.append(Token(TokenKind.EOF, "", self._line, self._column))
-        return self._tokens
+#: Capture-group numbers of the ``_MASTER`` branches, in pattern order.
+(_IDENT, _PUNCT, _NEWLINE, _OPERATOR, _NUMBER, _SKIP, _SYSTEM, _STRING, _END, _SLOW) = range(1, 11)
 
-    # ------------------------------------------------------------------ #
-    # low-level cursor helpers
-    # ------------------------------------------------------------------ #
+_BASES = "bBdDhHoO"
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < len(self._text):
-            return self._text[index]
-        return ""
+_PUNCT_CLASS = _char_class(_PUNCTUATION - {"'"})
+_OPERATOR_ALTERNATION = "|".join(re.escape(op) for op in _MULTI_CHAR_OPERATORS)
+_SINGLE_OPERATOR_CLASS = _char_class(_SINGLE_CHAR_OPERATORS - {"/"})
 
-    def _advance(self, count: int) -> None:
-        self._pos += count
-        self._column += count
+_MASTER: re.Pattern[str] = re.compile(
+    r"[ \t\r]*(?:"
+    # Identifier or keyword.
+    r"([A-Za-z_][\w$]*)"
+    # Punctuation.  A "'" before a base letter (or at the end) starts a number.
+    rf"|({_PUNCT_CLASS}|'(?=[^{_BASES}]))"
+    r"|(\n)"
+    # Operators, longest first; "/" only when it starts no comment.
+    rf"|({_OPERATOR_ALTERNATION}|{_SINGLE_OPERATOR_CLASS}|/(?![/*]))"
+    # Sized or plain decimal number (a following "'" must start a valid base
+    # and digits; a non-ASCII character may be a digit), or an unsized one.
+    rf"|([0-9][0-9_]*(?:'[sS]?[{_BASES}][\w?]+|(?![0-9_']|[^\x00-\x7f]))|'[{_BASES}][\w?]+)"
+    # Line comment or compiler directive (`timescale, `define ...).
+    r"|(//[^\n]*|`[^\n]*)"
+    r"|(\$\w+)"
+    # String without escapes; the group is its value.
+    r'|"([^"\\\n]*)"'
+    r"|(\Z)"
+    # Anything else: one character for _lex_slow.
+    r"|(.))",
+    re.DOTALL,
+)
 
-    def _advance_newline(self) -> None:
-        self._pos += 1
-        self._line += 1
-        self._column = 1
-
-    def _emit(self, kind: TokenKind, value: str, line: int, column: int) -> None:
-        self._tokens.append(Token(kind, value, line, column))
-
-    # ------------------------------------------------------------------ #
-    # token scanners
-    # ------------------------------------------------------------------ #
-
-    def _skip_line_comment(self) -> None:
-        while self._pos < len(self._text) and self._text[self._pos] != "\n":
-            self._pos += 1
-            self._column += 1
-
-    def _skip_block_comment(self) -> None:
-        start_line, start_col = self._line, self._column
-        self._advance(2)
-        while self._pos < len(self._text):
-            if self._text[self._pos] == "*" and self._peek(1) == "/":
-                self._advance(2)
-                return
-            if self._text[self._pos] == "\n":
-                self._advance_newline()
-            else:
-                self._advance(1)
-        raise LexError("unterminated block comment", start_line, start_col, "unterminated-comment")
-
-    def _skip_directive(self) -> None:
-        """Skip a compiler directive (`timescale, `define ...) to end of line."""
-        while self._pos < len(self._text) and self._text[self._pos] != "\n":
-            self._pos += 1
-            self._column += 1
-
-    def _lex_string(self) -> None:
-        start_line, start_col = self._line, self._column
-        self._advance(1)
-        chars: list[str] = []
-        while True:
-            if self._pos >= len(self._text):
-                raise LexError("unterminated string literal", start_line, start_col, "unterminated-string")
-            ch = self._text[self._pos]
-            if ch == '"':
-                self._advance(1)
-                break
-            if ch == "\n":
-                raise LexError("newline in string literal", start_line, start_col, "newline-in-string")
-            if ch == "\\":
-                nxt = self._peek(1)
-                chars.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(nxt, nxt))
-                self._advance(2)
-                continue
-            chars.append(ch)
-            self._advance(1)
-        self._emit(TokenKind.STRING, "".join(chars), start_line, start_col)
-
-    def _lex_system_ident(self) -> None:
-        start_line, start_col = self._line, self._column
-        start = self._pos
-        self._advance(1)
-        while self._pos < len(self._text) and (self._text[self._pos].isalnum() or self._text[self._pos] == "_"):
-            self._advance(1)
-        value = self._text[start : self._pos]
-        if value == "$":
-            raise LexError("stray '$' in source", start_line, start_col, "stray-dollar")
-        self._emit(TokenKind.SYSTEM_IDENT, value, start_line, start_col)
-
-    def _lex_number(self) -> None:
-        start_line, start_col = self._line, self._column
-        start = self._pos
-        # Optional decimal size prefix.
-        while self._pos < len(self._text) and (self._text[self._pos].isdigit() or self._text[self._pos] == "_"):
-            self._advance(1)
-        if self._pos < len(self._text) and self._text[self._pos] == "'":
-            self._advance(1)
-            if self._pos < len(self._text) and self._text[self._pos] in "sS":
-                self._advance(1)
-            if self._pos >= len(self._text) or self._text[self._pos] not in "bBdDhHoO":
-                raise LexError("malformed based literal", start_line, start_col, "bad-literal")
-            self._advance(1)
-            digits_start = self._pos
-            while self._pos < len(self._text) and (
-                self._text[self._pos].isalnum() or self._text[self._pos] in "_?xXzZ"
-            ):
-                self._advance(1)
-            if self._pos == digits_start:
-                raise LexError("based literal missing digits", start_line, start_col, "bad-literal")
-        value = self._text[start : self._pos]
-        self._emit(TokenKind.NUMBER, value, start_line, start_col)
-
-    def _lex_identifier(self) -> None:
-        start_line, start_col = self._line, self._column
-        start = self._pos
-        if self._text[self._pos] == "\\":
-            # Escaped identifier: terminated by whitespace.
-            self._advance(1)
-            while self._pos < len(self._text) and not self._text[self._pos].isspace():
-                self._advance(1)
-            value = self._text[start + 1 : self._pos]
-            self._emit(TokenKind.IDENT, value, start_line, start_col)
-            return
-        while self._pos < len(self._text) and (
-            self._text[self._pos].isalnum() or self._text[self._pos] in "_$"
-        ):
-            self._advance(1)
-        value = self._text[start : self._pos]
-        kind = TokenKind.KEYWORD if value in KEYWORDS else TokenKind.IDENT
-        self._emit(kind, value, start_line, start_col)
-
-    def _lex_operator_or_punct(self) -> None:
-        start_line, start_col = self._line, self._column
-        for op in _MULTI_CHAR_OPERATORS:
-            if self._text.startswith(op, self._pos):
-                self._advance(len(op))
-                self._emit(TokenKind.OPERATOR, op, start_line, start_col)
-                return
-        ch = self._text[self._pos]
-        if ch in _SINGLE_CHAR_OPERATORS:
-            self._advance(1)
-            self._emit(TokenKind.OPERATOR, ch, start_line, start_col)
-            return
-        if ch in _PUNCTUATION:
-            self._advance(1)
-            self._emit(TokenKind.PUNCT, ch, start_line, start_col)
-            return
-        raise LexError(f"unexpected character {ch!r}", start_line, start_col, "unexpected-character")
+#: Character runs for the slow branch; each also matches the empty string.
+_IDENT_TAIL: re.Pattern[str] = re.compile(r"[\w$]*")
+_BASED_DIGITS: re.Pattern[str] = re.compile(r"[\w?]*")
+_NON_SPACE: re.Pattern[str] = re.compile(r"\S*")
+_ESCAPES: dict[str, str] = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
 def tokenize(text: str) -> list[Token]:
-    """Tokenize ``text`` and return the token list (including the EOF token)."""
-    return Lexer(text).tokenize()
+    """Tokenize ``text`` and return the token list (including the EOF token).
+
+    Raises :class:`LexError` on input outside the supported subset.
+    """
+    tokens: list[Token] = []
+    append = tokens.append
+    keyword, ident, punct = TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.PUNCT
+    operator, number, system, string = (
+        TokenKind.OPERATOR, TokenKind.NUMBER, TokenKind.SYSTEM_IDENT, TokenKind.STRING
+    )
+    line = 1
+    line_start = 0  # offset of the current line's first character
+    pos = 0
+    while True:
+        for match in _MASTER.finditer(text, pos):
+            branch = match.lastindex
+            if branch == _IDENT:
+                value = match.group(_IDENT)
+                kind = keyword if value in KEYWORDS else ident
+                append(Token(kind, value, line, match.start(_IDENT) - line_start + 1))
+            elif branch == _PUNCT:
+                append(Token(punct, match.group(_PUNCT), line, match.start(_PUNCT) - line_start + 1))
+            elif branch == _NEWLINE:
+                line += 1
+                line_start = match.end()
+            elif branch == _OPERATOR:
+                column = match.start(_OPERATOR) - line_start + 1
+                append(Token(operator, match.group(_OPERATOR), line, column))
+            elif branch == _NUMBER:
+                column = match.start(_NUMBER) - line_start + 1
+                append(Token(number, match.group(_NUMBER), line, column))
+            elif branch == _SYSTEM:
+                column = match.start(_SYSTEM) - line_start + 1
+                append(Token(system, match.group(_SYSTEM), line, column))
+            elif branch == _STRING:
+                # The column is the opening quote's, one before the group.
+                column = match.start(_STRING) - line_start
+                append(Token(string, match.group(_STRING), line, column))
+            elif branch == _SLOW:
+                pos = match.start(_SLOW)
+                break
+            # _SKIP and _END emit nothing.
+        else:
+            break
+        pos, line, line_start = _lex_slow(text, pos, line, line_start, append)
+    append(Token(TokenKind.EOF, "", line, len(text) - line_start + 1))
+    return tokens
+
+
+def _lex_slow(
+    text: str, pos: int, line: int, line_start: int, append: Callable[[Token], None]
+) -> tuple[int, int, int]:
+    """Lex the one construct at ``pos`` that no fast branch took.
+
+    Appends its token, if any, and returns the new ``(pos, line, line_start)``.
+    """
+    column = pos - line_start + 1
+    ch = text[pos]
+    if ch == "/":  # the fast branches leave only "/*" here
+        close = text.find("*/", pos + 2)
+        if close < 0:
+            raise LexError("unterminated block comment", line, column, "unterminated-comment")
+        end = close + 2
+        newlines = text.count("\n", pos, end)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", pos, end) + 1
+        return end, line, line_start
+    if ch == '"':
+        return _lex_string(text, pos, line, line_start, append)
+    if ch == "\\":
+        # Escaped identifier: terminated by whitespace.
+        end = _match_end(_NON_SPACE, text, pos + 1)
+        append(Token(TokenKind.IDENT, text[pos + 1 : end], line, column))
+        return end, line, line_start
+    if ch == "$":  # "$" followed by no word character
+        raise LexError("stray '$' in source", line, column, "stray-dollar")
+    if ch.isdigit() or ch == "'":
+        end = _lex_number_end(text, pos, line, column)
+        append(Token(TokenKind.NUMBER, text[pos:end], line, column))
+        return end, line, line_start
+    if ch.isalpha():
+        # Every keyword is ASCII, so this is an identifier.
+        end = _match_end(_IDENT_TAIL, text, pos + 1)
+        append(Token(TokenKind.IDENT, text[pos:end], line, column))
+        return end, line, line_start
+    raise LexError(f"unexpected character {ch!r}", line, column, "unexpected-character")
+
+
+def _lex_number_end(text: str, pos: int, line: int, column: int) -> int:
+    """End offset of the number at ``pos``: an optional size, then a base."""
+    end = pos
+    while end < len(text) and (text[end].isdigit() or text[end] == "_"):
+        end += 1
+    if end < len(text) and text[end] == "'":
+        end += 1
+        if end < len(text) and text[end] in "sS":
+            end += 1
+        if end >= len(text) or text[end] not in _BASES:
+            raise LexError("malformed based literal", line, column, "bad-literal")
+        digits_start = end + 1
+        end = _match_end(_BASED_DIGITS, text, digits_start)
+        if end == digits_start:
+            raise LexError("based literal missing digits", line, column, "bad-literal")
+    return end
+
+
+def _lex_string(
+    text: str, pos: int, line: int, line_start: int, append: Callable[[Token], None]
+) -> tuple[int, int, int]:
+    """Lex a string literal with escapes; an escaped newline starts a new line."""
+    start_line, column = line, pos - line_start + 1
+    chars: list[str] = []
+    end = pos + 1
+    while True:
+        if end >= len(text):
+            raise LexError("unterminated string literal", start_line, column, "unterminated-string")
+        ch = text[end]
+        if ch == '"':
+            break
+        if ch == "\n":
+            raise LexError("newline in string literal", start_line, column, "newline-in-string")
+        if ch == "\\":
+            escaped = text[end + 1 : end + 2]
+            chars.append(_ESCAPES.get(escaped, escaped))
+            end += 2
+            if escaped == "\n":
+                line += 1
+                line_start = end
+            continue
+        chars.append(ch)
+        end += 1
+    append(Token(TokenKind.STRING, "".join(chars), start_line, column))
+    return end + 1, line, line_start
+
+
+def _match_end(run: re.Pattern[str], text: str, pos: int) -> int:
+    """End of the (possibly empty) ``run`` starting at ``pos``."""
+    match = run.match(text, pos)
+    return match.end() if match else pos

@@ -30,7 +30,6 @@ __all__ = [
     "CompileResult",
     "compile_source",
     "lint_design",
-    "syntax_ok",
 ]
 
 #: System functions the simulator and checker understand.
@@ -105,11 +104,3 @@ def lint_design(design: ElaboratedDesign, sink: Optional[DiagnosticSink] = None)
 
     return run_passes(design, passes=lint_passes(), sink=sink)
 
-
-def syntax_ok(text: str) -> bool:
-    """Fast check used by Stage 1 of the pipeline: does the source parse at all?"""
-    try:
-        parse_source(text)
-    except HdlError:
-        return False
-    return True
