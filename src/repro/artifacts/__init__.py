@@ -10,12 +10,14 @@ cost one line's worth of lowering:
   in-process LRU of elaborations and lowered simulators/checkers keyed by
   source hash and fingerprint, one :func:`default_store` per process.
 
-:meth:`ArtifactStore.elaborate_source` is the front door from source text
-to a design: the bug injector, Stage 2, ``RepairCase.design`` and the
-verifier elaborate through it, so a source is parsed once per process
-while its elaboration stays in the LRU.  Only Stage 1 and
-``python -m repro.analyze``, which render every diagnostic rather than the
-first, call :func:`repro.hdl.lint.compile_source` directly.
+:meth:`ArtifactStore.compile` (and :meth:`ArtifactStore.elaborate_source`
+on top of it) is the front door from source text to a design: Stage 1,
+the bug injector, Stage 2, ``RepairCase.design`` and the verifier compile
+through it, so a source is parsed once per process while its
+:class:`~repro.hdl.lint.CompileResult` stays in the LRU, and a one-line
+edit of a cached source re-parses one module item against it.  Only
+``python -m repro.analyze`` calls :func:`repro.hdl.lint.compile_source`
+directly.
 
 Consumers: :func:`repro.sva.kernel.simulate_and_check` (the elaborate ->
 lower -> simulate -> check kernel shared by

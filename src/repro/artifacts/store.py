@@ -8,9 +8,11 @@ two levels:
 * an **in-process LRU** keyed by :func:`~repro.artifacts.canon.design_fingerprint`
   holds lowered state -- :class:`~repro.sim.compile.CompiledDesign` and
   :class:`~repro.sva.compile.CompiledAssertionChecker` instances -- plus
-  source-keyed elaborations.  Lowered closures are process-local by nature
-  (they cannot be serialised), so the LRU is bounded (:data:`DEFAULT_LRU_ENTRIES`)
-  and evicts least-recently used entries instead of pinning them forever;
+  source-keyed :class:`~repro.hdl.lint.CompileResult` s (the base a
+  one-line edit re-parses one item against).  Lowered closures are
+  process-local by nature (they cannot be serialised), so the LRU is
+  bounded (:data:`DEFAULT_LRU_ENTRIES`) and evicts least-recently used
+  entries instead of pinning them forever;
   each process, worker processes included, has one :func:`default_store`;
 * **incremental relowering**: the typed helpers accept a ``base`` artifact
   and hand it to :func:`repro.sim.compile.compile_design` /
@@ -34,7 +36,8 @@ from typing import Optional
 
 from repro.artifacts.canon import design_fingerprint
 from repro.hdl.elaborate import ElaboratedDesign
-from repro.obs.metrics import get_registry
+from repro.hdl.lint import CompileResult
+from repro.obs.metrics import get_registry, labeled
 from repro.runtime.cache import content_key
 
 #: The in-process LRU bound (entries, not bytes).
@@ -170,32 +173,46 @@ class ArtifactStore:
     # the front door: source text to design
     # ------------------------------------------------------------------ #
 
-    def elaborate_source(self, source: str) -> tuple[Optional[ElaboratedDesign], str]:
-        """Compile Verilog text to a design, via the LRU.
+    def compile(self, source: str, base_source: Optional[str] = None) -> CompileResult:
+        """:func:`repro.hdl.lint.compile_source` of ``source``, via the LRU.
 
-        Returns ``(design, "")`` on success and ``(None, first_error)`` on a
-        compile failure, with ``first_error`` rendered exactly as
-        :func:`repro.hdl.lint.compile_source` callers render it -- cached
-        and fresh paths must produce byte-identical verdict details.
-
-        Elaborations live in the LRU keyed by the source hash (parse +
-        elaborate dominates the cost of verifying a small candidate, so a
-        warm store skips it entirely on repeat sources).
+        Results live in the LRU keyed by the source hash (parse + elaborate
+        dominates the cost of verifying a small candidate, so a warm store
+        skips it entirely on repeat sources).  ``base_source`` names a
+        source that ``source`` is a one-line edit of; when its result is
+        still cached, it is the ``base`` the compile re-parses one item of.
         """
+        # Looked up per call, so a wrapper installed on repro.hdl.lint
+        # (a profiling probe, a test's counter) sees every compile.
         from repro.hdl.lint import compile_source
 
         source_key = f"src:{content_key(source)}"
         cached = self.get(source_key)
-        if cached is not None:
+        if isinstance(cached, CompileResult):
             return cached
-        result = compile_source(source)
-        if not result.ok or result.design is None:
-            error = result.errors[0].render() if result.errors else "compilation failed"
-            entry: tuple[Optional[ElaboratedDesign], str] = (None, error)
-        else:
-            entry = (result.design, "")
-        self.put(source_key, entry)
-        return entry
+        base = None
+        if base_source is not None:
+            base = self.get(f"src:{content_key(base_source)}")
+            if base is None:
+                get_registry().inc(labeled("hdl.reparse.fallback", "base not cached"))
+        result = compile_source(source, base=base)
+        self.put(source_key, result)
+        return result
+
+    def elaborate_source(
+        self, source: str, base_source: Optional[str] = None
+    ) -> tuple[Optional[ElaboratedDesign], str]:
+        """Compile Verilog text to a design, via :meth:`compile`.
+
+        Returns ``(design, "")`` on success and ``(None, first_error)`` on a
+        compile failure, with ``first_error`` the first error diagnostic,
+        rendered.
+        """
+        result = self.compile(source, base_source)
+        if result.ok and result.design is not None:
+            return result.design, ""
+        errors = result.errors
+        return None, errors[0].render() if errors else "compilation failed"
 
 
 _DEFAULT_STORE: Optional[ArtifactStore] = None

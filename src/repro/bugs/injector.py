@@ -167,8 +167,8 @@ class BugInjector:
         buggy_source = source_file.with_line_replaced(line_number, mutation.buggy_line).text
         # Through the process-wide store: the elaboration stays in its LRU,
         # so the validation stage simulating this mutant does not parse it
-        # again.
-        design, _ = default_store().elaborate_source(buggy_source)
+        # again, and the golden's cached parse lets it re-parse one item.
+        design, _ = default_store().elaborate_source(buggy_source, base_source=source_file.text)
         if design is None:
             return None
         assigned = list(elaborated_targets) if elaborated_targets else self._assigned_signals(golden_line)

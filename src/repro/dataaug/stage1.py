@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.artifacts import default_store
 from repro.corpus.generator import Corpus, CorpusSample
 from repro.corpus.corruptor import CorruptedSample
 from repro.dataaug.datasets import VerilogPTEntry
-from repro.hdl.lint import compile_source
 from repro.hdl.source import normalize_line
 from repro.runtime import JobPolicy, run_stage_jobs
 
@@ -67,11 +67,13 @@ def _check_sample_job(source: str) -> dict:
     Pure in the source text, so the checks fan out while the
     order-dependent parts of Stage 1 (deduplication, routing) stay in the
     serial fold below.  A later-deduplicated sample wastes one compile in
-    a worker; it cannot change the output.
+    a worker; it cannot change the output.  The compile goes through the
+    process's artifact store, so in a serial run Stage 2 finds the golden
+    already compiled.
     """
     if not has_module_envelope(source) or not has_functional_logic(source):
         return {"filtered": True, "fingerprint": "", "compile_ok": False, "analysis": ""}
-    compile_result = compile_source(source)
+    compile_result = default_store().compile(source)
     return {
         "filtered": False,
         "fingerprint": content_fingerprint(source),

@@ -289,7 +289,7 @@ class Stage2Runner:
             # the kernel's elaboration is an LRU hit.
             outcome = simulate_and_check(
                 store, bug.buggy_source, (stimulus_seed,), config.random_cycles,
-                _RESET_CYCLES, base, "stage2",
+                _RESET_CYCLES, base, "stage2", augmented_golden,
             )
             if outcome.design is None or outcome.sim_error is not None:
                 result.rejected_not_compiling += 1

@@ -222,7 +222,9 @@ class SemanticVerifier:
                 get_registry().inc("eval.verdict_cache.misses")
         if verdict is None:
             base = self._base_artifacts(buggy_source)
-            verdict = self.verify_source(patched, seeds, cycles=cycles, base=base)
+            verdict = self.verify_source(
+                patched, seeds, cycles=cycles, base=base, base_source=buggy_source
+            )
             self._memo[key] = verdict
             if self.cache is not None:
                 self.cache.put(key, verdict.to_dict())
@@ -255,18 +257,20 @@ class SemanticVerifier:
         seeds: Sequence[int],
         cycles: Optional[int] = None,
         base: tuple = (None, None),
+        base_source: Optional[str] = None,
     ) -> RepairVerdict:
         """Compile + simulate + check ``patched_source`` on every seed.
 
         One run of :func:`repro.sva.kernel.simulate_and_check`, relowered
-        against ``base`` (the case's buggy-base artifacts), mapped onto a
+        against ``base`` (the case's buggy-base artifacts) and re-parsed
+        against ``base_source`` (the case's buggy source), mapped onto a
         :class:`RepairVerdict`.
         """
         seeds = tuple(seeds)
         cycles = self.config.cycles if cycles is None else cycles
         outcome = simulate_and_check(
             self.artifacts, patched_source, seeds, cycles, self.config.reset_cycles,
-            base, "verify",
+            base, "verify", base_source,
         )
         if outcome.design is None:
             return RepairVerdict(

@@ -188,10 +188,12 @@ _NON_SPACE: re.Pattern[str] = re.compile(r"\S*")
 _ESCAPES: dict[str, str] = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, line: int = 1, column: int = 1) -> list[Token]:
     """Tokenize ``text`` and return the token list (including the EOF token).
 
-    Raises :class:`LexError` on input outside the supported subset.
+    ``line`` and ``column`` place ``text``'s first character, so a slice of
+    a larger source lexes to the positions it has there.  Raises
+    :class:`LexError` on input outside the supported subset.
     """
     tokens: list[Token] = []
     append = tokens.append
@@ -199,8 +201,7 @@ def tokenize(text: str) -> list[Token]:
     operator, number, system, string = (
         TokenKind.OPERATOR, TokenKind.NUMBER, TokenKind.SYSTEM_IDENT, TokenKind.STRING
     )
-    line = 1
-    line_start = 0  # offset of the current line's first character
+    line_start = 1 - column  # offset of the current line's first character
     pos = 0
     while True:
         for match in _MASTER.finditer(text, pos):

@@ -22,7 +22,9 @@ from typing import Optional
 from repro.hdl import ast
 from repro.hdl.elaborate import ElaboratedDesign, elaborate
 from repro.hdl.errors import Diagnostic, DiagnosticSink, HdlError, Severity
-from repro.hdl.parser import parse_source
+from repro.hdl.incremental import reparse_edit
+from repro.hdl.parser import ItemSpan, parse_with_spans
+from repro.obs.metrics import get_registry, labeled
 
 __all__ = [
     "KNOWN_SYSTEM_FUNCTIONS",
@@ -63,6 +65,9 @@ class CompileResult:
     diagnostics: list[Diagnostic] = field(default_factory=list)
     unit: Optional[ast.SourceUnit] = None
     design: Optional[ElaboratedDesign] = None
+    #: Where each body item of ``unit`` lies (see :func:`compile_source`'s
+    #: ``base``); empty when the source did not parse.
+    item_spans: tuple[ItemSpan, ...] = ()
 
     @property
     def errors(self) -> list[Diagnostic]:
@@ -79,22 +84,62 @@ class CompileResult:
         return f"{status}\n{body}" if body else status
 
 
-def compile_source(text: str, top: Optional[str] = None) -> CompileResult:
-    """Parse, elaborate and lint ``text``; never raises for bad input."""
+def compile_source(text: str, base: Optional[CompileResult] = None) -> CompileResult:
+    """Parse, elaborate and lint ``text``; never raises for bad input.
+
+    ``base`` is the result of compiling a source that ``text`` may differ
+    from in one line.  Then only the module item holding that line is
+    re-lexed and re-parsed (:func:`repro.hdl.incremental.reparse_edit`) and
+    the rest of the base's parse is reused; the spliced unit is elaborated
+    and linted in full.  Any other edit, and any edit whose re-parse raises,
+    takes the full path, so the result is the same with or without ``base``.
+    The ambient registry counts ``hdl.reparse.items`` and
+    ``hdl.reparse.fallback[<reason>]``.
+    """
+    if base is not None:
+        result = _compile_edit(text, base)
+        if result is not None:
+            return result
     sink = DiagnosticSink()
     try:
-        unit = parse_source(text)
+        unit, spans = parse_with_spans(text)
     except HdlError as exc:
         sink.diagnostics.append(exc.to_diagnostic())
         return CompileResult(ok=False, diagnostics=sink.diagnostics)
     try:
-        design = elaborate(unit, top=top)
+        design = elaborate(unit)
     except HdlError as exc:
         sink.diagnostics.append(exc.to_diagnostic())
-        return CompileResult(ok=False, diagnostics=sink.diagnostics, unit=unit)
+        return CompileResult(ok=False, diagnostics=sink.diagnostics, unit=unit, item_spans=spans)
     lint_design(design, sink)
-    ok = not sink.has_errors
-    return CompileResult(ok=ok, diagnostics=sink.diagnostics, unit=unit, design=design)
+    return CompileResult(
+        ok=not sink.has_errors, diagnostics=sink.diagnostics, unit=unit, design=design,
+        item_spans=spans,
+    )
+
+
+def _compile_edit(text: str, base: CompileResult) -> Optional[CompileResult]:
+    """``text`` compiled by re-parsing one item of ``base``; None to fall back."""
+    registry = get_registry()
+    if base.unit is None:
+        registry.inc(labeled("hdl.reparse.fallback", "base did not parse"))
+        return None
+    try:
+        edit = reparse_edit(text, base.unit, base.item_spans)
+        if isinstance(edit, str):
+            registry.inc(labeled("hdl.reparse.fallback", edit))
+            return None
+        unit, spans = edit
+        design = elaborate(unit)
+    except HdlError:
+        registry.inc(labeled("hdl.reparse.fallback", "hdl error"))
+        return None
+    registry.inc("hdl.reparse.items")
+    sink = lint_design(design)
+    return CompileResult(
+        ok=not sink.has_errors, diagnostics=sink.diagnostics, unit=unit, design=design,
+        item_spans=spans,
+    )
 
 
 def lint_design(design: ElaboratedDesign, sink: Optional[DiagnosticSink] = None) -> DiagnosticSink:

@@ -11,7 +11,7 @@ with a precise location, which is what the pipeline's compile stage needs.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.hdl import ast
 from repro.hdl.errors import ParseError
@@ -48,14 +48,39 @@ _BINARY_PRECEDENCE: dict[str, int] = {
 
 _UNARY_OPERATORS = frozenset({"~", "!", "-", "+", "&", "|", "^"})
 
+#: Token kinds whose value may be shorter than their source text (quotes,
+#: escapes, an escaped identifier's backslash).
+_UNSIZED_KINDS = frozenset({TokenKind.STRING, TokenKind.IDENT})
+
+
+class ItemSpan(NamedTuple):
+    """Where the tokens of one body item (an entry of ``Module.items``) lie.
+
+    Positions are 1-based; ``end_column`` is the column just past the last
+    token.  Recorded only for items whose last token's text is its value
+    (not a string or an identifier, which may be escaped).
+    """
+
+    module: int  # index in SourceUnit.modules
+    item: int  # index in Module.items
+    first_line: int
+    first_column: int
+    last_line: int
+    end_column: int
+
 
 class Parser:
-    """Parses a token stream into a :class:`repro.hdl.ast.SourceUnit`."""
+    """Parses a token stream into a :class:`repro.hdl.ast.SourceUnit`.
+
+    :meth:`parse` also records an :class:`ItemSpan` per body item in
+    :attr:`item_spans`, in source order.
+    """
 
     def __init__(self, tokens: list[Token], text: str = ""):
         self._tokens = tokens
         self._pos = 0
         self._text = text
+        self.item_spans: list[ItemSpan] = []
 
     # ------------------------------------------------------------------ #
     # token-stream helpers
@@ -127,7 +152,7 @@ class Parser:
         unit = ast.SourceUnit(text=self._text)
         while self._current.kind is not TokenKind.EOF:
             if self._current.is_keyword("module"):
-                unit.modules.append(self._parse_module())
+                unit.modules.append(self._parse_module(len(unit.modules)))
             else:
                 raise self._error(
                     f"expected 'module' at top level, found '{self._current.value}'"
@@ -136,7 +161,7 @@ class Parser:
             raise ParseError("source contains no module", 1, 1, "no-module")
         return unit
 
-    def _parse_module(self) -> ast.Module:
+    def _parse_module(self, index: int) -> ast.Module:
         start = self._expect_keyword("module")
         name = self._expect_ident().value
         module = ast.Module(name=name, line=start.line)
@@ -150,12 +175,36 @@ class Parser:
             self._expect_punct(")")
         self._expect_punct(";")
 
+        items = module.items
         while not self._current.is_keyword("endmodule"):
-            if self._current.kind is TokenKind.EOF:
+            first = self._current
+            if first.kind is TokenKind.EOF:
                 raise self._error("unexpected end of file: missing 'endmodule'")
+            count = len(items)
             self._parse_module_item(module)
+            last = self._tokens[self._pos - 1]
+            if len(items) > count and last.kind not in _UNSIZED_KINDS:
+                self.item_spans.append(
+                    ItemSpan(
+                        index, count, first.line, first.column,
+                        last.line, last.column + len(last.value),
+                    )
+                )
         self._expect_keyword("endmodule")
         return module
+
+    def parse_module_item(self) -> Optional[ast.ModuleItem]:
+        """Parse the whole token stream as one body item, as :meth:`parse` would.
+
+        Returns ``None`` unless the tokens form exactly one item that lands
+        in ``Module.items``: a port or parameter declaration writes the
+        module's ports or parameters instead and adds no item.
+        """
+        scratch = ast.Module(name="")
+        self._parse_module_item(scratch)
+        if self._current.kind is not TokenKind.EOF or len(scratch.items) != 1:
+            return None
+        return scratch.items[0]
 
     def _parse_parameter_port_list(self, module: ast.Module) -> None:
         self._expect_punct("(")
@@ -869,5 +918,11 @@ def parse_source(text: str) -> ast.SourceUnit:
         LexError: on invalid characters or malformed literals.
         ParseError: on grammar violations.
     """
-    tokens = tokenize(text)
-    return Parser(tokens, text=text).parse()
+    return parse_with_spans(text)[0]
+
+
+def parse_with_spans(text: str) -> tuple[ast.SourceUnit, tuple[ItemSpan, ...]]:
+    """:func:`parse_source`, plus the :class:`ItemSpan` of every body item."""
+    parser = Parser(tokenize(text), text=text)
+    unit = parser.parse()
+    return unit, tuple(parser.item_spans)

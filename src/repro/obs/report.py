@@ -2,7 +2,8 @@
 
 The report answers the questions the raw JSONL cannot at a glance: where
 did the wall clock go (per-stage span table), which individual jobs were
-slow (top-N), did the cache help (hit rates), which SVA engine actually
+slow (top-N), did the cache help (hit rates), how many one-line edits
+the front end re-parsed incrementally, which SVA engine actually
 ran each assertion and why the attempt tensor refused any (fallback
 reasons), and what the fault machinery did (retries / timeouts /
 quarantines / pool rebuilds).  ``python -m repro.obs summarize <trace>``
@@ -169,6 +170,28 @@ def render_report(data: TraceData, top: int = 10) -> str:
     if cache_lines:
         lines += ["", "caches:"] + cache_lines
     consumed.update(_CACHE_COUNTERS)
+
+    reparsed = counters.get("hdl.reparse.items", 0)
+    reparse_fallbacks = {
+        label: value
+        for key, value in counters.items()
+        for name, label in (split_label(key),)
+        if name == "hdl.reparse.fallback" and label is not None
+    }
+    consumed.add("hdl.reparse.items")
+    consumed.update(key for key in counters if split_label(key)[0] == "hdl.reparse.fallback")
+    if reparsed or reparse_fallbacks:
+        edits = reparsed + sum(reparse_fallbacks.values())
+        lines += ["", "front end (one-line edits of a cached source):"]
+        lines.append(
+            f"  {reparsed} of {edits} re-parsed one module item"
+            f" ({_hit_rate(reparsed, edits - reparsed)})"
+            + (" · full parse, by reason:" if reparse_fallbacks else "")
+        )
+        for label, value in sorted(
+            reparse_fallbacks.items(), key=lambda item: (-item[1], item[0])
+        ):
+            lines.append(f"    {value:>4}  {label}")
 
     engine_totals = {
         engine: counters.get(f"sva.lower.{engine}", 0)

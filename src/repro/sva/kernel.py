@@ -6,7 +6,8 @@ verifier re-runs them for every candidate fix.  :func:`simulate_and_check`
 is that loop, once:
 
 1. elaborate the source through an :class:`~repro.artifacts.ArtifactStore`
-   (the store's source-keyed LRU makes a repeat source a cache hit);
+   (the store's source-keyed LRU makes a repeat source a cache hit, and a
+   one-line edit of the cached base source re-parses one module item);
 2. lower it for the compiled simulator and the compiled assertion checker,
    relowering only the dirty cone against an optional base
    (:func:`lower_design`);
@@ -80,9 +81,14 @@ def simulate_and_check(
     reset_cycles: int,
     base: tuple,
     stage: str,
+    base_source: Optional[str] = None,
 ) -> CheckOutcome:
     """Elaborate, lower, simulate and check ``source`` on every seed.
 
+    ``base`` and ``base_source`` describe the design ``source`` is an edit
+    of: its ``(compiled design, checker)`` pair to relower against and its
+    source text to re-parse against (see
+    :meth:`~repro.artifacts.ArtifactStore.compile`); any may be None.
     ``stage`` names the phases (``<stage>.compile`` / ``.simulate`` /
     ``.check`` spans and histograms).  ``seeds`` must not be empty: a
     source judged on no stimulus would pass vacuously, so an empty tuple
@@ -99,7 +105,7 @@ def simulate_and_check(
     if not seeds:
         raise ValueError("simulate_and_check needs at least one stimulus seed")
     with phase(f"{stage}.compile"):
-        design, first_error = store.elaborate_source(source)
+        design, first_error = store.elaborate_source(source, base_source)
         if design is None:
             return CheckOutcome(design=None, compile_error=first_error)
         compiled, checker = lower_design(store, design, base)

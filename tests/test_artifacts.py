@@ -33,6 +33,7 @@ from repro.eval.verifier import (
 )
 from repro.hdl.lint import compile_source
 from repro.runtime import JobPolicy
+from repro.runtime.cache import content_key
 from repro.sim.compile import CompiledSimulator, compile_design
 from repro.sim.stimulus import StimulusGenerator
 from repro.sva.compile import CompiledAssertionChecker
@@ -303,11 +304,33 @@ def parse_counts(monkeypatch):
 
 def test_each_mutant_and_case_source_is_parsed_once(parse_counts, monkeypatch):
     import repro.artifacts.store as store_module
+    from repro.corpus.generator import CorpusGenerator
     from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig
     from repro.eval.verifier import derive_verification_seeds
     from repro.model.case import RepairCase
 
-    datasets = DataAugmentationPipeline(PipelineConfig.small(workers=1)).run()
+    evicted = set()
+    put = ArtifactStore.put
+
+    def recording_put(store, key, value):
+        before = set(store._lru)
+        put(store, key, value)
+        evicted.update(before - set(store._lru))
+
+    monkeypatch.setattr(ArtifactStore, "put", recording_put)
+    config = PipelineConfig.small(workers=1)
+    corpus = CorpusGenerator(config.corpus, config.job_policy).generate()
+    datasets = DataAugmentationPipeline(config).run(corpus)
+    # Stage 1 compiles each golden through the store, and Stage 2's SVA
+    # validation finds it there -- unless the bounded LRU evicted it first
+    # (this run makes more than 128 entries, so the last golden goes).
+    goldens = [sample.source for sample in corpus.samples]
+    parsed_twice = [
+        source for source in goldens
+        if parse_counts[source] != 1 and f"src:{content_key(source)}" not in evicted
+    ]
+    assert goldens and not parsed_twice
+    assert sum(parse_counts[source] == 1 for source in goldens) >= len(goldens) - 1
     mutants = {entry.buggy_source for entry in datasets.all_sva_entries}
     mutants |= {entry.buggy_source for entry in datasets.verilog_bug}
     assert mutants

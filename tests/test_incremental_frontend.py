@@ -1,0 +1,358 @@
+"""Differential suite for the incremental front end.
+
+``compile_source(text, base=)`` re-parses only the module item that a
+one-line edit touches and shares every other node with the base's parse.
+The full ``compile_source(text)`` is its oracle: for every input below both
+must agree on ``ok``, the rendered diagnostics, ``repr`` of the parsed unit,
+the design fingerprint and the recorded item spans.  Inputs:
+
+* every mutant the bug injector builds from the 89 grid goldens and from
+  their assertion-carrying (Stage-2 augmented) versions;
+* seeded random one-line edits that try to move item boundaries;
+* the human-split buggy sources against their goldens;
+* one hand-written edit per fallback guard, each pinned to its reason.
+
+The incremental path shares AST nodes across designs of different sources,
+so the suite also pins that verifying spliced candidates leaves the base's
+parse as a fresh parse builds it.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import repro.bugs.injector as injector_module
+from repro.artifacts import ArtifactStore
+from repro.artifacts.canon import design_fingerprint
+from repro.bugs.injector import BugInjector, InjectionConfig
+from repro.corpus.templates import all_families
+from repro.eval.verifier import CandidateFix, SemanticVerifier
+from repro.hdl.lint import compile_source
+from repro.hdl.errors import ParseError
+from repro.hdl.lexer import tokenize
+from repro.hdl.parser import Parser, parse_source
+from repro.hdl.source import leading_whitespace
+from repro.obs.metrics import scoped_registry, split_label
+from repro.sva.generator import insert_assertions, template_assertion_blocks
+
+
+def outcome(result):
+    design = result.design
+    return (
+        result.ok,
+        result.render(),
+        repr(result.unit),
+        design_fingerprint(design) if design is not None else None,
+        result.item_spans,
+    )
+
+
+def mismatches(base_text: str, texts) -> list[str]:
+    base = compile_source(base_text)
+    return [
+        text
+        for text in texts
+        if outcome(compile_source(text, base=base)) != outcome(compile_source(text))
+    ]
+
+
+def reparse_counts(registry) -> dict[str, int]:
+    """``{"items": n, <fallback reason>: n, ...}`` from the reparse counters."""
+    counts = {}
+    for key, value in registry.counters.items():
+        name, label = split_label(key)
+        if name == "hdl.reparse.items":
+            counts["items"] = value
+        elif name == "hdl.reparse.fallback":
+            counts[label] = value
+    return counts
+
+
+# --------------------------------------------------------------------------- #
+# inputs
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="module")
+def grid():
+    """(golden, augmented golden) for each point of the 89-design grid."""
+    pairs = []
+    for family in all_families():
+        for point, params in enumerate(family.parameter_grid):
+            artifact = family.build(f"{family.name}_{point:02d}", **params)
+            blocks = template_assertion_blocks(artifact.template_svas, artifact.family)
+            pairs.append((artifact.source, insert_assertions(artifact.source, blocks)))
+    return pairs
+
+
+class RecordingStore(ArtifactStore):
+    """Records the (source, base source) of every elaboration."""
+
+    def __init__(self):
+        super().__init__()
+        self.requests: list[tuple[str, str]] = []
+
+    def elaborate_source(self, source, base_source=None):
+        self.requests.append((source, base_source))
+        return super().elaborate_source(source, base_source)
+
+
+def injector_mutants(source: str, monkeypatch, seed: int = 7) -> list[str]:
+    """Every mutant the bug injector builds from ``source``, kept or not."""
+    store = RecordingStore()
+    monkeypatch.setattr(injector_module, "default_store", lambda: store)
+    design = store.compile(source).design
+    BugInjector(InjectionConfig(seed=seed)).inject("dut", source, design)
+    assert all(base == source for _, base in store.requests)
+    return [mutant for mutant, _ in store.requests]
+
+
+#: Words that open or close a statement, block or module.
+BOUNDARY_WORDS = ("else", "end", "begin", "endmodule", "end else begin", "endcase", "end end")
+_HEADER_STARTS = ("module", "input", "output", "inout", "parameter", "localparam", ");")
+
+
+def random_edit(rng: random.Random, source: str) -> str:
+    """One seeded one-line edit of ``source`` that tries to move item boundaries."""
+    lines = source.split("\n")
+    index = rng.randrange(len(lines))
+    line = lines[index]
+    indent = leading_whitespace(line)
+    kind = rng.randrange(9)
+    if kind == 0:
+        new = f"{line} {rng.choice(BOUNDARY_WORDS)}"
+    elif kind == 1:
+        new = f"{indent}{rng.choice(BOUNDARY_WORDS)} {line.lstrip()}"
+    elif kind == 2:
+        cuts = [at for at, ch in enumerate(line) if ch == ";"] or [len(line) - 1]
+        at = rng.choice(cuts)
+        new = line[:at] + line[at + 1 :]
+    elif kind == 3:
+        new = rng.choice(lines)
+    elif kind == 4:
+        new = f"{indent}// {rng.choice(lines).strip()}"
+    elif kind == 5:
+        new = rng.choice(("", indent))
+    elif kind == 6:
+        header = [at for at, text in enumerate(lines) if text.strip().startswith(_HEADER_STARTS)]
+        index = rng.choice(header or [index])
+        line = lines[index]
+        new = rng.choice(
+            (
+                line.replace(",", "", 1),
+                line.replace("input", "output", 1),
+                line.replace("wire", "reg", 1),
+                line.replace("]", "] [1:0]", 1),
+                line.replace("=", "= 1 +", 1),
+                line + ",",
+            )
+        )
+    elif kind == 7:
+        at = rng.randrange(len(line) + 1)
+        new = line[:at] + "//" + line[at:]
+    else:
+        words = line.split(" ")
+        del words[rng.randrange(len(words))]
+        new = " ".join(words)
+    lines[index] = new
+    return "\n".join(lines)
+
+
+# --------------------------------------------------------------------------- #
+# the differential checks
+# --------------------------------------------------------------------------- #
+
+
+def test_injector_mutants_of_the_grid_match_the_full_parse(grid, monkeypatch):
+    assert len(grid) == 89
+    edits = 0
+    with scoped_registry() as registry:
+        for golden, augmented in grid:
+            for base in (golden, augmented):
+                mutants = injector_mutants(base, monkeypatch)
+                edits += len(mutants)
+                assert mismatches(base, mutants) == []
+    counts = reparse_counts(registry)
+    assert edits > 1000
+    # Two compiles with a base per mutant: the recording store's and the
+    # differential's.  Every one of them re-parsed a single item.
+    assert counts == {"items": 2 * edits}
+
+
+def test_random_one_line_edits_match_the_full_parse(grid):
+    rng = random.Random(21)
+    sources = [source for pair in grid for source in pair]
+    failures = []
+    with scoped_registry() as registry:
+        for _ in range(1500):
+            base = rng.choice(sources)
+            failures += mismatches(base, [random_edit(rng, base)])
+    assert failures == []
+    counts = reparse_counts(registry)
+    # Both paths are taken, and the edits reach every guard a single
+    # line of a comment-free source can.
+    assert counts["items"] > 100
+    assert set(counts) == {
+        "items", "not one line", "unsafe character", "outside items", "outside columns",
+        "first token", "last token", "item parse", "hdl error",
+    }
+
+
+def test_human_split_buggy_sources_match_against_their_goldens():
+    from repro.corpus.rtllm import human_crafted_designs
+
+    cases = human_crafted_designs()
+    assert len(cases) == 41
+    for case in cases:
+        assert mismatches(case.golden_source, [case.buggy_source]) == [], case.name
+
+
+def test_assign_and_always_body_mutants_take_the_incremental_path(grid):
+    from repro.bugs.mutators import enumerate_mutations
+    from repro.hdl.source import SourceFile
+
+    golden = grid[0][0]
+    base = compile_source(golden)
+    signals = sorted(base.design.signals)
+    source_file = SourceFile(golden)
+    lines = {"assign": [], "always body": []}
+    in_always = False
+    for number, line in enumerate(golden.split("\n"), start=1):
+        stripped = line.strip()
+        if stripped.startswith("always"):
+            in_always = True
+        elif stripped.startswith("assign"):
+            lines["assign"].append(number)
+        elif in_always and "<=" in stripped:
+            lines["always body"].append(number)
+    for where, numbers in lines.items():
+        assert numbers, where
+        with scoped_registry() as registry:
+            edits = 0
+            for number in numbers:
+                for mutation in enumerate_mutations(source_file.line(number), signals):
+                    text = source_file.with_line_replaced(number, mutation.buggy_line).text
+                    compile_source(text, base=base)
+                    edits += 1
+        assert edits and reparse_counts(registry) == {"items": edits}, where
+
+
+def test_verifying_spliced_candidates_leaves_the_base_parse_intact(grid, monkeypatch):
+    _, augmented = next(pair for pair in grid if pair[0] != pair[1])
+    store = ArtifactStore()
+    verifier = SemanticVerifier(artifacts=store)
+    base_lines = augmented.split("\n")
+    candidates = []
+    for mutant in injector_mutants(augmented, monkeypatch)[:8]:
+        number = next(
+            n for n, (old, new) in enumerate(zip(base_lines, mutant.split("\n")), 1) if old != new
+        )
+        candidates.append(CandidateFix(number, mutant.split("\n")[number - 1]))
+    assert candidates
+    with scoped_registry() as registry:
+        for fix in candidates:
+            verdict = verifier.verify(augmented, fix, (1, 2))
+            assert verdict.status in ("pass", "assertion_fail", "sim_error", "compile_fail")
+    assert reparse_counts(registry).get("items", 0) == len(candidates)
+    # Spliced designs share nodes with the base parse; none may write one.
+    assert repr(store.compile(augmented).unit) == repr(parse_source(augmented))
+
+
+# --------------------------------------------------------------------------- #
+# one edit per guard
+# --------------------------------------------------------------------------- #
+
+GUARDED = """\
+module guarded #(parameter W = 4) (
+    input wire clk,
+    input wire [W-1:0] a,
+    output reg [W-1:0] q,
+    output wire [W-1:0] y
+);
+    parameter P = 2; wire [W-1:0] t;
+    wire [W-1:0] u; assign u = a;
+    assign t = a + P;
+    assign y = t ^ u;
+    always @(posedge clk) begin
+        if (a[0]) q <= t;
+        else q <= a; // keep
+    end endmodule
+"""
+
+#: (line number, new line, the fallback reason or None for the incremental path).
+GUARD_EDITS = [
+    (10, "    assign y = t | u;", None),
+    (12, "        if (a[1]) q <= u;", None),
+    (13, "        else q <= t; // keep", None),
+    (14, "  end endmodule", None),
+    (10, '    assign y = t ^ u; // "', "unsafe character"),
+    (10, "    assign y = t ^ \\u ;", "unsafe character"),
+    (10, "    assign y = t /* x */ ^ u;", "unsafe character"),
+    (10, "    assign y = t ^ u; /* open", "unsafe character"),
+    (10, "    assign y = t ^ u; // */", "unsafe character"),
+    (10, "    assign y = t ^ u; `define X", "unsafe character"),
+    (1, "module guarded #(parameter W = 5) (", "outside items"),
+    (3, "    input wire [W-1:0] a, b,", "outside items"),
+    (8, "    wire [W-1:0] u; assign u = ~a;", "several items"),
+    (7, "    parameter P = 3; wire [W-1:0] t;", "outside columns"),
+    (14, "    end endmodule // done", "outside columns"),
+    (10, "    wire [W-1:0] y2 = t;", "first token"),
+    (10, "     assign y = t ^ u;", "first token"),
+    (10, "    assign_y = t ^ u;", "first token"),
+    (14, "    end // endmodule", "last token"),
+    (10, "    assign y = t ^ u; assign q = a;", "item parse"),
+    (10, "    input y;", "first token"),
+    (12, "        if (a[0]) q <= t; end", "item parse"),
+    (10, "    assign y = t ^ * u;", "hdl error"),
+    (10, "    assign y = t ^ nosuch;", None),
+]
+
+
+@pytest.mark.parametrize("number,new_line,reason", GUARD_EDITS)
+def test_each_guard_falls_back_to_the_full_parse(number, new_line, reason):
+    lines = GUARDED.split("\n")
+    lines[number - 1] = new_line
+    text = "\n".join(lines)
+    base = compile_source(GUARDED)
+    assert base.ok
+    with scoped_registry() as registry:
+        result = compile_source(text, base=base)
+    assert outcome(result) == outcome(compile_source(text))
+    assert reparse_counts(registry) == {reason or "items": 1}
+
+
+def test_parse_module_item_accepts_exactly_one_body_item():
+    def item(text):
+        return Parser(tokenize(text)).parse_module_item()
+
+    assert type(item("assign a = b;")).__name__ == "ContinuousAssign"
+    assert type(item("always @(posedge clk) q <= d;")).__name__ == "AlwaysBlock"
+    # Header writes, two items and a partial item are not one body item.
+    for text in ("input wire [3:0] a;", "parameter P = 1;", "assign a = b; assign c = d;",
+                 "assign a = b; end"):
+        assert item(text) is None, text
+    with pytest.raises(ParseError):
+        item("")
+
+
+def test_line_count_block_comment_and_unchanged_text_fall_back():
+    base = compile_source(GUARDED)
+    commented = GUARDED.replace("// keep", "/* keep */")
+    lines = GUARDED.split("\n")
+    two_lines = "\n".join(
+        lines[:9] + ["    assign y = t | u;", "    assign t = a - P;"] + lines[11:]
+    )
+    cases = [
+        (GUARDED.replace("    assign t", "    assign t = a;\n    assign t"), base, "line count"),
+        (two_lines, base, "not one line"),
+        (GUARDED, base, "not one line"),
+        (commented.replace("t ^ u", "t | u"), compile_source(commented), "block comment"),
+        (GUARDED, compile_source("module broken("), "base did not parse"),
+    ]
+    for text, base_result, reason in cases:
+        with scoped_registry() as registry:
+            result = compile_source(text, base=base_result)
+        assert outcome(result) == outcome(compile_source(text)), reason
+        assert reparse_counts(registry) == {reason: 1}
