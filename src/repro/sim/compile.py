@@ -15,8 +15,11 @@ Instead of walking AST nodes for every evaluation (the
   dirty set in topologically-levelled order.  Quiet cycles re-run almost
   nothing, where the interpreter re-evaluates every assign and comb block
   on every settle iteration;
-* the trace records per-cycle *diffs* (:class:`~repro.sim.trace.DiffTrace`)
-  instead of copying the whole environment dict twice per cycle.
+* the trace records each signal change once, as a ``(sampling point, value,
+  xmask)`` int event (:class:`~repro.sim.trace.DiffTrace`), instead of
+  copying the whole environment dict twice per cycle; the checker's and the
+  miner's columns are built from those events, and per-cycle samples only
+  when something reads them.
 
 The backend is behaviourally identical to the interpreter: the differential
 test suite asserts ``equals()``-identical traces cycle by cycle.  Designs
@@ -84,20 +87,6 @@ def _select_target_parts(
     if not isinstance(base, ast.Identifier):
         raise CompileError("nested select targets are not supported")
     return base, msb_expr, lsb_expr
-
-
-def _fast_logic_value(v: int, x: int, w: int) -> LogicValue:
-    """Build a LogicValue from already-normalised fields, skipping validation.
-
-    The compiled backend maintains the class invariants (masked to width,
-    known bits cleared under the xmask) on every write, so re-normalising in
-    ``__post_init__`` would be pure overhead on the per-cycle path.
-    """
-    value = LogicValue.__new__(LogicValue)
-    object.__setattr__(value, "value", v)
-    object.__setattr__(value, "xmask", x)
-    object.__setattr__(value, "width", w)
-    return value
 
 
 # --------------------------------------------------------------------------- #
@@ -1020,7 +1009,7 @@ class CompiledSimulator:
 
     Same public API and -- by construction plus differential testing -- the
     same cycle-level behaviour, built on the lowered design: flat integer
-    state, dirty-set settling and a diff-based trace.
+    state, dirty-set settling and an event-recording column trace.
     """
 
     def __init__(
@@ -1109,13 +1098,16 @@ class CompiledSimulator:
         self._shadow_v: list[int] = self._val.copy()
         self._shadow_x: list[int] = self._xm.copy()
         self._rec_changed.clear()
-        base = {
-            self._names[i]: LogicValue(
-                value=self._val[i], xmask=self._xm[i], width=self._sig_width[i]
-            )
-            for i in range(n)
-        }
-        self._trace = DiffTrace(signals=sorted(design.signals), base=base)
+        self._trace = DiffTrace(
+            signals=sorted(design.signals),
+            initial={
+                name: (self._sig_width[i], self._val[i], self._xm[i])
+                for i, name in enumerate(self._names)
+            },
+        )
+        # One event list per slot, shared with the trace: the recorder
+        # appends to it without a name lookup.
+        self._events = [self._trace.events[name] for name in self._names]
 
     # ------------------------------------------------------------------ #
     # public API (mirrors InterpSimulator)
@@ -1159,7 +1151,7 @@ class CompiledSimulator:
         return self._trace[self._cycle - 1]
 
     def run(self, stimulus: list) -> DiffTrace:
-        """Run one step per entry of ``stimulus`` and return the (diff) trace.
+        """Run one step per entry of ``stimulus`` and return the (event) trace.
 
         Unlike :meth:`step` this never materialises trace samples, so a run
         whose trace is only partially inspected stays cheap.
@@ -1287,13 +1279,14 @@ class CompiledSimulator:
         self._apply_inputs(inputs)
         self._settle()
         self._fire_async_edges()
-        # A pre-edge change is sampled from its own cycle on; a post-edge
-        # change is first sampled one cycle later (matching DiffTrace).
-        pre_diff = self._record_diff(self._cycle)
+        # Sampling points are half-cycles: 2c is cycle c's preponed sample,
+        # 2c + 1 its post-edge sample (see DiffTrace).
+        point = 2 * self._cycle
+        self._record_diff(point)
         self._fire_clock_edge()
         self._settle()
-        post_diff = self._record_diff(self._cycle + 1)
-        self._trace.append_diffs(pre_diff, post_diff)
+        self._record_diff(point + 1)
+        self._trace.end_cycle()
         self._cycle += 1
 
     def _fire_async_edges(self) -> None:
@@ -1383,24 +1376,19 @@ class CompiledSimulator:
         for slot, (v, x) in nonblocking.items():
             write(slot, v, x)
 
-    def _record_diff(self, event_cycle: int) -> dict[str, LogicValue]:
-        diff: dict[str, LogicValue] = {}
+    def _record_diff(self, point: int) -> None:
+        """Append a ``(point, value, xmask)`` event for every slot that
+        changed since the previous sampling point."""
         shadow_v = self._shadow_v
         shadow_x = self._shadow_x
         val = self._val
         xm = self._xm
-        names = self._names
-        widths = self._sig_width
-        column_events = self._trace._column_events
+        events = self._events
         for slot in self._rec_changed:
             v = val[slot]
             x = xm[slot]
             if shadow_v[slot] != v or shadow_x[slot] != x:
                 shadow_v[slot] = v
                 shadow_x[slot] = x
-                diff[names[slot]] = _fast_logic_value(v, x, widths[slot])
-                # Straight into the column buffers: flat ints, no
-                # LogicValue unpacking when columns() is consumed later.
-                column_events.setdefault(names[slot], []).append((event_cycle, v, x))
+                events[slot].append((point, v, x))
         self._rec_changed.clear()
-        return diff

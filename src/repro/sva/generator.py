@@ -16,10 +16,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.hdl import ast
 from repro.hdl.elaborate import ElaboratedDesign
 from repro.sim.stimulus import is_active_low_reset, reset_signal_of
-from repro.sim.trace import Trace
+from repro.sim.trace import Trace, TraceColumns
 
 
 @dataclass(frozen=True)
@@ -103,8 +105,7 @@ class AssertionMiner:
         candidates.extend(self._mine_transfer_properties())
         candidates.extend(self._mine_reset_properties())
         if self._trace is not None and len(self._trace) >= 8:
-            candidates.extend(self._mine_onehot_properties())
-            candidates.extend(self._mine_implication_properties())
+            candidates.extend(self._mine_trace_properties())
         unique: dict[str, MinedAssertion] = {}
         for candidate in candidates:
             unique.setdefault(candidate.property_text, candidate)
@@ -261,67 +262,75 @@ class AssertionMiner:
     # trace-based miners
     # ------------------------------------------------------------------ #
 
-    def _stable_cycles(self) -> range:
-        """Cycles after reset settles (skip the first few)."""
-        return range(min(4, len(self._trace) - 1), len(self._trace))
-
-    def _mine_onehot_properties(self) -> list[MinedAssertion]:
-        mined: list[MinedAssertion] = []
+    def _mine_trace_properties(self) -> list[MinedAssertion]:
+        """One-hot, equality and implication candidates, read off one
+        :meth:`~repro.sim.trace.Trace.columns` call over the trace."""
         clock_candidates = self._design.clock_candidates()
         clock = clock_candidates[0] if clock_candidates else "clk"
-        for signal in self._design.state_signals:
-            if signal.width < 2 or signal.width > 16:
-                continue
-            values = self._trace.sampled_ints(signal.name)
-            window = [values[i] for i in self._stable_cycles() if values[i] is not None]
-            if len(window) < 4:
-                continue
-            if all(v and bin(v).count("1") == 1 for v in window):
-                body = f"$onehot({signal.name})"
-                description = f"{signal.name} must stay one-hot"
-                mined.append(self._make(f"{signal.name}_onehot", clock, body, description, "onehot"))
-        return mined
-
-    def _mine_implication_properties(self) -> list[MinedAssertion]:
-        mined: list[MinedAssertion] = []
-        clock_candidates = self._design.clock_candidates()
-        clock = clock_candidates[0] if clock_candidates else "clk"
+        onehot = [s.name for s in self._design.state_signals if 2 <= s.width <= 16]
         single_bit = [
-            s
+            s.name
             for s in self._design.signals.values()
             if s.width == 1 and not s.is_input and s.name != clock
         ]
-        reset_name = self._reset.name if self._reset is not None else None
-        cycles = list(self._stable_cycles())
-        for left, right in itertools.permutations(single_bit, 2):
-            if reset_name in (left.name, right.name):
+        columns = self._trace.columns(onehot + single_bit)
+        # Cycles after reset settles (skip the first few).
+        start = min(4, columns.cycles - 1)
+        mined = self._mine_onehot_properties(clock, onehot, columns, start)
+        mined.extend(self._mine_implication_properties(clock, single_bit, columns, start))
+        return mined
+
+    def _mine_onehot_properties(
+        self, clock: str, names: list[str], columns: TraceColumns, start: int
+    ) -> list[MinedAssertion]:
+        """``$onehot(sig)`` for signals one-hot at every known stable cycle."""
+        mined: list[MinedAssertion] = []
+        for name in names:
+            values, xmasks = columns.signal(name)
+            window = values[start:][xmasks[start:] == 0]
+            if len(window) < 4:
                 continue
-            left_values = self._trace.sampled_ints(left.name)
-            right_values = self._trace.sampled_ints(right.name)
-            antecedent_seen = 0
-            implication_holds = True
-            equal_everywhere = True
-            for cycle in cycles:
-                lv, rv = left_values[cycle], right_values[cycle]
-                if lv is None or rv is None:
-                    continue
-                if lv != rv:
-                    equal_everywhere = False
-                if lv:
-                    antecedent_seen += 1
-                    if not rv:
-                        implication_holds = False
-            if equal_everywhere and antecedent_seen >= 2:
-                body = f"{left.name} == {right.name}"
-                description = f"{left.name} must equal {right.name}"
+            if np.all((window != 0) & ((window & (window - 1)) == 0)):
+                body = f"$onehot({name})"
+                description = f"{name} must stay one-hot"
+                mined.append(self._make(f"{name}_onehot", clock, body, description, "onehot"))
+        return mined
+
+    def _mine_implication_properties(
+        self, clock: str, names: list[str], columns: TraceColumns, start: int
+    ) -> list[MinedAssertion]:
+        """``a == b`` / ``a |-> b`` over the stable cycles where both are known."""
+        mined: list[MinedAssertion] = []
+        if len(names) < 2:
+            return mined
+        known = np.array([columns.xmasks[name][start:] == 0 for name in names])
+        high = np.array([columns.values[name][start:] != 0 for name in names]) & known
+        low = known & ~high
+        # [left][right] counts over the cycles where both are known: cycles
+        # with left high (antecedents) and with left high but right low.
+        high_counts = high.astype(np.int64)
+        antecedents = (high_counts @ known.T).tolist()
+        violations = (high_counts @ low.T).tolist()
+        reset_name = self._reset.name if self._reset is not None else None
+        for left, right in itertools.permutations(range(len(names)), 2):
+            left_name, right_name = names[left], names[right]
+            if reset_name in (left_name, right_name):
+                continue
+            seen = antecedents[left][right]
+            implication_holds = violations[left][right] == 0
+            if implication_holds and violations[right][left] == 0 and seen >= 2:
+                body = f"{left_name} == {right_name}"
+                description = f"{left_name} must equal {right_name}"
                 mined.append(
-                    self._make(f"{left.name}_eq_{right.name}", clock, body, description, "equality")
+                    self._make(f"{left_name}_eq_{right_name}", clock, body, description, "equality")
                 )
-            elif implication_holds and antecedent_seen >= 3:
-                body = f"{left.name} |-> {right.name}"
-                description = f"{right.name} must be high whenever {left.name} is high"
+            elif implication_holds and seen >= 3:
+                body = f"{left_name} |-> {right_name}"
+                description = f"{right_name} must be high whenever {left_name} is high"
                 mined.append(
-                    self._make(f"{left.name}_implies_{right.name}", clock, body, description, "implication")
+                    self._make(
+                        f"{left_name}_implies_{right_name}", clock, body, description, "implication"
+                    )
                 )
             if len(mined) >= 4:
                 break

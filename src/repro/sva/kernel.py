@@ -11,8 +11,8 @@ is that loop, once:
 2. lower it for the compiled simulator and the compiled assertion checker,
    relowering only the dirty cone against an optional base
    (:func:`lower_design`);
-3. simulate each seed (the compiled simulator streams the trace's columns
-   while it runs);
+3. simulate each seed (the compiled simulator records only column events,
+   and no per-cycle sample is ever realised);
 4. check the first seed alone -- most failing designs already fail there
    -- and the remaining seeds in one stacked :meth:`check_batch` pass.
 
