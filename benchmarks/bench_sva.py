@@ -7,7 +7,10 @@ its template + mined assertions, like Stage 2 produces):
 * compiled checker throughput, with the one-off lowering cost separated,
 * the resulting speedup,
 
-plus an end-to-end leg through :class:`repro.eval.verifier.SemanticVerifier`
+plus a mutant-batch leg (Stage 2's shape: one trace per injected mutant,
+every mutant relowered against the augmented golden, so all of them share
+its assertion lowerings and one ``check_batch`` judges them together) and
+an end-to-end leg through :class:`repro.eval.verifier.SemanticVerifier`
 (compile -> simulate -> check on fresh seeds) with each checker, and
 writes everything to ``BENCH_sva.json`` so successive PRs can track the
 trajectory next to ``BENCH_sim.json`` and ``BENCH_eval.json``.
@@ -16,10 +19,10 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_sva.py [--cycles N] [--output PATH]
 
-Schema of the output (``bench_sva/v5``)::
+Schema of the output (``bench_sva/v6``)::
 
     {
-      "schema": "bench_sva/v5",
+      "schema": "bench_sva/v6",
       "cycles_per_family": <int>,            # trace length per microbench
       "timing_repeats": <int>,               # best-of-N wall-clock policy
       "microbenchmarks": {
@@ -30,7 +33,8 @@ Schema of the output (``bench_sva/v5``)::
           "compiled_checks_per_s": <float>,  # attempt-tensor engine
           "lower_ms": <float>,               # one-off assertion lowering cost
           "speedup": <float>,                # attempt tensor vs tree-walker
-          "batch_speedup": <float>           # stacked check_batch vs per-trace check
+          "batch_speedup": <float>,          # stacked check_batch vs per-trace check
+          "mutant_batch_speedup": <float>    # absent when < 2 mutants share a lowering
         }, ...
       },
       "geomean_speedup": <float>,
@@ -39,6 +43,13 @@ Schema of the output (``bench_sva/v5``)::
         "traces": <int>,                     # seed-trace batch size (verifier shape)
         "cycles": <int>,
         "geomean_speedup": <float>,
+        "min_speedup": <float>
+      },
+      "mutant_batch": {                      # cross-design, shared-lowering leg
+        "families": <int>,
+        "mutants": <int>,                    # traces over all families
+        "cycles": <int>,
+        "geomean_speedup": <float>,          # one check_batch vs per-mutant check
         "min_speedup": <float>
       },
       "verifier": {                          # repro.eval end-to-end leg
@@ -56,11 +67,12 @@ and the tree-walking oracle.  Every family's assertions must lower to the
 tensor (``strict=True``), and the run hard-fails on any verdict divergence
 between the two engines, batched or not.
 
-v5 dropped the per-cycle closure and Python attempt-walk legs (and their
-``vector_speedup`` / ``attempt_speedup`` fields), because those engines no
-longer exist.  v4 added the attempt tensor, v3 the vectorised series, v2
-the batch leg (the verifier pushes all of a candidate's seed traces
-through one ``check_batch`` pass).
+v6 added the mutant-batch leg.  v5 dropped the per-cycle closure and
+Python attempt-walk legs (and their ``vector_speedup`` /
+``attempt_speedup`` fields), because those engines no longer exist.  v4
+added the attempt tensor, v3 the vectorised series, v2 the batch leg (the
+verifier pushes all of a candidate's seed traces through one
+``check_batch`` pass).
 """
 
 from __future__ import annotations
@@ -75,11 +87,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.artifacts import ArtifactStore  # noqa: E402
+from repro.bugs.injector import BugInjector, InjectionConfig  # noqa: E402
 from repro.corpus.templates import all_families  # noqa: E402
 from repro.eval.verifier import SemanticVerifier, VerifierConfig  # noqa: E402
 from repro.hdl.lint import compile_source  # noqa: E402
 from repro.obs import host_metadata  # noqa: E402
-from repro.sim.engine import Simulator  # noqa: E402
+from repro.sim.engine import SimulationError, Simulator  # noqa: E402
 from repro.sim.stimulus import StimulusGenerator  # noqa: E402
 from repro.sva.checker import AssertionChecker  # noqa: E402
 from repro.sva.compile import CompiledAssertionChecker  # noqa: E402
@@ -190,6 +203,62 @@ def bench_family(family, cycles: int, repeat: int) -> dict | None:
     }
 
 
+#: The mutant-batch leg mirrors Stage 2: up to this many injected mutants
+#: per design, one stimulus seed of this many cycles each.
+MUTANT_BUGS = 6
+MUTANT_CYCLES = 48
+
+
+def bench_mutant_batch(family, repeat: int) -> dict | None:
+    """Per-mutant ``check`` vs one ``check_batch`` over the family's mutants.
+
+    Every mutant is relowered against the augmented golden's checker; the
+    mutants whose checkers share the golden's lowerings (equal
+    :meth:`~CompiledAssertionChecker.batch_key`) are timed, their traces
+    judged by each mutant's own checker one at a time and by the first
+    mutant's checker in one batch.  Hard-fails when either disagrees with
+    the tree-walker on any assertion of any mutant.
+    """
+    source = augmented_source(family)
+    if source is None:
+        return None
+    golden = compile_source(source).design
+    if golden is None or not golden.assertions:
+        return None
+    base = CompiledAssertionChecker(golden, strict=True)
+    injector = BugInjector(InjectionConfig(seed=11, max_bugs_per_design=MUTANT_BUGS))
+    checkers, traces = [], []
+    for index, bug in enumerate(injector.inject(f"bench_{family.name}", source, golden)):
+        buggy = compile_source(bug.buggy_source).design
+        if buggy is None:
+            continue
+        checker = CompiledAssertionChecker(buggy, base=base)
+        key = checker.batch_key()
+        if key is None or (checkers and key != checkers[0].batch_key()):
+            continue
+        vectors = StimulusGenerator(buggy, seed=100 + index).mixed_stimulus(
+            random_cycles=MUTANT_CYCLES
+        ).vectors
+        try:
+            trace = Simulator(buggy).run(vectors).materialized()
+        except SimulationError:
+            continue
+        checkers.append(checker)
+        traces.append(trace)
+    if len(traces) < 2:
+        return None
+    shared = checkers[0]
+    per_mutant_s = _best_of(
+        repeat, lambda: [checker.check(trace) for checker, trace in zip(checkers, traces)]
+    )
+    batched_s = _best_of(repeat, lambda: shared.check_batch(traces))
+    for checker, trace, via_batch in zip(checkers, traces, shared.check_batch(traces)):
+        oracle = AssertionChecker(checker.design).check(trace)
+        _assert_verdicts_identical(family.name, oracle, checker.check(trace), "mutant check")
+        _assert_verdicts_identical(family.name, oracle, via_batch, "cross-mutant check_batch")
+    return {"mutants": len(traces), "speedup": round(per_mutant_s / batched_s, 3)}
+
+
 class _TreeWalkerStore(ArtifactStore):
     """An artifact store whose checker is the tree-walking oracle."""
 
@@ -242,6 +311,12 @@ def main() -> int:
         help="exit non-zero if ANY family's stacked-batch speedup falls below this",
     )
     parser.add_argument(
+        "--min-mutant-batch-speedup",
+        type=float,
+        default=None,
+        help="exit non-zero if the geomean cross-mutant batch speedup falls below this",
+    )
+    parser.add_argument(
         "--output",
         type=Path,
         default=Path(__file__).resolve().parent.parent / "BENCH_sva.json",
@@ -250,19 +325,29 @@ def main() -> int:
 
     families = all_families()
     micro: dict[str, dict] = {}
+    mutant_legs: list[dict] = []
     for family in families:
         entry = bench_family(family, args.cycles, args.repeat)
         if entry is None:
             continue
+        mutants = bench_mutant_batch(family, args.repeat)
+        if mutants is not None:
+            entry["mutant_batch_speedup"] = mutants["speedup"]
+            mutant_legs.append(mutants)
         micro[family.name] = entry
         print(
             f"{family.name:<26} {entry['assertions']:>2d} SVAs   "
             f"interp {entry['interp_checks_per_s']:>8.1f} checks/s   "
             f"compiled {entry['compiled_checks_per_s']:>8.1f} checks/s   "
-            f"{entry['speedup']:>5.1f}x  (batch {entry['batch_speedup']:.2f}x)"
+            f"{entry['speedup']:>5.1f}x  (batch {entry['batch_speedup']:.2f}x"
+            + (f", mutants {mutants['speedup']:.2f}x" if mutants is not None else "")
+            + ")"
         )
     if not micro:
         print("FAIL: no family produced a checkable design")
+        return 1
+    if not mutant_legs:
+        print("FAIL: no family produced two mutants sharing one lowering")
         return 1
 
     def geomean_of(values: list[float]) -> float:
@@ -272,10 +357,12 @@ def main() -> int:
     geomean = geomean_of(speedups)
     batch_speedups = [entry["batch_speedup"] for entry in micro.values()]
     batch_geomean = geomean_of(batch_speedups)
+    mutant_speedups = [leg["speedup"] for leg in mutant_legs]
+    mutant_geomean = geomean_of(mutant_speedups)
 
     verifier = bench_verifier(min(args.cycles, 96), families[: args.verifier_cases])
     report = {
-        "schema": "bench_sva/v5",
+        "schema": "bench_sva/v6",
         "host": host_metadata(),
         "cycles_per_family": args.cycles,
         "timing_repeats": args.repeat,
@@ -288,6 +375,13 @@ def main() -> int:
             "geomean_speedup": round(batch_geomean, 3),
             "min_speedup": round(min(batch_speedups), 3),
         },
+        "mutant_batch": {
+            "families": len(mutant_legs),
+            "mutants": sum(leg["mutants"] for leg in mutant_legs),
+            "cycles": MUTANT_CYCLES,
+            "geomean_speedup": round(mutant_geomean, 3),
+            "min_speedup": round(min(mutant_speedups), 3),
+        },
         "verifier": verifier,
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
@@ -295,7 +389,9 @@ def main() -> int:
         f"\ngeomean checking speedup {report['geomean_speedup']}x "
         f"(min {report['min_speedup']}x); stacked seed-trace "
         f"pass {report['batch']['geomean_speedup']}x "
-        f"(min {report['batch']['min_speedup']}x); verifier end-to-end "
+        f"(min {report['batch']['min_speedup']}x); cross-mutant batch "
+        f"{report['mutant_batch']['geomean_speedup']}x "
+        f"(min {report['mutant_batch']['min_speedup']}x); verifier end-to-end "
         f"{verifier['speedup']}x over {verifier['cases']} cases"
     )
     print(f"wrote {args.output}")
@@ -310,6 +406,16 @@ def main() -> int:
         print(
             f"FAIL: stacked-batch minimum {report['batch']['min_speedup']}x "
             f"is below the --min-batch-speedup gate of {args.min_batch_speedup}x"
+        )
+        failed = True
+    if (
+        args.min_mutant_batch_speedup is not None
+        and mutant_geomean < args.min_mutant_batch_speedup
+    ):
+        print(
+            f"FAIL: cross-mutant batch geomean {report['mutant_batch']['geomean_speedup']}x "
+            f"is below the --min-mutant-batch-speedup gate of "
+            f"{args.min_mutant_batch_speedup}x"
         )
         failed = True
     return 1 if failed else 0

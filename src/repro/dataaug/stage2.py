@@ -11,10 +11,11 @@ For every sample that survived Stage 1:
    validation,
 3. single-line bugs are injected with the mutation engine; mutants that do
    not compile are discarded -- the second half of the validation,
-4. every surviving mutant is simulated against the validated SVAs.  Mutants
-   that trigger at least one assertion failure become SVA-Bug entries (with
-   the captured failure log); mutants that keep all assertions happy become
-   Verilog-Bug entries.
+4. every surviving mutant is simulated against the validated SVAs, all of a
+   sample's mutants in one kernel call whose traces are checked in one
+   stacked pass.  Mutants that trigger at least one assertion failure become
+   SVA-Bug entries (with the captured failure log); mutants that keep all
+   assertions happy become Verilog-Bug entries.
 
 Every source is elaborated through the process-wide
 :class:`~repro.artifacts.ArtifactStore`, so the mutant the injector compiled
@@ -240,8 +241,8 @@ class Stage2Runner:
             return None, None
 
         augmented = insert_assertions(sample.source, candidates)
-        outcome = simulate_and_check(
-            store, augmented, (config.seed + 1,), config.random_cycles, _RESET_CYCLES,
+        (outcome,) = simulate_and_check(
+            store, [(augmented, (config.seed + 1,))], config.random_cycles, _RESET_CYCLES,
             (golden_compiled, None), "stage2",
         )
         if outcome.design is None or outcome.sim_error is not None:
@@ -283,14 +284,16 @@ class Stage2Runner:
         base = lower_design(store, golden_design, (None, None))
         bugs = self._sample_injector(sample).inject(sample.name, augmented_golden, golden_design)
         result.injected_bugs += len(bugs)
-        for index, bug in enumerate(bugs):
-            stimulus_seed = config.seed + 101 + index
-            # The injector elaborated this mutant through the same store, so
-            # the kernel's elaboration is an LRU hit.
-            outcome = simulate_and_check(
-                store, bug.buggy_source, (stimulus_seed,), config.random_cycles,
-                _RESET_CYCLES, base, "stage2", augmented_golden,
-            )
+        # One kernel call triages every mutant, each on its own seed: the
+        # mutants share the base's assertion lowerings, so their traces are
+        # checked in one stacked pass.  The injector elaborated each mutant
+        # through the same store, so the kernel's elaborations are LRU hits.
+        seeds = [config.seed + 101 + index for index in range(len(bugs))]
+        outcomes = simulate_and_check(
+            store, [(bug.buggy_source, (seed,)) for bug, seed in zip(bugs, seeds)],
+            config.random_cycles, _RESET_CYCLES, base, "stage2", augmented_golden,
+        )
+        for index, (bug, stimulus_seed, outcome) in enumerate(zip(bugs, seeds, outcomes)):
             if outcome.design is None or outcome.sim_error is not None:
                 result.rejected_not_compiling += 1
                 continue

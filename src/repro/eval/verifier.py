@@ -268,8 +268,8 @@ class SemanticVerifier:
         """
         seeds = tuple(seeds)
         cycles = self.config.cycles if cycles is None else cycles
-        outcome = simulate_and_check(
-            self.artifacts, patched_source, seeds, cycles, self.config.reset_cycles,
+        (outcome,) = simulate_and_check(
+            self.artifacts, [(patched_source, seeds)], cycles, self.config.reset_cycles,
             base, "verify", base_source,
         )
         if outcome.design is None:

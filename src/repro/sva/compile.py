@@ -25,7 +25,9 @@ tensor (:mod:`repro.sva.vector`):
 * :meth:`CompiledAssertionChecker.check_batch` **stacks the per-seed
   columnar views** of a batch into one padded (seed x cycle) grid, so the
   verifier's remaining-seeds pass is one numpy evaluation per assertion,
-  not one per seed.
+  not one per seed; traces of other designs whose checkers share this
+  one's :meth:`~CompiledAssertionChecker.batch_key` (Stage 2's mutants of
+  one golden) ride in the same grid.
 
 There are exactly two engines.  An assertion the vector lowering refuses
 (dynamic part selects, >63-bit operands, ...) is checked by the
@@ -191,6 +193,9 @@ class CompiledAssertionChecker:
             self._lowered[id(spec)] = lowered
             if lowered is None:
                 failed.append(spec.name)
+        lowered_all = tuple(self._lowered[id(spec)] for spec in design.assertions)
+        shared = self.assertions_reused == len(lowered_all) and None not in lowered_all
+        self._batch_key = lowered_all if shared else None
         if strict and failed:
             raise CompileError(
                 "assertions cannot be lowered: " + ", ".join(sorted(failed))
@@ -212,6 +217,20 @@ class CompiledAssertionChecker:
             if base._design.signals[name].width != self._design.signals[name].width:
                 return False
         return base._design.parameters == self._design.parameters
+
+    def batch_key(self) -> Optional[tuple[object, ...]]:
+        """A hashable key shared by checkers that may judge each other's traces.
+
+        Equal keys mean identical :class:`_LoweredAssertion` objects for
+        every assertion, in order -- hence one signal table, equal widths,
+        parameters, names and messages -- so one checker's
+        :meth:`check_batch` over traces of several such designs gives each
+        trace its own checker's outcomes.  That holds for designs relowered
+        against one base whose every assertion was reused.  None when any
+        assertion runs on the tree-walker (its oracle is per design) or was
+        lowered afresh.
+        """
+        return self._batch_key
 
     @property
     def design(self) -> ElaboratedDesign:
@@ -307,7 +326,7 @@ class CompiledAssertionChecker:
         reports: list[CheckReport] = []
         live: list[tuple[Trace, CheckReport]] = []
         for trace in traces:
-            if self._has_signals(trace):
+            if self.has_signals(trace):
                 report = CheckReport()
                 live.append((trace, report))
             else:
@@ -338,7 +357,7 @@ class CompiledAssertionChecker:
                 report.outcomes[spec.name] = outcome
         return reports
 
-    def _has_signals(self, trace: Trace) -> bool:
+    def has_signals(self, trace: Trace) -> bool:
         """Whether ``trace`` samples every referenced signal; if not, the
         whole trace falls back to the oracle (probed cheaply up front so
         the lazy column build cannot fail).

@@ -1,44 +1,66 @@
-"""The simulate-and-check kernel: one source text, judged on stimulus seeds.
+"""The simulate-and-check kernel: source texts, judged on stimulus seeds.
 
 Both halves of the paper's loop run the same EDA steps: Stage 2 simulates
 every compiling mutant against the validated assertions, and the repair
 verifier re-runs them for every candidate fix.  :func:`simulate_and_check`
-is that loop, once:
+is that loop, once, over a batch of sources:
 
-1. elaborate the source through an :class:`~repro.artifacts.ArtifactStore`
+1. elaborate each source through an :class:`~repro.artifacts.ArtifactStore`
    (the store's source-keyed LRU makes a repeat source a cache hit, and a
    one-line edit of the cached base source re-parses one module item);
 2. lower it for the compiled simulator and the compiled assertion checker,
    relowering only the dirty cone against an optional base
    (:func:`lower_design`);
-3. simulate each seed (the compiled simulator records only column events,
-   and no per-cycle sample is ever realised);
-4. check the first seed alone -- most failing designs already fail there
-   -- and the remaining seeds in one stacked :meth:`check_batch` pass.
+3. simulate every source's first seed (the compiled simulator records only
+   column events, and no per-cycle sample is ever realised) and check all
+   of those traces in one pass -- most failing designs already fail there;
+4. carry only the sources that passed to their remaining seeds, simulate
+   those and check all of their traces in a second pass.
+
+A pass groups traces by :meth:`CompiledAssertionChecker.batch_key`: sources
+whose checkers hold the identical lowering for every assertion (mutants or
+candidates relowered against one base) share one stacked
+:meth:`~CompiledAssertionChecker.check_batch` call.  A source is checked
+alone, by its own checker, when its checker runs an assertion on the
+tree-walker (or is the tree-walking :class:`AssertionChecker` itself), when
+it lowered any assertion afresh, and a trace is checked alone when it lacks
+a referenced signal.  The ``<stage>.check.batches`` /
+``<stage>.check.batched_traces`` counters and the labelled
+``<stage>.check.alone[tree_walker | lowering_not_shared | missing_signal]``
+counter record the grouping.
 
 There is one configuration.  Tests reach the oracles by handing the kernel
 a store whose :meth:`~repro.artifacts.ArtifactStore.checker` returns the
 tree-walking :class:`~repro.sva.checker.AssertionChecker`.
 
-Callers map the returned :class:`CheckOutcome` onto their own records
+Callers map each returned :class:`CheckOutcome` onto their own records
 (:class:`~repro.eval.verifier.RepairVerdict`, Stage-2 dataset entries).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.hdl.elaborate import ElaboratedDesign
 from repro.obs import phase
+from repro.obs.metrics import get_registry, labeled
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.stimulus import StimulusGenerator
-from repro.sva.checker import CheckReport
+from repro.sim.trace import Trace
+from repro.sva.checker import AssertionChecker, CheckReport
+from repro.sva.compile import CompiledAssertionChecker
+
+if TYPE_CHECKING:
+    from repro.artifacts.store import ArtifactStore
+    from repro.sim.compile import CompiledDesign
+
+Checker = Union[CompiledAssertionChecker, AssertionChecker]
 
 
 @dataclass
 class CheckOutcome:
-    """What one :func:`simulate_and_check` run found.
+    """What :func:`simulate_and_check` found for one source.
 
     At most one of ``compile_error``, ``sim_error`` and ``failure`` is set;
     none set means every seed simulated and every assertion held.
@@ -56,7 +78,11 @@ class CheckOutcome:
     exercised: bool = False
 
 
-def lower_design(store, design: ElaboratedDesign, base: tuple) -> tuple:
+def lower_design(
+    store: ArtifactStore,
+    design: ElaboratedDesign,
+    base: tuple[Optional[CompiledDesign], Optional[Checker]],
+) -> tuple[Optional[CompiledDesign], Checker]:
     """``design``'s (compiled simulator design, checker), via ``store``.
 
     ``base`` is a ``(compiled design, checker)`` pair to relower against
@@ -73,79 +99,144 @@ def _exercised(report: CheckReport) -> bool:
     return any(outcome.antecedent_matches > 0 for outcome in report.outcomes.values())
 
 
+def _alone_reason(checker: Checker) -> str:
+    """Why a source whose checker has no batch key is checked alone."""
+    if isinstance(checker, CompiledAssertionChecker) and all(
+        choice["engine"] == "tensor" for choice in checker.engine_choices.values()
+    ):
+        return "lowering_not_shared"
+    return "tree_walker"
+
+
+def _check_pass(
+    stage: str, checkers: dict[int, Checker], traces: dict[int, list[Trace]]
+) -> dict[int, list[CheckReport]]:
+    """Check every source's traces; sources sharing a batch key share one call.
+
+    Returns each source's reports in trace order, outcome-identical to its
+    own checker's :meth:`check_batch` over its traces.
+    """
+    registry = get_registry()
+    groups: dict[
+        tuple[object, ...],
+        tuple[CompiledAssertionChecker, list[tuple[int, int]], list[Trace]],
+    ] = {}
+    results: dict[tuple[int, int], CheckReport] = {}
+    for index, source_traces in traces.items():
+        checker = checkers[index]
+        compiled = checker if isinstance(checker, CompiledAssertionChecker) else None
+        key = compiled.batch_key() if compiled is not None else None
+        alone: list[int] = []
+        for position, trace in enumerate(source_traces):
+            if compiled is not None and key is not None and compiled.has_signals(trace):
+                _, slots, grouped = groups.setdefault(key, (compiled, [], []))
+                slots.append((index, position))
+                grouped.append(trace)
+                continue
+            reason = "missing_signal" if key is not None else _alone_reason(checker)
+            registry.inc(labeled(f"{stage}.check.alone", reason))
+            alone.append(position)
+        if alone:
+            with phase(f"{stage}.check"):
+                reports = checker.check_batch([source_traces[p] for p in alone])
+            results.update(((index, p), report) for p, report in zip(alone, reports))
+    for shared, slots, grouped in groups.values():
+        registry.inc(f"{stage}.check.batches")
+        registry.inc(f"{stage}.check.batched_traces", len(grouped))
+        with phase(f"{stage}.check"):
+            results.update(zip(slots, shared.check_batch(grouped)))
+    return {
+        index: [results[(index, p)] for p in range(len(source_traces))]
+        for index, source_traces in traces.items()
+    }
+
+
 def simulate_and_check(
-    store,
-    source: str,
-    seeds: Sequence[int],
+    store: ArtifactStore,
+    items: Sequence[tuple[str, Sequence[int]]],
     cycles: int,
     reset_cycles: int,
-    base: tuple,
+    base: tuple[Optional[CompiledDesign], Optional[Checker]],
     stage: str,
     base_source: Optional[str] = None,
-) -> CheckOutcome:
-    """Elaborate, lower, simulate and check ``source`` on every seed.
+) -> list[CheckOutcome]:
+    """Elaborate, lower, simulate and check each ``(source, seeds)`` item.
 
-    ``base`` and ``base_source`` describe the design ``source`` is an edit
-    of: its ``(compiled design, checker)`` pair to relower against and its
-    source text to re-parse against (see
+    Every source is an edit of one base design: ``base`` is that design's
+    ``(compiled design, checker)`` pair to relower against and
+    ``base_source`` its source text to re-parse against (see
     :meth:`~repro.artifacts.ArtifactStore.compile`); any may be None.
     ``stage`` names the phases (``<stage>.compile`` / ``.simulate`` /
-    ``.check`` spans and histograms).  ``seeds`` must not be empty: a
-    source judged on no stimulus would pass vacuously, so an empty tuple
-    raises ``ValueError``.
+    ``.check`` spans and histograms) and the grouping counters.  No item's
+    seeds may be empty: a source judged on no stimulus would pass
+    vacuously, so an empty seed tuple raises ``ValueError``.
 
-    The outcome is the historical seed-by-seed loop's: failures are
+    Returns one :class:`CheckOutcome` per item, in item order, each the
+    historical seed-by-seed loop's for that source alone: failures are
     attributed to the first failing seed in seed order, a simulation error
     on a later seed loses to an assertion failure on an earlier one, and
     ``exercised`` accumulates over exactly the seeds that loop would have
-    checked.  (Checking the remaining seeds as one batch trades away an
+    checked.  (Checking the remaining seeds as one pass trades away an
     early exit on a middle seed's failure; a design that survived the
     first seed rarely fails later.)
     """
-    if not seeds:
-        raise ValueError("simulate_and_check needs at least one stimulus seed")
-    with phase(f"{stage}.compile"):
-        design, first_error = store.elaborate_source(source, base_source)
-        if design is None:
-            return CheckOutcome(design=None, compile_error=first_error)
-        compiled, checker = lower_design(store, design, base)
+    judged = [(source, tuple(seeds)) for source, seeds in items]
+    if any(not seeds for _, seeds in judged):
+        raise ValueError("simulate_and_check needs at least one stimulus seed per source")
+    outcomes: list[CheckOutcome] = []
+    # Index of each compiling source -> (design, compiled simulator design).
+    lowered: dict[int, tuple[ElaboratedDesign, Optional[CompiledDesign]]] = {}
+    checkers: dict[int, Checker] = {}
+    for index, (source, _) in enumerate(judged):
+        with phase(f"{stage}.compile"):
+            design, first_error = store.elaborate_source(source, base_source)
+            if design is not None:
+                compiled, checkers[index] = lower_design(store, design, base)
+                lowered[index] = (design, compiled)
+        outcomes.append(CheckOutcome(design=design, compile_error=first_error))
 
-    def simulate(seed: int):
+    def simulate(index: int, seed: int) -> Trace:
+        design, compiled = lowered[index]
         with phase(f"{stage}.simulate"):
             stimulus = StimulusGenerator(design, seed=seed).mixed_stimulus(
                 random_cycles=cycles, reset_cycles=reset_cycles
             )
-            return Simulator(design, compiled=compiled).run(stimulus.vectors)
+            trace: Trace = Simulator(design, compiled=compiled).run(stimulus.vectors)
+        return trace
 
-    outcome = CheckOutcome(design=design)
-    try:
-        first_trace = simulate(seeds[0])
-    except SimulationError as exc:
-        outcome.sim_error = (seeds[0], str(exc))
-        return outcome
-    with phase(f"{stage}.check"):
-        report = checker.check(first_trace)
-    outcome.exercised = _exercised(report)
-    if not report.passed:
-        outcome.failure = (seeds[0], report)
-        return outcome
-
-    simulated: list[tuple[int, object]] = []
-    sim_error: Optional[tuple[int, str]] = None
-    for seed in seeds[1:]:
+    first: dict[int, list[Trace]] = {}
+    for index in lowered:
+        seed = judged[index][1][0]
         try:
-            simulated.append((seed, simulate(seed)))
+            first[index] = [simulate(index, seed)]
         except SimulationError as exc:
-            sim_error = (seed, str(exc))
-            break
-    reports = []
-    if simulated:
-        with phase(f"{stage}.check"):
-            reports = checker.check_batch([trace for _, trace in simulated])
-    for (seed, _), report in zip(simulated, reports):
-        outcome.exercised = outcome.exercised or _exercised(report)
+            outcomes[index].sim_error = (seed, str(exc))
+    survivors: list[int] = []
+    for index, (report,) in _check_pass(stage, checkers, first).items():
+        outcomes[index].exercised = _exercised(report)
         if not report.passed:
-            outcome.failure = (seed, report)
-            return outcome
-    outcome.sim_error = sim_error
-    return outcome
+            outcomes[index].failure = (judged[index][1][0], report)
+        elif len(judged[index][1]) > 1:
+            survivors.append(index)
+
+    rest: dict[int, list[Trace]] = {}
+    late_errors: dict[int, tuple[int, str]] = {}
+    for index in survivors:
+        rest[index] = []
+        for seed in judged[index][1][1:]:
+            try:
+                rest[index].append(simulate(index, seed))
+            except SimulationError as exc:
+                late_errors[index] = (seed, str(exc))
+                break
+    rest_reports = _check_pass(stage, checkers, rest)
+    for index in survivors:
+        outcome = outcomes[index]
+        for seed, report in zip(judged[index][1][1:], rest_reports[index]):
+            outcome.exercised = outcome.exercised or _exercised(report)
+            if not report.passed:
+                outcome.failure = (seed, report)
+                break
+        else:
+            outcome.sim_error = late_errors.get(index)
+    return outcomes

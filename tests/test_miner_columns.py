@@ -31,7 +31,7 @@ from repro.sva.generator import (
     mine_assertions,
     template_assertion_blocks,
 )
-from repro.sva.kernel import simulate_and_check
+from repro.sva.kernel import lower_design, simulate_and_check
 
 FAMILIES = all_families()
 X_INIT = SimulatorOptions(x_initial_state=True)
@@ -236,7 +236,9 @@ def test_column_miners_match_on_injected_mutants():
 
 
 def test_simulate_and_check_never_materialises_samples(monkeypatch):
-    """Every compiled trace the kernel simulates stays sample-free."""
+    """Every compiled trace the kernel simulates stays sample-free, in a
+    multi-source call (the augmented golden plus its mutants, relowered
+    against it and checked in shared batches) on several seeds."""
     recorded = []
     run = CompiledSimulator.run
 
@@ -247,6 +249,7 @@ def test_simulate_and_check_never_materialises_samples(monkeypatch):
 
     monkeypatch.setattr(CompiledSimulator, "run", recording_run)
     store = ArtifactStore()
+    injector = BugInjector(InjectionConfig(seed=31, max_bugs_per_design=3))
     checked = 0
     for family in FAMILIES:
         artifact, design = golden_design(family)
@@ -255,11 +258,14 @@ def test_simulate_and_check_never_materialises_samples(monkeypatch):
         candidates.extend(mine_assertions(design, CompiledSimulator(design).run(vectors)))
         if not candidates:
             continue
-        outcome = simulate_and_check(
-            store, insert_assertions(artifact.source, candidates), (1, 2, 3), 24, 2,
-            (None, None), "test",
-        )
-        assert outcome.design is not None and outcome.sim_error is None
+        augmented = insert_assertions(artifact.source, candidates)
+        augmented_design, _ = store.elaborate_source(augmented)
+        base = lower_design(store, augmented_design, (None, None))
+        mutants = injector.inject(artifact.name, augmented, augmented_design)
+        items = [(augmented, (1, 2, 3))] + [(bug.buggy_source, (1, 2, 3)) for bug in mutants]
+        outcomes = simulate_and_check(store, items, 24, 2, base, "test", augmented)
+        assert len(outcomes) == len(items)
+        assert outcomes[0].design is not None and outcomes[0].sim_error is None
         checked += 1
     assert checked >= 20
     # One mining trace plus at least one kernel trace per checked family.

@@ -10,8 +10,11 @@ from dataclasses import replace
 
 import pytest
 
+from repro.corpus.generator import CorpusGenerator
 from repro.dataaug.datasets import SvaBugEntry
 from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig
+from repro.dataaug.stage1 import run_stage1
+from repro.dataaug.stage2 import Stage2Result, Stage2Runner
 from repro.eval.harness import EvalConfig, EvalHarness
 from repro.hdl.lint import compile_source
 from repro.model.assertsolver_model import AssertSolverModel
@@ -521,6 +524,36 @@ def test_attempt_engine_choices_are_recorded_per_assertion():
     oracle = AssertionChecker(design)
     for trace, report in zip(traces, reports):
         assert report.outcomes == oracle.check(trace).outcomes
+
+
+def test_stage2_check_grouping_is_counted(tmp_path, capsys):
+    """One fixed sample: Stage 2 validates its SVAs on the freshly lowered
+    augmented golden (checked alone: its lowering is shared with nobody),
+    then triages all three mutants -- relowered against that golden, so
+    sharing every assertion lowering -- in one batch.  The counters land
+    in the run report, so a grouping regression shows as a number."""
+    config = PipelineConfig.small()
+    samples = run_stage1(CorpusGenerator(config.corpus).generate()).compiled
+    sample = next(s for s in samples if s.name == "updown_counter_0004")
+    result = Stage2Result()
+    with scoped_registry() as registry:
+        Stage2Runner(config.stage2).process_sample(sample, result)
+    assert result.injected_bugs == 3 and result.rejected_not_compiling == 0
+    grouping = {
+        key: value for key, value in registry.counters.items()
+        if key.startswith("stage2.check.")
+    }
+    assert grouping == {
+        "stage2.check.batches": 1,
+        "stage2.check.batched_traces": 3,
+        labeled("stage2.check.alone", "lowering_not_shared"): 1,
+    }
+    trace = tmp_path / "stage2.jsonl"
+    write_trace(trace, Tracer(), metrics=registry, meta={"kind": "test"})
+    assert obs_main(["summarize", str(trace)]) == 0
+    out = capsys.readouterr().out
+    assert "stage2.check.batches: 1" in out
+    assert "stage2.check.alone[lowering_not_shared]: 1" in out
 
 
 # ---------------------------------------------------------------------- #

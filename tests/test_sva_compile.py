@@ -118,6 +118,57 @@ def test_check_batch_matches_per_trace_check(checker_class, request):
     assert checked >= 4
 
 
+def test_check_batch_across_mutant_designs_sharing_one_lowering():
+    """Traces of *different* mutant designs, checked in one batch by the one
+    checker whose assertion lowerings they all share (each mutant relowered
+    against the augmented golden), must equal each design's own check --
+    and the tree-walker's.  Ragged trace lengths make the padding
+    load-bearing across designs too."""
+    checked = 0
+    for family in FAMILIES[:12]:
+        source, design = augmented_design(family, prefix="xdesign")
+        if design is None or not design.assertions:
+            continue
+        base = CompiledAssertionChecker(design)
+        injector = BugInjector(InjectionConfig(seed=41, max_bugs_per_design=4))
+        checkers, traces = [], []
+        for index, bug in enumerate(injector.inject(f"xdesign_{family.name}", source, design)):
+            buggy = compile_source(bug.buggy_source)
+            if not buggy.ok or buggy.design is None:
+                continue
+            checker = CompiledAssertionChecker(buggy.design, base=base)
+            if checker.batch_key() is None:
+                continue
+            try:
+                trace = Simulator(buggy.design).run(
+                    StimulusGenerator(buggy.design, seed=50 + index)
+                    .mixed_stimulus(random_cycles=30 - 5 * index)
+                    .vectors
+                )
+            except SimulationError:
+                continue
+            checkers.append(checker)
+            traces.append(trace)
+        if len(traces) < 2:
+            continue
+        assert len({checker.batch_key() for checker in checkers}) == 1
+        assert len({len(trace) for trace in traces}) > 1
+        batched = checkers[0].check_batch(traces)
+        for checker, trace, via_batch in zip(checkers, traces, batched):
+            own = checker.check(trace)
+            oracle = AssertionChecker(checker.design).check(trace)
+            assert list(own.outcomes) == list(via_batch.outcomes)
+            for name in own.outcomes:
+                assert outcome_fields(own.outcomes[name]) == outcome_fields(
+                    via_batch.outcomes[name]
+                ), f"assertion '{name}' diverges across designs in one batch"
+                assert outcome_fields(oracle.outcomes[name]) == outcome_fields(
+                    via_batch.outcomes[name]
+                )
+        checked += 1
+    assert checked >= 4
+
+
 @pytest.mark.parametrize("seed", [13, 29])
 def test_mutant_outcomes_identical(seed):
     """Buggy designs (where assertions actually fail) must also agree."""
