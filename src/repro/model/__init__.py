@@ -13,11 +13,17 @@ data flow:
 * **Learning from error responses** (:mod:`repro.model.dpo`): sample n = 20
   responses per training question, collect the challenging cases that receive
   at least one wrong response, and run Direct Preference Optimisation on the
-  policy weights with the SFT policy as the frozen reference.
+  policy weights with the SFT policy as the frozen reference -- its
+  log-probabilities, recorded when the preference pairs are built, before
+  the first update.
 
-Inference (:mod:`repro.model.inference`) samples JSON responses — candidate
-buggy line, suggested fix, line number and a chain-of-thought explanation —
-exactly the output contract of Fig. 2 (III).
+:class:`~repro.model.policy.RepairPolicy` is the only code that turns weights
+into probabilities, log-probabilities and gradients; both trainers step the
+weights along the gradients it returns.
+
+Inference (:meth:`AssertSolverModel.propose` and ``propose_topk``) returns
+JSON responses — candidate buggy line, suggested fix, line number and a
+chain-of-thought explanation — exactly the output contract of Fig. 2 (III).
 """
 
 from repro.model.case import RepairCase

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.dataaug.datasets import AugmentedDatasets, SvaBugEntry, VerilogBugEntry, VerilogPTEntry
+from repro.dataaug.datasets import SvaBugEntry, VerilogBugEntry, VerilogPTEntry
 from repro.model.case import RepairCase
 from repro.model.challenging import collect_challenging_cases
 from repro.model.cot import build_explanation
@@ -30,6 +30,7 @@ from repro.model.policy import PolicyWeights, RepairPolicy
 from repro.model.pretrain import PretrainedKnowledge, run_pretraining
 from repro.model.response import RepairEngine, RepairResponse
 from repro.model.sft import SftConfig, SftReport, SftTrainer
+from repro.obs import phase
 
 
 class ModelStage(enum.Enum):
@@ -75,7 +76,6 @@ class AssertSolverModel(RepairEngine):
         self.knowledge = PretrainedKnowledge()
         self.policy = RepairPolicy(weights=_base_prior_weights())
         self.history = TrainingHistory()
-        self._reference_policy: Optional[RepairPolicy] = None
 
     # ------------------------------------------------------------------ #
     # training stages
@@ -83,8 +83,9 @@ class AssertSolverModel(RepairEngine):
 
     def pretrain(self, entries: Sequence[VerilogPTEntry]) -> PretrainedKnowledge:
         """Continual pretraining on the Verilog-PT dataset (Section III-A)."""
-        self.knowledge = run_pretraining(entries)
-        self.policy.set_language_model(self.knowledge.language_model)
+        with phase("model.pretrain"):
+            self.knowledge = run_pretraining(entries)
+            self.policy.set_language_model(self.knowledge.language_model)
         self.history.pretraining_entries = self.knowledge.entries_seen
         if self.stage is ModelStage.BASE:
             self.stage = ModelStage.PRETRAINED
@@ -97,8 +98,8 @@ class AssertSolverModel(RepairEngine):
         config: Optional[SftConfig] = None,
     ) -> SftReport:
         """Supervised fine-tuning on SVA-Bug + Verilog-Bug (Section III-B)."""
-        trainer = SftTrainer(self.policy, config)
-        report = trainer.train(sva_entries, verilog_bug_entries)
+        with phase("model.sft"):
+            report = SftTrainer(self.policy, config).train(sva_entries, verilog_bug_entries)
         self.history.sft = report
         self.stage = ModelStage.SFT
         return report
@@ -116,33 +117,24 @@ class AssertSolverModel(RepairEngine):
         ``verifier`` (a :class:`repro.eval.verifier.SemanticVerifier`) lets
         the caller share a verdict cache with the evaluation harness, making
         repeat mining runs incremental; omitted, a fresh uncached verifier
-        is used.
+        is used.  The policy's weights when DPO starts (the SFT weights)
+        are the frozen reference.
         """
-        self._reference_policy = RepairPolicy(
-            weights=self.policy.weights.copy(),
-            language_model=self.knowledge.language_model if self.knowledge.is_trained else None,
-        )
-        triples, stats = collect_challenging_cases(
-            self,
-            sva_entries,
-            samples=samples,
-            temperature=temperature,
-            seed=self._seed,
-            verifier=verifier,
-        )
+        with phase("model.mining"):
+            triples, stats = collect_challenging_cases(
+                self,
+                sva_entries,
+                samples=samples,
+                temperature=temperature,
+                seed=self._seed,
+                verifier=verifier,
+            )
         self.history.challenging_stats = stats
-        trainer = DpoTrainer(self.policy, self._reference_policy, config)
-        report = trainer.train(triples)
+        with phase("model.dpo"):
+            report = DpoTrainer(self.policy, config).train(triples)
         self.history.dpo = report
         self.stage = ModelStage.DPO
         return report
-
-    def train_full(self, datasets: AugmentedDatasets, dpo_samples: int = 20) -> "AssertSolverModel":
-        """Run the complete recipe (PT -> SFT -> DPO) on one dataset bundle."""
-        self.pretrain(datasets.verilog_pt)
-        self.supervised_finetune(datasets.sva_bug_train, datasets.verilog_bug)
-        self.learn_from_errors(datasets.sva_bug_train, samples=dpo_samples)
-        return self
 
     # ------------------------------------------------------------------ #
     # snapshots (for the Table III / Fig. 3 comparisons)

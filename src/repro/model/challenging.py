@@ -39,10 +39,6 @@ class PreferenceTriple:
     positive_fixed_line: str
     negatives: list[tuple[int, str]] = field(default_factory=list)
 
-    @property
-    def negative_count(self) -> int:
-        return len(self.negatives)
-
 
 def response_matches_golden(entry: SvaBugEntry, response: RepairResponse) -> bool:
     """The textual fast path: the suggested buggy line and fix equal the

@@ -5,9 +5,12 @@ Implements the loss of Section III-C:
     L_DPO = -E[ log sigma( beta * ( log pi_theta(p|x)/pi_ref(p|x)
                                    - log pi_theta(n|x)/pi_ref(n|x) ) ) ]
 
-with the SFT policy frozen as the reference.  Because the policy's
-log-probabilities are differentiable in the weights (linear softmaxes), the
-gradient of each preference pair is
+with the SFT policy frozen as the reference.  The reference is the policy's
+own log-probabilities, recorded for every pair when the pairs are built --
+before the first update, while the policy still holds the SFT weights -- so
+no second policy is kept.  Because the policy's log-probabilities are
+differentiable in the weights (linear softmaxes), the gradient of each
+preference pair is
 
     -sigma(-delta) * beta * ( d log pi_theta(p|x) - d log pi_theta(n|x) )
 
@@ -25,8 +28,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.model.case import RepairCase
 from repro.model.challenging import PreferenceTriple
-from repro.model.policy import RepairPolicy
+from repro.model.policy import Choice, RepairPolicy
 
 
 @dataclass
@@ -52,17 +56,23 @@ class DpoReport:
     mean_margin_after: float = 0.0
 
 
-class DpoTrainer:
-    """Optimises the policy weights against a frozen reference policy."""
+@dataclass
+class _Pair:
+    """One (positive, negative) answer pair of a question, each a
+    (line number, fixed line), with both sides' reference log-probabilities."""
 
-    def __init__(
-        self,
-        policy: RepairPolicy,
-        reference: RepairPolicy,
-        config: Optional[DpoConfig] = None,
-    ):
+    case: RepairCase
+    positive: tuple[int, str]
+    negative: tuple[int, str]
+    reference: tuple[float, float]
+
+
+class DpoTrainer:
+    """Optimises the policy weights against its own weights at construction
+    of the pairs (the frozen SFT reference)."""
+
+    def __init__(self, policy: RepairPolicy, config: Optional[DpoConfig] = None):
         self._policy = policy
-        self._reference = reference
         self._config = config or DpoConfig()
         self._random = random.Random(self._config.seed)
 
@@ -96,79 +106,54 @@ class DpoTrainer:
 
     def _build_pairs(
         self, triples: Sequence[PreferenceTriple], report: DpoReport
-    ) -> list[dict]:
-        pairs: list[dict] = []
+    ) -> list[_Pair]:
+        """The representable pairs, each with its reference log-probabilities."""
+        policy = self._policy
+        pairs: list[_Pair] = []
         for triple in triples:
             negatives = triple.negatives[: self._config.max_negatives_per_case]
-            for negative_line, negative_fix in negatives:
-                pair = {
-                    "case": triple.case,
-                    "positive": (triple.positive_line_number, triple.positive_fixed_line),
-                    "negative": (negative_line, negative_fix),
-                }
-                if self._representable(pair):
-                    pairs.append(pair)
-                    report.pairs += 1
-                else:
+            positive = (triple.positive_line_number, triple.positive_fixed_line)
+            reference_positive = policy.choice(triple.case, *positive)
+            if reference_positive is None:
+                report.pairs_skipped += len(negatives)
+                continue
+            for negative in negatives:
+                reference_negative = policy.choice(triple.case, *negative)
+                if reference_negative is None:
                     report.pairs_skipped += 1
+                    continue
+                reference = (reference_positive.log_probability, reference_negative.log_probability)
+                pairs.append(_Pair(triple.case, positive, negative, reference))
+        report.pairs = len(pairs)
         return pairs
 
-    def _representable(self, pair: dict) -> bool:
-        case = pair["case"]
-        for line_number, fixed_line in (pair["positive"], pair["negative"]):
-            if self._policy.log_probability(case, line_number, fixed_line) is None:
-                return False
-            if self._reference.log_probability(case, line_number, fixed_line) is None:
-                return False
-        return True
-
-    def _delta(self, pair: dict) -> float:
-        case = pair["case"]
-        positive_line, positive_fix = pair["positive"]
-        negative_line, negative_fix = pair["negative"]
-        log_p_theta = self._policy.log_probability(case, positive_line, positive_fix)
-        log_n_theta = self._policy.log_probability(case, negative_line, negative_fix)
-        log_p_ref = self._reference.log_probability(case, positive_line, positive_fix)
-        log_n_ref = self._reference.log_probability(case, negative_line, negative_fix)
-        return self._config.beta * (
-            (log_p_theta - log_p_ref) - (log_n_theta - log_n_ref)
+    def _margin(self, pair: _Pair) -> tuple[float, Choice, Choice]:
+        """delta = beta * (log-ratio of p - log-ratio of n) under the current
+        weights, and the two choices it was computed from."""
+        positive = self._policy.choice(pair.case, *pair.positive)
+        negative = self._policy.choice(pair.case, *pair.negative)
+        reference_positive, reference_negative = pair.reference
+        delta = self._config.beta * (
+            (positive.log_probability - reference_positive)
+            - (negative.log_probability - reference_negative)
         )
+        return delta, positive, negative
 
-    def _update_pair(self, pair: dict, learning_rate: float) -> float:
+    def _update_pair(self, pair: _Pair, learning_rate: float) -> float:
         """One gradient step on one preference pair; returns its loss."""
-        case = pair["case"]
-        positive_line, positive_fix = pair["positive"]
-        negative_line, negative_fix = pair["negative"]
-        delta = self._delta(pair)
-        loss = -math.log(_sigmoid(delta))
+        delta, positive, negative = self._margin(pair)
         coefficient = _sigmoid(-delta) * self._config.beta  # d(-log sigma)/d(delta) * -1
-
-        positive_gradient = self._policy.log_probability_gradient(
-            case, positive_line, positive_fix
+        self._policy.weights.step(
+            {
+                block: coefficient * (positive.gradient[block] - negative.gradient[block])
+                for block in positive.gradient
+            },
+            learning_rate,
         )
-        negative_gradient = self._policy.log_probability_gradient(
-            case, negative_line, negative_fix
-        )
-        if positive_gradient is None or negative_gradient is None:
-            return loss
-        weights = self._policy.weights
-        for block, attribute in (
-            ("localisation", "localisation"),
-            ("fix_features", "fix_features"),
-            ("fix_patterns", "fix_patterns"),
-        ):
-            update = coefficient * (positive_gradient[block] - negative_gradient[block])
-            setattr(
-                weights,
-                attribute,
-                getattr(weights, attribute) + learning_rate * update,
-            )
-        return loss
+        return -math.log(_sigmoid(delta))
 
-    def _mean_margin(self, pairs: list[dict]) -> float:
-        if not pairs:
-            return 0.0
-        return float(np.mean([self._delta(pair) for pair in pairs]))
+    def _mean_margin(self, pairs: list[_Pair]) -> float:
+        return float(np.mean([self._margin(pair)[0] for pair in pairs]))
 
 
 def _sigmoid(value: float) -> float:

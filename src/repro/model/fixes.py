@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bugs.mutators import MutationCandidate, enumerate_mutations
-from repro.hdl.source import lines_equivalent, strip_comment
+from repro.hdl.source import strip_comment
 from repro.model.case import RepairCase
 
 #: every pattern id the fix generator can emit (used to size the weight table).
@@ -58,10 +58,6 @@ class FixCandidate:
     fixed_line: str
     pattern: str
     description: str
-
-    @property
-    def is_noop(self) -> bool:
-        return lines_equivalent(self.original_line, self.fixed_line)
 
 
 def ranked_scope_signals(case: RepairCase, line: str) -> list[str]:
@@ -118,12 +114,3 @@ def generate_fix_candidates(
     )
     return candidates
 
-
-def find_matching_candidate(
-    candidates: list[FixCandidate], target_line: str
-) -> FixCandidate | None:
-    """Locate the candidate equivalent to ``target_line`` (the golden fix)."""
-    for candidate in candidates:
-        if lines_equivalent(candidate.fixed_line, target_line):
-            return candidate
-    return None

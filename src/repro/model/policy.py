@@ -11,16 +11,19 @@ Both scores are linear in their weights, which makes the three training
 stages straightforward: pretraining supplies the language-model feature, SFT
 fits the weights by maximum likelihood, and DPO moves the same weights along
 the preference gradient (the policy's log-probabilities -- and therefore the
-DPO objective -- are differentiable in closed form).
+DPO objective -- are differentiable in closed form).  The policy is the only
+code that turns weights into log-probabilities and gradients: both trainers
+ask it for a :class:`Choice` and step the weights along its gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from repro.hdl.source import normalize_line
 from repro.model.case import RepairCase
 from repro.model.features import (
     FIX_FEATURE_NAMES,
@@ -65,8 +68,37 @@ class PolicyWeights:
             fix_patterns=np.asarray(payload["fix_patterns"], dtype=float),
         )
 
+    def step(self, gradient: dict[str, np.ndarray], scale: float) -> None:
+        """Add ``scale`` times each block's gradient to that block, in place."""
+        for block, value in gradient.items():
+            weights = getattr(self, block)
+            weights += scale * value
+
 
 _PATTERN_INDEX = {pattern: index for index, pattern in enumerate(FIX_PATTERNS)}
+
+
+@dataclass
+class LineOptions:
+    """The candidate rewrites of one line and what the fix head scores them by."""
+
+    candidates: list[FixCandidate]
+    features: np.ndarray
+    #: each candidate's index into :data:`FIX_PATTERNS`.
+    patterns: np.ndarray
+    #: ``normalize_line`` of each candidate, built by the first
+    #: :meth:`fix_index` call (ranking and sampling never look a fix up).
+    keys: Optional[list[str]] = None
+
+    def fix_index(self, fixed_line: str) -> Optional[int]:
+        """The first candidate equivalent to ``fixed_line`` (as
+        :func:`~repro.hdl.source.lines_equivalent` decides), or ``None``."""
+        if self.keys is None:
+            self.keys = [normalize_line(candidate.fixed_line) for candidate in self.candidates]
+        try:
+            return self.keys.index(normalize_line(fixed_line))
+        except ValueError:
+            return None
 
 
 @dataclass
@@ -75,9 +107,15 @@ class CaseAnalysis:
 
     line_numbers: list[int]
     line_features: np.ndarray
-    fix_candidates: dict[int, list[FixCandidate]] = field(default_factory=dict)
-    fix_features: dict[int, np.ndarray] = field(default_factory=dict)
-    fix_pattern_indices: dict[int, np.ndarray] = field(default_factory=dict)
+    lines: dict[int, LineOptions] = field(default_factory=dict)
+
+
+class Choice(NamedTuple):
+    """One decision of the policy: the log-probability of the chosen option
+    and its gradient with respect to each weight block the decision reads."""
+
+    log_probability: float
+    gradient: dict[str, np.ndarray]
 
 
 def softmax(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -127,28 +165,24 @@ class RepairPolicy:
         self._analysis_cache[case.content_key] = analysis
         return analysis
 
-    def fix_options(self, case: RepairCase, line_number: int) -> tuple[
-        list[FixCandidate], np.ndarray, np.ndarray
-    ]:
+    def fix_options(self, case: RepairCase, line_number: int) -> LineOptions:
         """Fix candidates of a line plus their features and pattern indices."""
-        analysis = self.analyse(case)
-        if line_number not in analysis.fix_candidates:
+        lines = self.analyse(case).lines
+        options = lines.get(line_number)
+        if options is None:
             candidates = generate_fix_candidates(case, line_number)
             original = case.line_text(line_number)
-            features = self._fix_extractor.extract_batch(
-                case, original, [c.fixed_line for c in candidates]
+            options = LineOptions(
+                candidates=candidates,
+                features=self._fix_extractor.extract_batch(
+                    case, original, [c.fixed_line for c in candidates]
+                ),
+                patterns=np.array(
+                    [_PATTERN_INDEX.get(c.pattern, _PATTERN_INDEX["keep_line"]) for c in candidates]
+                ),
             )
-            patterns = np.array(
-                [_PATTERN_INDEX.get(c.pattern, _PATTERN_INDEX["keep_line"]) for c in candidates]
-            )
-            analysis.fix_candidates[line_number] = candidates
-            analysis.fix_features[line_number] = features
-            analysis.fix_pattern_indices[line_number] = patterns
-        return (
-            analysis.fix_candidates[line_number],
-            analysis.fix_features[line_number],
-            analysis.fix_pattern_indices[line_number],
-        )
+            lines[line_number] = options
+        return options
 
     # ------------------------------------------------------------------ #
     # probabilities
@@ -166,34 +200,18 @@ class RepairPolicy:
         return line_numbers, softmax(scores, temperature)
 
     def fix_scores(self, case: RepairCase, line_number: int) -> tuple[list[FixCandidate], np.ndarray]:
-        candidates, features, patterns = self.fix_options(case, line_number)
-        if features.size == 0:
-            return candidates, np.zeros(0)
-        scores = features @ self.weights.fix_features + self.weights.fix_patterns[patterns]
-        return candidates, scores
+        options = self.fix_options(case, line_number)
+        if options.features.size == 0:
+            return options.candidates, np.zeros(0)
+        weights = self.weights
+        scores = options.features @ weights.fix_features + weights.fix_patterns[options.patterns]
+        return options.candidates, scores
 
     def fix_distribution(
         self, case: RepairCase, line_number: int, temperature: float = 1.0
     ) -> tuple[list[FixCandidate], np.ndarray]:
         candidates, scores = self.fix_scores(case, line_number)
         return candidates, softmax(scores, temperature)
-
-    def log_probability(
-        self, case: RepairCase, line_number: int, fixed_line: str, temperature: float = 1.0
-    ) -> Optional[float]:
-        """log pi(line, fix | case); ``None`` when the pair is not representable."""
-        line_numbers, line_probabilities = self.line_distribution(case, temperature)
-        if line_number not in line_numbers:
-            return None
-        line_index = line_numbers.index(line_number)
-        candidates, fix_probabilities = self.fix_distribution(case, line_number, temperature)
-        fix_index = _candidate_index(candidates, fixed_line)
-        if fix_index is None:
-            return None
-        return float(
-            np.log(max(line_probabilities[line_index], 1e-12))
-            + np.log(max(fix_probabilities[fix_index], 1e-12))
-        )
 
     # ------------------------------------------------------------------ #
     # sampling
@@ -258,54 +276,65 @@ class RepairPolicy:
         return top
 
     # ------------------------------------------------------------------ #
-    # gradients (used by SFT and DPO)
+    # training: log-probabilities with their gradients (SFT and DPO)
     # ------------------------------------------------------------------ #
 
-    def log_probability_gradient(
-        self, case: RepairCase, line_number: int, fixed_line: str, temperature: float = 1.0
-    ) -> Optional[dict[str, np.ndarray]]:
-        """d log pi(line, fix | case) / d weights, for each weight block.
-
-        For a softmax that is linear in the weights the gradient is the
-        feature vector of the chosen option minus the probability-weighted
-        average feature vector of all options (independently for the line
-        choice and the fix choice, because the policy factorises).
-        """
+    def line_choice(self, case: RepairCase, line_number: int) -> Optional[Choice]:
+        """log pi(line | case) and its gradient; ``None`` for a non-candidate line."""
         analysis = self.analyse(case)
         if line_number not in analysis.line_numbers:
             return None
-        line_index = analysis.line_numbers.index(line_number)
-        _, line_probabilities = self.line_distribution(case, temperature)
-        line_gradient = (
-            analysis.line_features[line_index]
-            - line_probabilities @ analysis.line_features
-        ) / max(temperature, 1e-3)
+        _, probabilities = self.line_distribution(case)
+        log_probability, gradient = _softmax_choice(
+            analysis.line_features, probabilities, analysis.line_numbers.index(line_number)
+        )
+        return Choice(log_probability, {"localisation": gradient})
 
-        candidates, fix_features, patterns = self.fix_options(case, line_number)
-        fix_index = _candidate_index(candidates, fixed_line)
-        if fix_index is None:
+    def fix_choice(self, case: RepairCase, line_number: int, fixed_line: str) -> Optional[Choice]:
+        """log pi(fix | case, line) and its gradients; ``None`` when no
+        candidate of the line is equivalent to ``fixed_line``."""
+        options = self.fix_options(case, line_number)
+        index = options.fix_index(fixed_line)
+        if index is None:
             return None
-        _, fix_probabilities = self.fix_distribution(case, line_number, temperature)
-        fix_feature_gradient = (
-            fix_features[fix_index] - fix_probabilities @ fix_features
-        ) / max(temperature, 1e-3)
+        _, probabilities = self.fix_distribution(case, line_number)
+        log_probability, feature_gradient = _softmax_choice(options.features, probabilities, index)
+        # The pattern weights enter the scores through a one-hot row per
+        # candidate, so their gradient is the same difference, accumulated
+        # per pattern.
         pattern_gradient = np.zeros(len(FIX_PATTERNS))
-        pattern_gradient[patterns[fix_index]] += 1.0
-        for index, probability in enumerate(fix_probabilities):
-            pattern_gradient[patterns[index]] -= probability
-        pattern_gradient /= max(temperature, 1e-3)
+        pattern_gradient[options.patterns[index]] += 1.0
+        for pattern, probability in zip(options.patterns, probabilities):
+            pattern_gradient[pattern] -= probability
+        return Choice(
+            log_probability, {"fix_features": feature_gradient, "fix_patterns": pattern_gradient}
+        )
 
-        return {
-            "localisation": line_gradient,
-            "fix_features": fix_feature_gradient,
-            "fix_patterns": pattern_gradient,
-        }
+    def choice(self, case: RepairCase, line_number: int, fixed_line: str) -> Optional[Choice]:
+        """log pi(line, fix | case) and its gradient for every weight block;
+        ``None`` when the pair is not representable.
+
+        The policy factorises, so this is the line choice plus the fix choice.
+        """
+        line = self.line_choice(case, line_number)
+        if line is None:
+            return None
+        fix = self.fix_choice(case, line_number, fixed_line)
+        if fix is None:
+            return None
+        return Choice(
+            line.log_probability + fix.log_probability, {**line.gradient, **fix.gradient}
+        )
 
 
-def _candidate_index(candidates: list[FixCandidate], fixed_line: str) -> Optional[int]:
-    from repro.hdl.source import lines_equivalent
+def _softmax_choice(
+    features: np.ndarray, probabilities: np.ndarray, index: int
+) -> tuple[float, np.ndarray]:
+    """log p[index] and its gradient for a softmax over ``features @ weights``.
 
-    for index, candidate in enumerate(candidates):
-        if lines_equivalent(candidate.fixed_line, fixed_line):
-            return index
-    return None
+    For a softmax that is linear in the weights the gradient is the chosen
+    option's feature vector minus the probability-weighted average feature
+    vector of all options.
+    """
+    log_probability = float(np.log(max(probabilities[index], 1e-12)))
+    return log_probability, features[index] - probabilities @ features

@@ -70,11 +70,6 @@ class RepairResponse:
             explanation=str(payload.get("explanation", "")),
         )
 
-    @property
-    def is_noop(self) -> bool:
-        """True when the proposed fix does not change the line at all."""
-        return self.bug_line.strip() == self.fixed_line.strip()
-
 
 class RepairEngine(abc.ABC):
     """Interface implemented by every repair model in the evaluation."""

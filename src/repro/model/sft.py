@@ -5,7 +5,8 @@ answers (the buggy line and its corrected code) over the SVA-Bug dataset,
 with the Verilog-Bug dataset as an auxiliary task -- the same data recipe as
 the paper's SFT stage.  Because the policy is a pair of linear softmaxes, the
 maximum-likelihood gradient has the standard "observed features minus
-expected features" form and plain SGD converges quickly.
+expected features" form (:meth:`RepairPolicy.line_choice` and
+:meth:`RepairPolicy.fix_choice` compute it) and plain SGD converges quickly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from repro.dataaug.datasets import SvaBugEntry, VerilogBugEntry
 from repro.model.case import RepairCase
-from repro.model.fixes import find_matching_candidate
 from repro.model.policy import RepairPolicy
 
 
@@ -155,81 +155,55 @@ class SftTrainer:
             weights.fix_features *= 1.0 - self._config.l2
             weights.fix_patterns *= 1.0 - self._config.l2
 
-        accuracy_loc, accuracy_fix = self._evaluate(examples)
-        report.final_localisation_accuracy = accuracy_loc
-        report.final_fix_accuracy = accuracy_fix
-        report.fix_targets_found = sum(
-            1 for example in examples if self._fix_target_index(example) is not None
-        )
+        self._evaluate(examples, report)
         return report
 
     def _update_example(self, example: _TrainingExample, learning_rate: float) -> float:
-        """One SGD step on one (question, answer) pair; returns its log-likelihood."""
+        """One SGD step on one (question, answer) pair; returns its log-likelihood.
+
+        The line step always applies; the fix step only when a candidate of
+        the line is equivalent to the golden line.
+        """
         policy = self._policy
         weights = policy.weights
-        case = example.case
-
-        analysis = policy.analyse(case)
-        line_numbers, line_probabilities = policy.line_distribution(case, temperature=1.0)
-        line_index = line_numbers.index(example.line_number)
-        observed = analysis.line_features[line_index]
-        expected = line_probabilities @ analysis.line_features
-        weights.localisation += learning_rate * example.weight * (observed - expected)
+        step = learning_rate * example.weight
+        line = policy.line_choice(example.case, example.line_number)
+        weights.step(line.gradient, step)
         # SGD on the ridge-penalised likelihood: the decay is the -l2*w term
         # of the gradient, scaled like the data term.
-        weights.localisation *= (
-            1.0 - learning_rate * example.weight * self._config.localisation_l2
-        )
-        log_likelihood = float(np.log(max(line_probabilities[line_index], 1e-12)))
+        weights.localisation *= 1.0 - step * self._config.localisation_l2
+        log_likelihood = line.log_probability
 
-        fix_index = self._fix_target_index(example)
-        if fix_index is not None:
-            candidates, fix_features, patterns = policy.fix_options(case, example.line_number)
-            _, fix_probabilities = policy.fix_distribution(case, example.line_number, temperature=1.0)
-            observed_fix = fix_features[fix_index]
-            expected_fix = fix_probabilities @ fix_features
-            weights.fix_features += learning_rate * example.weight * (observed_fix - expected_fix)
-            pattern_update = np.zeros_like(weights.fix_patterns)
-            pattern_update[patterns[fix_index]] += 1.0
-            for index, probability in enumerate(fix_probabilities):
-                pattern_update[patterns[index]] -= probability
-            weights.fix_patterns += learning_rate * example.weight * pattern_update
-            log_likelihood += float(np.log(max(fix_probabilities[fix_index], 1e-12)))
+        fix = policy.fix_choice(example.case, example.line_number, example.golden_line)
+        if fix is not None:
+            weights.step(fix.gradient, step)
+            log_likelihood += fix.log_probability
         return log_likelihood
-
-    def _fix_target_index(self, example: _TrainingExample) -> Optional[int]:
-        candidates, _, _ = self._policy.fix_options(example.case, example.line_number)
-        match = find_matching_candidate(candidates, example.golden_line)
-        if match is None:
-            return None
-        return candidates.index(match)
 
     # ------------------------------------------------------------------ #
     # diagnostics
     # ------------------------------------------------------------------ #
 
-    def _evaluate(self, examples: list[_TrainingExample]) -> tuple[float, float]:
-        """Greedy localisation / fix accuracy on the training examples."""
+    def _evaluate(self, examples: list[_TrainingExample], report: SftReport) -> None:
+        """Greedy localisation / fix accuracy on the training examples, and
+        how many of them have a fix target among their line's candidates."""
         policy = self._policy
         correct_lines = 0
         correct_fixes = 0
         fix_total = 0
         for example in examples:
-            line_numbers, probabilities = policy.line_distribution(example.case, temperature=1.0)
-            if not line_numbers:
-                continue
+            line_numbers, probabilities = policy.line_distribution(example.case)
             best_line = line_numbers[int(np.argmax(probabilities))]
             if best_line == example.line_number:
                 correct_lines += 1
-            fix_index = self._fix_target_index(example)
+            options = policy.fix_options(example.case, example.line_number)
+            fix_index = options.fix_index(example.golden_line)
             if fix_index is None:
                 continue
             fix_total += 1
-            candidates, fix_probabilities = policy.fix_distribution(
-                example.case, example.line_number, temperature=1.0
-            )
+            _, fix_probabilities = policy.fix_distribution(example.case, example.line_number)
             if int(np.argmax(fix_probabilities)) == fix_index:
                 correct_fixes += 1
-        localisation_accuracy = correct_lines / len(examples) if examples else 0.0
-        fix_accuracy = correct_fixes / fix_total if fix_total else 0.0
-        return localisation_accuracy, fix_accuracy
+        report.final_localisation_accuracy = correct_lines / len(examples)
+        report.final_fix_accuracy = correct_fixes / fix_total if fix_total else 0.0
+        report.fix_targets_found = fix_total

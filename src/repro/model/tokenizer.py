@@ -27,7 +27,6 @@ NUMBER_TOKEN = "<num>"
 #: tokens bounding a line when scoring lines individually.
 BOS_TOKEN = "<bos>"
 EOS_TOKEN = "<eos>"
-UNKNOWN_TOKEN = "<unk>"
 
 
 def tokenize_text(text: str, normalise_numbers: bool = True) -> list[str]:
@@ -57,9 +56,6 @@ class Vocabulary:
     def add_text(self, text: str) -> None:
         self.counts.update(tokenize_text(text))
 
-    def add_tokens(self, tokens: list[str]) -> None:
-        self.counts.update(tokens)
-
     def __len__(self) -> int:
         return len(self.tokens())
 
@@ -68,18 +64,6 @@ class Vocabulary:
 
     def tokens(self) -> list[str]:
         return [token for token, count in self.counts.items() if count >= self.min_count]
-
-    def map_token(self, token: str) -> str:
-        """Map out-of-vocabulary tokens to ``<unk>``."""
-        return token if token in self else UNKNOWN_TOKEN
-
-    def coverage(self, text: str) -> float:
-        """Fraction of tokens of ``text`` that are in vocabulary."""
-        tokens = tokenize_text(text)
-        if not tokens:
-            return 1.0
-        known = sum(1 for t in tokens if t in self)
-        return known / len(tokens)
 
     def most_common(self, limit: int = 20) -> list[tuple[str, int]]:
         return self.counts.most_common(limit)

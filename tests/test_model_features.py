@@ -213,12 +213,14 @@ def test_feature_matrices_and_ranking_match_the_naive_oracle(trained):
         assert fast.line_numbers == slow.line_numbers
         assert np.array_equal(fast.line_features, slow.line_features), entry.name
         for number in fast.line_numbers:
-            fast_candidates, fast_features, _ = policy.fix_options(fast_case, number)
-            slow_candidates, slow_features, _ = oracle.fix_options(slow_case, number)
-            assert [c.fixed_line for c in fast_candidates] == [
-                c.fixed_line for c in slow_candidates
+            fast_options = policy.fix_options(fast_case, number)
+            slow_options = oracle.fix_options(slow_case, number)
+            assert [c.fixed_line for c in fast_options.candidates] == [
+                c.fixed_line for c in slow_options.candidates
             ]
-            assert np.array_equal(fast_features, slow_features), (entry.name, number)
+            assert np.array_equal(fast_options.features, slow_options.features), (
+                entry.name, number
+            )
             lines_checked += 1
         assert ranked(policy, fast_case, 5) == ranked(oracle, slow_case, 5), entry.name
     assert lines_checked > 100

@@ -343,6 +343,29 @@ def test_eval_cli_writes_one_trace_file(tmp_path, monkeypatch):
     assert _within(roots["pipeline"][0], cli) and _within(roots["eval"][0], cli)
 
 
+def test_traced_dpo_run_nests_the_training_phases_under_its_root(tmp_path, monkeypatch):
+    """Each training stage is a native span of the CLI's trace, in recipe order."""
+    from repro.eval.__main__ import main as eval_main
+
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    trace = tmp_path / "dpo.jsonl"
+    code = eval_main([
+        "--trace", str(trace), "--stage", "dpo", "--verification-seeds", "1",
+        "--workers", "1", "--output-dir", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    data = read_trace(trace)
+    (root,) = [span for span in data.spans if span.name == "eval_cli"]
+    phases = ("model.pretrain", "model.sft", "model.mining", "model.dpo")
+    spans = []
+    for name in phases:
+        (span,) = [span for span in data.spans if span.name == name]
+        assert _within(span, root), name
+        assert data.metrics["histograms"][f"{name}_s"]["count"] == 1
+        spans.append(span)
+    assert [span.start_s for span in spans] == sorted(span.start_s for span in spans)
+
+
 def test_traced_component_joins_an_enabled_ambient_tracer(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     own_trace = tmp_path / "own.jsonl"
