@@ -262,8 +262,14 @@ def bench_mutant_batch(family, repeat: int) -> dict | None:
 class _TreeWalkerStore(ArtifactStore):
     """An artifact store whose checker is the tree-walking oracle."""
 
-    def checker(self, design, base=None):
-        return AssertionChecker(design)
+    def __init__(self):
+        super().__init__()
+        self.walkers = {}
+
+    def checker(self, source, base_source=None):
+        if source not in self.walkers:
+            self.walkers[source] = AssertionChecker(self.elaborate_source(source)[0])
+        return self.walkers[source]
 
 
 def bench_verifier(cycles: int, families: list) -> dict:

@@ -3,8 +3,8 @@
 Two layers:
 
 * :mod:`repro.analyze.dfg` -- a signal-level dataflow graph per design
-  (def/use chains, per-signal drivers, fan-in/fan-out cones, combinational
-  cycle detection), cached content-addressed through
+  (def/use chains, per-signal drivers, fan-in cones, combinational
+  cycle detection), cached per source text through
   :meth:`repro.artifacts.ArtifactStore.dataflow`.
 * :mod:`repro.analyze.passes` -- the pluggable pass framework.  The
   ``lint``-tier passes are the compile gate (:func:`repro.hdl.lint.lint_design`

@@ -20,15 +20,16 @@ from typing import Optional, Sequence
 
 from repro.analyze.dfg import SignalDfg
 from repro.analyze.passes import get_pass, registered_passes, run_passes
-from repro.artifacts import design_fingerprint
 from repro.hdl.errors import Severity
 from repro.hdl.lint import compile_source
+from repro.runtime.cache import content_key
 
 
 def _report(path: Path, pass_ids: Optional[list[str]], lint_only: bool) -> tuple[str, bool]:
     """Render the report for one file; returns (text, had_errors)."""
     lines: list[str] = []
-    result = compile_source(path.read_text())
+    text = path.read_text()
+    result = compile_source(text)
     if result.design is None:
         lines.append(f"{path}: compilation failed")
         lines.extend(f"  {diag.render()}" for diag in result.diagnostics)
@@ -45,7 +46,7 @@ def _report(path: Path, pass_ids: Optional[list[str]], lint_only: bool) -> tuple
     sink = run_passes(design, passes=passes, dfg=dfg)
 
     lines.append(f"{path}: module {design.name}")
-    lines.append(f"  fingerprint: {design_fingerprint(design)[:16]}")
+    lines.append(f"  source: {content_key(text)[:16]}")
     lines.append(
         f"  {len(design.signals)} signals · {len(dfg.nodes)} driver nodes"
         f" · {len(design.assertions)} assertions"

@@ -23,7 +23,7 @@ Two graph queries carry stronger contracts:
   combinational subgraph (the ``comb-loop`` pass reports them); a design
   with none settles deterministically.
 
-Graphs are built once per design and cached content-addressed through
+A store caches one graph per source text through
 :meth:`repro.artifacts.ArtifactStore.dataflow`.
 """
 
@@ -85,7 +85,7 @@ def _assign_reads(assign: ast.ContinuousAssign) -> set[str]:
 
 
 class SignalDfg:
-    """Def/use chains, fan-in/fan-out cones and comb-cycle detection."""
+    """Def/use chains, fan-in cones and comb-cycle detection."""
 
     def __init__(self, design: ElaboratedDesign):
         self.design = design
@@ -174,20 +174,6 @@ class SignalDfg:
     def fan_in_cone(self, roots: Iterable[str]) -> frozenset[str]:
         """Transitive fan-in of ``roots`` (roots included when declared)."""
         return frozenset(self.design.cone_of_influence(set(roots)))
-
-    def fan_out_cone(self, roots: Iterable[str]) -> frozenset[str]:
-        """Transitive fan-out of ``roots`` (roots included when declared)."""
-        cone: set[str] = set()
-        frontier = [name for name in roots if name in self.design.signals]
-        while frontier:
-            name = frontier.pop()
-            if name in cone:
-                continue
-            cone.add(name)
-            frontier.extend(
-                target for target in self.fan_out.get(name, frozenset()) if target not in cone
-            )
-        return frozenset(cone)
 
     def assertion_roots(self, spec: AssertionSpec) -> frozenset[str]:
         """Signals an assertion reads directly: body, disable-iff and clock."""

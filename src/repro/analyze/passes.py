@@ -27,7 +27,7 @@ in ``python -m repro.obs summarize``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.analyze.dfg import SignalDfg
 from repro.hdl import ast
@@ -36,35 +36,22 @@ from repro.hdl.errors import DiagnosticSink, ElaborationError
 from repro.hdl.lint import KNOWN_SYSTEM_FUNCTIONS
 from repro.obs import get_registry, phase
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.artifacts.store import ArtifactStore
-
-
 class AnalysisContext:
     """Inputs shared by every pass: the design and its (lazy) dataflow graph."""
 
-    def __init__(
-        self,
-        design: ElaboratedDesign,
-        dfg: Optional[SignalDfg] = None,
-        store: "Optional[ArtifactStore]" = None,
-    ):
+    def __init__(self, design: ElaboratedDesign, dfg: Optional[SignalDfg] = None):
         self.design = design
         self._dfg = dfg
-        self._store = store
 
     @property
     def dfg(self) -> SignalDfg:
-        """The dataflow graph, built (or fetched from the store) on demand.
+        """The dataflow graph, built on demand unless one was handed in.
 
         Lint-tier passes deliberately avoid this property so the compile
         gate never pays for graph construction.
         """
         if self._dfg is None:
-            if self._store is not None:
-                self._dfg = self._store.dataflow(self.design)
-            else:
-                self._dfg = SignalDfg(self.design)
+            self._dfg = SignalDfg(self.design)
         return self._dfg
 
 
@@ -125,11 +112,10 @@ def run_passes(
     passes: Optional[Sequence[AnalysisPass]] = None,
     sink: Optional[DiagnosticSink] = None,
     dfg: Optional[SignalDfg] = None,
-    store: "Optional[ArtifactStore]" = None,
 ) -> DiagnosticSink:
     """Run ``passes`` (default: all registered) over ``design``."""
     sink = sink if sink is not None else DiagnosticSink()
-    context = AnalysisContext(design, dfg=dfg, store=store)
+    context = AnalysisContext(design, dfg=dfg)
     registry = get_registry()
     for analysis_pass in passes if passes is not None else registered_passes():
         before = len(sink.diagnostics)

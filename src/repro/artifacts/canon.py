@@ -1,21 +1,12 @@
-"""Canonical rendering and content fingerprints for elaborated designs.
+"""Canonical rendering and per-node content keys for elaborated designs.
 
-The compiled-artifact cache (:mod:`repro.artifacts.store`) keys lowered
-state -- :class:`~repro.sim.compile.CompiledDesign`,
-:class:`~repro.sva.compile.CompiledAssertionChecker` -- by *content*, not by
-object identity: two elaborations of the same source (or of byte-different
-sources that elaborate identically) must map to the same key.  This module
-provides that content address at two granularities:
-
-* :func:`design_fingerprint` -- a SHA-256 over a canonical text of the whole
-  elaborated design (signals, parameters, every node, every assertion).
-  Artifacts keyed by it are interchangeable across equal-fingerprint
-  designs.
-* per-node keys (:func:`assign_node_key`, :func:`block_node_key`,
-  :func:`initial_node_key`, :func:`assertion_key`) -- the unit of
-  *incremental relowering*: a patched design reuses a base design's lowered
-  closures for every node whose key is unchanged and relowers only the
-  dirty cone.
+The compiled-artifact cache (:mod:`repro.artifacts.store`) keys whole
+designs by their source text; this module keys the *nodes* inside them.
+Per-node keys (:func:`assign_node_key`, :func:`block_node_key`,
+:func:`initial_node_key`, :func:`assertion_key`) are the unit of
+*incremental relowering*: a patched design reuses a base design's lowered
+closures for every node whose key is unchanged and relowers only the dirty
+cone.
 
 The renderer is deliberately independent of the AST nodes' ``__str__``
 (``Number.__str__`` preserves the source literal text, and synthesised
@@ -32,15 +23,8 @@ can use these keys without an import cycle.
 
 from __future__ import annotations
 
-import hashlib
-
 from repro.hdl import ast
-from repro.hdl.elaborate import AssertionSpec, ElaboratedDesign, ProceduralBlock
-
-#: Bumped whenever the canonical rendering changes meaning, so no
-#: fingerprint computed under the old rendering can match a new one.
-FINGERPRINT_VERSION = "repro_design_fingerprint/v1"
-
+from repro.hdl.elaborate import AssertionSpec, ProceduralBlock
 
 # --------------------------------------------------------------------------- #
 # expressions
@@ -166,46 +150,3 @@ def assertion_key(spec: AssertionSpec) -> str:
         f":{antecedent}{implication}{_canon_sequence(spec.body.consequent)}"
         f":msg={spec.error_message}"
     )
-
-
-# --------------------------------------------------------------------------- #
-# whole-design fingerprint
-# --------------------------------------------------------------------------- #
-
-
-def design_canonical_text(design: ElaboratedDesign) -> str:
-    """The canonical text the design fingerprint hashes.
-
-    Covers everything the simulator or checker can observe: the signal
-    table (names, widths, kinds, signedness, declared ranges), parameters,
-    every settle/clocked/initial node, and every assertion.  Derived state
-    (dependency graph, driver lines) is recomputed from these, so it is
-    deliberately not rendered.
-    """
-    parts = [FINGERPRINT_VERSION, f"module {design.name}"]
-    parts.append("signals:")
-    for name in sorted(design.signals):
-        signal = design.signals[name]
-        parts.append(
-            f"  {name}:w{signal.width}:{signal.kind}:s{int(signal.signed)}"
-            f":[{signal.msb}:{signal.lsb}]"
-        )
-    parts.append("parameters:")
-    for name in sorted(design.parameters):
-        parts.append(f"  {name}={design.parameters[name]}")
-    parts.append("assigns:")
-    parts.extend(f"  {assign_node_key(a)}" for a in design.continuous_assigns)
-    parts.append("comb:")
-    parts.extend(f"  {block_node_key(b)}" for b in design.comb_blocks)
-    parts.append("seq:")
-    parts.extend(f"  {block_node_key(b)}" for b in design.seq_blocks)
-    parts.append("initial:")
-    parts.extend(f"  {initial_node_key(i)}" for i in design.initial_blocks)
-    parts.append("assertions:")
-    parts.extend(f"  {assertion_key(spec)}" for spec in design.assertions)
-    return "\n".join(parts)
-
-
-def design_fingerprint(design: ElaboratedDesign) -> str:
-    """Stable SHA-256 content hash of one elaborated design."""
-    return hashlib.sha256(design_canonical_text(design).encode()).hexdigest()

@@ -1,98 +1,124 @@
-"""The compiled-artifact cache: a bounded in-process LRU.
+"""The compiled-artifact cache: a bounded in-process LRU of sources.
 
-Every candidate repair the verification loop judges is a one-line mutant of
-a design it has already compiled, yet historically each one paid a full
+Every candidate repair the verification loop judges is a one-line edit of
+a source it has already compiled, yet historically each one paid a full
 parse + elaborate + lower.  :class:`ArtifactStore` removes that waste at
 two levels:
 
-* an **in-process LRU** keyed by :func:`~repro.artifacts.canon.design_fingerprint`
-  holds lowered state -- :class:`~repro.sim.compile.CompiledDesign` and
-  :class:`~repro.sva.compile.CompiledAssertionChecker` instances -- plus
-  source-keyed :class:`~repro.hdl.lint.CompileResult` s (the base a
-  one-line edit re-parses one item against).  Lowered closures are
+* an **in-process LRU** with one entry per source text, keyed by
+  :func:`~repro.runtime.cache.content_key` of the text.  The entry holds the
+  source's :class:`~repro.hdl.lint.CompileResult` and, built on first use,
+  its :class:`~repro.sim.compile.CompiledDesign` (or the cached rejection),
+  its :class:`~repro.sva.compile.CompiledAssertionChecker` and its
+  :class:`~repro.analyze.dfg.SignalDfg`.  Lowered closures are
   process-local by nature (they cannot be serialised), so the LRU is
-  bounded (:data:`DEFAULT_LRU_ENTRIES`) and evicts least-recently used
-  entries instead of pinning them forever;
-  each process, worker processes included, has one :func:`default_store`;
-* **incremental relowering**: the typed helpers accept a ``base`` artifact
-  and hand it to :func:`repro.sim.compile.compile_design` /
-  :class:`~repro.sva.compile.CompiledAssertionChecker`, which reuse the
-  base's closures for every content-identical node and relower only the
-  dirty cone.
+  bounded (:data:`DEFAULT_LRU_ENTRIES` sources) and one eviction drops a
+  source's parse and lowerings together; each process, worker processes
+  included, has one :func:`default_store`;
+* **incremental work against a base**: every lookup may name a
+  ``base_source`` the source is a one-line edit of.  The base is fetched
+  through the same entry path (and compiled if absent); its parse is the
+  base the compile re-parses one module item against, and its lowerings
+  are the base :func:`repro.sim.compile.compile_design` and
+  :class:`~repro.sva.compile.CompiledAssertionChecker` reuse every
+  content-identical node of, relowering only the dirty cone.
 
-Counters (``artifact.hits`` / ``artifact.misses`` / ``artifact.evictions``)
-land in the ambient :mod:`repro.obs` registry and surface in
-``python -m repro.obs summarize``.  Cache state never changes results:
-incremental relowering is byte-identical to full recompilation (pinned by
-``tests/test_artifacts.py``).  Tests substitute the checker a store builds
-by subclassing it and overriding :meth:`ArtifactStore.checker`.
+Counters (``artifact.hits`` / ``artifact.misses`` / ``artifact.evictions``,
+one per entry lookup or eviction, base lookups included) land in the
+ambient :mod:`repro.obs` registry and surface in ``python -m repro.obs
+summarize``.  Cache state never changes results: incremental relowering is
+byte-identical to full recompilation (pinned by ``tests/test_artifacts.py``).
+Tests substitute the checker a store builds by subclassing it and
+overriding :meth:`ArtifactStore.checker`.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
-from typing import Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Union
 
-from repro.artifacts.canon import design_fingerprint
 from repro.hdl.elaborate import ElaboratedDesign
 from repro.hdl.lint import CompileResult
-from repro.obs.metrics import get_registry, labeled
+from repro.obs.metrics import get_registry
 from repro.runtime.cache import content_key
 
-#: The in-process LRU bound (entries, not bytes).
-DEFAULT_LRU_ENTRIES = 128
+if TYPE_CHECKING:
+    from repro.analyze.dfg import SignalDfg
+    from repro.sim.compile import CompiledDesign
+    from repro.sva.checker import AssertionChecker
+    from repro.sva.compile import CompiledAssertionChecker
 
-#: Cached marker for designs the compiled simulator backend rejects, so the
-#: (expensive, exception-raising) compile attempt happens once per design.
+#: The in-process LRU bound, in sources (each with its lowerings).
+DEFAULT_LRU_ENTRIES = 64
+
+#: Cached marker for a design the compiled simulator backend rejects, so the
+#: (expensive, exception-raising) compile attempt happens once per source.
 _UNCOMPILABLE = "uncompilable"
 
 
-class ArtifactStore:
-    """Content-addressed cache of compiled simulators, checkers and designs."""
+@dataclass
+class _Entry:
+    """One source's parse and the lowerings built from it so far."""
 
-    def __init__(self, max_entries: int = DEFAULT_LRU_ENTRIES):
+    result: CompileResult
+    compiled: Union[CompiledDesign, str, None] = None
+    checker: Union[CompiledAssertionChecker, AssertionChecker, None] = None
+    dataflow: Optional[SignalDfg] = None
+
+    def design(self) -> ElaboratedDesign:
+        if self.result.design is None:
+            raise ValueError("the source does not compile, so it has no lowering")
+        return self.result.design
+
+
+class ArtifactStore:
+    """Source-addressed cache of parses, compiled simulators, checkers and graphs."""
+
+    def __init__(self, max_entries: int = DEFAULT_LRU_ENTRIES) -> None:
         self.max_entries = max_entries
-        self._lru: "OrderedDict[str, object]" = OrderedDict()
-        #: Fingerprints memoised per design *object*, keyed by ``id()`` with a
-        #: weakref finalizer evicting the entry when the design dies (designs
-        #: are unhashable dataclasses, so WeakKeyDictionary cannot hold them;
-        #: the finalizer runs before the id can be reused).  Rendering the
-        #: canonical text is cheap next to lowering, but callers fingerprint
-        #: the same object several times per verdict.
-        self._fingerprints: dict[int, str] = {}
+        self._lru: OrderedDict[str, _Entry] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    # ------------------------------------------------------------------ #
-    # the generic keyed LRU
-    # ------------------------------------------------------------------ #
-
-    def get(self, key: str):
-        """The cached artifact, or ``None`` on a miss (values are never None)."""
+    def _entry(self, source: str, base_source: Optional[str] = None) -> _Entry:
+        """``source``'s entry, compiled (against ``base_source``'s parse) on a miss."""
+        key = content_key(source)
         entry = self._lru.get(key)
-        if entry is None:
-            self.misses += 1
-            get_registry().inc("artifact.misses")
-            return None
-        self._lru.move_to_end(key)
-        self.hits += 1
-        get_registry().inc("artifact.hits")
-        return entry
+        registry = get_registry()
+        if entry is not None:
+            self._lru.move_to_end(key)
+            self.hits += 1
+            registry.inc("artifact.hits")
+            return entry
+        self.misses += 1
+        registry.inc("artifact.misses")
+        base = None
+        if base_source is not None and base_source != source:
+            base = self._entry(base_source).result
+        # Looked up per call, so a wrapper installed on repro.hdl.lint
+        # (a profiling probe, a test's counter) sees every compile.
+        from repro.hdl.lint import compile_source
 
-    def put(self, key: str, value: object) -> None:
-        self._lru[key] = value
-        self._lru.move_to_end(key)
+        entry = _Entry(compile_source(source, base=base))
+        self._lru[key] = entry
         while len(self._lru) > self.max_entries:
             self._lru.popitem(last=False)
             self.evictions += 1
-            get_registry().inc("artifact.evictions")
+            registry.inc("artifact.evictions")
+        return entry
+
+    def _lowering_base(self, source: str, base_source: Optional[str]) -> Optional[str]:
+        """``base_source`` when it names another source that compiles, else None."""
+        if base_source is None or base_source == source:
+            return None
+        return base_source if self.compile(base_source).design is not None else None
 
     def __len__(self) -> int:
         return len(self._lru)
 
-    def stats(self) -> dict:
+    def stats(self) -> dict[str, int]:
         """This instance's traffic counters (process-local, since creation)."""
         return {
             "hits": self.hits,
@@ -101,74 +127,6 @@ class ArtifactStore:
             "entries": len(self._lru),
         }
 
-    def fingerprint(self, design: ElaboratedDesign) -> str:
-        """:func:`design_fingerprint`, memoised per design object."""
-        key = id(design)
-        cached = self._fingerprints.get(key)
-        if cached is None:
-            cached = design_fingerprint(design)
-            self._fingerprints[key] = cached
-            weakref.finalize(design, self._fingerprints.pop, key, None)
-        return cached
-
-    # ------------------------------------------------------------------ #
-    # typed helpers: lowered simulators and checkers
-    # ------------------------------------------------------------------ #
-
-    def compiled_design(self, design: ElaboratedDesign, base=None):
-        """The design lowered for the compiled simulator backend, via the LRU.
-
-        Returns ``None`` when the compiled backend rejects the design (the
-        rejection is cached too -- callers fall back to the interpreter
-        exactly as the :func:`~repro.sim.engine.Simulator` factory would).
-        ``base`` is an optional :class:`~repro.sim.compile.CompiledDesign`
-        to relower incrementally against on a miss.
-        """
-        from repro.sim.compile import CompileError, compile_design
-
-        key = f"sim:{self.fingerprint(design)}"
-        entry = self.get(key)
-        if entry is None:
-            try:
-                entry = compile_design(design, base=base)
-            except CompileError:
-                entry = _UNCOMPILABLE
-            self.put(key, entry)
-        return None if entry is _UNCOMPILABLE else entry
-
-    def checker(self, design: ElaboratedDesign, base=None):
-        """The compiled assertion checker for ``design``, via the LRU.
-
-        ``base`` is an optional checker for a signal-compatible design to
-        relower incrementally against on a miss; the checker ignores a base
-        it cannot reuse.
-        """
-        from repro.sva.compile import CompiledAssertionChecker
-
-        key = f"sva:{self.fingerprint(design)}"
-        entry = self.get(key)
-        if entry is None:
-            entry = CompiledAssertionChecker(design, base=base)
-            self.put(key, entry)
-        return entry
-
-    def dataflow(self, design: ElaboratedDesign):
-        """The design's signal dataflow graph, via the LRU.
-
-        Content-addressed like the other lowered artifacts: two designs
-        with equal fingerprints share one graph, so analysis passes run with
-        ``run_passes(..., store=)`` build it once per design content rather
-        than once per elaboration.
-        """
-        from repro.analyze.dfg import SignalDfg
-
-        key = f"dfg:{self.fingerprint(design)}"
-        entry = self.get(key)
-        if entry is None:
-            entry = SignalDfg(design)
-            self.put(key, entry)
-        return entry
-
     # ------------------------------------------------------------------ #
     # the front door: source text to design
     # ------------------------------------------------------------------ #
@@ -176,28 +134,14 @@ class ArtifactStore:
     def compile(self, source: str, base_source: Optional[str] = None) -> CompileResult:
         """:func:`repro.hdl.lint.compile_source` of ``source``, via the LRU.
 
-        Results live in the LRU keyed by the source hash (parse + elaborate
-        dominates the cost of verifying a small candidate, so a warm store
-        skips it entirely on repeat sources).  ``base_source`` names a
-        source that ``source`` is a one-line edit of; when its result is
-        still cached, it is the ``base`` the compile re-parses one item of.
+        Parse + elaborate dominates the cost of verifying a small candidate,
+        so a warm store skips it entirely on repeat sources.  ``base_source``
+        names a source that ``source`` is an edit of: its parse is the
+        ``base`` the compile re-parses one item against (an edit that is not
+        one changed line falls back to a full parse, counted under
+        ``hdl.reparse.fallback``).
         """
-        # Looked up per call, so a wrapper installed on repro.hdl.lint
-        # (a profiling probe, a test's counter) sees every compile.
-        from repro.hdl.lint import compile_source
-
-        source_key = f"src:{content_key(source)}"
-        cached = self.get(source_key)
-        if isinstance(cached, CompileResult):
-            return cached
-        base = None
-        if base_source is not None:
-            base = self.get(f"src:{content_key(base_source)}")
-            if base is None:
-                get_registry().inc(labeled("hdl.reparse.fallback", "base not cached"))
-        result = compile_source(source, base=base)
-        self.put(source_key, result)
-        return result
+        return self._entry(source, base_source).result
 
     def elaborate_source(
         self, source: str, base_source: Optional[str] = None
@@ -213,6 +157,68 @@ class ArtifactStore:
             return result.design, ""
         errors = result.errors
         return None, errors[0].render() if errors else "compilation failed"
+
+    # ------------------------------------------------------------------ #
+    # lowerings, built on first use
+    # ------------------------------------------------------------------ #
+
+    def compiled_design(
+        self, source: str, base_source: Optional[str] = None
+    ) -> Optional[CompiledDesign]:
+        """``source``'s design lowered for the compiled simulator backend.
+
+        Returns ``None`` when the compiled backend rejects the design (the
+        rejection is cached too -- callers fall back to the interpreter
+        exactly as the :func:`~repro.sim.engine.Simulator` factory would).
+        A first lowering relowers against ``base_source``'s, when that names
+        a source that compiles.  Raises ``ValueError`` when ``source`` does
+        not compile.
+        """
+        from repro.sim.compile import CompileError, compile_design
+
+        entry = self._entry(source, base_source)
+        if entry.compiled is None:
+            base_text = self._lowering_base(source, base_source)
+            base = self.compiled_design(base_text) if base_text is not None else None
+            try:
+                entry.compiled = compile_design(entry.design(), base=base)
+            except CompileError:
+                entry.compiled = _UNCOMPILABLE
+        return None if isinstance(entry.compiled, str) else entry.compiled
+
+    def checker(
+        self, source: str, base_source: Optional[str] = None
+    ) -> Union[CompiledAssertionChecker, AssertionChecker]:
+        """The compiled assertion checker of ``source``'s design.
+
+        A first lowering relowers against ``base_source``'s checker, when
+        that names a source that compiles; the checker ignores a base it
+        cannot reuse.  Raises ``ValueError`` when ``source`` does not
+        compile.
+        """
+        from repro.sva.compile import CompiledAssertionChecker
+
+        entry = self._entry(source, base_source)
+        if entry.checker is None:
+            base_text = self._lowering_base(source, base_source)
+            base = self.checker(base_text) if base_text is not None else None
+            entry.checker = CompiledAssertionChecker(
+                entry.design(),
+                base=base if isinstance(base, CompiledAssertionChecker) else None,
+            )
+        return entry.checker
+
+    def dataflow(self, source: str) -> SignalDfg:
+        """The signal dataflow graph of ``source``'s design, built once per entry.
+
+        Raises ``ValueError`` when ``source`` does not compile.
+        """
+        from repro.analyze.dfg import SignalDfg
+
+        entry = self._entry(source)
+        if entry.dataflow is None:
+            entry.dataflow = SignalDfg(entry.design())
+        return entry.dataflow
 
 
 _DEFAULT_STORE: Optional[ArtifactStore] = None

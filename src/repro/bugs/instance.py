@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.hdl.source import lines_equivalent
-
 
 @dataclass
 class BugInstance:
@@ -48,11 +46,3 @@ class BugInstance:
     @property
     def triggers_assertion(self) -> bool:
         return bool(self.failing_assertions)
-
-    def matches_fix(self, proposed_line: str) -> bool:
-        """True when a proposed replacement line is equivalent to the golden line."""
-        return lines_equivalent(proposed_line, self.golden_line)
-
-    def matches_location(self, proposed_line_number: int, tolerance: int = 0) -> bool:
-        """True when a proposed line number points at the bug (within ``tolerance``)."""
-        return abs(proposed_line_number - self.line_number) <= tolerance

@@ -164,8 +164,3 @@ def _build_sample_job(job: tuple[str, dict, str, int]) -> CorpusSample:
     family_name, params, name, spec_seed = job
     artifact = family_by_name(family_name).build(name, **params)
     return CorpusSample(artifact=artifact, spec=build_spec(artifact, seed=spec_seed))
-
-
-def generate_corpus(config: CorpusConfig | None = None) -> Corpus:
-    """Convenience wrapper: build a generator and run it."""
-    return CorpusGenerator(config).generate()

@@ -147,18 +147,6 @@ class DatasetStatistics:
     #: Empty in the default ``on_error="raise"`` mode.
     skipped_jobs: list[dict] = field(default_factory=list)
 
-    @property
-    def cot_validity_rate(self) -> float:
-        if not self.cot_generated:
-            return 0.0
-        return self.cot_valid / self.cot_generated
-
-    @property
-    def sva_yield(self) -> float:
-        if not self.candidate_svas:
-            return 0.0
-        return self.validated_svas / self.candidate_svas
-
 
 @dataclass
 class AugmentedDatasets:

@@ -21,8 +21,9 @@ Every source is elaborated through the process-wide
 :class:`~repro.artifacts.ArtifactStore`, so the mutant the injector compiled
 in step 3 is an LRU hit in step 4, not a second parse.  Steps 2 and 4 run the
 simulate-and-check kernel the repair verifier uses
-(:func:`repro.sva.kernel.simulate_and_check`), each mutant relowered against
-the augmented golden design.
+(:func:`repro.sva.kernel.simulate_and_check`) and name each source's base by
+its text: the augmented source relowers against the golden source, and each
+mutant against the augmented golden source.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from repro.sva.generator import (
     mine_assertions,
     template_assertion_blocks,
 )
-from repro.sva.kernel import lower_design, simulate_and_check
+from repro.sva.kernel import simulate_and_check
 from repro.sva.logs import format_failure_log
 
 #: Bumped whenever per-sample Stage-2 semantics change: keys old cached
@@ -215,14 +216,13 @@ class Stage2Runner:
         golden_design, _ = store.elaborate_source(sample.source)
         if golden_design is None:
             return None, None
-        # The golden design's lowering is the relowering base for everything
-        # downstream: the augmented design adds only assertions (identical
-        # sim nodes, so it reuses 100% of them) and every mutant is a
-        # one-line variant of the augmented design.
-        golden_compiled = store.compiled_design(golden_design)
+        # The golden source is the base the augmented source relowers
+        # against: it adds only assertions (identical sim nodes, so it
+        # reuses 100% of them).
         try:
             golden_trace = _mining_trace(
-                golden_design, config.seed, config.random_cycles, golden_compiled
+                golden_design, config.seed, config.random_cycles,
+                store.compiled_design(sample.source),
             )
         except SimulationError:
             return None, None
@@ -243,7 +243,7 @@ class Stage2Runner:
         augmented = insert_assertions(sample.source, candidates)
         (outcome,) = simulate_and_check(
             store, [(augmented, (config.seed + 1,))], config.random_cycles, _RESET_CYCLES,
-            (golden_compiled, None), "stage2",
+            "stage2", sample.source,
         )
         if outcome.design is None or outcome.sim_error is not None:
             result.designs_without_valid_svas += 1
@@ -276,22 +276,19 @@ class Stage2Runner:
         augmented_golden, golden_design = self.validated_assertions(sample, result)
         if augmented_golden is None or golden_design is None:
             return
-        # Every mutant below is a one-line variant of the augmented golden
-        # design, so its lowering (cached from validated_assertions) is the
-        # base each mutant relowers incrementally against; the checker base
-        # likewise (mutations touch logic, not the assertions, so assertion
-        # lowerings are reused wholesale).
-        base = lower_design(store, golden_design, (None, None))
         bugs = self._sample_injector(sample).inject(sample.name, augmented_golden, golden_design)
         result.injected_bugs += len(bugs)
-        # One kernel call triages every mutant, each on its own seed: the
-        # mutants share the base's assertion lowerings, so their traces are
-        # checked in one stacked pass.  The injector elaborated each mutant
-        # through the same store, so the kernel's elaborations are LRU hits.
+        # One kernel call triages every mutant, each on its own seed.  Every
+        # mutant is a one-line variant of the augmented golden source, which
+        # is the base each one relowers against; mutations touch logic, not
+        # the assertions, so the mutants share the base's assertion
+        # lowerings and their traces are checked in one stacked pass.  The
+        # injector elaborated each mutant through the same store, so the
+        # kernel's elaborations are LRU hits.
         seeds = [config.seed + 101 + index for index in range(len(bugs))]
         outcomes = simulate_and_check(
             store, [(bug.buggy_source, (seed,)) for bug, seed in zip(bugs, seeds)],
-            config.random_cycles, _RESET_CYCLES, base, "stage2", augmented_golden,
+            config.random_cycles, _RESET_CYCLES, "stage2", augmented_golden,
         )
         for index, (bug, stimulus_seed, outcome) in enumerate(zip(bugs, seeds, outcomes)):
             if outcome.design is None or outcome.sim_error is not None:

@@ -22,7 +22,7 @@ from repro.artifacts import default_store
 from repro.eval.cache import VerdictCache, verdict_key
 from repro.obs import get_registry
 from repro.hdl.source import SourceFile, lines_equivalent
-from repro.sva.kernel import lower_design, simulate_and_check
+from repro.sva.kernel import simulate_and_check
 
 #: Bumped whenever verdict semantics change: keys old cache entries out.
 #: v2: ``$past`` depth arguments are constant-folded with parameters and
@@ -135,9 +135,10 @@ class SemanticVerifier:
     supplied, persisted content-addressed on disk so repeated evaluations
     (and other worker processes) skip the simulation entirely.  Compiled
     artifacts (lowered simulators and checkers) come from an
-    :class:`~repro.artifacts.ArtifactStore`: each case's buggy base is
-    compiled once, and every candidate -- a one-line mutant of it -- is
-    relowered incrementally against that base.  A test reaches the
+    :class:`~repro.artifacts.ArtifactStore`: every candidate -- a one-line
+    edit of its case's buggy source -- names that source as its base, so
+    the store compiles the buggy source once and re-parses and relowers
+    each candidate incrementally against it.  A test reaches the
     tree-walking checker oracle by passing a store whose ``checker()``
     returns it.
     """
@@ -152,10 +153,6 @@ class SemanticVerifier:
         self.cache = cache
         self._memo: dict[str, RepairVerdict] = {}
         self.artifacts = artifacts if artifacts is not None else default_store()
-        #: Per buggy source: its (compiled design, checker) base artifacts,
-        #: either of which may be None (uncompilable source, or a design the
-        #: compiled simulator rejects).
-        self._bases: dict[str, tuple] = {}
 
     # ------------------------------------------------------------------ #
     # fix application
@@ -221,9 +218,8 @@ class SemanticVerifier:
             else:
                 get_registry().inc("eval.verdict_cache.misses")
         if verdict is None:
-            base = self._base_artifacts(buggy_source)
             verdict = self.verify_source(
-                patched, seeds, cycles=cycles, base=base, base_source=buggy_source
+                patched, seeds, cycles=cycles, base_source=buggy_source
             )
             self._memo[key] = verdict
             if self.cache is not None:
@@ -233,44 +229,25 @@ class SemanticVerifier:
         verdict.applied_line_number = line_number
         return verdict
 
-    def _base_artifacts(self, buggy_source: str) -> tuple:
-        """The buggy base's (compiled design, checker), compiled once per case.
-
-        Candidates are one-line mutants of their case's buggy source, so
-        these artifacts are the relowering base for every candidate of the
-        case.  Both are ``None`` when the base itself does not compile --
-        candidates then lower fully, which is always correct.
-        """
-        cached = self._bases.get(buggy_source)
-        if cached is not None:
-            return cached
-        result = (None, None)
-        design, _ = self.artifacts.elaborate_source(buggy_source)
-        if design is not None:
-            result = lower_design(self.artifacts, design, (None, None))
-        self._bases[buggy_source] = result
-        return result
-
     def verify_source(
         self,
         patched_source: str,
         seeds: Sequence[int],
         cycles: Optional[int] = None,
-        base: tuple = (None, None),
         base_source: Optional[str] = None,
     ) -> RepairVerdict:
         """Compile + simulate + check ``patched_source`` on every seed.
 
-        One run of :func:`repro.sva.kernel.simulate_and_check`, relowered
-        against ``base`` (the case's buggy-base artifacts) and re-parsed
-        against ``base_source`` (the case's buggy source), mapped onto a
+        One run of :func:`repro.sva.kernel.simulate_and_check`, re-parsed
+        and relowered against ``base_source`` (the case's buggy source;
+        None compiles and lowers from scratch), mapped onto a
         :class:`RepairVerdict`.
         """
         seeds = tuple(seeds)
         cycles = self.config.cycles if cycles is None else cycles
         (outcome,) = simulate_and_check(
             self.artifacts, [(patched_source, seeds)], cycles, self.config.reset_cycles,
-            base, "verify", base_source,
+            "verify", base_source,
         )
         if outcome.design is None:
             return RepairVerdict(

@@ -357,10 +357,6 @@ class SvaProperty:
             names |= self.antecedent.identifiers()
         return names
 
-    @property
-    def is_implication(self) -> bool:
-        return self.antecedent is not None
-
 
 @dataclass
 class ClockEvent:
@@ -525,12 +521,6 @@ class Module:
     def properties(self) -> list[PropertyDecl]:
         return self.items_of_type(PropertyDecl)
 
-    def find_property(self, name: str) -> Optional[PropertyDecl]:
-        for prop in self.properties:
-            if prop.name == name:
-                return prop
-        return None
-
 
 @dataclass
 class SourceUnit:
@@ -576,23 +566,3 @@ def _target_names(target: Expression) -> list[str]:
             names.extend(_target_names(part))
         return names
     return []
-
-
-def statement_expressions(statement: Statement) -> Iterator[Expression]:
-    """Yield every expression appearing inside ``statement`` (conditions, RHS, LHS)."""
-    for node in statement.walk():
-        if isinstance(node, Assign):
-            yield node.target
-            yield node.value
-        elif isinstance(node, If):
-            yield node.condition
-        elif isinstance(node, Case):
-            yield node.subject
-            for item in node.items:
-                yield from item.labels
-        elif isinstance(node, For):
-            yield node.init_value
-            yield node.condition
-            yield node.step_value
-        elif isinstance(node, SystemTaskCall):
-            yield from node.args

@@ -98,8 +98,8 @@ class ElaboratedDesign:
     it came from: top-level statements, expressions and properties are not
     copied (only the items of an instance are, to prefix their names).  So
     the AST is read-only after parsing: nothing may write a node reachable
-    from a unit or a design, and two elaborations of one parse have equal
-    fingerprints (:func:`repro.artifacts.canon.design_fingerprint`).
+    from a unit or a design, and two elaborations of one parse are equal
+    node for node (the per-node keys of :mod:`repro.artifacts.canon` agree).
     """
 
     name: str

@@ -267,12 +267,3 @@ class Evaluator:
         if name in ("$signed", "$unsigned"):
             return self.evaluate(expr.args[0])
         raise EvalError(f"unsupported system function '{name}'")
-
-
-def evaluate_expression(
-    expr: ast.Expression,
-    environment: Mapping[str, LogicValue],
-    parameters: Optional[Mapping[str, int]] = None,
-) -> LogicValue:
-    """Convenience wrapper for one-off evaluations."""
-    return Evaluator(environment, parameters).evaluate(expr)

@@ -199,12 +199,3 @@ def _case_label_matches(subject: LogicValue, label: LogicValue, variant: str) ->
         care_mask &= ~subject.xmask
     care_mask &= (1 << width) - 1
     return (subject.value & care_mask) == (label.value & care_mask)
-
-
-def execute_block(
-    design: ElaboratedDesign,
-    environment: dict[str, LogicValue],
-    body: ast.Statement,
-) -> ExecutionResult:
-    """Execute one procedural block body against ``environment``."""
-    return StatementExecutor(design, environment).run(body)

@@ -38,9 +38,6 @@ class Stimulus:
     def __getitem__(self, index: int) -> dict[str, int]:
         return self.vectors[index]
 
-    def extended(self, other: "Stimulus") -> "Stimulus":
-        return Stimulus(vectors=self.vectors + other.vectors)
-
 
 def reset_signal_of(design: ElaboratedDesign) -> Optional[Signal]:
     """Find the design's reset input, if any."""

@@ -28,9 +28,9 @@ Two checker backends implement these semantics:
   oracle per assertion it cannot lower.
 
 Production code gets its checker from
-:meth:`repro.artifacts.ArtifactStore.checker` (or :func:`check_assertions`,
-which routes through the process-wide store), which always builds the
-compiled checker; tests construct either class directly.
+:meth:`repro.artifacts.ArtifactStore.checker` (one per source text), and
+:func:`check_assertions` lowers one for a single check; both build the
+compiled checker, and tests construct either class directly.
 """
 
 from __future__ import annotations
@@ -159,11 +159,6 @@ class AssertionOutcome:
     @property
     def failed(self) -> bool:
         return bool(self.failures)
-
-    @property
-    def proved_nontrivially(self) -> bool:
-        """True when the assertion held and was exercised at least once."""
-        return not self.failed and self.antecedent_matches > 0
 
     def comparison_key(self) -> tuple:
         """Every outcome field as one tuple, for backend-differential checks."""
@@ -427,14 +422,10 @@ class AssertionChecker:
 def check_assertions(design: ElaboratedDesign, trace: Trace) -> CheckReport:
     """Check all assertions of ``design`` over ``trace``.
 
-    The lowered checker comes from the process-wide artifact cache
-    (:func:`repro.artifacts.default_store`), keyed by the design's content
-    fingerprint: callers that check the same design --
-    or *any* equal-fingerprint elaboration of it -- on several traces pay
-    the one-off assertion lowering once, and the cache's LRU bound means
-    lowered closures no longer live exactly as long as the design object
-    that happened to first reach this helper.
+    Lowers a fresh :class:`~repro.sva.compile.CompiledAssertionChecker`;
+    callers that check one source on many traces reuse its checker from
+    :meth:`repro.artifacts.ArtifactStore.checker` instead.
     """
-    from repro.artifacts import default_store
+    from repro.sva.compile import CompiledAssertionChecker
 
-    return default_store().checker(design).check(trace)
+    return CompiledAssertionChecker(design).check(trace)

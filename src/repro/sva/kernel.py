@@ -7,10 +7,10 @@ is that loop, once, over a batch of sources:
 
 1. elaborate each source through an :class:`~repro.artifacts.ArtifactStore`
    (the store's source-keyed LRU makes a repeat source a cache hit, and a
-   one-line edit of the cached base source re-parses one module item);
-2. lower it for the compiled simulator and the compiled assertion checker,
-   relowering only the dirty cone against an optional base
-   (:func:`lower_design`);
+   one-line edit of the named base source re-parses one module item);
+2. lower it for the compiled simulator and the compiled assertion checker
+   through the same store entry, relowering only the dirty cone against
+   the base source's lowerings;
 3. simulate every source's first seed (the compiled simulator records only
    column events, and no per-cycle sample is ever realised) and check all
    of those traces in one pass -- most failing designs already fail there;
@@ -78,23 +78,6 @@ class CheckOutcome:
     exercised: bool = False
 
 
-def lower_design(
-    store: ArtifactStore,
-    design: ElaboratedDesign,
-    base: tuple[Optional[CompiledDesign], Optional[Checker]],
-) -> tuple[Optional[CompiledDesign], Checker]:
-    """``design``'s (compiled simulator design, checker), via ``store``.
-
-    ``base`` is a ``(compiled design, checker)`` pair to relower against
-    (either may be None).  The compiled design is None when the compiled
-    simulator rejects the design; the :class:`Simulator` factory then falls
-    back to the interpreter.
-    """
-    base_compiled, base_checker = base
-    compiled = store.compiled_design(design, base=base_compiled)
-    return compiled, store.checker(design, base=base_checker)
-
-
 def _exercised(report: CheckReport) -> bool:
     return any(outcome.antecedent_matches > 0 for outcome in report.outcomes.values())
 
@@ -156,16 +139,15 @@ def simulate_and_check(
     items: Sequence[tuple[str, Sequence[int]]],
     cycles: int,
     reset_cycles: int,
-    base: tuple[Optional[CompiledDesign], Optional[Checker]],
     stage: str,
     base_source: Optional[str] = None,
 ) -> list[CheckOutcome]:
     """Elaborate, lower, simulate and check each ``(source, seeds)`` item.
 
-    Every source is an edit of one base design: ``base`` is that design's
-    ``(compiled design, checker)`` pair to relower against and
-    ``base_source`` its source text to re-parse against (see
-    :meth:`~repro.artifacts.ArtifactStore.compile`); any may be None.
+    Every source is an edit of one base: ``base_source`` names its text,
+    whose parse each source re-parses against and whose lowerings each
+    source relowers against (see :class:`~repro.artifacts.ArtifactStore`);
+    None lowers every source from scratch.
     ``stage`` names the phases (``<stage>.compile`` / ``.simulate`` /
     ``.check`` spans and histograms) and the grouping counters.  No item's
     seeds may be empty: a source judged on no stimulus would pass
@@ -191,7 +173,8 @@ def simulate_and_check(
         with phase(f"{stage}.compile"):
             design, first_error = store.elaborate_source(source, base_source)
             if design is not None:
-                compiled, checkers[index] = lower_design(store, design, base)
+                compiled = store.compiled_design(source, base_source)
+                checkers[index] = store.checker(source, base_source)
                 lowered[index] = (design, compiled)
         outcomes.append(CheckOutcome(design=design, compile_error=first_error))
 

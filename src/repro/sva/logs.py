@@ -24,10 +24,6 @@ class FailureLog:
     messages: dict[str, str] = field(default_factory=dict)
     fail_cycles: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def has_failures(self) -> bool:
-        return bool(self.failed_assertions)
-
 
 def format_failure_log(module_name: str, report: CheckReport) -> str:
     """Render a check report the way the training/evaluation data expects.

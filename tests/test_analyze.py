@@ -107,13 +107,13 @@ def test_dfg_detects_combinational_cycles_with_path():
     assert build_dfg(design_of(COUNTER)).combinational_cycles() == ()
 
 
-def test_artifact_store_caches_dataflow_by_fingerprint():
+def test_artifact_store_caches_dataflow_per_source():
     store = ArtifactStore()
-    design = design_of(COUNTER)
-    twin = design_of(COUNTER)
-    first = store.dataflow(design)
-    assert store.dataflow(design) is first
-    assert store.dataflow(twin) is first  # content-addressed, not object-addressed
+    first = store.dataflow(COUNTER)
+    assert store.dataflow(COUNTER) is first
+    # Keyed by the source text, not by the string object that carries it.
+    assert store.dataflow("".join(list(COUNTER))) is first
+    assert store.compile(COUNTER).design is first.design
 
 
 # --------------------------------------------------------------------------- #

@@ -8,20 +8,17 @@ family crossed with one representative mutation per mutation kind, so
 every lowering construct the corpus can produce goes through the
 incremental path at least once.
 
-Plus the store mechanics: fingerprint stability, the LRU bound/eviction
-behaviour, and the two-level ResultCache sharding (older layouts miss).
+Plus the store mechanics: one entry per source text (parse and lowerings
+together), a base named by its source, the LRU bound/eviction behaviour,
+and the two-level ResultCache sharding (older layouts miss).
 """
 
 import json
 
 import pytest
 
-from repro.artifacts import (
-    DEFAULT_LRU_ENTRIES,
-    ArtifactStore,
-    design_canonical_text,
-    design_fingerprint,
-)
+from design_canon import design_canonical_text
+from repro.artifacts import DEFAULT_LRU_ENTRIES, ArtifactStore
 from repro.bugs.mutators import enumerate_mutations
 from repro.corpus.templates import all_families
 from repro.eval.executor import VerificationJob, run_verification_jobs
@@ -92,24 +89,21 @@ def report_keys(report):
 
 
 # --------------------------------------------------------------------------- #
-# fingerprints
+# the design-equality oracle
 # --------------------------------------------------------------------------- #
 
 
-def test_fingerprint_is_stable_across_elaborations_and_splits_mutants():
+def test_canonical_text_is_stable_across_elaborations_and_splits_mutants():
     for family in all_families():
         case = build_family_case(family)
         if case is None:
             continue
         source, design = case
         again = compile_source(source).design
-        assert design_fingerprint(design) == design_fingerprint(again), family.name
+        assert design_canonical_text(design) == design_canonical_text(again), family.name
         for mutant in representative_mutants(source, design).values():
-            mutant_design = compile_source(mutant).design
-            assert design_fingerprint(mutant_design) != design_fingerprint(design), (
-                family.name,
-                design_canonical_text(mutant_design),
-            )
+            mutant_text = design_canonical_text(compile_source(mutant).design)
+            assert mutant_text != design_canonical_text(design), (family.name, mutant_text)
 
 
 # --------------------------------------------------------------------------- #
@@ -232,7 +226,7 @@ def full_lowering_verdicts(jobs):
                     detail=detail,
                 )
             else:
-                verdict = verifier.verify_source(patched, job.seeds, base=(None, None))
+                verdict = verifier.verify_source(patched, job.seeds)
                 verdict.applied_line_number = line_number
             verdicts.append(verdict.to_dict())
         shards.append(verdicts)
@@ -260,13 +254,20 @@ def test_verifier_base_artifacts_are_compiled_once_per_case(tmp_path):
     verifier = SemanticVerifier(
         config=VerifierConfig(cycles=CYCLES), artifacts=store
     )
+    sources = {job.buggy_source}
     for fix in job.fixes:
         verifier.verify(job.buggy_source, fix, job.seeds)
-    # The buggy base was elaborated and lowered exactly once, then memoised.
-    assert len(verifier._bases) == 1
-    before = store.stats()
-    verifier.verify(job.buggy_source, job.fixes[0], job.seeds)
-    assert store.stats()["misses"] == before["misses"]
+        patched, _, _ = verifier.apply_fix(job.buggy_source, fix)
+        if patched is not None:
+            sources.add(patched)
+    # One miss per distinct source: the buggy base was compiled once and
+    # every candidate found it in the store.
+    assert store.stats()["misses"] == len(sources) == len(store)
+    # A second verifier (no verdict memo) over the same store compiles nothing.
+    again = SemanticVerifier(config=VerifierConfig(cycles=CYCLES), artifacts=store)
+    for fix in job.fixes:
+        again.verify(job.buggy_source, fix, job.seeds)
+    assert store.stats()["misses"] == len(sources)
 
 
 # --------------------------------------------------------------------------- #
@@ -310,24 +311,25 @@ def test_each_mutant_and_case_source_is_parsed_once(parse_counts, monkeypatch):
     from repro.model.case import RepairCase
 
     evicted = set()
-    put = ArtifactStore.put
+    lookup = ArtifactStore._entry
 
-    def recording_put(store, key, value):
+    def recording_entry(store, source, base_source=None):
         before = set(store._lru)
-        put(store, key, value)
+        found = lookup(store, source, base_source)
         evicted.update(before - set(store._lru))
+        return found
 
-    monkeypatch.setattr(ArtifactStore, "put", recording_put)
+    monkeypatch.setattr(ArtifactStore, "_entry", recording_entry)
     config = PipelineConfig.small(workers=1)
     corpus = CorpusGenerator(config.corpus, config.job_policy).generate()
     datasets = DataAugmentationPipeline(config).run(corpus)
     # Stage 1 compiles each golden through the store, and Stage 2's SVA
     # validation finds it there -- unless the bounded LRU evicted it first
-    # (this run makes more than 128 entries, so the last golden goes).
+    # (this run compiles more sources than the LRU holds).
     goldens = [sample.source for sample in corpus.samples]
     parsed_twice = [
         source for source in goldens
-        if parse_counts[source] != 1 and f"src:{content_key(source)}" not in evicted
+        if parse_counts[source] != 1 and content_key(source) not in evicted
     ]
     assert goldens and not parsed_twice
     assert sum(parse_counts[source] == 1 for source in goldens) >= len(goldens) - 1
@@ -358,26 +360,26 @@ def test_each_mutant_and_case_source_is_parsed_once(parse_counts, monkeypatch):
 # --------------------------------------------------------------------------- #
 
 
-def numbered_design(index):
-    return compile_source(
+def numbered_source(index):
+    return (
         f"module dut_{index}(input wire clk, input wire [3:0] a, output wire [3:0] q);\n"
         f"  assign q = a + 4'd{index};\nendmodule\n"
-    ).design
+    )
 
 
 def test_lru_bound_evicts_and_recomputes():
     store = ArtifactStore(max_entries=2)
-    designs = [numbered_design(i) for i in range(1, 4)]
-    compiled = [store.compiled_design(d) for d in designs]
+    sources = [numbered_source(i) for i in range(1, 4)]
+    compiled = [store.compiled_design(source) for source in sources]
     assert all(c is not None for c in compiled)
     assert len(store) == 2
     assert store.evictions >= 1
-    # The evicted design recomputes transparently (a fresh object, same
+    # The evicted source recomputes transparently (a fresh object, same
     # behaviour), and the most-recently-used entry is still cached.
-    assert store.compiled_design(designs[2]) is compiled[2]
-    recomputed = store.compiled_design(designs[0])
+    assert store.compiled_design(sources[2]) is compiled[2]
+    recomputed = store.compiled_design(sources[0])
     assert recomputed is not None and recomputed is not compiled[0]
-    assert ArtifactStore().max_entries == DEFAULT_LRU_ENTRIES == 128
+    assert ArtifactStore().max_entries == DEFAULT_LRU_ENTRIES == 64
 
 
 def test_uncompilable_designs_are_negative_cached():
@@ -388,15 +390,138 @@ def test_uncompilable_designs_are_negative_cached():
         "  initial q = 0;\n"
         "  always @(posedge clk) q <= ~q;\nendmodule\n"
     )
-    design = compile_source(source).design
     store = ArtifactStore()
-    first = store.compiled_design(design)
-    second = store.compiled_design(design)
+    first = store.compiled_design(source)
+    second = store.compiled_design(source)
+    assert store.misses == 1 and store.hits == 1
     if first is None:
         assert second is None
-        assert store.hits == 1
     else:  # the backend learned this construct; the cache must still hit
         assert second is first
+
+
+# --------------------------------------------------------------------------- #
+# one entry per source; a base named by its source
+# --------------------------------------------------------------------------- #
+
+
+def one_line_edit(source):
+    """``source`` with its first ``+`` on a nonblocking-assignment line made ``-``."""
+    lines = source.split("\n")
+    number = next(i for i, line in enumerate(lines) if "<=" in line and "+" in line)
+    lines[number] = lines[number].replace("+", "-", 1)
+    return "\n".join(lines)
+
+
+def edited_family_case():
+    """(augmented source, one-line edit of it) for the first family that has both."""
+    for family in all_families():
+        case = build_family_case(family)
+        if case is None or not case[1].assertions:
+            continue
+        source = case[0]
+        if any("<=" in line and "+" in line for line in source.split("\n")):
+            return source, one_line_edit(source)
+    raise AssertionError("no family has an editable clocked addition")
+
+
+def test_edit_named_by_base_source_relowers_against_the_cached_base():
+    source, edited = edited_family_case()
+    store = ArtifactStore()
+    base_compiled = store.compiled_design(source)
+    base_checker = store.checker(source)
+    compiled = store.compiled_design(edited, source)
+    assert compiled is not None and compiled is not base_compiled
+    assert compiled.relower_nodes_reused > 0
+    assert compiled.relower_fallback_reason is None
+    checker = store.checker(edited, source)
+    assert checker.assertions_reused == len(store.elaborate_source(source)[0].assertions)
+    assert store.checker(source) is base_checker
+    # The edit's lowering is the same object on every later lookup.
+    assert store.compiled_design(edited, source) is compiled
+    assert store.compiled_design(edited) is compiled
+
+
+def test_edit_after_base_eviction_recompiles_the_base_with_identical_verdicts():
+    source, edited = edited_family_case()
+    seeds = (3, 5)
+    store = ArtifactStore(max_entries=2)
+    warm = SemanticVerifier(config=VerifierConfig(cycles=CYCLES), artifacts=store)
+    first = warm.verify_source(edited, seeds, base_source=source)
+    assert store.misses == 2
+    for index in (1, 2):  # evict both the edit and its base
+        store.compile(numbered_source(index))
+    assert store.evictions == 2
+    cold = SemanticVerifier(config=VerifierConfig(cycles=CYCLES), artifacts=store)
+    again = cold.verify_source(edited, seeds, base_source=source)
+    # The base was compiled again, as was the edit against it.
+    assert store.misses == 6
+    assert again.to_dict() == first.to_dict()
+    reference = SemanticVerifier(
+        config=VerifierConfig(cycles=CYCLES), artifacts=ArtifactStore()
+    ).verify_source(edited, seeds)
+    assert again.to_dict() == reference.to_dict()
+
+
+def test_one_eviction_drops_a_sources_parse_and_lowerings_together():
+    first, second = numbered_source(1), numbered_source(2)
+    store = ArtifactStore(max_entries=1)
+    result = store.compile(first)
+    compiled = store.compiled_design(first)
+    checker = store.checker(first)
+    dataflow = store.dataflow(first)
+    assert len(store) == 1 and store.evictions == 0
+    assert store.compile(first) is result and store.dataflow(first) is dataflow
+    store.compile(second)
+    assert len(store) == 1 and store.evictions == 1
+    assert store.compiled_design(first) is not compiled
+    assert store.checker(first) is not checker
+    assert store.compile(first) is not result
+    assert store.evictions == 2
+
+
+def test_rejected_and_uncompilable_sources_are_answered_from_their_entry(monkeypatch):
+    import repro.hdl.lint as lint
+    import repro.sim.compile as sim_compile
+
+    compiles, lowerings = [], []
+    compile_source_fn, compile_design_fn = lint.compile_source, sim_compile.compile_design
+
+    def counting_compile(source, *args, **kwargs):
+        compiles.append(source)
+        return compile_source_fn(source, *args, **kwargs)
+
+    def counting_lower(design, *args, **kwargs):
+        lowerings.append(design)
+        return compile_design_fn(design, *args, **kwargs)
+
+    monkeypatch.setattr(lint, "compile_source", counting_compile)
+    monkeypatch.setattr(sim_compile, "compile_design", counting_lower)
+    store = ArtifactStore()
+    broken = "module dut_x(input wire clk, output wire q);\n  assign q = ;\nendmodule\n"
+    for _ in range(2):
+        design, error = store.elaborate_source(broken)
+        assert design is None and error
+    assert compiles == [broken]
+    with pytest.raises(ValueError):
+        store.compiled_design(broken)
+    assert compiles == [broken]
+    # An edit of a base that does not compile lowers from scratch.
+    fixed = numbered_source(1)
+    assert store.compiled_design(fixed, broken) is not None
+    assert store.checker(fixed, broken) is not None
+    assert compiles == [broken, fixed]
+    lowerings.clear()
+    rejected = (
+        "module dut_y(input wire clk, input wire [1:0] a, output reg [1:0] q,"
+        " output reg r);\n"
+        "  always @(posedge clk) {q[1], r} <= a;\nendmodule\n"
+    )
+    assert store.elaborate_source(rejected)[0] is not None
+    assert store.compiled_design(rejected) is None
+    assert store.compiled_design(rejected) is None
+    assert compiles == [broken, fixed, rejected]
+    assert len(lowerings) == 1
 
 
 # --------------------------------------------------------------------------- #

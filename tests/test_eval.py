@@ -249,8 +249,14 @@ def test_harness_is_cache_state_invariant(datasets, sft_model, tmp_path):
 class TreeWalkerStore(ArtifactStore):
     """A store whose checker is the tree-walking oracle."""
 
-    def checker(self, design, base=None):
-        return AssertionChecker(design)
+    def __init__(self):
+        super().__init__()
+        self.walkers = {}
+
+    def checker(self, source, base_source=None):
+        if source not in self.walkers:
+            self.walkers[source] = AssertionChecker(self.elaborate_source(source)[0])
+        return self.walkers[source]
 
 
 def test_harness_is_checker_backend_invariant(datasets, sft_model):

@@ -3,14 +3,15 @@
 Elaboration shares AST nodes with the parse and copies only the items of a
 module instance, to prefix their names.  These tests pin what that relies
 on: prefixed names are right, elaborating leaves the parsed unit as it was,
-two elaborations of one parse fingerprint equally, and both simulators agree
+two elaborations of one parse render the same canonical text, and both
+simulators agree
 on the flattened design.  They also pin diagnostic line numbers after a
 string literal that continues across a backslash-newline.
 """
 
 from __future__ import annotations
 
-from repro.artifacts.canon import design_fingerprint
+from design_canon import design_canonical_text
 from repro.hdl import ast
 from repro.hdl.elaborate import elaborate
 from repro.hdl.lint import compile_source
@@ -82,7 +83,7 @@ def test_elaboration_leaves_the_parse_unchanged_and_is_repeatable():
     first = elaborate(unit)
     second = elaborate(unit)
     assert repr(unit) == before
-    assert design_fingerprint(first) == design_fingerprint(second)
+    assert design_canonical_text(first) == design_canonical_text(second)
     # The instance's block body is a copy, so the two instances do not alias.
     assert first.seq_blocks[0].body is not first.seq_blocks[1].body
 

@@ -4,7 +4,7 @@
 one-line edit touches and shares every other node with the base's parse.
 The full ``compile_source(text)`` is its oracle: for every input below both
 must agree on ``ok``, the rendered diagnostics, ``repr`` of the parsed unit,
-the design fingerprint and the recorded item spans.  Inputs:
+the design's canonical text and the recorded item spans.  Inputs:
 
 * every mutant the bug injector builds from the 89 grid goldens and from
   their assertion-carrying (Stage-2 augmented) versions;
@@ -24,8 +24,8 @@ import random
 import pytest
 
 import repro.bugs.injector as injector_module
+from design_canon import design_canonical_text
 from repro.artifacts import ArtifactStore
-from repro.artifacts.canon import design_fingerprint
 from repro.bugs.injector import BugInjector, InjectionConfig
 from repro.corpus.templates import all_families
 from repro.eval.verifier import CandidateFix, SemanticVerifier
@@ -39,12 +39,11 @@ from repro.sva.generator import insert_assertions, template_assertion_blocks
 
 
 def outcome(result):
-    design = result.design
     return (
         result.ok,
         result.render(),
         repr(result.unit),
-        design_fingerprint(design) if design is not None else None,
+        design_canonical_text(result.design),
         result.item_spans,
     )
 

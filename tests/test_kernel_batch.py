@@ -32,7 +32,7 @@ from repro.sim.stimulus import StimulusGenerator
 from repro.sva.checker import AssertionChecker
 from repro.sva.compile import CompiledAssertionChecker
 from repro.sva.generator import insert_assertions, mine_assertions, template_assertion_blocks
-from repro.sva.kernel import CheckOutcome, lower_design, simulate_and_check
+from repro.sva.kernel import CheckOutcome, simulate_and_check
 
 FAMILIES = all_families()
 CYCLES = 24
@@ -43,7 +43,7 @@ def _exercised(report):
     return any(outcome.antecedent_matches > 0 for outcome in report.outcomes.values())
 
 
-def reference_simulate_and_check(store, source, seeds, cycles, reset_cycles, base,
+def reference_simulate_and_check(store, source, seeds, cycles, reset_cycles,
                                  base_source=None):
     """The one-source kernel: first seed checked alone, the rest batched."""
     if not seeds:
@@ -51,7 +51,8 @@ def reference_simulate_and_check(store, source, seeds, cycles, reset_cycles, bas
     design, first_error = store.elaborate_source(source, base_source)
     if design is None:
         return CheckOutcome(design=None, compile_error=first_error)
-    compiled, checker = lower_design(store, design, base)
+    compiled = store.compiled_design(source, base_source)
+    checker = store.checker(source, base_source)
 
     def simulate(seed):
         stimulus = StimulusGenerator(design, seed=seed).mixed_stimulus(
@@ -110,8 +111,14 @@ def outcome_key(outcome):
 class TreeWalkerStore(ArtifactStore):
     """An artifact store whose checker is the tree-walking oracle."""
 
-    def checker(self, design, base=None):
-        return AssertionChecker(design)
+    def __init__(self):
+        super().__init__()
+        self.walkers = {}
+
+    def checker(self, source, base_source=None):
+        if source not in self.walkers:
+            self.walkers[source] = AssertionChecker(self.elaborate_source(source)[0])
+        return self.walkers[source]
 
 
 def augmented_golden(store, family):
@@ -146,21 +153,9 @@ def judge_both(items, base_source, batch_store, oracle_store, stage="kb"):
 
     Each side relowers against its own store's lowering of ``base_source``
     (or against nothing), so no lowered state is shared between them."""
-
-    def base_of(store):
-        if base_source is None:
-            return (None, None)
-        design, _ = store.elaborate_source(base_source)
-        return lower_design(store, design, (None, None))
-
-    batched = simulate_and_check(
-        batch_store, items, CYCLES, RESET, base_of(batch_store), stage, base_source
-    )
-    oracle_base = base_of(oracle_store)
+    batched = simulate_and_check(batch_store, items, CYCLES, RESET, stage, base_source)
     singles = [
-        reference_simulate_and_check(
-            oracle_store, source, seeds, CYCLES, RESET, oracle_base, base_source
-        )
+        reference_simulate_and_check(oracle_store, source, seeds, CYCLES, RESET, base_source)
         for source, seeds in items
     ]
     return batched, singles
@@ -215,7 +210,7 @@ def classify_seeds(store, source, candidates):
     """Single-seed verdicts of ``source``: seeds that pass, fail and sim-error."""
     found = {"pass": [], "fail": [], "error": []}
     for seed in candidates:
-        outcome = reference_simulate_and_check(store, source, (seed,), CYCLES, RESET, (None, None))
+        outcome = reference_simulate_and_check(store, source, (seed,), CYCLES, RESET)
         kind = "error" if outcome.sim_error else "fail" if outcome.failure else "pass"
         found[kind].append(seed)
     return found
@@ -274,7 +269,7 @@ def test_width_changing_mutant_is_checked_alone():
     with scoped_registry() as registry:
         batched, singles = judge_both(items, WIDTH_SOURCE, store, ArtifactStore())
     assert_outcomes_equal(batched, singles)
-    checkers = [store.checker(outcome.design) for outcome in batched]
+    checkers = [store.checker(source) for source, _ in items]
     assert checkers[0].batch_key() is None
     assert checkers[1].batch_key() is not None
     assert checkers[1].batch_key() == checkers[2].batch_key()
@@ -311,7 +306,7 @@ def test_tree_walker_store_checks_every_source_alone():
 def test_batch_key_demands_shared_tensor_lowerings():
     store = ArtifactStore()
     source, design = augmented_golden(store, FAMILIES[0])
-    base = store.checker(design)
+    base = store.checker(source)
     assert isinstance(base, CompiledAssertionChecker)
     # A freshly lowered checker shares nothing.
     assert base.batch_key() is None
@@ -323,11 +318,9 @@ def test_batch_key_demands_shared_tensor_lowerings():
 
 def test_empty_items_and_empty_seeds():
     store = ArtifactStore()
-    assert simulate_and_check(store, [], CYCLES, RESET, (None, None), "kb") == []
+    assert simulate_and_check(store, [], CYCLES, RESET, "kb") == []
     with pytest.raises(ValueError):
-        simulate_and_check(
-            store, [(WIDTH_SOURCE, (1,)), (WIDTH_SOURCE, ())], CYCLES, RESET, (None, None), "kb"
-        )
+        simulate_and_check(store, [(WIDTH_SOURCE, (1,)), (WIDTH_SOURCE, ())], CYCLES, RESET, "kb")
 
 
 def test_stage2_result_matches_the_per_mutant_loop(monkeypatch):
@@ -337,11 +330,9 @@ def test_stage2_result_matches_the_per_mutant_loop(monkeypatch):
     samples = run_stage1(CorpusGenerator(config.corpus).generate()).compiled
     batched = Stage2Runner(config.stage2).run(samples)
 
-    def per_mutant(store, items, cycles, reset_cycles, base, stage, base_source=None):
+    def per_mutant(store, items, cycles, reset_cycles, stage, base_source=None):
         return [
-            reference_simulate_and_check(
-                store, source, seeds, cycles, reset_cycles, base, base_source
-            )
+            reference_simulate_and_check(store, source, seeds, cycles, reset_cycles, base_source)
             for source, seeds in items
         ]
 

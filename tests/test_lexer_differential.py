@@ -414,14 +414,13 @@ def test_edge_cases_lex_identically(text):
 def test_compile_results_match_with_oracle_tokens(
     grid_sources, human_sources, pipeline_sources, corrupted_sources
 ):
-    """``render()`` and the design fingerprint do not depend on the lexer."""
-    from repro.artifacts.canon import design_fingerprint
+    """``render()`` and the design's canonical text do not depend on the lexer."""
+    from design_canon import design_canonical_text
     from repro.hdl.lint import compile_source
 
     def compiled(text: str):
         result = compile_source(text)
-        fingerprint = design_fingerprint(result.design) if result.design is not None else None
-        return result.render(), fingerprint
+        return result.render(), design_canonical_text(result.design)
 
     texts = list(dict.fromkeys(grid_sources + human_sources + pipeline_sources + corrupted_sources))
     expected = [compiled(text) for text in texts]

@@ -31,7 +31,7 @@ from repro.sva.generator import (
     mine_assertions,
     template_assertion_blocks,
 )
-from repro.sva.kernel import lower_design, simulate_and_check
+from repro.sva.kernel import simulate_and_check
 
 FAMILIES = all_families()
 X_INIT = SimulatorOptions(x_initial_state=True)
@@ -260,10 +260,9 @@ def test_simulate_and_check_never_materialises_samples(monkeypatch):
             continue
         augmented = insert_assertions(artifact.source, candidates)
         augmented_design, _ = store.elaborate_source(augmented)
-        base = lower_design(store, augmented_design, (None, None))
         mutants = injector.inject(artifact.name, augmented, augmented_design)
         items = [(augmented, (1, 2, 3))] + [(bug.buggy_source, (1, 2, 3)) for bug in mutants]
-        outcomes = simulate_and_check(store, items, 24, 2, base, "test", augmented)
+        outcomes = simulate_and_check(store, items, 24, 2, "test", augmented)
         assert len(outcomes) == len(items)
         assert outcomes[0].design is not None and outcomes[0].sim_error is None
         checked += 1

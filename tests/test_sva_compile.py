@@ -250,25 +250,27 @@ def shift2_trace(design, cycles=24):
     return Simulator(design).run(vectors)
 
 
-def test_check_assertions_caches_checker_in_artifact_store():
-    # The lowered checker lives in the process-wide artifact cache keyed by
-    # content fingerprint -- not as a hidden attribute pinned on the design
-    # object -- so repeat checks reuse one lowering, the design still
-    # pickles, and even a *fresh elaboration* of the same source hits.
+def test_store_caches_one_checker_per_source_and_agrees_with_check_assertions():
+    # The lowered checker lives in the artifact store's entry for the source
+    # text -- not as a hidden attribute pinned on the design object -- so
+    # repeat lookups of the same source reuse one lowering and the design
+    # still pickles; check_assertions lowers a checker of its own.
     import pickle
 
-    from repro.artifacts import default_store
+    from repro.artifacts import ArtifactStore
 
-    design = shift2_design()
+    store = ArtifactStore()
+    design = store.elaborate_source(SHIFT2_SOURCE)[0]
     trace = shift2_trace(design)
     first = check_assertions(design, trace)
     assert "_checker_backend_cache" not in design.__dict__
-    checker = default_store().checker(design)
+    checker = store.checker(SHIFT2_SOURCE)
     assert isinstance(checker, CompiledAssertionChecker)
-    second = check_assertions(design, trace)
-    assert default_store().checker(design) is checker
-    assert default_store().checker(shift2_design()) is checker
+    assert store.checker(SHIFT2_SOURCE) is checker
+    assert store.checker("".join(list(SHIFT2_SOURCE))) is checker
+    second = checker.check(trace)
     pickle.dumps(design)
+    assert first.outcomes.keys() == second.outcomes.keys()
     for name in first.outcomes:
         assert outcome_fields(first.outcomes[name]) == outcome_fields(second.outcomes[name])
 
