@@ -2,37 +2,23 @@
 
 Two layers:
 
+* :mod:`repro.analyze.passes` -- the compile-gate lint passes
+  (:func:`repro.hdl.lint.lint_design` delegates here), one ordered tuple
+  run by :func:`~repro.analyze.passes.run_passes`.
 * :mod:`repro.analyze.dfg` -- a signal-level dataflow graph per design
   (def/use chains, per-signal drivers, fan-in cones, combinational
   cycle detection), cached per source text through
-  :meth:`repro.artifacts.ArtifactStore.dataflow`.
-* :mod:`repro.analyze.passes` -- the pluggable pass framework.  The
-  ``lint``-tier passes are the compile gate (:func:`repro.hdl.lint.lint_design`
-  delegates here); the analysis-tier passes are advisory diagnostics.
-
-``python -m repro.analyze <file.v>`` prints a per-design lint + cone report.
+  :meth:`repro.artifacts.ArtifactStore.dataflow`.  No production path
+  reads it; it stays as a library surface and a benchmark probe target.
 """
 
 from repro.analyze.dfg import DfgNode, SignalDfg, build_dfg
-from repro.analyze.passes import (
-    AnalysisContext,
-    AnalysisPass,
-    get_pass,
-    lint_passes,
-    register_pass,
-    registered_passes,
-    run_passes,
-)
+from repro.analyze.passes import LINT_PASSES, run_passes
 
 __all__ = [
-    "AnalysisContext",
-    "AnalysisPass",
+    "LINT_PASSES",
     "DfgNode",
     "SignalDfg",
     "build_dfg",
-    "get_pass",
-    "lint_passes",
-    "register_pass",
-    "registered_passes",
     "run_passes",
 ]

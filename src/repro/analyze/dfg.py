@@ -20,8 +20,7 @@ Two graph queries carry stronger contracts:
   assertion's clock and ``disable iff`` identifiers, not just the property
   body.
 * :meth:`SignalDfg.combinational_cycles` finds every static cycle in the
-  combinational subgraph (the ``comb-loop`` pass reports them); a design
-  with none settles deterministically.
+  combinational subgraph; a design with none settles deterministically.
 
 A store caches one graph per source text through
 :meth:`repro.artifacts.ArtifactStore.dataflow`.

@@ -18,8 +18,7 @@ through it, so a source is parsed once per process while its entry stays
 in the LRU.  A lookup may name the ``base_source`` it is a one-line edit
 of: the base's parse is what the edit re-parses one module item against,
 and the base's lowerings are what it relowers its dirty cone against.
-Only ``python -m repro.analyze`` calls
-:func:`repro.hdl.lint.compile_source` directly.
+Nothing outside the store calls :func:`repro.hdl.lint.compile_source`.
 
 Consumers: :func:`repro.sva.kernel.simulate_and_check` (the elaborate ->
 lower -> simulate -> check kernel shared by

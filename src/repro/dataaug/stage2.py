@@ -91,7 +91,6 @@ class Stage2Config:
                 self.injection.seed,
                 self.injection.max_bugs_per_design,
                 self.injection.max_candidates_per_line,
-                "auto",  # deleted checker-backend slot: keeps old cache keys valid
                 policy.timeout,
                 policy.max_attempts,
             )

@@ -81,10 +81,6 @@ class RepairVerdict:
     first_failure_cycle: Optional[int] = None
     exercised: bool = False  # some assertion's antecedent matched on some seed
     detail: str = ""
-    #: How the verdict was produced.  Always "simulated" (the full compile +
-    #: simulate + check loop); kept so reports and cached verdict payloads
-    #: keep their shape.
-    provenance: str = "simulated"
 
     @property
     def passed(self) -> bool:
@@ -101,7 +97,6 @@ class RepairVerdict:
             "first_failure_cycle": self.first_failure_cycle,
             "exercised": self.exercised,
             "detail": self.detail,
-            "provenance": self.provenance,
         }
 
     @classmethod
@@ -116,7 +111,6 @@ class RepairVerdict:
             first_failure_cycle=payload.get("first_failure_cycle"),
             exercised=bool(payload.get("exercised", False)),
             detail=str(payload.get("detail", "")),
-            provenance=str(payload.get("provenance", "simulated")),
         )
 
 

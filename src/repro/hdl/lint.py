@@ -8,10 +8,9 @@ to reject syntactically broken corpus entries and to discard injected bugs
 that merely break compilation instead of triggering an assertion.
 
 The individual semantic checks live in :mod:`repro.analyze.passes` as
-registered passes with stable ids; :func:`lint_design` runs exactly the
-``lint``-tier subset, so every diagnostic a rejected corpus entry reports
-names the pass that fired (its ``code``) and the advisory analysis passes
-can never change what compiles.
+lint passes with stable ids; :func:`lint_design` runs them, so every
+diagnostic a rejected corpus entry reports names the pass that fired (its
+``code``).
 """
 
 from __future__ import annotations
@@ -145,7 +144,7 @@ def _compile_edit(text: str, base: CompileResult) -> Optional[CompileResult]:
 def lint_design(design: ElaboratedDesign, sink: Optional[DiagnosticSink] = None) -> DiagnosticSink:
     """Run the compile-gate semantic passes, appending to ``sink``."""
     # Imported lazily: repro.hdl initialises before repro.analyze can.
-    from repro.analyze.passes import lint_passes, run_passes
+    from repro.analyze.passes import run_passes
 
-    return run_passes(design, passes=lint_passes(), sink=sink)
+    return run_passes(design, sink=sink)
 

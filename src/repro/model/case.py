@@ -2,9 +2,10 @@
 
 A :class:`RepairCase` is what the model (and every baseline) receives at
 inference time -- exactly the three ingredients of Fig. 2 (III).  The class
-also caches the structural analyses that feature extraction needs (compiled
-design, cone of influence of the failing assertions, spec keywords) so the
-evaluation runner can share them across models and samples.
+also caches what feature extraction reads of them (compiled design, the
+asserted signals' cone of influence and dependency distances, spec
+keywords) so the evaluation runner can share them across models and
+samples.
 """
 
 from __future__ import annotations
@@ -143,55 +144,6 @@ class RepairCase:
         if design is None:
             return set()
         return design.cone_of_influence(self.asserted_signals)
-
-    @cached_property
-    def dataflow(self):
-        """The buggy design's :class:`~repro.analyze.dfg.SignalDfg`, or None."""
-        design = self.design
-        if design is None:
-            return None
-        from repro.analyze.dfg import SignalDfg
-
-        return SignalDfg(design)
-
-    @cached_property
-    def failing_cone(self) -> set[str]:
-        """Cone of influence of the *failing* assertions, per the DFG.
-
-        Unlike :attr:`cone_signals` (fan-in of the asserted body signals),
-        this includes each failing assertion's clocking signal and
-        ``disable iff`` identifiers (:meth:`SignalDfg.assertion_cone`).
-        Falls back to :attr:`cone_signals` when no failing assertion
-        resolves in the design.
-        """
-        dfg = self.dataflow
-        if dfg is None:
-            return set(self.cone_signals)
-        cone: set[str] = set()
-        for spec in self.failing_assertions:
-            cone |= dfg.assertion_cone(spec)
-        return cone if cone else set(self.cone_signals)
-
-    @cached_property
-    def analysis_diagnostics_by_line(self) -> dict[int, int]:
-        """line number -> count of advisory analysis-pass diagnostics there.
-
-        Runs the non-lint (analysis-tier) passes of :mod:`repro.analyze`;
-        lines that trip them (dead writes, width truncation, inferred
-        latches, ...) are disproportionately often the injected bug line.
-        """
-        design = self.design
-        if design is None:
-            return {}
-        from repro.analyze.passes import registered_passes, run_passes
-
-        passes = [p for p in registered_passes() if not p.lint]
-        sink = run_passes(design, passes=passes, dfg=self.dataflow)
-        counts: dict[int, int] = {}
-        for diag in sink.diagnostics:
-            if diag.line:
-                counts[diag.line] = counts.get(diag.line, 0) + 1
-        return counts
 
     @cached_property
     def spec_tokens(self) -> set[str]:

@@ -5,7 +5,8 @@ of evidence a verification engineer (or a code LLM) uses when reading a
 failing assertion: which signals the assertion samples, which lines drive
 those signals (cone of influence), how "unusual" a line looks to a language
 model of Verilog, and how well a line matches the vocabulary of the
-specification.
+specification.  They read the buggy design, the spec and the failure log
+only: no dataflow graph and no static-analysis diagnostic.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ LOCALISATION_FEATURE_NAMES: tuple[str, ...] = (
     "spec_overlap",
     "line_length",
     "distance_to_assertion",
-    "lint_density",
 )
 
 #: names of the fix-ranking features (pattern weights are handled separately).
@@ -45,7 +45,6 @@ FIX_FEATURE_NAMES: tuple[str, ...] = (
     "reuses_existing_line",
     "touches_failing_signal",
     "edit_size",
-    "cone_overlap_gain",
 )
 
 _DECLARATION_PREFIXES = ("wire", "reg", "logic", "integer", "parameter", "localparam",
@@ -92,10 +91,6 @@ class LocalisationFeatureExtractor:
         spec_overlap = self._spec_overlap(case, identifiers)
         line_length = min(len(code) / 80.0, 1.5)
         distance = self._distance_to_assertion(case, number)
-        # Advisory static-analysis diagnostics on this line (dead writes,
-        # width truncation, inferred latches, ...): injected bugs trip them
-        # far more often than golden lines do.
-        lint_density = min(case.analysis_diagnostics_by_line.get(number, 0), 3) / 3.0
 
         return np.array(
             [
@@ -111,7 +106,6 @@ class LocalisationFeatureExtractor:
                 spec_overlap,
                 line_length,
                 distance,
-                lint_density,
             ]
         )
 
@@ -173,8 +167,6 @@ class FixFeatureExtractor:
         original_normalised = " ".join(original_code.split())
         original_naturalness = self._naturalness(original_code)
         original_spec = self._spec_overlap(case, original_identifiers)
-        cone = case.failing_cone
-        original_cone = self._cone_fraction(cone, original_identifiers)
         existing_lines = case.normalised_code_lines
         asserted = case.asserted_signals
         rows = []
@@ -195,13 +187,7 @@ class FixFeatureExtractor:
             )
             touches_failing = float(bool(identifiers & asserted))
             edit_size = self._edit_size(original_code, code)
-            # How much the rewrite moves the line *into* the failing cone
-            # (the failing assertions' cone of influence per the dataflow
-            # graph, clock and ``disable iff`` signals included).  A fix
-            # that swaps cone signals for unrelated ones moves the logic
-            # away from what the assertion observes.
-            cone_gain = self._cone_fraction(cone, identifiers) - original_cone if cone else 0.0
-            rows.append([1.0, lm_gain, spec_gain, reuses, touches_failing, edit_size, cone_gain])
+            rows.append([1.0, lm_gain, spec_gain, reuses, touches_failing, edit_size])
         return np.array(rows)
 
     def _naturalness(self, code: str) -> Optional[float]:
@@ -217,12 +203,6 @@ class FixFeatureExtractor:
             return 0.0
         lowered = {name.lower() for name in identifiers}
         return len(lowered & case.spec_tokens) / len(lowered)
-
-    @staticmethod
-    def _cone_fraction(cone: set[str], identifiers: set[str]) -> float:
-        if not identifiers:
-            return 0.0
-        return len(identifiers & cone) / len(identifiers)
 
     @staticmethod
     def _edit_size(original: str, candidate: str) -> float:

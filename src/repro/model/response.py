@@ -12,7 +12,6 @@ stage (base, SFT, DPO).
 from __future__ import annotations
 
 import abc
-import json
 from dataclasses import dataclass, field
 
 from repro.hdl.source import normalize_line
@@ -39,36 +38,6 @@ class RepairResponse:
     explanation: str = ""
     confidence: float = 0.0
     metadata: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        """Serialise to the JSON format requested at inference time."""
-        return json.dumps(
-            {
-                "bug_line": self.bug_line.strip(),
-                "fixed_line": self.fixed_line.strip(),
-                "line_number": self.line_number,
-                "explanation": self.explanation,
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RepairResponse":
-        """Parse a JSON response (raises ``ValueError`` on malformed input)."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed JSON response: {exc}") from exc
-        required = ("bug_line", "fixed_line", "line_number")
-        missing = [key for key in required if key not in payload]
-        if missing:
-            raise ValueError(f"JSON response missing fields: {', '.join(missing)}")
-        return cls(
-            bug_line=str(payload["bug_line"]),
-            fixed_line=str(payload["fixed_line"]),
-            line_number=int(payload["line_number"]),
-            explanation=str(payload.get("explanation", "")),
-        )
 
 
 class RepairEngine(abc.ABC):

@@ -125,12 +125,6 @@ class NaiveFix(FixFeatureExtractor):
                 return 0.0
             return len(identifiers & case.spec_tokens) / len(identifiers)
 
-        def cone_fraction(cone, code):
-            identifiers = set(line_identifiers(code))
-            if not identifiers:
-                return 0.0
-            return len(identifiers & cone) / len(identifiers)
-
         normalised = " ".join(candidate.split())
         reuses = False
         if normalised and normalised != " ".join(original.split()):
@@ -140,10 +134,6 @@ class NaiveFix(FixFeatureExtractor):
                     reuses = True
                     break
         touches = bool(set(line_identifiers(candidate)) & case.asserted_signals)
-        cone = case.failing_cone
-        cone_gain = (
-            cone_fraction(cone, candidate) - cone_fraction(cone, original) if cone else 0.0
-        )
         return np.array(
             [
                 1.0,
@@ -152,7 +142,6 @@ class NaiveFix(FixFeatureExtractor):
                 float(reuses),
                 float(touches),
                 self._edit_size(original, candidate),
-                cone_gain,
             ]
         )
 
@@ -237,6 +226,48 @@ def test_one_candidate_extract_is_a_row_of_the_batch(trained):
     for row, candidate in zip(batch, candidates):
         assert np.array_equal(extractor.extract(case, original, candidate), row)
     assert extractor.extract_batch(case, original, []).shape == (0, batch.shape[1])
+
+
+def test_training_and_proposal_read_no_dataflow_graph(monkeypatch):
+    """The repair model reads the design, the spec and the logs, never a
+    dataflow graph or an advisory pass: with ``SignalDfg`` unbuildable the
+    pipeline, SFT and top-k proposal all run, and the only static-analysis
+    counters are the compile gate's lint passes."""
+    from repro.analyze import LINT_PASSES
+    from repro.analyze.dfg import SignalDfg
+    from repro.obs import MetricsRegistry, get_registry, set_registry
+
+    def refuse(self, design):
+        raise AssertionError("SignalDfg built")
+
+    monkeypatch.setattr(SignalDfg, "__init__", refuse)
+    previous = set_registry(MetricsRegistry())
+    try:
+        seed = 1217
+        rng = random.Random(seed)
+        corpus = Corpus()
+        for family in all_families()[::4]:
+            artifact = family.build(f"{family.name}_00", **family.parameter_grid[0])
+            spec = corpus_spec.build_spec(artifact, seed=rng.randrange(1_000_000))
+            corpus.samples.append(CorpusSample(artifact=artifact, spec=spec))
+        datasets = DataAugmentationPipeline(PipelineConfig.small(seed=seed)).run(corpus)
+        model = AssertSolverModel(seed=seed)
+        model.pretrain(datasets.verilog_pt)
+        model.supervised_finetune(
+            datasets.sva_bug_train, datasets.verilog_bug, config=SftConfig(epochs=1)
+        )
+        entries = datasets.sva_eval_machine or datasets.sva_bug_train
+        assert entries
+        for entry in entries:
+            assert model.propose_topk(RepairCase.from_entry(entry), k=5)
+        counters = get_registry().snapshot()["counters"]
+    finally:
+        set_registry(previous)
+    lint_ids = {pass_id for pass_id, _ in LINT_PASSES}
+    pass_ids = {
+        key[len("analyze.pass."):] for key in counters if key.startswith("analyze.pass.")
+    }
+    assert pass_ids and pass_ids <= lint_ids
 
 
 # ---------------------------------------------------------------------- #

@@ -639,8 +639,8 @@ def test_summarize_renders_static_analysis_section(tmp_path, capsys):
     with tracer.span("eval"):
         pass
     registry = MetricsRegistry()
-    registry.inc("analyze.pass.dead-code", 3)
-    registry.inc("analyze.pass.width-truncation", 1)
+    registry.inc("analyze.pass.undriven", 3)
+    registry.inc("analyze.pass.assignment-style", 1)
     write_trace(trace, tracer, metrics=registry, meta={"kind": "eval"})
 
     assert obs_main(["summarize", str(trace)]) == 0
@@ -648,8 +648,8 @@ def test_summarize_renders_static_analysis_section(tmp_path, capsys):
     assert "static analysis:" in out
     assert "  pass diagnostics:" in out
     # Most diagnostics first.
-    assert out.index("       3  dead-code") < out.index("       1  width-truncation")
+    assert out.index("       3  undriven") < out.index("       1  assignment-style")
     # Consumed by the dedicated section: never duplicated under "other counters".
     assert "other counters:" not in out
-    assert "analyze.pass.dead-code:" not in out
-    assert "analyze.pass.width-truncation:" not in out
+    assert "analyze.pass.undriven:" not in out
+    assert "analyze.pass.assignment-style:" not in out

@@ -53,13 +53,13 @@ def test_pipeline_is_cache_state_invariant(tmp_path):
 
 
 def test_stage2_result_key_covers_the_fault_budget_not_the_pool():
-    """The Stage-2 cache key keeps its historical bytes: the policy's
-    timeout and retry budget are in it (a cached-through failure depends on
-    them), its worker count and failure mode are not."""
+    """The Stage-2 cache key is pinned byte for byte: the policy's timeout
+    and retry budget are in it (a cached-through failure depends on them),
+    its worker count and failure mode are not."""
     config = Stage2Config()
-    assert config.content_fingerprint(JobPolicy()) == "11|48|5|6|7|6|3|auto|None|1"
+    assert config.content_fingerprint(JobPolicy()) == "11|48|5|6|7|6|3|None|1"
     budget = JobPolicy(timeout=2.5, max_attempts=3)
-    assert config.content_fingerprint(budget) == "11|48|5|6|7|6|3|auto|2.5|3"
+    assert config.content_fingerprint(budget) == "11|48|5|6|7|6|3|2.5|3"
     pooled = JobPolicy(workers=4, on_error="quarantine", timeout=2.5, max_attempts=3)
     assert config.content_fingerprint(pooled) == config.content_fingerprint(budget)
 
