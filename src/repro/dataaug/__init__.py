@@ -24,7 +24,6 @@ from repro.dataaug.datasets import (
     VerilogPTEntry,
 )
 from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig
-from repro.dataaug.prompts import format_question, format_answer
 
 __all__ = [
     "AugmentedDatasets",
@@ -34,6 +33,4 @@ __all__ = [
     "VerilogPTEntry",
     "DataAugmentationPipeline",
     "PipelineConfig",
-    "format_question",
-    "format_answer",
 ]

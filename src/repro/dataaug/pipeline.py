@@ -11,7 +11,7 @@ length-binned module-name split, and returns the finished datasets:
 Every stage fans out through :mod:`repro.runtime` under the one
 ``PipelineConfig.job_policy`` (workers, failure mode, timeout, retry
 budget); the stage configs say only what to compute.  The datasets are
-byte-identical for any worker count (and for cold or warm result cache).
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -46,18 +46,13 @@ class PipelineConfig:
     #: ``statistics.skipped_jobs``), timeout and retry budget.  The output
     #: is byte-identical for any worker count.
     job_policy: JobPolicy = JobPolicy()
-    #: Optional content-addressed Stage-2 result cache directory: re-runs
-    #: only process the samples whose inputs changed.
-    cache_dir: Optional[str] = None
     #: Write a JSONL trace of the run here (``REPRO_TRACE`` is the env
     #: fallback).  Telemetry only: the datasets are byte-identical with
-    #: tracing on or off, and this knob is never part of any content key.
+    #: tracing on or off.
     trace_path: Optional[str] = None
 
     @classmethod
-    def small(
-        cls, seed: int = 2025, workers: int = 1, cache_dir: Optional[str] = None,
-    ) -> "PipelineConfig":
+    def small(cls, seed: int = 2025, workers: int = 1) -> "PipelineConfig":
         """A configuration sized for fast tests (a handful of designs)."""
         return cls(
             seed=seed,
@@ -65,13 +60,11 @@ class PipelineConfig:
             stage2=Stage2Config(seed=seed + 1, random_cycles=32, max_bugs_per_design=3),
             stage3=Stage3Config(seed=seed + 2),
             job_policy=JobPolicy(workers=workers),
-            cache_dir=cache_dir,
         )
 
     @classmethod
     def default(
-        cls, seed: int = 2025, design_count: int = 150,
-        workers: int = 1, cache_dir: Optional[str] = None,
+        cls, seed: int = 2025, design_count: int = 150, workers: int = 1
     ) -> "PipelineConfig":
         """The benchmark-scale configuration.
 
@@ -84,7 +77,6 @@ class PipelineConfig:
             stage2=Stage2Config(seed=seed + 1),
             stage3=Stage3Config(seed=seed + 2),
             job_policy=JobPolicy(workers=workers),
-            cache_dir=cache_dir,
         )
 
 
@@ -136,8 +128,7 @@ class DataAugmentationPipeline:
         statistics.skipped_jobs.extend(stage1.skipped)
 
         stage2 = timed(
-            "stage2",
-            lambda: Stage2Runner(config.stage2, policy, config.cache_dir).run(stage1.compiled),
+            "stage2", lambda: Stage2Runner(config.stage2, policy).run(stage1.compiled)
         )
         statistics.candidate_svas = stage2.candidate_svas
         statistics.validated_svas = stage2.validated_svas

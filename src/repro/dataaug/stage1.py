@@ -47,7 +47,7 @@ def has_functional_logic(source: str) -> bool:
     return ("always" in lowered) or ("assign" in lowered)
 
 
-def content_fingerprint(source: str) -> str:
+def dedup_fingerprint(source: str) -> str:
     """Normalised fingerprint used for duplicate elimination (criterion 3)."""
     lines = [normalize_line(line) for line in source.split("\n")]
     return "\n".join(line for line in lines if line)
@@ -76,7 +76,7 @@ def _check_sample_job(source: str) -> dict:
     compile_result = default_store().compile(source)
     return {
         "filtered": False,
-        "fingerprint": content_fingerprint(source),
+        "fingerprint": dedup_fingerprint(source),
         "compile_ok": compile_result.ok,
         "analysis": (
             "" if compile_result.ok else analyse_compile_failure(compile_result.render())

@@ -38,13 +38,7 @@ from repro.bugs.taxonomy import classify_direct
 from repro.corpus.generator import CorpusSample
 from repro.dataaug.datasets import SvaBugEntry, VerilogBugEntry
 from repro.hdl.elaborate import ElaboratedDesign
-from repro.runtime import (
-    JobPolicy,
-    ResultCache,
-    content_key,
-    derive_seed,
-    run_stage_jobs,
-)
+from repro.runtime import JobPolicy, derive_seed, run_stage_jobs
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.stimulus import StimulusGenerator
 from repro.sva.generator import (
@@ -56,10 +50,6 @@ from repro.sva.generator import (
 from repro.sva.kernel import simulate_and_check
 from repro.sva.logs import format_failure_log
 
-#: Bumped whenever per-sample Stage-2 semantics change: keys old cached
-#: results out of any Stage-2 result cache directory.
-STAGE2_RESULT_VERSION = "stage2_result/v1"
-
 
 @dataclass
 class Stage2Config:
@@ -70,31 +60,6 @@ class Stage2Config:
     max_mined_assertions: int = 5
     max_bugs_per_design: int = 6
     injection: InjectionConfig = field(default_factory=InjectionConfig)
-
-    def content_fingerprint(self, policy: JobPolicy) -> str:
-        """Every config field and policy value that can change a per-sample result.
-
-        The policy's worker count is deliberately excluded -- it can only
-        change wall time, never output.  Its ``timeout`` and
-        ``max_attempts`` are *included*: a cached-through failure record is
-        only valid for the fault-tolerance budget it was produced under
-        (``on_error`` itself only changes aggregation, never a per-sample
-        result, so it stays out).
-        """
-        return "|".join(
-            str(part)
-            for part in (
-                self.seed,
-                self.random_cycles,
-                self.max_mined_assertions,
-                self.max_bugs_per_design,
-                self.injection.seed,
-                self.injection.max_bugs_per_design,
-                self.injection.max_candidates_per_line,
-                policy.timeout,
-                policy.max_attempts,
-            )
-        )
 
 
 @dataclass
@@ -123,33 +88,6 @@ class Stage2Result:
         self.designs_without_valid_svas += other.designs_without_valid_svas
         self.skipped.extend(other.skipped)
 
-    def to_dict(self) -> dict:
-        """JSON-safe form, used by the runtime's per-sample result cache."""
-        return {
-            "sva_bug": [entry.to_dict() for entry in self.sva_bug],
-            "verilog_bug": [entry.to_dict() for entry in self.verilog_bug],
-            "candidate_svas": self.candidate_svas,
-            "validated_svas": self.validated_svas,
-            "injected_bugs": self.injected_bugs,
-            "rejected_not_compiling": self.rejected_not_compiling,
-            "designs_without_valid_svas": self.designs_without_valid_svas,
-            "skipped": list(self.skipped),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Stage2Result":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            sva_bug=[SvaBugEntry.from_dict(entry) for entry in payload["sva_bug"]],
-            verilog_bug=[VerilogBugEntry.from_dict(entry) for entry in payload["verilog_bug"]],
-            candidate_svas=payload["candidate_svas"],
-            validated_svas=payload["validated_svas"],
-            injected_bugs=payload["injected_bugs"],
-            rejected_not_compiling=payload["rejected_not_compiling"],
-            designs_without_valid_svas=payload["designs_without_valid_svas"],
-            skipped=list(payload.get("skipped", [])),
-        )
-
 
 #: Reset cycles at the head of every Stage-2 stimulus.
 _RESET_CYCLES = 2
@@ -170,20 +108,14 @@ class Stage2Runner:
     :func:`repro.runtime.run_stage_jobs` under ``policy``.  Mutation
     seeding is derived per sample (from the config seed and the sample
     name), which makes the output identical whether the batch runs serially
-    or in parallel, and independent of sample order.  With ``cache_dir``,
-    per-sample results are persisted content-addressed there, so re-runs
-    only process samples whose inputs changed.
+    or in parallel, and independent of sample order.
     """
 
     def __init__(
-        self,
-        config: Optional[Stage2Config] = None,
-        policy: JobPolicy = JobPolicy(),
-        cache_dir: Optional[str] = None,
+        self, config: Optional[Stage2Config] = None, policy: JobPolicy = JobPolicy()
     ):
         self._config = config or Stage2Config()
         self._policy = policy
-        self._cache_dir = cache_dir
 
     def _sample_injector(self, sample: CorpusSample) -> BugInjector:
         """A fresh, deterministically seeded injector for one sample."""
@@ -332,23 +264,15 @@ class Stage2Runner:
         """Run Stage 2 for every sample through the runtime executor.
 
         Results are merged in submission order, so worker count never
-        changes the output; with a cache directory, per-sample results are
-        served content-addressed from disk on re-runs (quarantined failures
-        are cached through too, so warm re-runs make the same skip
-        decisions byte-for-byte).
+        changes the output.
         """
-        config, policy = self._config, self._policy
         sample_results, skipped = run_stage_jobs(
             "stage2",
             samples,
             _process_sample_job,
-            policy,
+            self._policy,
             [sample.name for sample in samples],
-            context=config,
-            cache=ResultCache(self._cache_dir) if self._cache_dir else None,
-            key_fn=lambda sample: _sample_key(config, policy, sample),
-            encode=Stage2Result.to_dict,
-            decode=Stage2Result.from_dict,
+            context=self._config,
         )
         result = Stage2Result()
         for sample_result in sample_results:
@@ -363,24 +287,6 @@ def _process_sample_job(sample: CorpusSample, config: Stage2Config) -> Stage2Res
     result = Stage2Result()
     Stage2Runner(config).process_sample(sample, result)
     return result
-
-
-def _sample_key(config: Stage2Config, policy: JobPolicy, sample: CorpusSample) -> str:
-    """Content address of one sample's Stage-2 result.
-
-    Covers everything the per-sample flow reads: the config and the
-    policy's fault budget, the golden source, the spec, and the artifact
-    fields that feed candidate SVAs.
-    """
-    return content_key(
-        STAGE2_RESULT_VERSION,
-        config.content_fingerprint(policy),
-        sample.name,
-        sample.source,
-        sample.spec,
-        sample.artifact.family,
-        "\x01".join(sample.artifact.template_svas),
-    )
 
 
 def _verilog_bug_entry(sample: CorpusSample, index: int, bug: BugInstance) -> VerilogBugEntry:

@@ -5,9 +5,8 @@ seeds, cycle budget, verifier version), so verdicts are stored under the
 SHA-256 of exactly those inputs: re-running an evaluation only simulates what
 changed, and concurrent worker processes share one cache directory safely.
 
-The storage itself is :class:`repro.runtime.cache.ResultCache` -- the same
-generic store the pipeline's Stage-2 result cache uses; this module only
-contributes the verdict-specific key recipe.
+The storage itself is :class:`repro.runtime.cache.ResultCache`; this module
+only contributes the verdict-specific key recipe.
 """
 
 from __future__ import annotations

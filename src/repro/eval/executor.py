@@ -7,9 +7,8 @@ shared :func:`repro.runtime.run_stage_jobs` (submission-order merging), so
 the output is bit-identical for any worker count -- the same determinism
 contract every stage of the pipeline runs under.
 
-The per-fix verdict cache stays *inside* the worker (each fix of a job can
-hit or miss independently); the runtime's job-level result cache is the
-wrong granularity here.
+The per-fix verdict cache lives *inside* the worker, so each fix of a job
+hits or misses independently.
 """
 
 from __future__ import annotations

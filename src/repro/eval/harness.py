@@ -43,7 +43,6 @@ class EvalConfig:
     ks: tuple[int, ...] = (1, 5)  # report pass@k for each; max(ks) candidates are drawn
     temperature: float = 0.2
     verification_seeds: int = DEFAULT_SEED_COUNT
-    cycles: Optional[int] = None  # None: use each entry's own stimulus_cycles
     #: How the per-case verification jobs run; a quarantined job records
     #: ``infra_error`` verdicts for its case instead of aborting the run.
     job_policy: JobPolicy = JobPolicy()
@@ -249,7 +248,6 @@ class EvalHarness:
                     count=config.verification_seeds,
                     base_seed=config.seed,
                 )
-                cycles = config.cycles if config.cycles is not None else entry.stimulus_cycles
                 fixes = tuple(
                     CandidateFix(
                         line_number=response.line_number,
@@ -264,7 +262,7 @@ class EvalHarness:
                         buggy_source=entry.buggy_source,
                         fixes=fixes,
                         seeds=seeds,
-                        cycles=cycles,
+                        cycles=entry.stimulus_cycles,
                     )
                 )
                 responses_per_case.append(responses)

@@ -60,7 +60,6 @@ def _base_prior_weights() -> PolicyWeights:
 class TrainingHistory:
     """Reports produced by the successive training stages."""
 
-    pretraining_entries: int = 0
     sft: Optional[SftReport] = None
     challenging_stats: dict = field(default_factory=dict)
     dpo: Optional[DpoReport] = None
@@ -86,7 +85,6 @@ class AssertSolverModel(RepairEngine):
         with phase("model.pretrain"):
             self.knowledge = run_pretraining(entries)
             self.policy.set_language_model(self.knowledge.language_model)
-        self.history.pretraining_entries = self.knowledge.entries_seen
         if self.stage is ModelStage.BASE:
             self.stage = ModelStage.PRETRAINED
         return self.knowledge

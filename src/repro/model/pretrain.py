@@ -11,11 +11,10 @@ naturalness scores feed the localisation and fix-ranking features.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.dataaug.datasets import VerilogPTEntry
 from repro.model.ngram import NgramLanguageModel
-from repro.model.tokenizer import Vocabulary
 
 
 @dataclass
@@ -23,36 +22,15 @@ class PretrainedKnowledge:
     """Everything the pretraining stage produces."""
 
     language_model: NgramLanguageModel = field(default_factory=NgramLanguageModel)
-    vocabulary: Vocabulary = field(default_factory=Vocabulary)
-    entries_seen: int = 0
-
-    def perplexity(self, text: str) -> float:
-        return self.language_model.perplexity(text)
 
     @property
     def is_trained(self) -> bool:
         return self.language_model.total_tokens > 0
 
 
-def run_pretraining(
-    entries: Sequence[VerilogPTEntry],
-    extra_sources: Iterable[str] = (),
-) -> PretrainedKnowledge:
-    """Fit the language model and vocabulary on the Verilog-PT dataset.
-
-    Args:
-        entries: the Verilog-PT entries (code + spec + failure analysis).
-        extra_sources: optional additional raw Verilog texts (the paper also
-            notes that C-like corpora help; any extra text can be passed here).
-    """
+def run_pretraining(entries: Sequence[VerilogPTEntry]) -> PretrainedKnowledge:
+    """Fit the language model on the Verilog-PT entries (code + spec + failure analysis)."""
     knowledge = PretrainedKnowledge()
     for entry in entries:
-        text = entry.text()
-        knowledge.language_model.fit_text(text)
-        knowledge.vocabulary.add_text(text)
-        knowledge.entries_seen += 1
-    for source in extra_sources:
-        knowledge.language_model.fit_text(source)
-        knowledge.vocabulary.add_text(source)
-        knowledge.entries_seen += 1
+        knowledge.language_model.fit_text(entry.text())
     return knowledge

@@ -10,8 +10,6 @@ values.
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass, field
 
 _TOKEN_PATTERN = re.compile(
     r"\d+'[bdhoBDHO][0-9a-fA-F_xXzZ?]+"  # based literals
@@ -45,25 +43,3 @@ def tokenize_line(line: str, normalise_numbers: bool = True) -> list[str]:
     """Tokenize one source line, wrapped in sentence boundary markers."""
     return [BOS_TOKEN, *tokenize_text(line, normalise_numbers), EOS_TOKEN]
 
-
-@dataclass
-class Vocabulary:
-    """Token vocabulary with frequency counts."""
-
-    counts: Counter = field(default_factory=Counter)
-    min_count: int = 1
-
-    def add_text(self, text: str) -> None:
-        self.counts.update(tokenize_text(text))
-
-    def __len__(self) -> int:
-        return len(self.tokens())
-
-    def __contains__(self, token: str) -> bool:
-        return self.counts.get(token, 0) >= self.min_count
-
-    def tokens(self) -> list[str]:
-        return [token for token, count in self.counts.items() if count >= self.min_count]
-
-    def most_common(self, limit: int = 20) -> list[tuple[str, int]]:
-        return self.counts.most_common(limit)

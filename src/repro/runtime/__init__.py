@@ -10,15 +10,16 @@ hand-rolling a ``multiprocessing`` pool:
   its jobs through: results in job order plus the skip records of
   quarantined jobs;
 * :func:`run_jobs` -- the sharded-map executor under a policy (pool
-  lifecycle, chunking, submission-order merging, optional
-  content-addressed result caching, per-job timeouts, bounded retries,
-  broken-pool recovery, quarantine), reporting to the ambient tracer;
+  lifecycle, chunking, submission-order merging, per-job timeouts,
+  bounded retries, broken-pool recovery, quarantine), reporting to the
+  ambient tracer;
 * :func:`derive_seed` -- per-job seed derivation, the invariance trick that
   makes output independent of worker count and job order;
 * :func:`default_workers` -- the one shared "how many workers" default
   (cores, capped, ``REPRO_WORKERS``-overridable);
-* :class:`ResultCache` / :func:`content_key` -- the generic on-disk cache
-  that :class:`repro.eval.cache.VerdictCache` specialises;
+* :class:`ResultCache` / :func:`content_key` -- the on-disk cache that
+  :class:`repro.eval.cache.VerdictCache` specialises (the verdict cache is
+  the only on-disk cache; :func:`run_jobs` caches nothing);
 * :class:`JobOutcome` / :class:`JobFailure` -- structured per-job results
   under ``on_error="quarantine"``, and :class:`FaultPlan` -- the
   deterministic fault-injection harness the recovery tests drive.

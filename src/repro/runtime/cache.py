@@ -1,15 +1,15 @@
 """Content-addressed on-disk result cache.
 
-Every cacheable result in this codebase is a pure function of its inputs --
-a verification verdict of (patched source, seeds, cycles, version), a Stage-2
-result of (stage config, sample) -- so results are stored under the SHA-256
-of exactly those inputs.  Re-running a pipeline or an evaluation then only
-recomputes what changed, and concurrent worker processes share one cache
-directory safely: writes are atomic renames, and a lost race simply rewrites
+A verification verdict is a pure function of its inputs (patched source,
+seeds, cycles, verifier version), so verdicts are stored under the SHA-256
+of exactly those inputs.  Re-running an evaluation then only re-verifies
+what changed, and concurrent worker processes share one cache directory
+safely: writes are atomic renames, and a lost race simply rewrites
 identical content (the payload is a function of the key's inputs).
 
-:class:`ResultCache` is the generic store; :func:`content_key` builds keys.
-:class:`repro.eval.cache.VerdictCache` is the verdict-specialised instance.
+:class:`ResultCache` is the store; :func:`content_key` builds keys (the
+in-memory :class:`repro.artifacts.ArtifactStore` uses them too).
+:class:`repro.eval.cache.VerdictCache` is the one on-disk instance.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class ResultCache:
     """A two-level sharded directory of ``<k[:2]>/<k[2:4]>/<key>.json`` files.
 
     Two levels of hash-prefix sharding keep every directory small (256
-    entries of fanout each) at the 10k+ entry counts verdict and Stage-2
-    caches reach, where a flat directory degrades listing and creation.
+    entries of fanout each) at the 10k+ entry counts a verdict cache
+    reaches, where a flat directory degrades listing and creation.
     Files in any other layout are ignored: their keys miss and are
     recomputed.
     """
@@ -87,19 +87,22 @@ class ResultCache:
     def get(self, key: str) -> Optional[dict]:
         """The stored payload, or ``None`` on a miss.
 
-        A present-but-unparseable entry (truncated write survivor, disk
-        corruption) counts as both a miss and a corrupt entry; the caller
-        recomputes and :meth:`put` overwrites the bad file.
+        A present entry that is not a UTF-8 JSON object (truncated write
+        survivor, disk corruption) counts as both a miss and a corrupt
+        entry; the caller recomputes and :meth:`put` overwrites the bad
+        file.
         """
         try:
-            text = self._path(key).read_text()
+            data = self._path(key).read_bytes()
         except OSError:
             self.misses += 1
             get_registry().inc("runtime.cache.misses")
             return None
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
+            payload = json.loads(data.decode())
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            payload = None
+        if not isinstance(payload, dict):
             self.corrupt += 1
             self.misses += 1
             registry = get_registry()

@@ -13,8 +13,6 @@ a list of independent, picklable jobs mapped through a pure worker function.
 * **derived seeding** -- workers receive no shared RNG; every job carries
   its own seed, derived from a base seed and a stable job identity via
   :func:`derive_seed` (the discipline Stage 2 pioneered);
-* **optional result caching** -- with ``cache``/``key_fn``, finished jobs
-  are stored content-addressed on disk and later runs only execute misses;
 * **fault tolerance** -- structured per-job outcomes, per-job timeouts, a
   watchdog that detects hung or dead workers and rebuilds the pool, bounded
   deterministic retries, and quarantine instead of run-wide aborts (see
@@ -28,8 +26,7 @@ The determinism contract for a workload plugging in:
 2. every random decision inside the worker must be seeded from data carried
    by the job (use :func:`derive_seed`), never from worker identity, job
    index arithmetic over a shared sequence, or wall clock;
-3. results must be picklable, and -- when caching -- ``encode``/``decode``
-   must round-trip them through JSON exactly.
+3. results must be picklable.
 
 Under that contract ``run_jobs(jobs, fn, JobPolicy(workers=k))`` is
 byte-identical to ``[fn(job, context) for job in jobs]`` for every ``k``,
@@ -52,9 +49,7 @@ The policy's ``on_error`` selects what a job failure does to the run:
 * ``"quarantine"``: the run always completes.  ``run_jobs`` then returns
   one :class:`~repro.runtime.faults.JobOutcome` per job -- successes carry
   the result, failures carry a serialisable
-  :class:`~repro.runtime.faults.JobFailure` -- and with a cache attached,
-  failure records are cached through, so warm re-runs reproduce the same
-  quarantine decisions byte-for-byte without re-executing.
+  :class:`~repro.runtime.faults.JobFailure`.
 
 Failures are detected in three phases.  A worker exception is caught in the
 worker and shipped back as data.  A per-job ``timeout`` or a worker process
@@ -100,9 +95,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry, get_registry, labeled, set_registry
 from repro.obs.trace import Tracer, get_tracer, set_tracer
-from repro.runtime.cache import ResultCache
 from repro.runtime.faults import (
-    FAILURE_KEY,
     PHASE_TIMEOUT,
     PHASE_WORKER,
     PHASE_WORKER_DEATH,
@@ -310,10 +303,6 @@ def run_jobs(
     policy: JobPolicy = JobPolicy(),
     *,
     context: Any = _NoContext,
-    cache: Optional[ResultCache] = None,
-    key_fn: Optional[Callable[[Any], str]] = None,
-    encode: Callable[[Any], dict] = lambda result: result,
-    decode: Callable[[dict], Any] = lambda payload: payload,
 ) -> list[Any]:
     """Map ``worker_fn`` over ``jobs`` under ``policy``, fanning out across processes.
 
@@ -332,68 +321,32 @@ def run_jobs(
         context: shared read-only payload (e.g. a stage config) handed to
             every invocation alongside the job; when given (``None``
             included), the worker is called as ``worker_fn(job, context)``.
-        cache: optional :class:`ResultCache`; requires ``key_fn``.  In
-            quarantine mode, failure records are cached through under the
-            same keys, so warm re-runs reproduce quarantine decisions
-            without re-executing (delete the entries to force a retry).
-        key_fn: maps a job to its content-address
-            (:func:`repro.runtime.cache.content_key` over every input that
-            can change the result -- and nothing that cannot).
-        encode / decode: JSON round-trip for cached results; default
-            identity (results must then already be JSON-safe).
 
     Telemetry goes to the ambient tracer and metrics registry: when tracing
     is enabled, every job runs under a worker-side span whose buffer ships
-    back with the result, and run counters (cache traffic, retries,
-    timeouts, quarantines, pool rebuilds) land in the registry.  It never
-    changes results, cache keys, or output bytes.
+    back with the result, and run counters (retries, timeouts,
+    quarantines, pool rebuilds) land in the registry.  It never changes
+    results or output bytes.
 
     Returns:
         With ``on_error="raise"``: one result per job, in submission order,
         for any worker count.  With ``on_error="quarantine"``: one
         :class:`~repro.runtime.faults.JobOutcome` per job, same order.
     """
-    if cache is not None and key_fn is None:
-        raise ValueError("run_jobs(cache=...) requires key_fn")
     jobs = list(jobs)
     outcomes: list[Optional[JobOutcome]] = [None] * len(jobs)
-
-    pending = list(range(len(jobs)))
-    keys: list[Optional[str]] = [None] * len(jobs)
-    if cache is not None and key_fn is not None:
-        pending = []
-        for index, job in enumerate(jobs):
-            keys[index] = key_fn(job)
-            payload = cache.get(keys[index])
-            if payload is None:
-                pending.append(index)
-            elif isinstance(payload, dict) and FAILURE_KEY in payload:
-                outcomes[index] = JobOutcome.from_failure_payload(payload)
-            else:
-                outcomes[index] = JobOutcome(ok=True, result=decode(payload))
-
-    def settle(index: int, outcome: JobOutcome) -> None:
-        if cache is not None:
-            if outcome.ok:
-                cache.put(keys[index], encode(outcome.result))
-            else:
-                cache.put(keys[index], outcome.failure_payload())
-        outcomes[index] = outcome
-
-    if pending:
-        effective = max(1, min(policy.workers, len(pending)))
+    if jobs:
+        effective = max(1, min(policy.workers, len(jobs)))
         pooled = effective > 1 or policy.timeout is not None
-        runner = _PendingRun(jobs, worker_fn, context, policy, settle)
+        runner = _PendingRun(jobs, worker_fn, context, policy, outcomes)
+        indices = list(range(len(jobs)))
         with runner.tracer.span(
-            "run_jobs",
-            jobs=len(jobs),
-            pending=len(pending),
-            workers=effective if pooled else 1,
+            "run_jobs", jobs=len(jobs), workers=effective if pooled else 1
         ):
             if pooled:
-                runner.run_pooled(pending, effective)
+                runner.run_pooled(indices, effective)
             else:
-                runner.run_serial(pending)
+                runner.run_serial(indices)
 
     if policy.on_error == "quarantine":
         return outcomes
@@ -409,19 +362,20 @@ def run_stage_jobs(
     worker_fn: Callable,
     policy: JobPolicy,
     names: Sequence[str],
-    **options: Any,
+    *,
+    context: Any = _NoContext,
 ) -> tuple[list[Any], list[dict]]:
     """Run one stage's jobs under ``policy``: :func:`run_jobs` plus the skip fold.
 
-    ``names[i]`` names ``jobs[i]`` in its skip record; ``options`` are the
-    remaining :func:`run_jobs` keywords (context, cache, key_fn, ...).
+    ``names[i]`` names ``jobs[i]`` in its skip record; ``context`` is
+    :func:`run_jobs`' shared payload.
 
     Returns every job's result in job order -- ``None`` for a quarantined
     job -- and one ``{"stage", "name", "phase", "exception_type",
     "message"}`` record per quarantined job, in job order.  Under
     ``on_error="raise"`` the first failure raises and the list is empty.
     """
-    outcomes = run_jobs(jobs, worker_fn, policy, **options)
+    outcomes = run_jobs(jobs, worker_fn, policy, context=context)
     if policy.on_error == "raise":
         return outcomes, []
     skipped = [
@@ -433,7 +387,7 @@ def run_stage_jobs(
 
 
 class _PendingRun:
-    """One ``run_jobs`` call's execution state for the jobs that missed the cache."""
+    """One ``run_jobs`` call's execution state."""
 
     def __init__(
         self,
@@ -441,7 +395,7 @@ class _PendingRun:
         worker_fn: Callable,
         context: Any,
         policy: JobPolicy,
-        settle: Callable[[int, JobOutcome], None],
+        outcomes: list[Optional[JobOutcome]],
     ):
         self.jobs = jobs
         self.worker_fn = worker_fn
@@ -449,7 +403,7 @@ class _PendingRun:
         self.fault_plan = policy.faults
         self.timeout = policy.timeout
         self.max_attempts = policy.max_attempts
-        self.settle = settle
+        self.outcomes = outcomes
         self.fail_fast = policy.on_error == "raise"
         self.tracer = get_tracer()
         self.registry = get_registry()
@@ -476,9 +430,8 @@ class _PendingRun:
             self.registry.merge(snapshot)
 
     def _succeed(self, index: int, result: Any, elapsed: float) -> None:
-        self.settle(
-            index,
-            JobOutcome(ok=True, result=result, attempts=self._charged(index), elapsed_s=elapsed),
+        self.outcomes[index] = JobOutcome(
+            ok=True, result=result, attempts=self._charged(index), elapsed_s=elapsed
         )
 
     def _fail(
@@ -499,7 +452,7 @@ class _PendingRun:
         outcome = JobOutcome(
             ok=False, failure=failure, attempts=charged, elapsed_s=elapsed, exception=exception
         )
-        self.settle(index, outcome)
+        self.outcomes[index] = outcome
         if self.fail_fast:
             raise_failure(outcome)
         return False

@@ -2,7 +2,7 @@
 
 The executor's fault-tolerance contract is built from the pieces here:
 
-* :class:`JobFailure` -- a serialisable record of *why* one job failed
+* :class:`JobFailure` -- a record of *why* one job failed
   (exception type, message, traceback text, and the phase the failure was
   detected in: the worker raised, the job timed out, or the worker process
   died);
@@ -36,11 +36,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-#: Reserved payload key marking a cached-through failure record in a
-#: :class:`repro.runtime.cache.ResultCache` entry.  Payloads produced by
-#: ``encode`` must never contain this key.
-FAILURE_KEY = "__repro_job_failure__"
-
 #: The phases a failure can be detected in.
 PHASE_WORKER = "worker"  # the worker function raised
 PHASE_TIMEOUT = "timeout"  # the job exceeded its per-job timeout
@@ -49,7 +44,7 @@ PHASE_WORKER_DEATH = "worker_death"  # the worker process died mid-job
 
 @dataclass
 class JobFailure:
-    """Why one job failed: serialisable, cache-safe, worker-count-invariant."""
+    """Why one job failed: picklable and worker-count-invariant."""
 
     phase: str  # PHASE_WORKER | PHASE_TIMEOUT | PHASE_WORKER_DEATH
     exception_type: str = ""
@@ -72,23 +67,6 @@ class JobFailure:
     def render(self) -> str:
         return f"[{self.phase}] {self.exception_type}: {self.message}"
 
-    def to_dict(self) -> dict:
-        return {
-            "phase": self.phase,
-            "exception_type": self.exception_type,
-            "message": self.message,
-            "traceback": self.traceback,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "JobFailure":
-        return cls(
-            phase=str(payload.get("phase", PHASE_WORKER)),
-            exception_type=str(payload.get("exception_type", "")),
-            message=str(payload.get("message", "")),
-            traceback=str(payload.get("traceback", "")),
-        )
-
 
 @dataclass
 class JobOutcome:
@@ -106,32 +84,11 @@ class JobOutcome:
     failure: Optional[JobFailure] = None
     attempts: int = field(default=1, compare=False)
     elapsed_s: float = field(default=0.0, compare=False)
-    #: The original worker exception, when it survived pickling (in-memory
-    #: only -- never serialised; ``on_error="raise"`` re-raises it).
+    #: The original worker exception, when it survived pickling
+    #: (``on_error="raise"`` re-raises it).
     exception: Optional[BaseException] = field(
         default=None, repr=False, compare=False
     )
-
-    @property
-    def value(self) -> Any:
-        """The result, raising the structured failure when there is none."""
-        if self.ok:
-            return self.result
-        raise_failure(self)
-
-    def failure_payload(self) -> dict:
-        """The cache payload for a quarantined job (cached-through failures)."""
-        assert self.failure is not None
-        return {FAILURE_KEY: {**self.failure.to_dict(), "attempts": self.attempts}}
-
-    @classmethod
-    def from_failure_payload(cls, payload: dict) -> "JobOutcome":
-        record = payload[FAILURE_KEY]
-        return cls(
-            ok=False,
-            failure=JobFailure.from_dict(record),
-            attempts=int(record.get("attempts", 1)),
-        )
 
 
 class JobExecutionError(RuntimeError):

@@ -1,13 +1,12 @@
 """Fault-tolerance tests: the executor's three recovery paths (worker
 exception, worker death, per-job hang) in serial and multi-worker modes,
-bounded retries, cached-through quarantine decisions, crash-consistency of
-the result cache, and the adopters' skipped-job / ``infra_error`` surfacing
--- all driven by the deterministic :class:`repro.runtime.FaultPlan`."""
+bounded retries, crash-consistency of the result cache, and the adopters'
+skipped-job / ``infra_error`` surfacing -- all driven by the deterministic
+:class:`repro.runtime.FaultPlan`."""
 
 import os
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -45,12 +44,6 @@ QUARANTINE = JobPolicy(on_error="quarantine")
 
 def stamp(job):
     return {"job": job, "ok": True}
-
-
-def record_and_stamp(job, context):
-    """Leaves one marker file per executed job (to prove warm runs skip work)."""
-    Path(context["dir"], f"{job}.ran").write_text("1")
-    return {"job": job}
 
 
 def raise_on_job_2(job):
@@ -198,38 +191,6 @@ def test_raise_mode_surfaces_timeouts_and_crashes_as_typed_errors(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# cached-through failures
-# ---------------------------------------------------------------------- #
-
-
-def test_quarantine_decisions_are_cached_through(tmp_path):
-    markers = tmp_path / "markers"
-    markers.mkdir()
-    context = {"dir": str(markers)}
-    key_fn = lambda job: content_key("faults/v1", job)  # noqa: E731
-    plan = FaultPlan(tmp_path / "plan").inject("job_3", FAULT_RAISE)
-
-    policy = replace(QUARANTINE, faults=plan)
-    cold = run_jobs(
-        JOBS, record_and_stamp, policy, context=context,
-        cache=ResultCache(tmp_path / "cache"), key_fn=key_fn,
-    )
-    assert not cold[3].ok and sum(outcome.ok for outcome in cold) == len(JOBS) - 1
-
-    for marker in markers.glob("*.ran"):
-        marker.unlink()
-    warm_cache = ResultCache(tmp_path / "cache")
-    warm = run_jobs(
-        JOBS, record_and_stamp, policy, context=context, cache=warm_cache, key_fn=key_fn
-    )
-    # Same outcomes (including the quarantine), with zero re-execution.
-    assert warm == cold
-    assert warm[3].failure.summary() == cold[3].failure.summary()
-    assert list(markers.glob("*.ran")) == []
-    assert warm_cache.hits == len(JOBS) and warm_cache.misses == 0
-
-
-# ---------------------------------------------------------------------- #
 # result-cache crash consistency
 # ---------------------------------------------------------------------- #
 
@@ -245,6 +206,26 @@ def test_corrupt_cache_entries_read_as_misses_and_are_overwritten(tmp_path):
     assert reopened.get(key) is None and reopened.misses == 1
     reopened.put(key, {"answer": 2})
     assert reopened.get(key) == {"answer": 2}
+
+
+@pytest.mark.parametrize(
+    "stored",
+    [b'{"a": \xff\xfe}', b"[1, 2]", b'"verdict"', b"null"],
+    ids=["not_utf8", "list", "string", "null"],
+)
+def test_cache_entries_that_are_not_json_objects_read_as_corrupt_misses(tmp_path, stored):
+    """Disk corruption can leave any bytes behind, not only truncated JSON:
+    undecodable bytes and JSON that is not an object are corrupt misses too,
+    never an exception and never a payload a caller would unpack."""
+    cache = ResultCache(tmp_path / "cache")
+    key = content_key("v1", "x")
+    cache.put(key, {"answer": 1})
+    cache._path(key).write_bytes(stored)
+
+    assert cache.get(key) is None
+    assert (cache.corrupt, cache.misses, cache.hits) == (1, 1, 0)
+    cache.put(key, {"answer": 2})
+    assert cache.get(key) == {"answer": 2}
 
 
 def test_orphaned_tmp_files_are_invisible_and_swept_on_open(tmp_path):

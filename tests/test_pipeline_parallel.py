@@ -1,5 +1,5 @@
-"""End-to-end pipeline determinism: worker count, job order and cache state
-may change wall time, never a byte of the datasets."""
+"""End-to-end pipeline determinism: worker count and job order may change
+wall time, never a byte of the datasets."""
 
 import json
 
@@ -8,7 +8,6 @@ import pytest
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig
 from repro.dataaug.stage1 import run_stage1
-from repro.dataaug.stage2 import Stage2Config
 from repro.dataaug.stage3 import CotGenerator, Stage3Config
 from repro.runtime import JobPolicy
 
@@ -34,34 +33,6 @@ def test_pipeline_is_worker_count_invariant():
     fanned = DataAugmentationPipeline(PipelineConfig.small(seed=31, workers=4)).run()
     assert dataset_bytes(serial) == dataset_bytes(fanned)
     assert serial.sva_bug_train and serial.sva_eval_machine  # non-trivial run
-
-
-def test_pipeline_is_cache_state_invariant(tmp_path):
-    """Cold vs warm Stage-2 result cache: identical bytes, and the warm run
-    is served from disk (and may even change worker count)."""
-    cache_dir = str(tmp_path / "stage2")
-    cold = DataAugmentationPipeline(
-        PipelineConfig.small(seed=31, workers=1, cache_dir=cache_dir)
-    ).run()
-    warm = DataAugmentationPipeline(
-        PipelineConfig.small(seed=31, workers=4, cache_dir=cache_dir)
-    ).run()
-    uncached = DataAugmentationPipeline(PipelineConfig.small(seed=31, workers=2)).run()
-    assert dataset_bytes(cold) == dataset_bytes(warm)
-    assert dataset_bytes(cold) == dataset_bytes(uncached)
-    assert list((tmp_path / "stage2").glob("*/*/*.json"))  # the cache was filled
-
-
-def test_stage2_result_key_covers_the_fault_budget_not_the_pool():
-    """The Stage-2 cache key is pinned byte for byte: the policy's timeout
-    and retry budget are in it (a cached-through failure depends on them),
-    its worker count and failure mode are not."""
-    config = Stage2Config()
-    assert config.content_fingerprint(JobPolicy()) == "11|48|5|6|7|6|3|None|1"
-    budget = JobPolicy(timeout=2.5, max_attempts=3)
-    assert config.content_fingerprint(budget) == "11|48|5|6|7|6|3|2.5|3"
-    pooled = JobPolicy(workers=4, on_error="quarantine", timeout=2.5, max_attempts=3)
-    assert config.content_fingerprint(pooled) == config.content_fingerprint(budget)
 
 
 def test_pipeline_records_stage_timings():

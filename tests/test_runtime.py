@@ -36,13 +36,6 @@ def seeded_draw(job, context):
     return {"name": job, "value": rng.randint(0, 10**9)}
 
 
-def record_call(job, context):
-    """Leaves one marker file per executed job (to prove cache hits skip work)."""
-    marker = Path(context["dir"]) / f"{job}.ran"
-    marker.write_text("1")
-    return {"job": job}
-
-
 # ---------------------------------------------------------------------- #
 # executor
 # ---------------------------------------------------------------------- #
@@ -107,34 +100,6 @@ def test_result_cache_round_trip(tmp_path):
     assert key != content_key("v1", "input2")
     assert key != content_key("v2", "input")
     assert key != content_key("v1", "inp", "ut")
-
-
-def test_run_jobs_cache_serves_warm_runs_without_recomputing(tmp_path):
-    jobs = [f"j{i}" for i in range(6)]
-    context = {"dir": str(tmp_path / "markers")}
-    Path(context["dir"]).mkdir()
-    key_fn = lambda job: content_key("test/v1", job)  # noqa: E731
-
-    cold_cache = ResultCache(tmp_path / "cache")
-    cold = run_jobs(jobs, record_call, JobPolicy(workers=2), context=context,
-                    cache=cold_cache, key_fn=key_fn)
-    assert cold == [{"job": job} for job in jobs]
-    assert len(list(Path(context["dir"]).glob("*.ran"))) == 6
-    assert cold_cache.misses == 6
-
-    for marker in Path(context["dir"]).glob("*.ran"):
-        marker.unlink()
-    warm_cache = ResultCache(tmp_path / "cache")
-    warm = run_jobs(jobs, record_call, JobPolicy(workers=2), context=context,
-                    cache=warm_cache, key_fn=key_fn)
-    assert warm == cold
-    assert warm_cache.hits == 6 and warm_cache.misses == 0
-    assert list(Path(context["dir"]).glob("*.ran")) == []  # nothing re-ran
-
-
-def test_run_jobs_cache_requires_key_fn(tmp_path):
-    with pytest.raises(ValueError):
-        run_jobs([1], square, cache=ResultCache(tmp_path))
 
 
 # ---------------------------------------------------------------------- #
