@@ -6,18 +6,20 @@ Measures, for one representative design per template family:
 * compiled backend throughput (cycles/second),
 * the resulting speedup,
 
-plus the wall time of the small data-augmentation pipeline configuration,
-and writes everything to ``BENCH_sim.json`` so successive PRs can track the
-performance trajectory.
+and writes everything to ``BENCH_sim.json`` so successive changes can track
+the simulator's trajectory.  End-to-end pipeline time is perfbench's
+``augment`` workload, not this script's.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_sim.py [--cycles N] [--output PATH]
+    python benchmarks/bench_sim.py [--cycles N] [--output PATH]
 
-Schema of the output (``bench_sim/v1``)::
+Schema of the output (``bench_sim/v2``; v1 also timed the small
+pipeline)::
 
     {
-      "schema": "bench_sim/v1",
+      "schema": "bench_sim/v2",
+      "host": {...},                         # cores, platform, Python
       "cycles_per_family": <int>,            # stimulus length per microbench
       "timing_repeats": <int>,               # best-of-N wall-clock policy
       "microbenchmarks": {
@@ -34,44 +36,24 @@ Schema of the output (``bench_sim/v1``)::
       },
       "geomean_speedup": <float>,
       "min_speedup": <float>,
-      "pipeline": {
-        "config": "small",
-        "wall_time_s": <float>,
-        "sva_bug_entries": <int>,
-        "verilog_bug_entries": <int>
-      }
+      "geomean_speedup_materialized": <float>,
+      "min_speedup_materialized": <float>
     }
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import math
-import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from common import ROOT, best_of, geomean, write_report  # first: puts src/ on sys.path
 
-from repro.corpus.templates import all_families  # noqa: E402
-from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig  # noqa: E402
-from repro.hdl.lint import compile_source  # noqa: E402
-from repro.obs import host_metadata  # noqa: E402
-from repro.sim.compile import CompiledSimulator, compile_design  # noqa: E402
-from repro.sim.engine import InterpSimulator  # noqa: E402
-from repro.sim.stimulus import StimulusGenerator  # noqa: E402
-
-
-def _best_of(repeat: int, run) -> float:
-    """Smallest wall time of ``repeat`` runs (robust against scheduler noise)."""
-    return min(_timed(run) for _ in range(repeat))
-
-
-def _timed(run) -> float:
-    start = time.perf_counter()
-    run()
-    return time.perf_counter() - start
+from repro.corpus.templates import all_families
+from repro.hdl.lint import compile_source
+from repro.sim.compile import CompiledSimulator, compile_design
+from repro.sim.engine import InterpSimulator
+from repro.sim.stimulus import StimulusGenerator
 
 
 def bench_family(family, cycles: int, repeat: int) -> dict:
@@ -82,20 +64,20 @@ def bench_family(family, cycles: int, repeat: int) -> dict:
     design = result.design
     vectors = StimulusGenerator(design, seed=1).random_stimulus(cycles=cycles).vectors
 
-    interp_s = _best_of(repeat, lambda: InterpSimulator(design).run(vectors))
+    interp_s = best_of(repeat, lambda: InterpSimulator(design).run(vectors))
 
     start = time.perf_counter()
     compiled = compile_design(design)
     compile_ms = (time.perf_counter() - start) * 1e3
 
-    compiled_s = _best_of(
+    compiled_s = best_of(
         repeat, lambda: CompiledSimulator(design, compiled=compiled).run(vectors)
     )
     # Like-for-like with the interpreter (whose trace is always dict-backed):
     # include realising every DiffTrace sample from the recorded events, the
     # cost a consumer that reads samples (VCD export, the tree-walking
     # checker) pays; the miner and the compiled checker read columns only.
-    compiled_mat_s = _best_of(
+    compiled_mat_s = best_of(
         repeat,
         lambda: CompiledSimulator(design, compiled=compiled).run(vectors).materialized(),
     )
@@ -112,18 +94,6 @@ def bench_family(family, cycles: int, repeat: int) -> dict:
     }
 
 
-def bench_pipeline() -> dict:
-    start = time.perf_counter()
-    datasets = DataAugmentationPipeline(PipelineConfig.small()).run()
-    wall = time.perf_counter() - start
-    return {
-        "config": "small",
-        "wall_time_s": round(wall, 3),
-        "sva_bug_entries": datasets.statistics.sva_bug_entries,
-        "verilog_bug_entries": datasets.statistics.verilog_bug_entries,
-    }
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cycles", type=int, default=2000, help="stimulus cycles per family")
@@ -137,7 +107,7 @@ def main() -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_sim.json",
+        default=ROOT / "BENCH_sim.json",
     )
     args = parser.parse_args()
 
@@ -152,28 +122,21 @@ def main() -> int:
 
     speedups = [entry["speedup"] for entry in micro.values()]
     mat_speedups = [entry["speedup_materialized"] for entry in micro.values()]
-    geomean = math.exp(sum(math.log(s) for s in speedups) / len(speedups))
-    geomean_mat = math.exp(sum(math.log(s) for s in mat_speedups) / len(mat_speedups))
     report = {
-        "schema": "bench_sim/v1",
-        "host": host_metadata(),
         "cycles_per_family": args.cycles,
         "timing_repeats": args.repeat,
         "microbenchmarks": micro,
-        "geomean_speedup": round(geomean, 2),
+        "geomean_speedup": round(geomean(speedups), 2),
         "min_speedup": round(min(speedups), 2),
-        "geomean_speedup_materialized": round(geomean_mat, 2),
+        "geomean_speedup_materialized": round(geomean(mat_speedups), 2),
         "min_speedup_materialized": round(min(mat_speedups), 2),
-        "pipeline": bench_pipeline(),
     }
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(
         f"\ngeomean speedup {report['geomean_speedup']}x (min {report['min_speedup']}x); "
         f"with trace materialisation {report['geomean_speedup_materialized']}x "
-        f"(min {report['min_speedup_materialized']}x); "
-        f"pipeline(small) {report['pipeline']['wall_time_s']}s"
+        f"(min {report['min_speedup_materialized']}x)"
     )
-    print(f"wrote {args.output}")
+    write_report(args.output, "bench_sim/v2", report)
     if args.min_speedup is not None and min(speedups) < args.min_speedup:
         worst = min(micro.items(), key=lambda kv: kv[1]["speedup"])
         print(

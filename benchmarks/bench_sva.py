@@ -7,22 +7,28 @@ its template + mined assertions, like Stage 2 produces):
 * compiled checker throughput, with the one-off lowering cost separated,
 * the resulting speedup,
 
-plus a mutant-batch leg (Stage 2's shape: one trace per injected mutant,
-every mutant relowered against the augmented golden, so all of them share
-its assertion lowerings and one ``check_batch`` judges them together) and
-an end-to-end leg through :class:`repro.eval.verifier.SemanticVerifier`
-(compile -> simulate -> check on fresh seeds) with each checker, and
-writes everything to ``BENCH_sva.json`` so successive PRs can track the
-trajectory next to ``BENCH_sim.json`` and ``BENCH_eval.json``.
+plus two legs over the family's injected mutants (Stage 2's shape: every
+mutant is a one-line edit of the augmented golden, lowered against it):
+
+* mutant batch: per-mutant ``check`` vs one ``check_batch`` over the
+  mutants whose checkers share the golden's assertion lowerings;
+* relower: full vs ``base=`` lowering (``compile_design`` +
+  ``CompiledAssertionChecker``) of every mutant, the work each mutant or
+  candidate repair pays before its first simulated cycle;
+
+and writes everything to ``BENCH_sva.json`` so successive changes can track
+the checker's trajectory next to ``BENCH_sim.json``.  End-to-end
+verification time is perfbench's ``solve`` workload, not this script's.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_sva.py [--cycles N] [--output PATH]
+    python benchmarks/bench_sva.py [--cycles N] [--output PATH]
 
-Schema of the output (``bench_sva/v6``)::
+Schema of the output (``bench_sva/v7``)::
 
     {
-      "schema": "bench_sva/v6",
+      "schema": "bench_sva/v7",
+      "host": {...},                         # cores, platform, Python
       "cycles_per_family": <int>,            # trace length per microbench
       "timing_repeats": <int>,               # best-of-N wall-clock policy
       "microbenchmarks": {
@@ -34,7 +40,8 @@ Schema of the output (``bench_sva/v6``)::
           "lower_ms": <float>,               # one-off assertion lowering cost
           "speedup": <float>,                # attempt tensor vs tree-walker
           "batch_speedup": <float>,          # stacked check_batch vs per-trace check
-          "mutant_batch_speedup": <float>    # absent when < 2 mutants share a lowering
+          "mutant_batch_speedup": <float>,   # absent when < 2 mutants share a lowering
+          "relower_speedup": <float>         # absent when the golden has no mutant
         }, ...
       },
       "geomean_speedup": <float>,
@@ -52,66 +59,51 @@ Schema of the output (``bench_sva/v6``)::
         "geomean_speedup": <float>,          # one check_batch vs per-mutant check
         "min_speedup": <float>
       },
-      "verifier": {                          # repro.eval end-to-end leg
-        "cases": <int>,
-        "interp_wall_s": <float>,
-        "compiled_wall_s": <float>,          # runs the batched check_batch path
-        "speedup": <float>
+      "relower": {                           # incremental lowering leg
+        "families": <int>,
+        "mutants": <int>,                    # mutants lowered per timed pass
+        "full_s": <float>,                   # summed best-of over families
+        "incremental_s": <float>,
+        "speedup": <float>                   # full_s / incremental_s
       }
     }
 
 The compiled checker has two engines: the attempt tensor
 (:func:`repro.sva.vector.walk_attempts_tensor`, with ``check_batch``
 stacking a batch's per-seed columns into one padded (seed x cycle) grid)
-and the tree-walking oracle.  Every family's assertions must lower to the
-tensor (``strict=True``), and the run hard-fails on any verdict divergence
-between the two engines, batched or not.
+and the tree-walking oracle.  The run hard-fails when any family's
+assertion does not lower to the tensor (``engine_report()`` names a
+tree-walker assertion), and on any verdict divergence between the two
+engines, batched or not.
 
-v6 added the mutant-batch leg.  v5 dropped the per-cycle closure and
-Python attempt-walk legs (and their ``vector_speedup`` /
-``attempt_speedup`` fields), because those engines no longer exist.  v4
-added the attempt tensor, v3 the vectorised series, v2 the batch leg (the
-verifier pushes all of a candidate's seed traces through one
-``check_batch`` pass).
+v7 dropped the end-to-end verifier leg (perfbench ``solve`` times it) and
+added the relower leg.  v6 added the mutant-batch leg.  v5 dropped the
+per-cycle closure and Python attempt-walk legs, because those engines no
+longer exist.  v4 added the attempt tensor, v3 the vectorised series, v2
+the batch leg.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import math
-import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from common import ROOT, best_of, geomean, write_report  # first: puts src/ on sys.path
 
-from repro.artifacts import ArtifactStore  # noqa: E402
-from repro.bugs.injector import BugInjector, InjectionConfig  # noqa: E402
-from repro.corpus.templates import all_families  # noqa: E402
-from repro.eval.verifier import SemanticVerifier, VerifierConfig  # noqa: E402
-from repro.hdl.lint import compile_source  # noqa: E402
-from repro.obs import host_metadata  # noqa: E402
-from repro.sim.engine import SimulationError, Simulator  # noqa: E402
-from repro.sim.stimulus import StimulusGenerator  # noqa: E402
-from repro.sva.checker import AssertionChecker  # noqa: E402
-from repro.sva.compile import CompiledAssertionChecker  # noqa: E402
-from repro.sva.generator import (  # noqa: E402
+from repro.bugs.injector import BugInjector, InjectionConfig
+from repro.corpus.templates import all_families
+from repro.hdl.lint import compile_source
+from repro.sim.compile import CompileError, compile_design
+from repro.sim.engine import SimulationError, Simulator
+from repro.sim.stimulus import StimulusGenerator
+from repro.sva.checker import AssertionChecker
+from repro.sva.compile import CompiledAssertionChecker
+from repro.sva.generator import (
     insert_assertions,
     mine_assertions,
     template_assertion_blocks,
 )
-
-
-def _best_of(repeat: int, run) -> float:
-    """Smallest wall time of ``repeat`` runs (robust against scheduler noise)."""
-    return min(_timed(run) for _ in range(repeat))
-
-
-def _timed(run) -> float:
-    start = time.perf_counter()
-    run()
-    return time.perf_counter() - start
 
 
 def augmented_source(family) -> str | None:
@@ -130,6 +122,20 @@ def augmented_source(family) -> str | None:
     return insert_assertions(artifact.source, candidates)
 
 
+def require_tensor(family_name: str, checker: CompiledAssertionChecker) -> None:
+    """Hard-fail unless every assertion of ``checker`` lowered to the tensor."""
+    report = checker.engine_report()
+    if report["engines"]["tree_walker"]:
+        demoted = sorted(
+            name
+            for name, choice in report["assertions"].items()
+            if choice["engine"] == "tree_walker"
+        )
+        raise RuntimeError(
+            f"{family_name}: assertions not lowered to the tensor: {', '.join(demoted)}"
+        )
+
+
 #: The batch leg mirrors the verifier's workload shape: one candidate, a
 #: handful of fresh stimulus seeds, one lowered checker.
 BATCH_TRACES = 2
@@ -144,10 +150,7 @@ def _assert_verdicts_identical(family_name: str, baseline, other, label: str) ->
             )
 
 
-def bench_family(family, cycles: int, repeat: int) -> dict | None:
-    source = augmented_source(family)
-    if source is None:
-        return None
+def bench_family(family, source: str, cycles: int, repeat: int) -> dict | None:
     result = compile_source(source)
     if not result.ok or result.design is None:
         return None
@@ -160,12 +163,13 @@ def bench_family(family, cycles: int, repeat: int) -> dict | None:
     trace = Simulator(design).run(vectors).materialized()
 
     interp = AssertionChecker(design)
-    interp_s = _best_of(repeat, lambda: interp.check(trace))
+    interp_s = best_of(repeat, lambda: interp.check(trace))
 
     start = time.perf_counter()
-    compiled = CompiledAssertionChecker(design, strict=True)
+    compiled = CompiledAssertionChecker(design)
     lower_ms = (time.perf_counter() - start) * 1e3
-    compiled_s = _best_of(repeat, lambda: compiled.check(trace))
+    require_tensor(family.name, compiled)
+    compiled_s = best_of(repeat, lambda: compiled.check(trace))
 
     # Multi-trace batch leg: all seed traces through one check_batch pass
     # (what the verifier does per candidate) vs one check call per trace.
@@ -179,8 +183,8 @@ def bench_family(family, cycles: int, repeat: int) -> dict | None:
         ).materialized()
         for index in range(BATCH_TRACES)
     ]
-    sequential_s = _best_of(repeat, lambda: [compiled.check(t) for t in batch])
-    batched_s = _best_of(repeat, lambda: compiled.check_batch(batch))
+    sequential_s = best_of(repeat, lambda: [compiled.check(t) for t in batch])
+    batched_s = best_of(repeat, lambda: compiled.check_batch(batch))
 
     # The benchmark doubles as a differential guard and hard-fails on any
     # verdict divergence between the attempt tensor and the tree-walker,
@@ -203,35 +207,66 @@ def bench_family(family, cycles: int, repeat: int) -> dict | None:
     }
 
 
-#: The mutant-batch leg mirrors Stage 2: up to this many injected mutants
-#: per design, one stimulus seed of this many cycles each.
+#: The mutant legs mirror Stage 2: up to this many injected mutants per
+#: design, one stimulus seed of this many cycles each.
 MUTANT_BUGS = 6
 MUTANT_CYCLES = 48
 
 
-def bench_mutant_batch(family, repeat: int) -> dict | None:
-    """Per-mutant ``check`` vs one ``check_batch`` over the family's mutants.
+def bench_mutants(family, source: str, repeat: int) -> dict:
+    """The mutant-batch and relower legs over the family's injected mutants.
 
-    Every mutant is relowered against the augmented golden's checker; the
-    mutants whose checkers share the golden's lowerings (equal
+    Every mutant is lowered against the augmented golden.  Relower: every
+    mutant the compiled simulator accepts is lowered in full and against
+    the golden's lowerings, each pass timed over all of them.  Mutant
+    batch: the mutants whose checkers share the golden's lowerings (equal
     :meth:`~CompiledAssertionChecker.batch_key`) are timed, their traces
     judged by each mutant's own checker one at a time and by the first
-    mutant's checker in one batch.  Hard-fails when either disagrees with
-    the tree-walker on any assertion of any mutant.
+    mutant's checker in one batch; hard-fails when either disagrees with
+    the tree-walker on any assertion of any mutant.  A leg with too few
+    mutants is None.
     """
-    source = augmented_source(family)
-    if source is None:
-        return None
+    legs: dict = {"mutant_batch": None, "relower": None}
     golden = compile_source(source).design
     if golden is None or not golden.assertions:
-        return None
-    base = CompiledAssertionChecker(golden, strict=True)
+        return legs
+    base = CompiledAssertionChecker(golden)
+    require_tensor(family.name, base)
     injector = BugInjector(InjectionConfig(seed=11, max_bugs_per_design=MUTANT_BUGS))
-    checkers, traces = [], []
+    mutants = []
     for index, bug in enumerate(injector.inject(f"bench_{family.name}", source, golden)):
         buggy = compile_source(bug.buggy_source).design
-        if buggy is None:
-            continue
+        if buggy is not None:
+            mutants.append((index, buggy))
+
+    base_design = _lowered(golden)
+    lowerable = [design for _, design in mutants if _lowered(design) is not None]
+    if base_design is not None and lowerable:
+        full_s = best_of(
+            repeat,
+            lambda: [
+                (compile_design(design), CompiledAssertionChecker(design))
+                for design in lowerable
+            ],
+        )
+        incremental_s = best_of(
+            repeat,
+            lambda: [
+                (
+                    compile_design(design, base=base_design),
+                    CompiledAssertionChecker(design, base=base),
+                )
+                for design in lowerable
+            ],
+        )
+        legs["relower"] = {
+            "mutants": len(lowerable),
+            "full_s": full_s,
+            "incremental_s": incremental_s,
+        }
+
+    checkers, traces = [], []
+    for index, buggy in mutants:
         checker = CompiledAssertionChecker(buggy, base=base)
         key = checker.batch_key()
         if key is None or (checkers and key != checkers[0].batch_key()):
@@ -246,64 +281,32 @@ def bench_mutant_batch(family, repeat: int) -> dict | None:
         checkers.append(checker)
         traces.append(trace)
     if len(traces) < 2:
-        return None
+        return legs
     shared = checkers[0]
-    per_mutant_s = _best_of(
+    per_mutant_s = best_of(
         repeat, lambda: [checker.check(trace) for checker, trace in zip(checkers, traces)]
     )
-    batched_s = _best_of(repeat, lambda: shared.check_batch(traces))
+    batched_s = best_of(repeat, lambda: shared.check_batch(traces))
     for checker, trace, via_batch in zip(checkers, traces, shared.check_batch(traces)):
         oracle = AssertionChecker(checker.design).check(trace)
         _assert_verdicts_identical(family.name, oracle, checker.check(trace), "mutant check")
         _assert_verdicts_identical(family.name, oracle, via_batch, "cross-mutant check_batch")
-    return {"mutants": len(traces), "speedup": round(per_mutant_s / batched_s, 3)}
+    legs["mutant_batch"] = {"mutants": len(traces), "speedup": round(per_mutant_s / batched_s, 3)}
+    return legs
 
 
-class _TreeWalkerStore(ArtifactStore):
-    """An artifact store whose checker is the tree-walking oracle."""
-
-    def __init__(self):
-        super().__init__()
-        self.walkers = {}
-
-    def checker(self, source, base_source=None):
-        if source not in self.walkers:
-            self.walkers[source] = AssertionChecker(self.elaborate_source(source)[0])
-        return self.walkers[source]
-
-
-def bench_verifier(cycles: int, families: list) -> dict:
-    """End-to-end repro.eval leg: apply-fix verification with each checker.
-
-    Each side verifies through its own fresh artifact store, so each case
-    compiles and simulates identically; only the checker the store builds
-    differs, so the delta is exactly what the compiled checker buys the
-    verification fan-out per candidate.
-    """
-    sources = [s for s in (augmented_source(f) for f in families) if s is not None]
-    seeds = (1009, 2027)
-    walls = {}
-    for side, store in (("interp", _TreeWalkerStore()), ("auto", ArtifactStore())):
-        verifier = SemanticVerifier(VerifierConfig(cycles=cycles), artifacts=store)
-        start = time.perf_counter()
-        for source in sources:
-            verifier.verify_source(source, seeds)
-        walls[side] = time.perf_counter() - start
-    return {
-        "cases": len(sources),
-        "interp_wall_s": round(walls["interp"], 3),
-        "compiled_wall_s": round(walls["auto"], 3),
-        "speedup": round(walls["interp"] / max(walls["auto"], 1e-9), 2),
-    }
+def _lowered(design):
+    """``design`` lowered for the compiled simulator, or None if it refuses."""
+    try:
+        return compile_design(design)
+    except CompileError:
+        return None
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cycles", type=int, default=768, help="trace cycles per family")
     parser.add_argument("--repeat", type=int, default=3, help="best-of-N timing repeats")
-    parser.add_argument(
-        "--verifier-cases", type=int, default=8, help="families in the end-to-end verifier leg"
-    )
     parser.add_argument(
         "--min-speedup",
         type=float,
@@ -323,31 +326,39 @@ def main() -> int:
         help="exit non-zero if the geomean cross-mutant batch speedup falls below this",
     )
     parser.add_argument(
-        "--output",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_sva.json",
+        "--min-relower-speedup",
+        type=float,
+        default=None,
+        help="exit non-zero if full over incremental mutant lowering falls below this",
     )
+    parser.add_argument("--output", type=Path, default=ROOT / "BENCH_sva.json")
     args = parser.parse_args()
 
-    families = all_families()
     micro: dict[str, dict] = {}
     mutant_legs: list[dict] = []
-    for family in families:
-        entry = bench_family(family, args.cycles, args.repeat)
+    relower_legs: list[dict] = []
+    for family in all_families():
+        source = augmented_source(family)
+        entry = bench_family(family, source, args.cycles, args.repeat) if source else None
         if entry is None:
             continue
-        mutants = bench_mutant_batch(family, args.repeat)
+        legs = bench_mutants(family, source, args.repeat)
+        mutants, relower = legs["mutant_batch"], legs["relower"]
+        notes = [f"batch {entry['batch_speedup']:.2f}x"]
         if mutants is not None:
             entry["mutant_batch_speedup"] = mutants["speedup"]
             mutant_legs.append(mutants)
+            notes.append(f"mutants {mutants['speedup']:.2f}x")
+        if relower is not None:
+            entry["relower_speedup"] = round(relower["full_s"] / relower["incremental_s"], 3)
+            relower_legs.append(relower)
+            notes.append(f"relower {entry['relower_speedup']:.2f}x")
         micro[family.name] = entry
         print(
             f"{family.name:<26} {entry['assertions']:>2d} SVAs   "
             f"interp {entry['interp_checks_per_s']:>8.1f} checks/s   "
             f"compiled {entry['compiled_checks_per_s']:>8.1f} checks/s   "
-            f"{entry['speedup']:>5.1f}x  (batch {entry['batch_speedup']:.2f}x"
-            + (f", mutants {mutants['speedup']:.2f}x" if mutants is not None else "")
-            + ")"
+            f"{entry['speedup']:>5.1f}x  ({', '.join(notes)})"
         )
     if not micro:
         print("FAIL: no family produced a checkable design")
@@ -355,75 +366,67 @@ def main() -> int:
     if not mutant_legs:
         print("FAIL: no family produced two mutants sharing one lowering")
         return 1
-
-    def geomean_of(values: list[float]) -> float:
-        return math.exp(sum(math.log(v) for v in values) / len(values))
+    if not relower_legs:
+        print("FAIL: no family produced a mutant to relower")
+        return 1
 
     speedups = [entry["speedup"] for entry in micro.values()]
-    geomean = geomean_of(speedups)
     batch_speedups = [entry["batch_speedup"] for entry in micro.values()]
-    batch_geomean = geomean_of(batch_speedups)
     mutant_speedups = [leg["speedup"] for leg in mutant_legs]
-    mutant_geomean = geomean_of(mutant_speedups)
-
-    verifier = bench_verifier(min(args.cycles, 96), families[: args.verifier_cases])
+    full_s = sum(leg["full_s"] for leg in relower_legs)
+    incremental_s = sum(leg["incremental_s"] for leg in relower_legs)
+    relower_speedup = full_s / incremental_s
     report = {
-        "schema": "bench_sva/v6",
-        "host": host_metadata(),
         "cycles_per_family": args.cycles,
         "timing_repeats": args.repeat,
         "microbenchmarks": micro,
-        "geomean_speedup": round(geomean, 2),
+        "geomean_speedup": round(geomean(speedups), 2),
         "min_speedup": round(min(speedups), 2),
         "batch": {
             "traces": BATCH_TRACES,
             "cycles": BATCH_CYCLES,
-            "geomean_speedup": round(batch_geomean, 3),
+            "geomean_speedup": round(geomean(batch_speedups), 3),
             "min_speedup": round(min(batch_speedups), 3),
         },
         "mutant_batch": {
             "families": len(mutant_legs),
             "mutants": sum(leg["mutants"] for leg in mutant_legs),
             "cycles": MUTANT_CYCLES,
-            "geomean_speedup": round(mutant_geomean, 3),
+            "geomean_speedup": round(geomean(mutant_speedups), 3),
             "min_speedup": round(min(mutant_speedups), 3),
         },
-        "verifier": verifier,
+        "relower": {
+            "families": len(relower_legs),
+            "mutants": sum(leg["mutants"] for leg in relower_legs),
+            "full_s": round(full_s, 4),
+            "incremental_s": round(incremental_s, 4),
+            "speedup": round(relower_speedup, 2),
+        },
     }
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(
         f"\ngeomean checking speedup {report['geomean_speedup']}x "
         f"(min {report['min_speedup']}x); stacked seed-trace "
         f"pass {report['batch']['geomean_speedup']}x "
         f"(min {report['batch']['min_speedup']}x); cross-mutant batch "
         f"{report['mutant_batch']['geomean_speedup']}x "
-        f"(min {report['mutant_batch']['min_speedup']}x); verifier end-to-end "
-        f"{verifier['speedup']}x over {verifier['cases']} cases"
+        f"(min {report['mutant_batch']['min_speedup']}x); relowering "
+        f"{report['relower']['speedup']}x over {report['relower']['mutants']} mutants"
     )
-    print(f"wrote {args.output}")
+    write_report(args.output, "bench_sva/v7", report)
+    gates = (
+        ("--min-speedup", args.min_speedup, geomean(speedups), "geomean speedup"),
+        ("--min-batch-speedup", args.min_batch_speedup, min(batch_speedups),
+         "stacked-batch minimum"),
+        ("--min-mutant-batch-speedup", args.min_mutant_batch_speedup,
+         geomean(mutant_speedups), "cross-mutant batch geomean"),
+        ("--min-relower-speedup", args.min_relower_speedup, relower_speedup,
+         "relower speedup"),
+    )
     failed = False
-    if args.min_speedup is not None and geomean < args.min_speedup:
-        print(
-            f"FAIL: geomean speedup {report['geomean_speedup']}x is below "
-            f"the --min-speedup gate of {args.min_speedup}x"
-        )
-        failed = True
-    if args.min_batch_speedup is not None and min(batch_speedups) < args.min_batch_speedup:
-        print(
-            f"FAIL: stacked-batch minimum {report['batch']['min_speedup']}x "
-            f"is below the --min-batch-speedup gate of {args.min_batch_speedup}x"
-        )
-        failed = True
-    if (
-        args.min_mutant_batch_speedup is not None
-        and mutant_geomean < args.min_mutant_batch_speedup
-    ):
-        print(
-            f"FAIL: cross-mutant batch geomean {report['mutant_batch']['geomean_speedup']}x "
-            f"is below the --min-mutant-batch-speedup gate of "
-            f"{args.min_mutant_batch_speedup}x"
-        )
-        failed = True
+    for flag, floor, value, label in gates:
+        if floor is not None and value < floor:
+            print(f"FAIL: {label} {value:.3f}x is below the {flag} gate of {floor}x")
+            failed = True
     return 1 if failed else 0
 
 

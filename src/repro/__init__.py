@@ -5,15 +5,17 @@ Wrongs: A Large Language Model for Solving Assertion Failures in RTL Design"
 (DAC 2025).  It contains every substrate the paper depends on:
 
 * :mod:`repro.runtime` -- the deterministic sharded-map execution runtime
-  (worker pools, derived seeding, content-addressed result caching) every
-  parallel workload plugs into.
+  (worker pools, derived seeding, fault tolerance) every parallel workload
+  plugs into, plus the on-disk store behind the verdict cache.
 * :mod:`repro.hdl` -- a Verilog/SystemVerilog-subset front end (lexer,
   parser, elaborator, semantic linter) standing in for Icarus Verilog.
+* :mod:`repro.analyze` -- the compile gate's lint tier and a signal
+  dataflow graph.
+* :mod:`repro.artifacts` -- the in-process compiled-artifact store, keyed
+  by source text.
 * :mod:`repro.sim` -- a cycle-accurate RTL simulator with 4-state values.
 * :mod:`repro.sva` -- SystemVerilog Assertion parsing, trace checking and
   assertion mining.
-* :mod:`repro.formal` -- a bounded model checker (SAT-based) standing in for
-  SymbiYosys.
 * :mod:`repro.corpus` -- a synthetic Verilog corpus generator standing in for
   the Hugging Face Verilog corpus, plus an RTLLM-style human-crafted split.
 * :mod:`repro.bugs` -- the seven-type bug-injection engine of Table I.
@@ -21,43 +23,14 @@ Wrongs: A Large Language Model for Solving Assertion Failures in RTL Design"
   Section II (Verilog-PT, Verilog-Bug, SVA-Bug datasets).
 * :mod:`repro.model` -- the trainable repair policy (pretraining, SFT, DPO)
   that plays the role of the fine-tuned Deepseek-Coder model.
-* :mod:`repro.baselines` -- proxy comparator engines for the closed and
-  open-source LLMs of Table IV.
-* :mod:`repro.eval` -- the SVA-Eval benchmark, pass@k metrics and the
-  evaluation runner.
-* :mod:`repro.core` -- the AssertSolver end-to-end orchestration API.
+* :mod:`repro.eval` -- the semantic verifier, pass@k metrics and the
+  ``python -m repro.eval`` evaluation runner.
+* :mod:`repro.obs` -- span tracing, metrics and run reports.
 
-The top-level names :class:`AssertSolver`, :class:`AssertSolverConfig` and
-:class:`PipelineScale` are re-exported lazily so that importing a low-level
-substrate (for example ``repro.hdl``) does not pull in the whole stack.
+The package root exports only :data:`__version__`; import the subpackages
+directly.
 """
-
-from __future__ import annotations
-
-from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AssertSolver",
-    "AssertSolverConfig",
-    "PipelineScale",
-    "__version__",
-]
-
-_LAZY_EXPORTS = {
-    "AssertSolver": ("repro.core.assertsolver", "AssertSolver"),
-    "AssertSolverConfig": ("repro.core.assertsolver", "AssertSolverConfig"),
-    "PipelineScale": ("repro.core.config", "PipelineScale"),
-}
-
-
-def __getattr__(name: str) -> Any:
-    """Lazily resolve the high-level API exports."""
-    if name in _LAZY_EXPORTS:
-        import importlib
-
-        module_name, attr = _LAZY_EXPORTS[name]
-        module = importlib.import_module(module_name)
-        return getattr(module, attr)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+__all__ = ["__version__"]

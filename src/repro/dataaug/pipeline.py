@@ -17,7 +17,6 @@ byte-identical for any worker count.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -83,14 +82,13 @@ class PipelineConfig:
 class DataAugmentationPipeline:
     """Runs corpus generation and the three augmentation stages.
 
-    After :meth:`run`, :attr:`stage_timings` holds the wall-clock seconds of
-    each stage (``corpus`` / ``stage1`` / ``stage2`` / ``split`` /
-    ``stage3``) -- telemetry only, never part of the datasets.
+    Each stage runs under a ``pipeline.<stage>`` phase span (``corpus`` /
+    ``stage1`` / ``stage2`` / ``split`` / ``stage3``), so a traced run
+    carries the per-stage wall clock; the datasets never do.
     """
 
     def __init__(self, config: Optional[PipelineConfig] = None):
         self._config = config or PipelineConfig()
-        self.stage_timings: dict[str, float] = {}
 
     def run(self, corpus: Optional[Corpus] = None) -> AugmentedDatasets:
         """Execute the full pipeline and return the datasets.
@@ -106,30 +104,22 @@ class DataAugmentationPipeline:
         config = self._config
         policy = config.job_policy
         statistics = DatasetStatistics()
-        timings: dict[str, float] = {}
 
-        def timed(label: str, step):
-            started = time.perf_counter()
-            with phase(f"pipeline.{label}"):
-                value = step()
-            timings[label] = time.perf_counter() - started
-            return value
-
-        corpus = corpus or timed(
-            "corpus", lambda: CorpusGenerator(config.corpus, policy).generate()
-        )
+        if corpus is None:
+            with phase("pipeline.corpus"):
+                corpus = CorpusGenerator(config.corpus, policy).generate()
         statistics.corpus_samples = len(corpus.samples) + len(corpus.corrupted)
         statistics.skipped_jobs.extend(corpus.skipped)
 
-        stage1 = timed("stage1", lambda: run_stage1(corpus, policy))
+        with phase("pipeline.stage1"):
+            stage1 = run_stage1(corpus, policy)
         statistics.filtered_out = stage1.filtered_out
         statistics.compile_failures = stage1.compile_failures
         statistics.verilog_pt_entries = len(stage1.verilog_pt)
         statistics.skipped_jobs.extend(stage1.skipped)
 
-        stage2 = timed(
-            "stage2", lambda: Stage2Runner(config.stage2, policy).run(stage1.compiled)
-        )
+        with phase("pipeline.stage2"):
+            stage2 = Stage2Runner(config.stage2, policy).run(stage1.compiled)
         statistics.candidate_svas = stage2.candidate_svas
         statistics.validated_svas = stage2.validated_svas
         statistics.injected_bugs = stage2.injected_bugs
@@ -138,22 +128,17 @@ class DataAugmentationPipeline:
         statistics.verilog_bug_entries = len(stage2.verilog_bug)
         statistics.skipped_jobs.extend(stage2.skipped)
 
-        train_entries, eval_entries = timed(
-            "split",
-            lambda: split_by_module_name(
+        with phase("pipeline.split"):
+            train_entries, eval_entries = split_by_module_name(
                 stage2.sva_bug, train_fraction=config.train_fraction, seed=config.seed
-            ),
-        )
+            )
 
-        generated, valid, stage3_skipped = timed(
-            "stage3",
-            lambda: run_stage3(train_entries, config.stage3, policy),
-        )
+        with phase("pipeline.stage3"):
+            generated, valid, stage3_skipped = run_stage3(train_entries, config.stage3, policy)
         statistics.cot_generated = generated
         statistics.cot_valid = valid
         statistics.skipped_jobs.extend(stage3_skipped)
 
-        self.stage_timings = timings
         return AugmentedDatasets(
             verilog_pt=stage1.verilog_pt,
             verilog_bug=stage2.verilog_bug,

@@ -6,7 +6,7 @@ SHA-256 of exactly those inputs: re-running an evaluation only simulates what
 changed, and concurrent worker processes share one cache directory safely.
 
 The storage itself is :class:`repro.runtime.cache.ResultCache`; this module
-only contributes the verdict-specific key recipe.
+only contributes the verdict-specific key recipe and payload check.
 """
 
 from __future__ import annotations
@@ -39,5 +39,17 @@ def verdict_key(
     )
 
 
+#: The statuses :meth:`repro.eval.verifier.SemanticVerifier.verify_source`
+#: returns -- the only verdicts ever cached.
+CACHED_STATUSES = frozenset({"pass", "compile_fail", "sim_error", "assertion_fail"})
+
+
 class VerdictCache(ResultCache):
-    """A directory of ``<key-prefix>/<key>.json`` verdict files."""
+    """A directory of ``<key-prefix>/<key>.json`` verdict files.
+
+    An entry whose ``status`` is not one of :data:`CACHED_STATUSES` is a
+    corrupt miss: the verifier re-verifies and overwrites it.
+    """
+
+    def well_formed(self, payload: dict) -> bool:
+        return payload.get("status") in CACHED_STATUSES

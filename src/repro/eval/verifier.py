@@ -206,11 +206,8 @@ class SemanticVerifier:
         if verdict is None and self.cache is not None:
             stored = self.cache.get(key)
             if stored is not None:
-                get_registry().inc("eval.verdict_cache.hits")
                 verdict = RepairVerdict.from_dict(stored)
                 self._memo[key] = verdict
-            else:
-                get_registry().inc("eval.verdict_cache.misses")
         if verdict is None:
             verdict = self.verify_source(
                 patched, seeds, cycles=cycles, base_source=buggy_source

@@ -11,8 +11,8 @@ before execution:
 
 The resulting :class:`ElaboratedDesign` is the common substrate used by the
 simulator (:mod:`repro.sim`), the assertion checker (:mod:`repro.sva`), the
-bounded model checker (:mod:`repro.formal`) and the repair model's
-structural analyses (cone of influence, suspicious-line features).
+lint tier (:mod:`repro.analyze`) and the repair model's structural
+analyses (cone of influence, suspicious-line features).
 """
 
 from __future__ import annotations

@@ -119,14 +119,6 @@ class NgramLanguageModel:
             total += math.log(max(probability, 1e-12))
         return total
 
-    def perplexity(self, text: str) -> float:
-        """Perplexity of a text under the model (lower = more natural)."""
-        tokens = tokenize_text(text)
-        if not tokens:
-            return 1.0
-        log_probability = self.sequence_log_probability(tokens)
-        return math.exp(-log_probability / (len(tokens) + 1))
-
     def line_surprisal(self, line: str) -> float:
         """Average negative log probability per token of one source line."""
         tokens = tokenize_line(line)[1:-1]

@@ -24,8 +24,6 @@ _CACHE_COUNTERS = (
     "runtime.cache.misses",
     "runtime.cache.corrupt_entries",
     "runtime.cache.stale_tmp_swept",
-    "eval.verdict_cache.hits",
-    "eval.verdict_cache.misses",
     "eval.memo.hits",
     "artifact.hits",
     "artifact.misses",
@@ -132,24 +130,17 @@ def render_report(data: TraceData, top: int = 10) -> str:
     cache_lines = []
     hits = counters.get("runtime.cache.hits", 0)
     misses = counters.get("runtime.cache.misses", 0)
-    if hits or misses:
+    memo = counters.get("eval.memo.hits", 0)
+    if hits or misses or memo:
         cache_lines.append(
-            f"  result cache: {hits} hits · {misses} misses"
-            f" · hit rate {_hit_rate(hits, misses)}"
+            f"  verdict cache: {hits} hits · {misses} misses"
+            f" · hit rate {_hit_rate(hits, misses)} · in-memory memo hits {memo}"
         )
     corrupt = counters.get("runtime.cache.corrupt_entries", 0)
     swept = counters.get("runtime.cache.stale_tmp_swept", 0)
     if corrupt or swept:
         cache_lines.append(
             f"  corrupt entries {corrupt} · stale tmp files swept {swept}"
-        )
-    vhits = counters.get("eval.verdict_cache.hits", 0)
-    vmisses = counters.get("eval.verdict_cache.misses", 0)
-    memo = counters.get("eval.memo.hits", 0)
-    if vhits or vmisses or memo:
-        cache_lines.append(
-            f"  verdict cache: {vhits} hits · {vmisses} misses"
-            f" · hit rate {_hit_rate(vhits, vmisses)} · in-memory memo hits {memo}"
         )
     ahits = counters.get("artifact.hits", 0)
     amisses = counters.get("artifact.misses", 0)

@@ -88,9 +88,9 @@ class ResultCache:
         """The stored payload, or ``None`` on a miss.
 
         A present entry that is not a UTF-8 JSON object (truncated write
-        survivor, disk corruption) counts as both a miss and a corrupt
-        entry; the caller recomputes and :meth:`put` overwrites the bad
-        file.
+        survivor, disk corruption), or that :meth:`well_formed` rejects,
+        counts as both a miss and a corrupt entry; the caller recomputes
+        and :meth:`put` overwrites the bad file.
         """
         try:
             data = self._path(key).read_bytes()
@@ -102,7 +102,7 @@ class ResultCache:
             payload = json.loads(data.decode())
         except (UnicodeDecodeError, json.JSONDecodeError):
             payload = None
-        if not isinstance(payload, dict):
+        if not isinstance(payload, dict) or not self.well_formed(payload):
             self.corrupt += 1
             self.misses += 1
             registry = get_registry()
@@ -112,6 +112,11 @@ class ResultCache:
         self.hits += 1
         get_registry().inc("runtime.cache.hits")
         return payload
+
+    def well_formed(self, payload: dict) -> bool:
+        """Whether a stored JSON object is a payload this cache could have
+        written; a subclass narrows it to its own payload shape."""
+        return True
 
     def put(self, key: str, payload: dict) -> None:
         """Persist a payload (atomic: visible either fully or not at all)."""

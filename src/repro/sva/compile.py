@@ -50,7 +50,6 @@ import numpy as np
 from repro.hdl import ast
 from repro.hdl.elaborate import AssertionSpec, ElaboratedDesign
 from repro.obs.metrics import get_registry, labeled
-from repro.sim.compile import CompileError
 from repro.sim.trace import Trace
 from repro.sva import vector as sva_vector
 from repro.sva.checker import AssertionChecker, AssertionOutcome, CheckReport
@@ -143,11 +142,11 @@ class CompiledAssertionChecker:
     Lowers every assertion of ``design`` once at construction; each
     :meth:`check` call then costs a handful of numpy array operations per
     element expression, independent of how many attempts overlap each
-    cycle.  ``strict`` raises :class:`~repro.sim.compile.CompileError`
-    unless every assertion lowers to the attempt tensor.
+    cycle.  An assertion the tensor refuses is checked by the tree-walker;
+    :meth:`engine_report` says which and why.
     """
 
-    def __init__(self, design: ElaboratedDesign, strict: bool = False,
+    def __init__(self, design: ElaboratedDesign,
                  base: Optional["CompiledAssertionChecker"] = None):
         from repro.artifacts.canon import assertion_key
 
@@ -158,7 +157,9 @@ class CompiledAssertionChecker:
             referenced |= spec.identifiers()
         self._names: list[str] = sorted(n for n in referenced if n in design.signals)
         self._slots: dict[str, int] = {name: i for i, name in enumerate(self._names)}
-        self._lowered: dict[int, Optional[_LoweredAssertion]] = {}
+        #: One lowering per design assertion, in order; None runs on the
+        #: tree-walker.
+        self._lowered: list[Optional[_LoweredAssertion]] = []
         #: Content key -> (lowered state, engine choice): the reuse index an
         #: incremental lower against this checker as ``base`` consults.  An
         #: assertion whose support cone intersects a patch's dirty set has a
@@ -178,7 +179,6 @@ class CompiledAssertionChecker:
         #: tensor)}.  Every demotion carries its reason, so a lowering
         #: regression shows up here rather than only as a slowdown.
         self.engine_choices: dict[str, dict] = {}
-        failed: list[str] = []
         for spec in design.assertions:
             key = assertion_key(spec)
             cached = base_index.get(key)
@@ -190,16 +190,9 @@ class CompiledAssertionChecker:
             else:
                 lowered = self._lower(spec)
             self._spec_index[key] = (lowered, self.engine_choices[spec.name])
-            self._lowered[id(spec)] = lowered
-            if lowered is None:
-                failed.append(spec.name)
-        lowered_all = tuple(self._lowered[id(spec)] for spec in design.assertions)
-        shared = self.assertions_reused == len(lowered_all) and None not in lowered_all
-        self._batch_key = lowered_all if shared else None
-        if strict and failed:
-            raise CompileError(
-                "assertions cannot be lowered: " + ", ".join(sorted(failed))
-            )
+            self._lowered.append(lowered)
+        shared = self.assertions_reused == len(self._lowered) and None not in self._lowered
+        self._batch_key = tuple(self._lowered) if shared else None
 
     def _reuse_compatible(self, base: "CompiledAssertionChecker") -> bool:
         """Whether ``base``'s lowered assertions can be reused here.
@@ -303,25 +296,22 @@ class CompiledAssertionChecker:
     # checking
     # ------------------------------------------------------------------ #
 
-    def check(self, trace: Trace, assertions: Optional[list[AssertionSpec]] = None) -> CheckReport:
-        """Check (a subset of) the design's assertions over ``trace``."""
-        return self.check_batch([trace], assertions)[0]
+    def check(self, trace: Trace) -> CheckReport:
+        """Check every assertion of the design over ``trace``."""
+        return self.check_batch([trace])[0]
 
-    def check_batch(
-        self, traces: list[Trace], assertions: Optional[list[AssertionSpec]] = None
-    ) -> list[CheckReport]:
+    def check_batch(self, traces: list[Trace]) -> list[CheckReport]:
         """Check several traces (e.g. one per verification seed) in one pass.
 
         The lowering is shared by construction; batching adds one
-        per-assertion dispatch (lowered lookup, on-the-fly lowering of
-        foreign specs) for the whole batch instead of one per trace.  The
-        batch's per-seed columns are stacked into one padded (seed x cycle)
-        grid (:class:`_StackedColumns`) and each tensor assertion is
-        resolved for *all* seeds in a single 2-D numpy pass.
+        per-assertion dispatch for the whole batch instead of one per
+        trace.  The batch's per-seed columns are stacked into one padded
+        (seed x cycle) grid (:class:`_StackedColumns`) and each tensor
+        assertion is resolved for *all* seeds in a single 2-D numpy pass.
         Outcome-identical to calling :meth:`check` per trace, in trace
         order, which is what the batch differential test asserts.
         """
-        specs = assertions if assertions is not None else self._design.assertions
+        specs = self._design.assertions
         registry = get_registry()
         reports: list[CheckReport] = []
         live: list[tuple[Trace, CheckReport]] = []
@@ -332,20 +322,13 @@ class CompiledAssertionChecker:
             else:
                 # A referenced signal is missing from the trace samples; the
                 # tree-walker's per-expression EvalError semantics apply.
-                report = self._oracle.check(trace, assertions)
+                report = self._oracle.check(trace)
                 registry.inc("sva.check.tree_walker", len(specs))
             reports.append(report)
         if not live:
             return reports
         stacked = _StackedColumns(self._names, [trace for trace, _ in live])
-        for spec in specs:
-            lowered = self._lowered.get(id(spec))
-            if lowered is None and id(spec) not in self._lowered:
-                # A spec object the design does not own (ad-hoc subset
-                # checking): lower on the fly, once for the whole batch,
-                # without caching -- a dead foreign spec's id could be
-                # recycled.
-                lowered = self._lower(spec)
+        for spec, lowered in zip(specs, self._lowered):
             if lowered is None:
                 for trace, report in live:
                     report.outcomes[spec.name] = self._oracle.check_assertion(spec, trace)

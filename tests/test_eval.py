@@ -14,6 +14,7 @@ from repro.eval.reports import read_split, write_reports
 from repro.eval.verifier import (
     CandidateFix,
     RepairVerdict,
+    VERIFIER_VERSION,
     SemanticVerifier,
     VerifierConfig,
     derive_verification_seeds,
@@ -230,6 +231,30 @@ def test_cache_keys_on_the_patched_source_not_the_fix():
     assert relocated_ok.status == "pass" and relocated_ok.applied_line_number == 10
     assert relocated_broken.status == "compile_fail"
     assert relocated_broken.applied_line_number == 9
+
+
+@pytest.mark.parametrize(
+    "stored",
+    [{"seeds": [1]}, {"status": "bogus"}, {"status": "not_applicable"}],
+    ids=["no_status", "unknown_status", "never_cached_status"],
+)
+def test_verdict_entry_with_an_uncached_status_is_a_corrupt_miss(tmp_path, stored):
+    """A verdict-cache entry that is a JSON object but not a verdict
+    ``verify_source`` could have written is a corrupt miss: re-verified and
+    overwritten, never unpacked."""
+    entry = semantic_entry()
+    seeds = derive_verification_seeds(entry.name, entry.stimulus_seed)
+    fix = CandidateFix(entry.line_number, entry.golden_line, entry.buggy_line)
+    patched = SemanticVerifier().apply_fix(entry.buggy_source, fix)[0]
+    config = VerifierConfig()
+    cache = VerdictCache(tmp_path / "cache")
+    key = verdict_key(patched, seeds, config.cycles, config.reset_cycles, VERIFIER_VERSION)
+    cache.put(key, stored)
+
+    verdict = SemanticVerifier(cache=cache).verify(entry.buggy_source, fix, seeds)
+    assert verdict.status == "pass"
+    assert (cache.corrupt, cache.misses, cache.hits) == (1, 1, 0)
+    assert cache.get(key)["status"] == "pass"
 
 
 # ---------------------------------------------------------------------- #

@@ -592,6 +592,7 @@ def _write_sample_trace(path) -> None:
     registry = MetricsRegistry()
     registry.inc("runtime.cache.hits", 3)
     registry.inc("runtime.cache.misses", 1)
+    registry.inc("eval.memo.hits", 2)
     registry.inc("sva.lower.tensor", 2)
     registry.inc("sva.lower.tree_walker", 1)
     registry.inc(labeled("sva.fallback", "width 64 exceeds limit"))
@@ -607,6 +608,9 @@ def test_cli_summarize_renders_a_run_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "run report" in out
     assert "pipeline" in out and "hit rate" in out
+    # The verdict cache is the one on-disk cache: its traffic shows once.
+    assert out.count("cache: 3 hits · 1 misses") == 1
+    assert "verdict cache: 3 hits" in out and "in-memory memo hits 2" in out
     assert "tensor 2 · tree_walker 1" in out
     assert "checked: attempt_tensor 6 · tree_walker 3" in out
     assert "tree-walker fallback reasons:" in out and "width 64 exceeds limit" in out

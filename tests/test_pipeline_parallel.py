@@ -35,13 +35,6 @@ def test_pipeline_is_worker_count_invariant():
     assert serial.sva_bug_train and serial.sva_eval_machine  # non-trivial run
 
 
-def test_pipeline_records_stage_timings():
-    pipeline = DataAugmentationPipeline(PipelineConfig.small(seed=31))
-    pipeline.run()
-    assert set(pipeline.stage_timings) == {"corpus", "stage1", "stage2", "split", "stage3"}
-    assert all(value >= 0.0 for value in pipeline.stage_timings.values())
-
-
 def test_corpus_generator_is_worker_count_invariant():
     config = CorpusConfig(seed=5, design_count=12)
     serial = CorpusGenerator(config, JobPolicy(workers=1)).generate()

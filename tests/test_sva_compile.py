@@ -12,8 +12,6 @@ semantics fixes: ``$past(x, DEPTH)`` with a parameter depth, and the width
 of the pre-cycle-0 unknown for non-identifier ``$past`` arguments.
 """
 
-from functools import partial
-
 import pytest
 
 from repro.bugs.injector import BugInjector, InjectionConfig
@@ -21,7 +19,6 @@ from repro.corpus.templates import all_families
 from repro.hdl import ast
 from repro.hdl.elaborate import AssertionSpec
 from repro.hdl.lint import compile_source
-from repro.sim.compile import CompileError
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.stimulus import StimulusGenerator
 from repro.sva.checker import (
@@ -35,8 +32,12 @@ from repro.sva.generator import insert_assertions, mine_assertions, template_ass
 
 FAMILIES = all_families()
 
-#: The production checker, required to lower every assertion to the tensor.
-strict_compiled = partial(CompiledAssertionChecker, strict=True)
+
+def tensor_checker(design):
+    """The production checker, required to lower every assertion to the tensor."""
+    checker = CompiledAssertionChecker(design)
+    assert checker.engine_report()["engines"]["tree_walker"] == 0
+    return checker
 
 
 def outcome_fields(outcome):
@@ -45,7 +46,7 @@ def outcome_fields(outcome):
 
 def assert_reports_identical(design, trace):
     interp = AssertionChecker(design).check(trace)
-    compiled = strict_compiled(design).check(trace)
+    compiled = tensor_checker(design).check(trace)
     assert sorted(interp.outcomes) == sorted(compiled.outcomes)
     for name in interp.outcomes:
         assert outcome_fields(interp.outcomes[name]) == outcome_fields(
@@ -83,7 +84,7 @@ def test_family_outcomes_identical(family):
 
 
 @pytest.mark.parametrize(
-    "checker_class", [strict_compiled, AssertionChecker], ids=["compiled", "interp"]
+    "checker_class", [tensor_checker, AssertionChecker], ids=["compiled", "interp"]
 )
 def test_check_batch_matches_per_trace_check(checker_class, request):
     """One batched pass over several seed traces (the verifier's shape) must
@@ -275,10 +276,10 @@ def test_store_caches_one_checker_per_source_and_agrees_with_check_assertions():
         assert outcome_fields(first.outcomes[name]) == outcome_fields(second.outcomes[name])
 
 
-def test_strict_compiled_backend_rejects_unloweable_assertions():
+def test_unlowerable_assertion_is_demoted_to_the_tree_walker():
     # Fabricate a spec referencing an undeclared signal (the tree-walker's
-    # EvalError -> unknown path): strict mode must surface the lowering
-    # failure instead of silently tree-walking, and auto must fall back per
+    # EvalError -> unknown path): the engine report must name the demotion
+    # instead of it passing silently, and the checker must fall back per
     # assertion and still agree.
     design = shift2_design()
     ghost = AssertionSpec(
@@ -293,8 +294,9 @@ def test_strict_compiled_backend_rejects_unloweable_assertions():
         ),
     )
     design.assertions.append(ghost)
-    with pytest.raises(CompileError):
-        strict_compiled(design)
+    engines = CompiledAssertionChecker(design).engine_report()
+    assert engines["engines"] == {"tensor": len(design.assertions) - 1, "tree_walker": 1}
+    assert engines["assertions"]["a_ghost"]["engine"] == "tree_walker"
     trace = shift2_trace(design)
     assert_reports_identical_auto(design, trace)
     # The unknown reference never evaluates to a hard failure on either side.
@@ -309,17 +311,6 @@ def assert_reports_identical_auto(design, trace):
         assert outcome_fields(interp.outcomes[name]) == outcome_fields(
             compiled.outcomes[name]
         )
-
-
-def test_subset_checking_matches_tree_walker():
-    design = shift2_design()
-    trace = shift2_trace(design)
-    subset = design.assertions[:1]
-    interp = AssertionChecker(design).check(trace, assertions=subset)
-    compiled = CompiledAssertionChecker(design).check(trace, assertions=subset)
-    assert sorted(interp.outcomes) == sorted(compiled.outcomes) == [subset[0].name]
-    for name in interp.outcomes:
-        assert outcome_fields(interp.outcomes[name]) == outcome_fields(compiled.outcomes[name])
 
 
 # --------------------------------------------------------------------------- #
