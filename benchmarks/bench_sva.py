@@ -74,7 +74,10 @@ stacking a batch's per-seed columns into one padded (seed x cycle) grid)
 and the tree-walking oracle.  The run hard-fails when any family's
 assertion does not lower to the tensor (``engine_report()`` names a
 tree-walker assertion), and on any verdict divergence between the two
-engines, batched or not.
+engines, batched or not.  The batch leg's two sides take turns, each timed
+over back-to-back calls lasting at least ``BATCH_MIN_SECONDS`` (20 ms), so
+one slow millisecond on a loaded host cannot sink a family's ratio below
+the ``--min-batch-speedup`` gate.
 
 v7 dropped the end-to-end verifier leg (perfbench ``solve`` times it) and
 added the relower leg.  v6 added the mutant-batch leg.  v5 dropped the
@@ -89,7 +92,7 @@ import argparse
 import time
 from pathlib import Path
 
-from common import ROOT, best_of, geomean, write_report  # first: puts src/ on sys.path
+from common import ROOT, best_of, geomean, paired_best_of, write_report  # first: puts src/ on sys.path
 
 from repro.bugs.injector import BugInjector, InjectionConfig
 from repro.corpus.templates import all_families
@@ -140,6 +143,10 @@ def require_tensor(family_name: str, checker: CompiledAssertionChecker) -> None:
 #: handful of fresh stimulus seeds, one lowered checker.
 BATCH_TRACES = 2
 BATCH_CYCLES = 96
+#: One call of either side of the batch leg takes about a millisecond; each
+#: timed stretch repeats it until it lasts this long (the per-family
+#: minimum ``--min-batch-speedup`` gates is a ratio of two such stretches).
+BATCH_MIN_SECONDS = 0.02
 
 
 def _assert_verdicts_identical(family_name: str, baseline, other, label: str) -> None:
@@ -183,8 +190,12 @@ def bench_family(family, source: str, cycles: int, repeat: int) -> dict | None:
         ).materialized()
         for index in range(BATCH_TRACES)
     ]
-    sequential_s = best_of(repeat, lambda: [compiled.check(t) for t in batch])
-    batched_s = best_of(repeat, lambda: compiled.check_batch(batch))
+    sequential_s, batched_s = paired_best_of(
+        repeat,
+        lambda: [compiled.check(t) for t in batch],
+        lambda: compiled.check_batch(batch),
+        BATCH_MIN_SECONDS,
+    )
 
     # The benchmark doubles as a differential guard and hard-fails on any
     # verdict divergence between the attempt tensor and the tree-walker,

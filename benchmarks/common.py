@@ -30,6 +30,29 @@ def best_of(repeat: int, run) -> float:
     return min(timed(run) for _ in range(repeat))
 
 
+def paired_best_of(repeat: int, first, second, min_seconds: float) -> tuple[float, float]:
+    """Per-call best-of-``repeat`` times of ``first`` and ``second``, interleaved.
+
+    Each measurement runs its call back to back until the measured stretch
+    lasts at least ``min_seconds``, so a scheduler hiccup is a small share of
+    it, and the two calls take turns, so a slow spell of the host hits both.
+    """
+    single = max(timed(first), timed(second), 1e-9)
+    calls = max(1, math.ceil(min_seconds / single))
+
+    def stretch(run) -> float:
+        start = time.perf_counter()
+        for _ in range(calls):
+            run()
+        return (time.perf_counter() - start) / calls
+
+    best_first = best_second = math.inf
+    for _ in range(repeat):
+        best_first = min(best_first, stretch(first))
+        best_second = min(best_second, stretch(second))
+    return best_first, best_second
+
+
 def geomean(values: list[float]) -> float:
     return math.exp(sum(math.log(value) for value in values) / len(values))
 

@@ -189,7 +189,7 @@ class Stage2Runner:
             result.designs_without_valid_svas += 1
             return None, None
         augmented = insert_assertions(sample.source, valid)
-        augmented_design, _ = store.elaborate_source(augmented)
+        augmented_design, _ = store.elaborate_source(augmented, sample.source)
         if augmented_design is None:
             result.designs_without_valid_svas += 1
             return None, None

@@ -14,8 +14,10 @@ a mined invariant must be validated on a trace it was not mined from.
 
 from __future__ import annotations
 
+import hashlib
 import zlib
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.artifacts import default_store
@@ -24,10 +26,32 @@ from repro.obs import get_registry
 from repro.hdl.source import SourceFile, lines_equivalent
 from repro.sva.kernel import simulate_and_check
 
-#: Bumped whenever verdict semantics change: keys old cache entries out.
-#: v2: ``$past`` depth arguments are constant-folded with parameters and
-#: pre-trace ``$past`` unknowns carry the argument expression's real width.
-VERIFIER_VERSION = "repro_eval_verifier/v2"
+#: The packages (and one module) whose code decides a verdict.
+VERIFIER_SOURCES = ("hdl", "sim", "sva", "analyze", "eval/verifier.py")
+
+
+def verifier_version(package: Path = Path(__file__).resolve().parent.parent) -> str:
+    """``repro_eval_verifier/<digest>`` of the code that decides a verdict.
+
+    The digest is a SHA-256 over every ``.py`` file of
+    :data:`VERIFIER_SOURCES` under ``package`` (the ``repro`` directory),
+    each by relative path and bytes, so any change to that code keys every
+    old verdict-cache entry out.
+    """
+    files: list[Path] = []
+    for name in VERIFIER_SOURCES:
+        path = package / name
+        files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
+    digest = hashlib.sha256()
+    for path in files:
+        for part in (path.relative_to(package).as_posix().encode(), path.read_bytes()):
+            digest.update(len(part).to_bytes(8, "big"))
+            digest.update(part)
+    return f"repro_eval_verifier/{digest.hexdigest()[:16]}"
+
+
+#: Part of every verdict key, so a verdict is never served across code changes.
+VERIFIER_VERSION = verifier_version()
 
 #: Default number of independent stimulus seeds a fix must survive.
 DEFAULT_SEED_COUNT = 2

@@ -10,7 +10,7 @@ module bodies in SystemVerilog source.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 
 # --------------------------------------------------------------------------- #
@@ -22,22 +22,36 @@ from typing import Iterator, Optional, Union
 class Expression:
     """Base class for all expression nodes."""
 
-    def children(self) -> Iterator["Expression"]:
-        """Yield direct sub-expressions (default: none)."""
-        return iter(())
+    def children(self) -> Sequence["Expression"]:
+        """Direct sub-expressions, left to right (default: none)."""
+        return ()
 
     def walk(self) -> Iterator["Expression"]:
-        """Yield this node and every descendant expression."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Yield this node and every descendant expression, in pre-order."""
+        stack: list[Expression] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            children = node.children()
+            if children:
+                stack.extend(reversed(children))
 
     def identifiers(self) -> set[str]:
-        """Return the set of signal/parameter names referenced by the expression."""
+        """Return the set of signal/parameter names referenced by the expression.
+
+        Names are added in pre-order, as :meth:`walk` visits them, so the
+        set's iteration order is a function of the expression alone.
+        """
         names: set[str] = set()
-        for node in self.walk():
-            if isinstance(node, Identifier):
+        stack: list[Expression] = [self]
+        while stack:
+            node = stack.pop()
+            if type(node) is Identifier:
                 names.add(node.name)
+            else:
+                children = node.children()
+                if children:
+                    stack.extend(reversed(children))
         return names
 
 
@@ -80,8 +94,8 @@ class Unary(Expression):
     op: str
     operand: Expression
 
-    def children(self) -> Iterator[Expression]:
-        yield self.operand
+    def children(self) -> Sequence[Expression]:
+        return (self.operand,)
 
     def __str__(self) -> str:
         return f"{self.op}{_paren(self.operand)}"
@@ -95,9 +109,8 @@ class Binary(Expression):
     left: Expression
     right: Expression
 
-    def children(self) -> Iterator[Expression]:
-        yield self.left
-        yield self.right
+    def children(self) -> Sequence[Expression]:
+        return (self.left, self.right)
 
     def __str__(self) -> str:
         return f"{_paren(self.left)} {self.op} {_paren(self.right)}"
@@ -111,10 +124,8 @@ class Ternary(Expression):
     if_true: Expression
     if_false: Expression
 
-    def children(self) -> Iterator[Expression]:
-        yield self.condition
-        yield self.if_true
-        yield self.if_false
+    def children(self) -> Sequence[Expression]:
+        return (self.condition, self.if_true, self.if_false)
 
     def __str__(self) -> str:
         return f"{_paren(self.condition)} ? {_paren(self.if_true)} : {_paren(self.if_false)}"
@@ -127,9 +138,8 @@ class BitSelect(Expression):
     base: Expression
     index: Expression
 
-    def children(self) -> Iterator[Expression]:
-        yield self.base
-        yield self.index
+    def children(self) -> Sequence[Expression]:
+        return (self.base, self.index)
 
     def __str__(self) -> str:
         return f"{self.base}[{self.index}]"
@@ -143,10 +153,8 @@ class PartSelect(Expression):
     msb: Expression
     lsb: Expression
 
-    def children(self) -> Iterator[Expression]:
-        yield self.base
-        yield self.msb
-        yield self.lsb
+    def children(self) -> Sequence[Expression]:
+        return (self.base, self.msb, self.lsb)
 
     def __str__(self) -> str:
         return f"{self.base}[{self.msb}:{self.lsb}]"
@@ -158,8 +166,8 @@ class Concat(Expression):
 
     parts: list[Expression]
 
-    def children(self) -> Iterator[Expression]:
-        yield from self.parts
+    def children(self) -> Sequence[Expression]:
+        return self.parts
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(p) for p in self.parts) + "}"
@@ -172,9 +180,8 @@ class Replicate(Expression):
     count: Expression
     value: Expression
 
-    def children(self) -> Iterator[Expression]:
-        yield self.count
-        yield self.value
+    def children(self) -> Sequence[Expression]:
+        return (self.count, self.value)
 
     def __str__(self) -> str:
         return "{" + f"{self.count}{{{self.value}}}" + "}"
@@ -187,8 +194,8 @@ class SystemCall(Expression):
     name: str
     args: list[Expression] = field(default_factory=list)
 
-    def children(self) -> Iterator[Expression]:
-        yield from self.args
+    def children(self) -> Sequence[Expression]:
+        return self.args
 
     def __str__(self) -> str:
         return f"{self.name}(" + ", ".join(str(a) for a in self.args) + ")"
@@ -210,13 +217,19 @@ def _paren(expr: Expression) -> str:
 class Statement:
     """Base class for procedural statements."""
 
-    def substatements(self) -> Iterator["Statement"]:
-        return iter(())
+    def substatements(self) -> Sequence["Statement"]:
+        """Direct sub-statements, in source order (default: none)."""
+        return ()
 
     def walk(self) -> Iterator["Statement"]:
-        yield self
-        for sub in self.substatements():
-            yield from sub.walk()
+        """Yield this statement and every nested statement, in pre-order."""
+        stack: list[Statement] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            subs = node.substatements()
+            if subs:
+                stack.extend(reversed(subs))
 
 
 @dataclass
@@ -226,8 +239,8 @@ class Block(Statement):
     statements: list[Statement] = field(default_factory=list)
     name: Optional[str] = None
 
-    def substatements(self) -> Iterator[Statement]:
-        yield from self.statements
+    def substatements(self) -> Sequence[Statement]:
+        return self.statements
 
 
 @dataclass
@@ -239,9 +252,6 @@ class Assign(Statement):
     blocking: bool
     line: int = 0
 
-    def substatements(self) -> Iterator[Statement]:
-        return iter(())
-
 
 @dataclass
 class If(Statement):
@@ -252,10 +262,10 @@ class If(Statement):
     else_branch: Optional[Statement] = None
     line: int = 0
 
-    def substatements(self) -> Iterator[Statement]:
-        yield self.then_branch
-        if self.else_branch is not None:
-            yield self.else_branch
+    def substatements(self) -> Sequence[Statement]:
+        if self.else_branch is None:
+            return (self.then_branch,)
+        return (self.then_branch, self.else_branch)
 
 
 @dataclass
@@ -275,9 +285,8 @@ class Case(Statement):
     variant: str = "case"  # "case" | "casez" | "casex"
     line: int = 0
 
-    def substatements(self) -> Iterator[Statement]:
-        for item in self.items:
-            yield item.body
+    def substatements(self) -> Sequence[Statement]:
+        return [item.body for item in self.items]
 
 
 @dataclass
@@ -292,8 +301,8 @@ class For(Statement):
     body: Statement
     line: int = 0
 
-    def substatements(self) -> Iterator[Statement]:
-        yield self.body
+    def substatements(self) -> Sequence[Statement]:
+        return (self.body,)
 
 
 @dataclass

@@ -6,8 +6,13 @@ before execution:
 * constant-fold parameters and ranges to concrete widths,
 * unroll ``for`` loops with constant bounds,
 * flatten single-level module hierarchies (instantiations),
-* build the signal table, driver map and signal dependency graph,
+* build the signal table and driver map (the signal dependency graph is
+  built on first read),
 * resolve named properties referenced by concurrent assertions.
+
+One explicit-stack sweep per design (:class:`DesignSweep`) collects the
+assignments and expressions that the driver map, the fatal checks and the
+lint tier (:mod:`repro.analyze.passes`) read.
 
 The resulting :class:`ElaboratedDesign` is the common substrate used by the
 simulator (:mod:`repro.sim`), the assertion checker (:mod:`repro.sva`), the
@@ -19,7 +24,8 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain
+from typing import Iterator, Optional
 
 from repro.hdl import ast
 from repro.hdl.errors import ElaborationError
@@ -91,15 +97,59 @@ class ProceduralBlock:
 
 
 @dataclass
+class DesignSweep:
+    """What one pre-order pass over a design's assigns, blocks and assertions finds.
+
+    ``continuous`` holds ``(line, target names)`` per continuous assign;
+    ``comb_assigns`` / ``seq_assigns`` hold each procedural assignment of the
+    combinational / clocked blocks with its target names, block by block
+    and in pre-order within a block.  The expressions are read in lint
+    order: each continuous assign's target and value, then the comb and seq
+    blocks' statements (an assignment's target and value, an ``if``
+    condition, a ``case`` subject and its labels), then each assertion's
+    consequent and antecedent elements and its ``disable iff``.  Of them
+    the sweep keeps every identifier read (``reads``), the ``(line,
+    identifiers)`` of each expression that names an undeclared signal
+    (``undeclared``; the set is filled in pre-order, so it iterates as
+    :meth:`~repro.hdl.ast.Expression.identifiers` does) and the ``(line,
+    name)`` of every system call (``calls``), in that order.
+    """
+
+    continuous: list[tuple[int, list[str]]]
+    comb_assigns: list[tuple[ast.Assign, list[str]]]
+    seq_assigns: list[tuple[ast.Assign, list[str]]]
+    reads: set[str]
+    undeclared: list[tuple[int, set[str]]]
+    calls: list[tuple[int, str]]
+
+    @property
+    def procedural_assigns(self) -> chain[tuple[ast.Assign, list[str]]]:
+        """The comb blocks' assignments, then the seq blocks'."""
+        return chain(self.comb_assigns, self.seq_assigns)
+
+    @property
+    def drivers(self) -> Iterator[tuple[int, list[str]]]:
+        """``(line, target names)`` of every continuous, then procedural, assignment."""
+        yield from self.continuous
+        for node, targets in self.procedural_assigns:
+            yield node.line, targets
+
+
+@dataclass
 class ElaboratedDesign:
     """A flat, simulatable representation of one top-level module.
 
     The design shares AST nodes with the parsed :class:`~repro.hdl.ast.SourceUnit`
     it came from: top-level statements, expressions and properties are not
-    copied (only the items of an instance are, to prefix their names).  So
+    copied (only the items of an instance are, to prefix their names), and
+    an always block with no ``for`` loop keeps its parsed body node.  So
     the AST is read-only after parsing: nothing may write a node reachable
     from a unit or a design, and two elaborations of one parse are equal
     node for node (the per-node keys of :mod:`repro.artifacts.canon` agree).
+
+    :attr:`sweep` and :attr:`dependency_graph` are computed on first read and
+    kept; elaboration reads the sweep, and only structural analyses (the
+    repair model's cone features, :mod:`repro.analyze.dfg`) read the graph.
     """
 
     name: str
@@ -110,9 +160,24 @@ class ElaboratedDesign:
     seq_blocks: list[ProceduralBlock] = field(default_factory=list)
     initial_blocks: list[ast.InitialBlock] = field(default_factory=list)
     assertions: list[AssertionSpec] = field(default_factory=list)
-    dependency_graph: dict[str, set[str]] = field(default_factory=dict)
     driver_lines: dict[str, list[int]] = field(default_factory=dict)
     source_module: Optional[ast.Module] = None
+    _sweep: Optional[DesignSweep] = field(default=None, repr=False, compare=False)
+    _graph: Optional[dict[str, set[str]]] = field(default=None, repr=False, compare=False)
+
+    @property
+    def sweep(self) -> DesignSweep:
+        """The design's assignments and what its expressions read, from one pass."""
+        if self._sweep is None:
+            self._sweep = _Sweeper(self).sweep()
+        return self._sweep
+
+    @property
+    def dependency_graph(self) -> dict[str, set[str]]:
+        """signal -> the signals it depends on (its direct fan-in)."""
+        if self._graph is None:
+            self._graph = _build_dependency_graph(self)
+        return self._graph
 
     # ------------------------------------------------------------------ #
     # queries used throughout the project
@@ -304,8 +369,7 @@ class Elaborator:
         self._declare_nets(module, design, prefix)
         self._collect_items(module, design, prefix, depth)
         self._resolve_assertions(module, design, prefix)
-        _build_dependency_graph(design)
-        _collect_driver_lines(design)
+        design.driver_lines = _collect_driver_lines(design.sweep)
         _check_design(design)
         return design
 
@@ -615,27 +679,40 @@ def _substitute_statement(statement: ast.Statement, name: str, value: int) -> as
 
 
 def _unroll_statement(statement: ast.Statement, parameters: dict[str, int]) -> ast.Statement:
-    """Recursively unroll for-loops with constant bounds."""
+    """Recursively unroll for-loops with constant bounds.
+
+    A statement that holds no ``for`` is returned itself, not rebuilt, so an
+    always block without loops keeps the parse's body node.
+    """
     if isinstance(statement, ast.Block):
         new_statements = [_unroll_statement(s, parameters) for s in statement.statements]
+        if all(new is old for new, old in zip(new_statements, statement.statements)):
+            return statement
         return ast.Block(statements=new_statements, name=statement.name)
     if isinstance(statement, ast.If):
+        then_branch = _unroll_statement(statement.then_branch, parameters)
+        else_branch = (
+            _unroll_statement(statement.else_branch, parameters)
+            if statement.else_branch is not None
+            else None
+        )
+        if then_branch is statement.then_branch and else_branch is statement.else_branch:
+            return statement
         return ast.If(
             condition=statement.condition,
-            then_branch=_unroll_statement(statement.then_branch, parameters),
-            else_branch=(
-                _unroll_statement(statement.else_branch, parameters)
-                if statement.else_branch is not None
-                else None
-            ),
+            then_branch=then_branch,
+            else_branch=else_branch,
             line=statement.line,
         )
     if isinstance(statement, ast.Case):
+        bodies = [_unroll_statement(item.body, parameters) for item in statement.items]
+        if all(body is item.body for body, item in zip(bodies, statement.items)):
+            return statement
         return ast.Case(
             subject=statement.subject,
             items=[
-                ast.CaseItem(labels=item.labels, body=_unroll_statement(item.body, parameters))
-                for item in statement.items
+                ast.CaseItem(labels=item.labels, body=body)
+                for item, body in zip(statement.items, bodies)
             ],
             variant=statement.variant,
             line=statement.line,
@@ -676,42 +753,38 @@ def _unroll_for(loop: ast.For, parameters: dict[str, int]) -> ast.Block:
 # --------------------------------------------------------------------------- #
 
 
-def _statement_dependencies(
-    statement: ast.Statement, context: Optional[list[ast.Expression]] = None
-) -> dict[str, set[str]]:
-    """Map each assigned signal to the set of signals it depends on."""
-    context = context or []
-    dependencies: dict[str, set[str]] = {}
+def _statement_dependencies(statement: ast.Statement) -> dict[str, set[str]]:
+    """Map each signal assigned in ``statement`` to the signals it depends on.
 
-    def visit(node: ast.Statement, active_context: list[ast.Expression]) -> None:
-        if isinstance(node, ast.Block):
-            for sub in node.statements:
-                visit(sub, active_context)
-        elif isinstance(node, ast.If):
-            new_context = active_context + [node.condition]
-            visit(node.then_branch, new_context)
-            if node.else_branch is not None:
-                visit(node.else_branch, new_context)
-        elif isinstance(node, ast.Case):
-            new_context = active_context + [node.subject] + [
-                label for item in node.items for label in item.labels
-            ]
-            for item in node.items:
-                visit(item.body, new_context)
-        elif isinstance(node, ast.Assign):
-            sources: set[str] = set(node.value.identifiers())
-            for expr in active_context:
-                sources |= expr.identifiers()
+    An assignment depends on its value, on the index of a selected target
+    and on every enclosing ``if`` condition and ``case`` subject and label;
+    each of those contexts is resolved to identifiers once.
+    """
+    dependencies: dict[str, set[str]] = {}
+    stack: list[tuple[ast.Statement, frozenset[str]]] = [(statement, frozenset())]
+    while stack:
+        node, context = stack.pop()
+        if isinstance(node, ast.Assign):
+            sources = node.value.identifiers() | context
             if isinstance(node.target, (ast.BitSelect, ast.PartSelect)):
                 sources |= node.target.identifiers()
             for target in ast._target_names(node.target):
                 dependencies.setdefault(target, set()).update(sources)
-
-    visit(statement, context)
+            continue
+        if isinstance(node, ast.If):
+            context = context | node.condition.identifiers()
+        elif isinstance(node, ast.Case):
+            names = node.subject.identifiers()
+            for item in node.items:
+                for label in item.labels:
+                    names |= label.identifiers()
+            context = context | names
+        subs = node.substatements()
+        stack.extend((sub, context) for sub in reversed(subs))
     return dependencies
 
 
-def _build_dependency_graph(design: ElaboratedDesign) -> None:
+def _build_dependency_graph(design: ElaboratedDesign) -> dict[str, set[str]]:
     graph: dict[str, set[str]] = {name: set() for name in design.signals}
     for assign in design.continuous_assigns:
         sources = assign.value.identifiers()
@@ -722,48 +795,112 @@ def _build_dependency_graph(design: ElaboratedDesign) -> None:
         for target in ast._target_names(assign.target):
             graph.setdefault(target, set()).update(sources)
     for block in design.comb_blocks + design.seq_blocks:
-        for target, sources in _statement_dependencies(block.body).items():
+        dependencies = _statement_dependencies(block.body)
+        for target, sources in dependencies.items():
             graph.setdefault(target, set()).update(sources)
         if block.is_clocked:
             edge_signals = {item.signal for item in block.clock_edges()}
-            for target in _statement_dependencies(block.body):
-                graph.setdefault(target, set()).update(edge_signals)
-    design.dependency_graph = graph
+            for target in dependencies:
+                graph[target].update(edge_signals)
+    return graph
 
 
-def _collect_driver_lines(design: ElaboratedDesign) -> None:
+class _Sweeper:
+    """Builds one :class:`DesignSweep`; see there for what it records."""
+
+    def __init__(self, design: ElaboratedDesign):
+        self.design = design
+        self.declared = design.signals.keys() | design.parameters.keys()
+        self.reads: set[str] = set()
+        self.undeclared: list[tuple[int, set[str]]] = []
+        self.calls: list[tuple[int, str]] = []
+
+    def sweep(self) -> DesignSweep:
+        design = self.design
+        expression = self.expression
+        continuous: list[tuple[int, list[str]]] = []
+        for assign in design.continuous_assigns:
+            continuous.append((assign.line, ast._target_names(assign.target)))
+            expression(assign.line, assign.target)
+            expression(assign.line, assign.value)
+        comb_assigns = self.blocks(design.comb_blocks)
+        seq_assigns = self.blocks(design.seq_blocks)
+        for assertion in design.assertions:
+            body = assertion.body
+            sequences = [body.consequent]
+            if body.antecedent is not None:
+                sequences.append(body.antecedent)
+            for sequence in sequences:
+                for element in sequence.elements:
+                    expression(assertion.line, element.expr)
+            if assertion.disable_iff is not None:
+                expression(assertion.line, assertion.disable_iff)
+        return DesignSweep(
+            continuous, comb_assigns, seq_assigns, self.reads, self.undeclared, self.calls
+        )
+
+    def blocks(self, blocks: list[ProceduralBlock]) -> list[tuple[ast.Assign, list[str]]]:
+        """The blocks' assignments; their expressions are swept in pre-order."""
+        expression = self.expression
+        assigns: list[tuple[ast.Assign, list[str]]] = []
+        for block in blocks:
+            stack = [block.body]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, ast.Assign):
+                    assigns.append((node, ast._target_names(node.target)))
+                    expression(node.line, node.target)
+                    expression(node.line, node.value)
+                    continue
+                if isinstance(node, ast.If):
+                    expression(node.line, node.condition)
+                elif isinstance(node, ast.Case):
+                    expression(node.line, node.subject)
+                    for item in node.items:
+                        for label in item.labels:
+                            expression(node.line, label)
+                subs = node.substatements()
+                if subs:
+                    stack.extend(reversed(subs))
+        return assigns
+
+    def expression(self, line: int, expr: ast.Expression) -> None:
+        names: set[str] = set()
+        stack = [expr]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.Identifier):
+                names.add(node.name)
+                continue
+            if isinstance(node, ast.SystemCall):
+                self.calls.append((line, node.name))
+            children = node.children()
+            if children:
+                stack.extend(reversed(children))
+        self.reads |= names
+        if not names <= self.declared:
+            self.undeclared.append((line, names))
+
+
+def _collect_driver_lines(sweep: DesignSweep) -> dict[str, list[int]]:
     drivers: dict[str, list[int]] = {}
-    for assign in design.continuous_assigns:
-        for target in ast._target_names(assign.target):
-            drivers.setdefault(target, []).append(assign.line)
-    for block in design.comb_blocks + design.seq_blocks:
-        for node in block.body.walk():
-            if isinstance(node, ast.Assign):
-                for target in ast._target_names(node.target):
-                    drivers.setdefault(target, []).append(node.line)
-    design.driver_lines = drivers
+    for line, targets in sweep.drivers:
+        for target in targets:
+            drivers.setdefault(target, []).append(line)
+    return drivers
 
 
 def _check_design(design: ElaboratedDesign) -> None:
     """Fatal structural checks performed at the end of elaboration."""
-    for assign in design.continuous_assigns:
-        for target in ast._target_names(assign.target):
-            if target not in design.signals:
+    signals = design.signals
+    for line, targets in design.sweep.drivers:
+        for target in targets:
+            if target not in signals:
                 raise ElaborationError(
                     f"assignment to undeclared signal '{target}'",
-                    line=assign.line,
+                    line=line,
                     code="undeclared-signal",
                 )
-    for block in design.comb_blocks + design.seq_blocks:
-        for node in block.body.walk():
-            if isinstance(node, ast.Assign):
-                for target in ast._target_names(node.target):
-                    if target not in design.signals:
-                        raise ElaborationError(
-                            f"assignment to undeclared signal '{target}'",
-                            line=node.line,
-                            code="undeclared-signal",
-                        )
 
 
 def elaborate(unit: ast.SourceUnit, top: Optional[str] = None) -> ElaboratedDesign:

@@ -1,22 +1,32 @@
-"""Re-parse only the module item that a one-line edit touches.
+"""Re-parse only what an edit of a compiled source touches.
 
-Every Stage-2 mutant and every candidate repair is a source the artifact
-store has just compiled with one line replaced.  The line count stays the
-same, so every token off that line keeps its position, and only the body
-item that holds the line can parse differently.  :func:`reparse_edit`
-re-lexes that item's source extent (its :class:`~repro.hdl.parser.ItemSpan`),
-parses it with :meth:`~repro.hdl.parser.Parser.parse_module_item` and
-splices the new node into a shallow copy of the base unit.  Every other
-node is shared with the base, which the read-only AST contract allows.
+Two edits reach the artifact store with a base source it has just
+compiled, and :func:`reparse_edit` parses only their new text:
 
-When the splice cannot be shown equal to a full parse, :func:`reparse_edit`
-returns the reason instead and :func:`repro.hdl.lint.compile_source` parses
-the whole text.  The guards:
+* **One replaced line.**  Every Stage-2 mutant and every candidate repair
+  is its base with one line replaced.  The line count stays the same, so
+  every token off that line keeps its position, and only the body item
+  that holds the line can parse differently.  That item's source extent
+  (its :class:`~repro.hdl.parser.ItemSpan`) is re-lexed, parsed with
+  :meth:`~repro.hdl.parser.Parser.parse_module_item` and spliced into a
+  shallow copy of the base unit.
+* **Lines inserted before the last ``endmodule``.**  Stage 2's augmented
+  golden is its golden with SVA blocks inserted there
+  (:func:`repro.sva.generator.insert_assertions`).  The inserted lines and
+  the ``endmodule`` line after them are lexed alone, parsed with
+  :meth:`~repro.hdl.parser.Parser.parse_appended_items` and appended to a
+  shallow copy of the last module.
+
+Every other node is shared with the base, which the read-only AST contract
+allows.  When the splice cannot be shown equal to a full parse,
+:func:`reparse_edit` returns the reason instead and
+:func:`repro.hdl.lint.compile_source` parses the whole text.  The base must
+have no ``/*``.  The guards of a replaced line:
 
 * exactly one line differs and the line count is equal;
-* the base has no ``/*`` and neither version of the line has ``"``, ``\\``,
-  ``/*``, ``*/`` or a backtick, so no token or comment crosses a line
-  boundary or the cut ends of the extent;
+* neither version of the line has ``"``, ``\\``, ``/*``, ``*/`` or a
+  backtick, so no token or comment crosses a line boundary or the cut ends
+  of the extent;
 * the line lies inside exactly one recorded item, and the text outside the
   item's columns on that line is unchanged;
 * the extent still starts with the same identifier or keyword and, when the
@@ -24,6 +34,19 @@ the whole text.  The guards:
   unchanged rest of the line;
 * the extent parses to exactly one body item that consumes every token and
   writes no port or parameter.
+
+The guards of an insertion, which keep the lexer's state clean at both
+ends of the inserted lines and the base's items parsing as before:
+
+* the added lines are one run, inserted right before the base's last line
+  that starts with ``endmodule``, and hold no ``/*``;
+* the base's last recorded item span is the last item of its last module
+  and ends above that line;
+* lexed alone, the inserted lines and the rest of the text end in one
+  ``endmodule`` token, the first on its line, and the inserted tokens do
+  not start with ``else`` (which would continue the base's last item);
+* the inserted tokens parse to whole body items that write no port or
+  parameter.
 
 A lex or parse error propagates; the caller falls back on any ``HdlError``,
 so every diagnostic comes from the full path.
@@ -33,7 +56,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Union
+from typing import NamedTuple, Union
 
 from repro.hdl import ast
 from repro.hdl.lexer import Token, TokenKind, tokenize
@@ -46,22 +69,34 @@ _UNSAFE_MARKS = ('"', "\\", "/*", "*/", "`")
 _WORD = re.compile(r"[A-Za-z_][\w$]*")
 _WORD_CHAR = re.compile(r"[\w$]")
 
-#: The spliced unit and its item spans, or why the edit needs a full parse.
-Edit = Union[tuple[ast.SourceUnit, tuple[ItemSpan, ...]], str]
+
+class Splice(NamedTuple):
+    """An edit parsed incrementally: the unit, its item spans and the counter."""
+
+    unit: ast.SourceUnit
+    spans: tuple[ItemSpan, ...]
+    #: ``hdl.reparse.items`` (one replaced line) or ``hdl.reparse.inserts``.
+    counter: str
+
+
+#: The splice, or why the edit needs a full parse.
+Edit = Union[Splice, str]
 
 
 def reparse_edit(text: str, base: ast.SourceUnit, spans: tuple[ItemSpan, ...]) -> Edit:
-    """``text`` parsed by re-parsing one item of ``base``, or a fallback reason.
+    """``text`` parsed by re-parsing only its edit of ``base``, or a fallback reason.
 
     ``spans`` are the item spans recorded when ``base`` was parsed.  Raises
-    :class:`~repro.hdl.errors.HdlError` when the edited extent does not lex
-    or parse.
+    :class:`~repro.hdl.errors.HdlError` when the new text does not lex or
+    parse.
     """
     base_text = base.text
     if "/*" in base_text:
         return "block comment"
     lines = text.split("\n")
     base_lines = base_text.split("\n")
+    if len(lines) > len(base_lines):
+        return _reparse_insertion(text, lines, base, base_lines, spans)
     if len(lines) != len(base_lines):
         return "line count"
     index = _only_changed_line(lines, base_lines)
@@ -123,7 +158,64 @@ def reparse_edit(text: str, base: ast.SourceUnit, spans: tuple[ItemSpan, ...]) -
     modules[span.module] = dataclasses.replace(module, items=items)
     if cut + 1 != span.end_column:
         spans = spans[:position] + (span._replace(end_column=cut + 1),) + spans[position + 1 :]
-    return ast.SourceUnit(modules=modules, text=text), spans
+    return Splice(ast.SourceUnit(modules=modules, text=text), spans, "hdl.reparse.items")
+
+
+def _reparse_insertion(
+    text: str,
+    lines: list[str],
+    base: ast.SourceUnit,
+    base_lines: list[str],
+    spans: tuple[ItemSpan, ...],
+) -> Edit:
+    """``text`` as ``base`` with lines inserted before its last ``endmodule`` line."""
+    at = _last_endmodule_line(base_lines)
+    added = len(lines) - len(base_lines)
+    if at < 0 or lines[:at] != base_lines[:at] or lines[at + added :] != base_lines[at:]:
+        return "not an insertion"
+    if any("/*" in line for line in lines[at : at + added]):
+        return "block comment"
+    index = len(base.modules) - 1
+    module = base.modules[index]
+    if (
+        not spans
+        or spans[-1].module != index
+        or spans[-1].item != len(module.items) - 1
+        or spans[-1].last_line > at
+    ):
+        return "last item"
+
+    tokens = tokenize("\n".join(lines[at:]), at + 1, 1)
+    closing = tokens[-2]  # the line at lines[at + added] lexes to at least one token
+    endmodule_line = lines[at + added]
+    if (
+        not closing.is_keyword("endmodule")
+        or closing.line != at + added + 1
+        or closing.column != len(endmodule_line) - len(endmodule_line.lstrip()) + 1
+    ):
+        return "endmodule line"
+    if tokens[0].is_keyword("else"):
+        return "first token"
+
+    parser = Parser(tokens, text)
+    appended = parser.parse_appended_items(module, index)
+    if appended is None:
+        return "item parse"
+    modules = list(base.modules)
+    modules[index] = appended
+    return Splice(
+        ast.SourceUnit(modules=modules, text=text),
+        spans + tuple(parser.item_spans),
+        "hdl.reparse.inserts",
+    )
+
+
+def _last_endmodule_line(lines: list[str]) -> int:
+    """Index of the last line that starts with ``endmodule``, or -1."""
+    for index in range(len(lines) - 1, -1, -1):
+        if lines[index].lstrip().startswith("endmodule"):
+            return index
+    return -1
 
 
 def _only_changed_line(lines: list[str], base_lines: list[str]) -> int:

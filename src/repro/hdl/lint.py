@@ -23,6 +23,7 @@ from repro.hdl.elaborate import ElaboratedDesign, elaborate
 from repro.hdl.errors import Diagnostic, DiagnosticSink, HdlError, Severity
 from repro.hdl.incremental import reparse_edit
 from repro.hdl.parser import ItemSpan, parse_with_spans
+from repro.obs import phase
 from repro.obs.metrics import get_registry, labeled
 
 __all__ = [
@@ -87,13 +88,17 @@ def compile_source(text: str, base: Optional[CompileResult] = None) -> CompileRe
     """Parse, elaborate and lint ``text``; never raises for bad input.
 
     ``base`` is the result of compiling a source that ``text`` may differ
-    from in one line.  Then only the module item holding that line is
-    re-lexed and re-parsed (:func:`repro.hdl.incremental.reparse_edit`) and
-    the rest of the base's parse is reused; the spliced unit is elaborated
-    and linted in full.  Any other edit, and any edit whose re-parse raises,
-    takes the full path, so the result is the same with or without ``base``.
-    The ambient registry counts ``hdl.reparse.items`` and
-    ``hdl.reparse.fallback[<reason>]``.
+    from in one line, or by lines inserted before its last ``endmodule``.
+    Then only the module item holding that line, or only the inserted
+    lines, are lexed and parsed (:func:`repro.hdl.incremental.reparse_edit`)
+    and the rest of the base's parse is reused; the spliced unit is
+    elaborated and linted in full.  Any other edit, and any edit whose
+    re-parse raises, takes the full path, so the result is the same with or
+    without ``base``.  The ambient registry counts ``hdl.reparse.items``
+    (one-line edits), ``hdl.reparse.inserts`` (insertions) and
+    ``hdl.reparse.fallback[<reason>]``.  Parsing and elaboration run under
+    ``hdl.parse`` and ``hdl.elaborate`` phases, the lint tier under
+    ``analyze.pass.<id>`` phases.
     """
     if base is not None:
         result = _compile_edit(text, base)
@@ -101,12 +106,14 @@ def compile_source(text: str, base: Optional[CompileResult] = None) -> CompileRe
             return result
     sink = DiagnosticSink()
     try:
-        unit, spans = parse_with_spans(text)
+        with phase("hdl.parse"):
+            unit, spans = parse_with_spans(text)
     except HdlError as exc:
         sink.diagnostics.append(exc.to_diagnostic())
         return CompileResult(ok=False, diagnostics=sink.diagnostics)
     try:
-        design = elaborate(unit)
+        with phase("hdl.elaborate"):
+            design = elaborate(unit)
     except HdlError as exc:
         sink.diagnostics.append(exc.to_diagnostic())
         return CompileResult(ok=False, diagnostics=sink.diagnostics, unit=unit, item_spans=spans)
@@ -118,26 +125,27 @@ def compile_source(text: str, base: Optional[CompileResult] = None) -> CompileRe
 
 
 def _compile_edit(text: str, base: CompileResult) -> Optional[CompileResult]:
-    """``text`` compiled by re-parsing one item of ``base``; None to fall back."""
+    """``text`` compiled by re-parsing only its edit of ``base``; None to fall back."""
     registry = get_registry()
     if base.unit is None:
         registry.inc(labeled("hdl.reparse.fallback", "base did not parse"))
         return None
     try:
-        edit = reparse_edit(text, base.unit, base.item_spans)
+        with phase("hdl.parse"):
+            edit = reparse_edit(text, base.unit, base.item_spans)
         if isinstance(edit, str):
             registry.inc(labeled("hdl.reparse.fallback", edit))
             return None
-        unit, spans = edit
-        design = elaborate(unit)
+        with phase("hdl.elaborate"):
+            design = elaborate(edit.unit)
     except HdlError:
         registry.inc(labeled("hdl.reparse.fallback", "hdl error"))
         return None
-    registry.inc("hdl.reparse.items")
+    registry.inc(edit.counter)
     sink = lint_design(design)
     return CompileResult(
-        ok=not sink.has_errors, diagnostics=sink.diagnostics, unit=unit, design=design,
-        item_spans=spans,
+        ok=not sink.has_errors, diagnostics=sink.diagnostics, unit=edit.unit, design=design,
+        item_spans=edit.spans,
     )
 
 

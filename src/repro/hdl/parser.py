@@ -11,6 +11,7 @@ with a precise location, which is what the pipeline's compile stage needs.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import NamedTuple, Optional
 
 from repro.hdl import ast
@@ -79,6 +80,9 @@ class Parser:
     def __init__(self, tokens: list[Token], text: str = ""):
         self._tokens = tokens
         self._pos = 0
+        self._end = len(tokens) - 1
+        #: ``tokens[_pos]``; only :meth:`_advance` moves it.
+        self._current = tokens[0]
         self._text = text
         self.item_spans: list[ItemSpan] = []
 
@@ -86,18 +90,14 @@ class Parser:
     # token-stream helpers
     # ------------------------------------------------------------------ #
 
-    @property
-    def _current(self) -> Token:
-        return self._tokens[self._pos]
-
     def _peek(self, offset: int = 1) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[min(self._pos + offset, self._end)]
 
     def _advance(self) -> Token:
         token = self._current
-        if self._pos < len(self._tokens) - 1:
+        if self._pos < self._end:
             self._pos += 1
+            self._current = self._tokens[self._pos]
         return token
 
     def _error(self, message: str, token: Optional[Token] = None) -> ParseError:
@@ -174,7 +174,11 @@ class Parser:
             self._parse_port_list(module)
             self._expect_punct(")")
         self._expect_punct(";")
+        self._parse_items(module, index)
+        return module
 
+    def _parse_items(self, module: ast.Module, index: int) -> None:
+        """Body items of module ``index`` up to its ``endmodule``, with their spans."""
         items = module.items
         while not self._current.is_keyword("endmodule"):
             first = self._current
@@ -191,7 +195,6 @@ class Parser:
                     )
                 )
         self._expect_keyword("endmodule")
-        return module
 
     def parse_module_item(self) -> Optional[ast.ModuleItem]:
         """Parse the whole token stream as one body item, as :meth:`parse` would.
@@ -205,6 +208,21 @@ class Parser:
         if self._current.kind is not TokenKind.EOF or len(scratch.items) != 1:
             return None
         return scratch.items[0]
+
+    def parse_appended_items(self, module: ast.Module, index: int) -> Optional[ast.Module]:
+        """``module`` with the token stream's body items appended, as :meth:`parse` would.
+
+        ``module`` is number ``index`` of its unit, and the tokens run on to
+        its closing ``endmodule``: the items are read exactly as :meth:`parse`
+        reads what follows ``module``'s last item, and their spans are added
+        to :attr:`item_spans`.  Returns ``None`` when the tokens write a port
+        or parameter (which adds no item) or go on past that ``endmodule``.
+        """
+        scratch = ast.Module(name=module.name, items=list(module.items))
+        self._parse_items(scratch, index)
+        if self._current.kind is not TokenKind.EOF or scratch.ports or scratch.parameters:
+            return None
+        return dataclasses.replace(module, items=scratch.items)
 
     def _parse_parameter_port_list(self, module: ast.Module) -> None:
         self._expect_punct("(")

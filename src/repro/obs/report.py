@@ -162,21 +162,24 @@ def render_report(data: TraceData, top: int = 10) -> str:
         lines += ["", "caches:"] + cache_lines
     consumed.update(_CACHE_COUNTERS)
 
-    reparsed = counters.get("hdl.reparse.items", 0)
+    items = counters.get("hdl.reparse.items", 0)
+    inserts = counters.get("hdl.reparse.inserts", 0)
+    reparsed = items + inserts
     reparse_fallbacks = {
         label: value
         for key, value in counters.items()
         for name, label in (split_label(key),)
         if name == "hdl.reparse.fallback" and label is not None
     }
-    consumed.add("hdl.reparse.items")
+    consumed.update(("hdl.reparse.items", "hdl.reparse.inserts"))
     consumed.update(key for key in counters if split_label(key)[0] == "hdl.reparse.fallback")
     if reparsed or reparse_fallbacks:
         edits = reparsed + sum(reparse_fallbacks.values())
-        lines += ["", "front end (one-line edits of a cached source):"]
+        lines += ["", "front end (edits of a cached source):"]
         lines.append(
-            f"  {reparsed} of {edits} re-parsed one module item"
-            f" ({_hit_rate(reparsed, edits - reparsed)})"
+            f"  {reparsed} of {edits} parsed incrementally"
+            f" ({_hit_rate(reparsed, edits - reparsed)}): {items} re-parsed one module item,"
+            f" {inserts} parsed only inserted lines"
             + (" · full parse, by reason:" if reparse_fallbacks else "")
         )
         for label, value in sorted(

@@ -40,6 +40,7 @@ from repro.sim.engine import (
     _MAX_SETTLE_ITERATIONS,
     SimulationError,
     SimulatorOptions,
+    clock_nets,
     detect_clock,
 )
 from repro.sim.trace import DiffTrace, TraceSample
@@ -1046,8 +1047,10 @@ class CompiledSimulator:
             raise CompileError(f"clock '{self._clock}' is not a 1-bit signal")
 
         # Clock-edge trigger lists mirror InterpSimulator._fire_clock_edge /
-        # _fire_async_edges: posedge/negedge of the active clock fire on
-        # step(); every other edge is an asynchronous trigger.
+        # _fire_async_edges: posedge/negedge of the active clock (or of a
+        # net tied to it, see clock_nets) fire on step(); every other edge
+        # is an asynchronous trigger.
+        clocks = clock_nets(design, self._clock)
         self._posedge_blocks: list[_CompiledBlock] = []
         self._negedge_blocks: list[_CompiledBlock] = []
         self._async_slots: list[int] = []
@@ -1055,12 +1058,10 @@ class CompiledSimulator:
         self._async_triggers: list[tuple[_CompiledBlock, list[tuple[int, str]]]] = []
         for block in c.seq_blocks:
             triggers: list[tuple[int, str]] = []
+            clock_edges = set()
             for signal, edge in block.edges:
-                if signal == self._clock:
-                    if edge == "posedge":
-                        self._posedge_blocks.append(block)
-                    else:
-                        self._negedge_blocks.append(block)
+                if signal in clocks:
+                    clock_edges.add(edge)
                     continue
                 slot = self._slots.get(signal)
                 if slot is None:
@@ -1069,6 +1070,10 @@ class CompiledSimulator:
                     async_index[slot] = len(self._async_slots)
                     self._async_slots.append(slot)
                 triggers.append((async_index[slot], edge))
+            if "posedge" in clock_edges:
+                self._posedge_blocks.append(block)
+            if "negedge" in clock_edges:
+                self._negedge_blocks.append(block)
             if triggers:
                 self._async_triggers.append((block, triggers))
 

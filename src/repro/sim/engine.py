@@ -59,6 +59,30 @@ def detect_clock(design: ElaboratedDesign) -> str:
     return "__virtual_clock"
 
 
+def clock_nets(design: ElaboratedDesign, clock: str) -> frozenset[str]:
+    """``clock`` and every signal tied to it by continuous identifier copies.
+
+    A flattened instance receives its clock port as ``assign u1__clk = clk;``,
+    so ``u1__clk`` is the same net as ``clk`` (and as ``u0__clk``, which
+    :func:`detect_clock` may have picked): a block clocked on any of these
+    fires on the clock's edge, not as an asynchronous trigger.
+    """
+    copies: dict[str, set[str]] = {}
+    for assign in design.continuous_assigns:
+        target, value = assign.target, assign.value
+        if isinstance(target, ast.Identifier) and isinstance(value, ast.Identifier):
+            copies.setdefault(target.name, set()).add(value.name)
+            copies.setdefault(value.name, set()).add(target.name)
+    nets = {clock}
+    frontier = [clock]
+    while frontier:
+        for name in copies.get(frontier.pop(), ()):
+            if name not in nets:
+                nets.add(name)
+                frontier.append(name)
+    return frozenset(nets)
+
+
 class InterpSimulator:
     """Tree-walking cycle-based simulator for one elaborated design.
 
@@ -73,6 +97,7 @@ class InterpSimulator:
         self._design = design
         self._options = options or SimulatorOptions()
         self._clock = detect_clock(design)
+        self._clocks = clock_nets(design, self._clock)
         self._env: dict[str, LogicValue] = {}
         self._previous_env: dict[str, LogicValue] = {}
         self._trace = Trace(signals=sorted(design.signals))
@@ -223,7 +248,7 @@ class InterpSimulator:
         triggered: list[ProceduralBlock] = []
         for block in self._design.seq_blocks:
             for item in block.clock_edges():
-                if item.signal == self._clock:
+                if item.signal in self._clocks:
                     continue
                 if self._edge_occurred(item.signal, item.edge):
                     triggered.append(block)
@@ -239,7 +264,7 @@ class InterpSimulator:
             block
             for block in self._design.seq_blocks
             if any(
-                item.signal == self._clock and item.edge == "posedge"
+                item.signal in self._clocks and item.edge == "posedge"
                 for item in block.clock_edges()
             )
         ]
@@ -249,7 +274,7 @@ class InterpSimulator:
             block
             for block in self._design.seq_blocks
             if any(
-                item.signal == self._clock and item.edge == "negedge"
+                item.signal in self._clocks and item.edge == "negedge"
                 for item in block.clock_edges()
             )
         ]

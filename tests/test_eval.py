@@ -2,8 +2,12 @@
 cache determinism of the benchmark harness, and semantic challenging-case
 mining."""
 
+import shutil
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.artifacts import ArtifactStore
 from repro.dataaug.datasets import SvaBugEntry
 from repro.analyze import build_dfg
@@ -14,10 +18,12 @@ from repro.eval.reports import read_split, write_reports
 from repro.eval.verifier import (
     CandidateFix,
     RepairVerdict,
+    VERIFIER_SOURCES,
     VERIFIER_VERSION,
     SemanticVerifier,
     VerifierConfig,
     derive_verification_seeds,
+    verifier_version,
 )
 from repro.hdl.lint import compile_source
 from repro.model.assertsolver_model import AssertSolverModel
@@ -255,6 +261,32 @@ def test_verdict_entry_with_an_uncached_status_is_a_corrupt_miss(tmp_path, store
     assert verdict.status == "pass"
     assert (cache.corrupt, cache.misses, cache.hits) == (1, 1, 0)
     assert cache.get(key)["status"] == "pass"
+
+
+def test_verifier_version_is_a_digest_of_the_code_that_decides_verdicts(tmp_path):
+    package = Path(repro.__file__).resolve().parent
+    copy = tmp_path / "repro"
+    for name in VERIFIER_SOURCES:
+        if (package / name).is_dir():
+            shutil.copytree(package / name, copy / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            (copy / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(package / name, copy / name)
+    # The digest reads the files' relative paths and bytes only.
+    assert verifier_version(copy) == VERIFIER_VERSION
+    (copy / "model").mkdir()
+    (copy / "model" / "features.py").write_text("# not verdict code\n")
+    assert verifier_version(copy) == VERIFIER_VERSION
+    # Flipping one bit of any covered file changes the version.
+    for name in ("hdl/lint.py", "sim/engine.py", "sva/kernel.py", "analyze/passes.py",
+                 "eval/verifier.py"):
+        target = copy / name
+        data = target.read_bytes()
+        target.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+        assert verifier_version(copy) != VERIFIER_VERSION, name
+        target.write_bytes(data)
+    assert verifier_version(copy) == VERIFIER_VERSION
 
 
 # ---------------------------------------------------------------------- #

@@ -5,19 +5,24 @@ module instance, to prefix their names.  These tests pin what that relies
 on: prefixed names are right, elaborating leaves the parsed unit as it was,
 two elaborations of one parse render the same canonical text, and both
 simulators agree
-on the flattened design.  They also pin diagnostic line numbers after a
-string literal that continues across a backslash-newline.
+on the flattened design, where an instance clocked through a port fires on
+the clock's edge.  They also pin diagnostic line numbers after a string
+literal that continues across a backslash-newline, and that undeclared
+assignment targets are reported as the pre-sweep check reported them.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from design_canon import design_canonical_text
 from repro.hdl import ast
 from repro.hdl.elaborate import elaborate
+from repro.hdl.errors import ElaborationError
 from repro.hdl.lint import compile_source
 from repro.hdl.parser import parse_source
 from repro.sim.compile import CompiledSimulator
-from repro.sim.engine import InterpSimulator
+from repro.sim.engine import InterpSimulator, clock_nets
 from repro.sim.stimulus import StimulusGenerator
 
 HIERARCHICAL = """\
@@ -105,6 +110,21 @@ def test_simulators_agree_on_the_hierarchical_design():
         assert rev == int(f"{a:04b}"[::-1], 2)
 
 
+def test_an_instance_clocked_through_its_port_fires_on_the_clock_edge():
+    # Both instances receive clk through a port copy (u0__clk = clk,
+    # u1__clk = clk); the detected clock is u0__clk, and u1__clk is the
+    # same net, so u1's register accumulates too: the same sums as u0's,
+    # at eight bits instead of four.
+    design = compile_source(HIERARCHICAL).design
+    assert clock_nets(design, "u0__clk") == {"clk", "u0__clk", "u1__clk"}
+    vectors = StimulusGenerator(design, seed=11).mixed_stimulus(random_cycles=24).vectors
+    for simulator in (InterpSimulator(design), CompiledSimulator(design)):
+        trace = simulator.run(vectors)
+        sums = [(s.post_edge["u0__q"].value, s.post_edge["u1__q"].value) for s in trace]
+        assert any(u1 > 15 for _, u1 in sums), type(simulator).__name__
+        assert all(u1 & 0xF == u0 for u0, u1 in sums), type(simulator).__name__
+
+
 def test_lines_after_an_escaped_newline_in_a_string_are_counted():
     source = (
         "module m(input wire a);\n"
@@ -120,3 +140,40 @@ def test_lines_after_an_escaped_newline_in_a_string_are_counted():
     (error,) = result.errors
     assert error.code == "undeclared-signal"
     assert (error.line, error.message) == (6, "assignment to undeclared signal 'q'")
+
+
+UNDECLARED_TARGETS = """\
+module targets (
+    input wire clk,
+    input wire a,
+    output reg q
+);
+    always @(posedge clk) begin
+        if (a) {ghost_hi, q} <= 2'b01;
+        else case (a)
+            1'b0: ghost_case <= a;
+            default: q <= a;
+        endcase
+    end
+    always @(*) ghost_comb = a;
+    assign ghost_wire = a;
+endmodule
+"""
+
+
+@pytest.mark.parametrize("drop", [(), ("ghost_wire",), ("ghost_wire", "ghost_comb")])
+def test_undeclared_targets_are_reported_as_the_pre_sweep_check_did(drop, monkeypatch):
+    import importlib
+
+    from frontend_oracle import check_design
+
+    elaborate_module = importlib.import_module("repro.hdl.elaborate")
+
+    lines = [line for line in UNDECLARED_TARGETS.split("\n") if not any(d in line for d in drop)]
+    text = "\n".join(lines)
+    (error,) = compile_source(text).errors
+    monkeypatch.setattr(elaborate_module, "_check_design", lambda design: None)
+    design = elaborate(parse_source(text))
+    with pytest.raises(ElaborationError) as expected:
+        check_design(design)
+    assert (error.line, error.message) == (expected.value.line, expected.value.message)

@@ -10,7 +10,13 @@ the design's canonical text and the recorded item spans.  Inputs:
   their assertion-carrying (Stage-2 augmented) versions;
 * seeded random one-line edits that try to move item boundaries;
 * the human-split buggy sources against their goldens;
+* every grid golden with its template and mined SVAs inserted before
+  ``endmodule``, and seeded random insertions;
 * one hand-written edit per fallback guard, each pinned to its reason.
+
+Every full compile is also checked against the pre-sweep analyses of
+``frontend_oracle`` (dependency graph, driver lines, lint diagnostics and
+walk order).
 
 The incremental path shares AST nodes across designs of different sources,
 so the suite also pins that verifying spliced candidates leaves the base's
@@ -25,6 +31,7 @@ import pytest
 
 import repro.bugs.injector as injector_module
 from design_canon import design_canonical_text
+from frontend_oracle import oracle_mismatches
 from repro.artifacts import ArtifactStore
 from repro.bugs.injector import BugInjector, InjectionConfig
 from repro.corpus.templates import all_families
@@ -35,7 +42,10 @@ from repro.hdl.lexer import tokenize
 from repro.hdl.parser import Parser, parse_source
 from repro.hdl.source import leading_whitespace
 from repro.obs.metrics import scoped_registry, split_label
-from repro.sva.generator import insert_assertions, template_assertion_blocks
+from repro.sim import Simulator
+from repro.sim.stimulus import StimulusGenerator
+from repro.sva.generator import insert_assertions, mine_assertions, template_assertion_blocks
+from repro.sva.kernel import simulate_and_check
 
 
 def outcome(result):
@@ -49,21 +59,26 @@ def outcome(result):
 
 
 def mismatches(base_text: str, texts) -> list[str]:
+    """The texts whose incremental compile differs from the full one, or
+    whose full compile differs from the pre-sweep analyses (frontend_oracle)."""
     base = compile_source(base_text)
-    return [
-        text
-        for text in texts
-        if outcome(compile_source(text, base=base)) != outcome(compile_source(text))
-    ]
+    failed = []
+    for text in texts:
+        full = compile_source(text)
+        if outcome(compile_source(text, base=base)) != outcome(full) or oracle_mismatches(full):
+            failed.append(text)
+    return failed
 
 
 def reparse_counts(registry) -> dict[str, int]:
-    """``{"items": n, <fallback reason>: n, ...}`` from the reparse counters."""
+    """``{"items": n, "inserts": n, <fallback reason>: n, ...}`` from the counters."""
     counts = {}
     for key, value in registry.counters.items():
         name, label = split_label(key)
         if name == "hdl.reparse.items":
             counts["items"] = value
+        elif name == "hdl.reparse.inserts":
+            counts["inserts"] = value
         elif name == "hdl.reparse.fallback":
             counts[label] = value
     return counts
@@ -259,6 +274,36 @@ def test_verifying_spliced_candidates_leaves_the_base_parse_intact(grid, monkeyp
     assert repr(store.compile(augmented).unit) == repr(parse_source(augmented))
 
 
+def test_mutants_share_block_bodies_and_leave_the_base_unchanged(grid, monkeypatch):
+    """Each mutant's unedited always blocks are the base parse's own body
+    nodes; compiling, lowering, simulating and checking every mutant of
+    every family writes none of them."""
+    shared = 0
+    for golden, augmented in grid:
+        if golden == augmented:
+            continue
+        store = ArtifactStore()
+        base = store.compile(augmented)
+        before = (repr(base.unit), design_canonical_text(base.design))
+        mutants = injector_mutants(augmented, monkeypatch)
+        outcomes = simulate_and_check(
+            store, [(mutant, (1,)) for mutant in mutants], 48, 2, "test", augmented
+        )
+        assert len(outcomes) == len(mutants)
+        base_bodies = {id(block.body) for block in base.design.comb_blocks + base.design.seq_blocks}
+        for mutant in mutants:
+            design = store.compile(mutant, augmented).design
+            if design is not None:
+                shared += sum(
+                    id(block.body) in base_bodies
+                    for block in design.comb_blocks + design.seq_blocks
+                )
+        assert (repr(base.unit), design_canonical_text(base.design)) == before
+        fresh = compile_source(augmented)
+        assert before == (repr(fresh.unit), design_canonical_text(fresh.design))
+    assert shared > 1000
+
+
 # --------------------------------------------------------------------------- #
 # one edit per guard
 # --------------------------------------------------------------------------- #
@@ -344,7 +389,7 @@ def test_line_count_block_comment_and_unchanged_text_fall_back():
         lines[:9] + ["    assign y = t | u;", "    assign t = a - P;"] + lines[11:]
     )
     cases = [
-        (GUARDED.replace("    assign t", "    assign t = a;\n    assign t"), base, "line count"),
+        (GUARDED.replace("    assign y = t ^ u;\n", ""), base, "line count"),
         (two_lines, base, "not one line"),
         (GUARDED, base, "not one line"),
         (commented.replace("t ^ u", "t | u"), compile_source(commented), "block comment"),
@@ -353,5 +398,160 @@ def test_line_count_block_comment_and_unchanged_text_fall_back():
     for text, base_result, reason in cases:
         with scoped_registry() as registry:
             result = compile_source(text, base=base_result)
+        assert outcome(result) == outcome(compile_source(text)), reason
+        assert reparse_counts(registry) == {reason: 1}
+
+
+# --------------------------------------------------------------------------- #
+# insertions before endmodule
+# --------------------------------------------------------------------------- #
+
+
+def sva_insertions(family, point: int, params) -> tuple[str, list[str]]:
+    """A grid golden and its sources with template and mined SVAs inserted.
+
+    The candidates are Stage 2's: the template blocks plus the assertions
+    mined from a trace of the golden.  Inserted are all of them, the
+    template blocks alone, the mined ones alone and each one by itself.
+    """
+    artifact = family.build(f"{family.name}_{point:02d}", **params)
+    golden = artifact.source
+    design = compile_source(golden).design
+    vectors = StimulusGenerator(design, seed=11).mixed_stimulus(random_cycles=48).vectors
+    template = template_assertion_blocks(artifact.template_svas, artifact.family)
+    mined = mine_assertions(design, Simulator(design).run(vectors), max_assertions=5)
+    groups = [template + mined, template, mined] + [[one] for one in template + mined]
+    texts = {insert_assertions(golden, group) for group in groups}
+    texts.discard(golden)
+    return golden, sorted(texts)
+
+
+def test_grid_goldens_with_inserted_svas_take_the_insertion_path():
+    edits = 0
+    with scoped_registry() as registry:
+        for family in all_families():
+            for point, params in enumerate(family.parameter_grid):
+                golden, texts = sva_insertions(family, point, params)
+                edits += len(texts)
+                assert mismatches(golden, texts) == [], family.name
+    assert edits > 500
+    # Two compiles with a base per text: the differential's and the oracle
+    # check's full compile has none.  Every one parsed only the insertion.
+    assert reparse_counts(registry) == {"inserts": edits}
+
+
+def random_insertion(rng: random.Random, source: str, blocks: list[str]) -> str:
+    """Seeded lines inserted into ``source``, mostly right before ``endmodule``."""
+    lines = source.split("\n")
+    ends = [at for at, line in enumerate(lines) if line.lstrip().startswith("endmodule")]
+    at = ends[-1] if ends and rng.random() < 0.8 else rng.randrange(len(lines) + 1)
+    pool = [
+        lambda: rng.choice(blocks) if blocks else "    assign nosuch = 1;",
+        lambda: rng.choice(lines),
+        lambda: "    " + rng.choice(BOUNDARY_WORDS),
+        lambda: "    else " + rng.choice(lines).strip(),
+        lambda: "    /* " + rng.choice(lines).strip() + " */",
+        lambda: "    // " + rng.choice(lines).strip(),
+        lambda: rng.choice(("", "    ")),
+        lambda: rng.choice(
+            ("    input wire extra;", "    parameter Q = 1;", "    localparam L = 2;",
+             "    wire [3:0] extra_w;", "    assign nosuch = 1;", "    assign = ;",
+             '    initial $display("x\\', "module extra (input wire c);")
+        ),
+    ]
+    inserted = [rng.choice(pool)() for _ in range(rng.randint(1, 4))]
+    return "\n".join(lines[:at] + inserted + lines[at:])
+
+
+def test_random_insertions_match_the_full_parse(grid):
+    rng = random.Random(30)
+    blocks = {
+        golden: [block.render() for block in template_assertion_blocks(
+            artifact.template_svas, artifact.family)]
+        for family in all_families()
+        for point, params in enumerate(family.parameter_grid)
+        for artifact in (family.build(f"{family.name}_{point:02d}", **params),)
+        for golden in (artifact.source,)
+    }
+    sources = [(source, blocks[golden]) for golden, augmented in grid
+               for source in (golden, augmented)]
+    failures = []
+    with scoped_registry() as registry:
+        for _ in range(800):
+            base, candidates = rng.choice(sources)
+            failures += mismatches(base, [random_insertion(rng, base, candidates)])
+    assert failures == []
+    counts = reparse_counts(registry)
+    assert counts["inserts"] > 100
+    assert set(counts) == {
+        "inserts", "not an insertion", "block comment", "first token", "item parse",
+        "hdl error",
+    }
+
+
+INSERT_BASE = """\
+module inserted (
+    input wire clk,
+    input wire a,
+    input wire t,
+    output reg q
+);
+    always @(posedge clk)
+        if (a) q <= t;
+endmodule
+"""
+
+ASSERTION = "    a_q: assert property (@(posedge clk) a |=> q == $past(t));"
+
+#: (lines to insert, where (None: before endmodule), the reason or None).
+INSERT_EDITS = [
+    ([ASSERTION], None, None),
+    ([ASSERTION, "    // trailing note", ""], None, None),
+    (["    property p_q;", "        @(posedge clk) a |=> q;", "    endproperty",
+      "    assert property (p_q);"], None, None),
+    (["    wire w;", "    assign w = a;"], None, None),
+    ([ASSERTION], 7, "not an insertion"),
+    (["    /* note */"], None, "block comment"),
+    (["    else q <= a;"], None, "first token"),
+    (["    input wire b;"], None, "item parse"),
+    (["    parameter Q = 1;"], None, "item parse"),
+    (["endmodule", "module extra (input wire c);"], None, "item parse"),
+    (["    assign = ;"], None, "hdl error"),
+    (["    assign q = a;"], None, None),
+]
+
+
+@pytest.mark.parametrize("inserted,at,reason", INSERT_EDITS)
+def test_each_insertion_guard_falls_back_to_the_full_parse(inserted, at, reason):
+    lines = INSERT_BASE.split("\n")
+    at = lines.index("endmodule") if at is None else at
+    text = "\n".join(lines[:at] + inserted + lines[at:])
+    base = compile_source(INSERT_BASE)
+    assert base.ok
+    with scoped_registry() as registry:
+        result = compile_source(text, base=base)
+    assert outcome(result) == outcome(compile_source(text))
+    assert not oracle_mismatches(result)
+    assert reparse_counts(registry) == {reason or "inserts": 1}
+
+
+def test_insertion_guards_on_the_base_side():
+    # The last module has no item, so nothing shows where its body ends.
+    two_modules = INSERT_BASE + "module empty (input wire c);\nendmodule\n"
+    # A string that ends inside the endmodule line's comment in the full
+    # parse leaves no endmodule token where the insertion expects one.
+    quoted = INSERT_BASE.replace("endmodule", 'endmodule // "')
+    cases = [
+        (two_modules, ["    wire w;"], "last item"),
+        (quoted, ['    initial $display("x\\'], "endmodule line"),
+    ]
+    for base_text, inserted, reason in cases:
+        base = compile_source(base_text)
+        assert base.ok, base.render()
+        lines = base_text.split("\n")
+        at = max(i for i, line in enumerate(lines) if line.startswith("endmodule"))
+        text = "\n".join(lines[:at] + inserted + lines[at:])
+        with scoped_registry() as registry:
+            result = compile_source(text, base=base)
         assert outcome(result) == outcome(compile_source(text)), reason
         assert reparse_counts(registry) == {reason: 1}

@@ -199,6 +199,42 @@ def test_phase_records_span_and_duration_histogram():
     assert registry.histograms["verify.compile_s"]["count"] == 1
 
 
+def test_compile_source_splits_into_parse_elaborate_and_lint_phases(tmp_path, capsys):
+    from repro.analyze import LINT_PASSES
+    from repro.corpus.templates import all_families
+
+    family = all_families()[0]
+    artifact = family.build("dut", **family.parameter_grid[0])
+    golden = artifact.source
+    lines = golden.split("\n")
+    number = next(i for i, line in enumerate(lines) if "<=" in line and "+" in line)
+    lines[number] = lines[number].replace("+", "-", 1)
+    augmented = insert_assertions(
+        golden, template_assertion_blocks(artifact.template_svas, artifact.family)
+    )
+    trace = tmp_path / "compile.jsonl"
+    tracer = Tracer()
+    set_tracer(tracer)
+    with scoped_registry() as registry:
+        base = compile_source(golden)
+        compile_source("\n".join(lines), base=base)
+        compile_source(augmented, base=base)
+    # Full, one-line and insertion compiles: each parses, elaborates and
+    # runs the six lint passes under its own phase.
+    assert (registry.counters["hdl.reparse.items"], registry.counters["hdl.reparse.inserts"]) == (
+        1, 1)
+    names = [span.name for span in tracer.spans]
+    lint = [f"analyze.pass.{pass_id}" for pass_id, _ in LINT_PASSES]
+    for name in ["hdl.parse", "hdl.elaborate"] + lint:
+        assert names.count(name) == 3, name
+        assert registry.histograms[f"{name}_s"]["count"] == 3, name
+    write_trace(trace, tracer, metrics=registry, meta={"kind": "compile"})
+    assert obs_main(["summarize", str(trace)]) == 0
+    out = capsys.readouterr().out
+    assert "hdl.parse" in out and "hdl.elaborate" in out
+    assert "1 parsed only inserted lines" in out
+
+
 # ---------------------------------------------------------------------- #
 # worker telemetry ships through run_jobs
 # ---------------------------------------------------------------------- #
