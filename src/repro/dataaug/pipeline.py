@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.bugs.injector import InjectionConfig
 from repro.corpus.generator import Corpus, CorpusConfig, CorpusGenerator
 from repro.corpus.metadata import LENGTH_BINS, length_bin
 from repro.dataaug.datasets import AugmentedDatasets, DatasetStatistics, SvaBugEntry
@@ -56,7 +57,11 @@ class PipelineConfig:
         return cls(
             seed=seed,
             corpus=CorpusConfig(seed=seed, design_count=10, corrupted_fraction=0.3),
-            stage2=Stage2Config(seed=seed + 1, random_cycles=32, max_bugs_per_design=3),
+            stage2=Stage2Config(
+                seed=seed + 1,
+                random_cycles=32,
+                injection=InjectionConfig(max_bugs_per_design=3),
+            ),
             stage3=Stage3Config(seed=seed + 2),
             job_policy=JobPolicy(workers=workers),
         )

@@ -58,7 +58,6 @@ class Stage2Config:
     seed: int = 11
     random_cycles: int = 48
     max_mined_assertions: int = 5
-    max_bugs_per_design: int = 6
     injection: InjectionConfig = field(default_factory=InjectionConfig)
 
 
@@ -119,12 +118,8 @@ class Stage2Runner:
 
     def _sample_injector(self, sample: CorpusSample) -> BugInjector:
         """A fresh, deterministically seeded injector for one sample."""
-        injection = replace(
-            self._config.injection,
-            seed=derive_seed(self._config.injection.seed, sample.name),
-            max_bugs_per_design=self._config.max_bugs_per_design,
-        )
-        return BugInjector(injection)
+        injection = self._config.injection
+        return BugInjector(replace(injection, seed=derive_seed(injection.seed, sample.name)))
 
     # ------------------------------------------------------------------ #
     # SVA generation + validation

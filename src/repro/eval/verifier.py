@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -240,9 +240,11 @@ class SemanticVerifier:
             if self.cache is not None:
                 self.cache.put(key, verdict.to_dict())
         # The patch site is call-local metadata, not part of the cached verdict.
-        verdict = RepairVerdict.from_dict(verdict.to_dict())
-        verdict.applied_line_number = line_number
-        return verdict
+        return replace(
+            verdict,
+            applied_line_number=line_number,
+            failing_assertions=list(verdict.failing_assertions),
+        )
 
     def verify_source(
         self,

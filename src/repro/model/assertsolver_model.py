@@ -26,6 +26,7 @@ from repro.model.challenging import collect_challenging_cases
 from repro.model.cot import build_explanation
 from repro.model.dpo import DpoConfig, DpoReport, DpoTrainer
 from repro.model.features import LOCALISATION_FEATURE_NAMES
+from repro.model.fixes import FixCandidate
 from repro.model.policy import PolicyWeights, RepairPolicy
 from repro.model.pretrain import PretrainedKnowledge, run_pretraining
 from repro.model.response import RepairEngine, RepairResponse
@@ -162,22 +163,8 @@ class AssertSolverModel(RepairEngine):
         responses: list[RepairResponse] = []
         for _ in range(samples):
             sampled = self.policy.sample(case, rng, temperature=temperature)
-            if sampled is None:
-                responses.append(self._fallback_response(case))
-                continue
-            line_number, candidate, probability = sampled
-            explanation = build_explanation(
-                case, line_number, candidate.original_line, candidate.fixed_line, candidate.pattern
-            )
             responses.append(
-                RepairResponse(
-                    bug_line=candidate.original_line.strip(),
-                    fixed_line=candidate.fixed_line.strip(),
-                    line_number=line_number,
-                    explanation=explanation,
-                    confidence=probability,
-                    metadata={"pattern": candidate.pattern, "stage": self.stage.value},
-                )
+                self._fallback_response(case) if sampled is None else self._response(case, *sampled)
             )
         return responses
 
@@ -191,22 +178,22 @@ class AssertSolverModel(RepairEngine):
         ranked = self.policy.top_candidates(case, k=k, temperature=temperature)
         if not ranked:
             return [self._fallback_response(case)]
-        responses: list[RepairResponse] = []
-        for line_number, candidate, probability in ranked:
-            explanation = build_explanation(
+        return [self._response(case, *choice) for choice in ranked]
+
+    def _response(
+        self, case: RepairCase, line_number: int, candidate: FixCandidate, probability: float
+    ) -> RepairResponse:
+        """The JSON response for one chosen ``(line, fix, probability)``."""
+        return RepairResponse(
+            bug_line=candidate.original_line.strip(),
+            fixed_line=candidate.fixed_line.strip(),
+            line_number=line_number,
+            explanation=build_explanation(
                 case, line_number, candidate.original_line, candidate.fixed_line, candidate.pattern
-            )
-            responses.append(
-                RepairResponse(
-                    bug_line=candidate.original_line.strip(),
-                    fixed_line=candidate.fixed_line.strip(),
-                    line_number=line_number,
-                    explanation=explanation,
-                    confidence=probability,
-                    metadata={"pattern": candidate.pattern, "stage": self.stage.value},
-                )
-            )
-        return responses
+            ),
+            confidence=probability,
+            metadata={"pattern": candidate.pattern, "stage": self.stage.value},
+        )
 
     @staticmethod
     def _fallback_response(case: RepairCase) -> RepairResponse:

@@ -51,15 +51,19 @@ The policy's ``on_error`` selects what a job failure does to the run:
   the result, failures carry a serialisable
   :class:`~repro.runtime.faults.JobFailure`.
 
-Failures are detected in three phases.  A worker exception is caught in the
-worker and shipped back as data.  A per-job ``timeout`` or a worker process
-death is detected by the orchestrator's watchdog: the pool is torn down and
-rebuilt, chunks that were in flight are re-run, and jobs from a lost chunk
-are re-tried as **singleton** chunks so the next loss is attributable to
-exactly one job.  Only attributable failures are charged against
-``max_attempts`` (peers that merely shared a chunk with a hang are
-rescheduled for free); a job that keeps hanging or crashing is quarantined
-after ``max_attempts`` charges rather than retried forever.
+Failures are detected in three phases: a worker exception is caught in the
+worker and shipped back as data, and the orchestrator's watchdog sees a
+per-job ``timeout`` expire or a worker process die.  Pool losses have one
+recovery path.  A loss is a ``BrokenProcessPool`` raised by ``submit`` (a
+worker died since the last wait) or by a result, or an expired chunk
+deadline, and one handler deals with each: the job is charged when exactly
+one is implicated, otherwise every implicated job re-runs as an uncharged
+**singleton** suspect; innocent chunks (the unexpired ones on a timeout,
+the one whose ``submit`` raised) are requeued unchanged; the pool is killed
+and rebuilt.  Suspects run last, one at a time, so each of their losses is
+attributable to exactly one job.  Only attributable failures are charged
+against ``max_attempts``; a job that keeps hanging or crashing is
+quarantined after ``max_attempts`` charges rather than retried forever.
 
 Timeout enforcement and crash recovery need process isolation, so a call
 with a ``timeout`` runs through a pool even for ``workers=1``; without one,
@@ -87,7 +91,6 @@ import warnings
 import zlib
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -507,6 +510,7 @@ class _PendingRun:
     # ------------------------------------------------------------------ #
 
     def run_pooled(self, pending: Sequence[int], workers: int) -> None:
+        """Run chunks on a pool; every loss takes the one path in `Failure handling`_."""
         chunksize = auto_chunksize(len(pending), workers)
         queue: deque[tuple[int, ...]] = deque(
             tuple(pending[start:start + chunksize])
@@ -515,129 +519,75 @@ class _PendingRun:
         context = get_context()
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
         inflight: dict[Future, tuple[tuple[int, ...], Optional[float]]] = {}
-
-        def submit(pool: ProcessPoolExecutor, chunk: tuple[int, ...]) -> None:
-            future = pool.submit(
-                _chunk_entry,
-                (
-                    self.worker_fn,
-                    [self.jobs[i] for i in chunk],
-                    self.context,
-                    self.fault_plan,
-                    self.telemetry,
-                ),
-            )
-            deadline = (
-                time.monotonic() + self.timeout * len(chunk)
-                if self.timeout is not None
-                else None
-            )
-            inflight[future] = (chunk, deadline)
-
-        def charge_or_suspect(index: int, phase: str) -> None:
-            if self._fail(index, self._lost_failure(phase), None, 0.0):
-                self.suspects.append(index)
-
+        tick = _WATCHDOG_TICK_S if self.timeout is not None else None
         try:
-            while queue or inflight:
-                while queue and len(inflight) < workers:
-                    submit(pool, queue.popleft())
-                tick = _WATCHDOG_TICK_S if self.timeout is not None else None
-                done, _ = wait(list(inflight), timeout=tick, return_when=FIRST_COMPLETED)
-                lost: list[tuple[int, ...]] = []
-                for future in done:
-                    chunk, _deadline = inflight.pop(future)
-                    try:
-                        entries = future.result()
-                    except BrokenProcessPool:
-                        lost.append(chunk)
-                    else:
-                        self._absorb_chunk(chunk, entries)
-                if lost:
-                    # A worker death breaks the whole pool: every chunk still
-                    # in flight is lost with it.  The loss is attributable
-                    # only when exactly one job was in flight -- otherwise
-                    # any of the implicated jobs could be the killer, so all
-                    # of them are re-run as singleton suspects, uncharged.
-                    lost.extend(chunk for chunk, _deadline in inflight.values())
-                    inflight.clear()
-                    if len(lost) == 1 and len(lost[0]) == 1:
-                        charge_or_suspect(lost[0][0], PHASE_WORKER_DEATH)
-                    else:
-                        for chunk in lost:
-                            self.suspects.extend(chunk)
-                    _kill_pool(pool)
-                    self.registry.inc("runtime.pool_rebuilds")
-                    pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-                    continue
-                if self.timeout is not None and inflight:
-                    now = time.monotonic()
-                    expired = [
-                        future
-                        for future, (_chunk, deadline) in inflight.items()
-                        if deadline is not None and now >= deadline
-                    ]
-                    if expired:
-                        # Deadline expiry *is* attributable per chunk: each
-                        # expired chunk exceeded its own deadline.  Multi-job
-                        # chunks still re-run as suspects for per-job blame.
-                        for future in expired:
-                            chunk, _deadline = inflight.pop(future)
-                            if len(chunk) == 1:
-                                charge_or_suspect(chunk[0], PHASE_TIMEOUT)
-                            else:
-                                self.suspects.extend(chunk)
-                        # Killing the hung worker kills the whole pool; the
-                        # innocent in-flight chunks just run again as-is.
-                        for chunk, _deadline in inflight.values():
-                            queue.appendleft(chunk)
-                        inflight.clear()
-                        _kill_pool(pool)
-                        self.registry.inc("runtime.pool_rebuilds")
-                        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-            self._run_suspects(context)
-        finally:
-            _kill_pool(pool)
-
-    def _run_suspects(self, context) -> None:
-        """Re-run implicated jobs one at a time on a dedicated 1-worker pool.
-
-        With a single singleton in flight, a timeout or worker death is
-        attributable to exactly that job, so charges (and therefore
-        quarantine decisions) are precise even when the original loss
-        happened inside a many-job chunk.
-        """
-        if not self.suspects:
-            return
-        pool = ProcessPoolExecutor(max_workers=1, mp_context=context)
-        try:
-            while self.suspects:
-                index = self.suspects.popleft()
-                future = pool.submit(
-                    _chunk_entry,
-                    (
-                        self.worker_fn,
-                        [self.jobs[index]],
-                        self.context,
-                        self.fault_plan,
-                        self.telemetry,
-                    ),
-                )
+            while queue or inflight or self.suspects:
+                if not queue and not inflight:
+                    # Suspects run last and alone: a loss implicates one job.
+                    queue.append((self.suspects.popleft(),))
+                phase: Optional[str] = None
+                implicated: list[tuple[int, ...]] = []
                 try:
-                    entries = future.result(timeout=self.timeout)
-                except FutureTimeoutError:
-                    _kill_pool(pool)
-                    self.registry.inc("runtime.pool_rebuilds")
-                    pool = ProcessPoolExecutor(max_workers=1, mp_context=context)
-                    if self._fail(index, self._lost_failure(PHASE_TIMEOUT), None, 0.0):
-                        self.suspects.append(index)
+                    while queue and len(inflight) < workers:
+                        chunk = queue[0]
+                        future = pool.submit(
+                            _chunk_entry,
+                            (
+                                self.worker_fn,
+                                [self.jobs[i] for i in chunk],
+                                self.context,
+                                self.fault_plan,
+                                self.telemetry,
+                            ),
+                        )
+                        queue.popleft()
+                        deadline = (
+                            time.monotonic() + self.timeout * len(chunk)
+                            if self.timeout is not None
+                            else None
+                        )
+                        inflight[future] = (chunk, deadline)
                 except BrokenProcessPool:
-                    _kill_pool(pool)
-                    self.registry.inc("runtime.pool_rebuilds")
-                    pool = ProcessPoolExecutor(max_workers=1, mp_context=context)
-                    if self._fail(index, self._lost_failure(PHASE_WORKER_DEATH), None, 0.0):
-                        self.suspects.append(index)
+                    # A worker died since the last wait.  The chunk being
+                    # submitted never ran, so it stays queued.
+                    phase = PHASE_WORKER_DEATH
                 else:
-                    self._absorb_chunk((index,), entries)
+                    done, _ = wait(list(inflight), timeout=tick, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        chunk, _deadline = inflight.pop(future)
+                        try:
+                            entries = future.result()
+                        except BrokenProcessPool:
+                            phase = PHASE_WORKER_DEATH
+                            implicated.append(chunk)
+                        else:
+                            self._absorb_chunk(chunk, entries)
+                    if phase is None and self.timeout is not None:
+                        now = time.monotonic()
+                        for future, (chunk, deadline) in list(inflight.items()):
+                            if now >= deadline:
+                                phase = PHASE_TIMEOUT
+                                implicated.append(chunk)
+                                del inflight[future]
+                if phase is None:
+                    continue
+                # The one loss handler.  A dead worker breaks the whole pool,
+                # so every chunk still in flight is implicated; an expired
+                # deadline implicates only the expired chunks, and killing
+                # the hung worker merely interrupts the others.
+                if phase == PHASE_WORKER_DEATH:
+                    implicated.extend(chunk for chunk, _deadline in inflight.values())
+                else:
+                    queue.extendleft(chunk for chunk, _deadline in inflight.values())
+                inflight.clear()
+                lost = [index for chunk in implicated for index in chunk]
+                if len(lost) == 1:
+                    if self._fail(lost[0], self._lost_failure(phase), None, 0.0):
+                        self.suspects.append(lost[0])
+                else:
+                    self.suspects.extend(lost)
+                _kill_pool(pool)
+                self.registry.inc("runtime.pool_rebuilds")
+                pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
         finally:
             _kill_pool(pool)

@@ -117,20 +117,6 @@ class Trace:
         """Drop memoised columns (called by every mutation entry point)."""
         self.__dict__.pop("_columns_memo", None)
 
-    def columns_cached(self, names: list[str] | None = None) -> TraceColumns | None:
-        """The memoised columns for exactly these names, or None.
-
-        A cheap existence probe: consumers (the compiled checker's per-trace
-        preparation) use a hit to skip the per-sample signal-membership scan
-        entirely -- a memoised build already proved the signals exist.
-        """
-        memo: dict[tuple[str, ...] | None, TraceColumns] | None = self.__dict__.get(
-            "_columns_memo"
-        )
-        if memo is None:
-            return None
-        return memo.get(tuple(names) if names is not None else None)
-
     def __getstate__(self) -> dict[str, Any]:
         # Memoised columns are derived data: rebuilding them costs less than
         # shipping redundant ndarrays across process boundaries.
@@ -141,23 +127,6 @@ class Trace:
     def materialized(self) -> Trace:
         """This trace with every sample realised as plain dicts (identity here)."""
         return self
-
-    def has_signals(self, names: list[str]) -> bool:
-        """True when every name is present in every sample's preponed dict.
-
-        The cheap membership probe consumers use to decide up front whether
-        :meth:`columns` / per-cycle reads can succeed; shared sample dicts
-        (quiet stretches) are probed once, and no values are touched.
-        """
-        prev_pre: dict[str, LogicValue] | None = None
-        for sample in self.samples:
-            pre = sample.pre_edge
-            if pre is prev_pre:
-                continue
-            if any(name not in pre for name in names):
-                return False
-            prev_pre = pre
-        return True
 
     def columns(self, names: list[str] | None = None) -> TraceColumns:
         """Columnar view: per-signal preponed ``(value, xmask)`` ndarrays.
@@ -327,10 +296,6 @@ class DiffTrace(Trace):
     def materialized(self) -> Trace:
         """An eager :class:`Trace` copy (useful before pickling across processes)."""
         return Trace(signals=list(self.signals), samples=list(self.samples))
-
-    def has_signals(self, names: list[str]) -> bool:
-        # Every recorded name holds a value at every cycle: no materialisation.
-        return all(name in self.widths for name in names)
 
     def _build_columns(self, names: list[str] | None = None) -> TraceColumns:
         """Columnar view built from the recorded events.

@@ -32,8 +32,9 @@ tensor (:mod:`repro.sva.vector`):
 There are exactly two engines.  An assertion the vector lowering refuses
 (dynamic part selects, >63-bit operands, ...) is checked by the
 tree-walking :class:`~repro.sva.checker.AssertionChecker`, which is also
-the differential oracle for the tensor; a trace that lacks a referenced
-signal falls back to the oracle for the whole call.  Both engines are
+the differential oracle for the tensor.  Both simulators record every
+design signal, so a trace always has the referenced columns; a trace
+that lacks one (of another design) raises ``KeyError``.  Both engines are
 outcome-identical by differential testing (`tests/test_sva_compile`,
 `tests/test_trace_columns`): attempts, antecedent matches, passes,
 vacuous/pending/disabled counts and every failure's start and failing
@@ -86,8 +87,9 @@ class _StackedColumns:
     true per-row lengths before any truth test (see
     :func:`repro.sva.vector.walk_attempts_tensor`).  A single-trace batch
     skips the copy entirely: its 1-D columns are reshaped ``(1, cycles)``
-    views.  Signal availability was probed up front, so the build cannot
-    fail.
+    views.  Both simulators record every design signal, so the build fails
+    (with :meth:`~repro.sim.trace.Trace.columns`' ``KeyError``) only on a
+    trace of another design.
     """
 
     __slots__ = ("_names", "_traces", "_built")
@@ -311,48 +313,22 @@ class CompiledAssertionChecker:
         Outcome-identical to calling :meth:`check` per trace, in trace
         order, which is what the batch differential test asserts.
         """
-        specs = self._design.assertions
         registry = get_registry()
-        reports: list[CheckReport] = []
-        live: list[tuple[Trace, CheckReport]] = []
-        for trace in traces:
-            if self.has_signals(trace):
-                report = CheckReport()
-                live.append((trace, report))
-            else:
-                # A referenced signal is missing from the trace samples; the
-                # tree-walker's per-expression EvalError semantics apply.
-                report = self._oracle.check(trace)
-                registry.inc("sva.check.tree_walker", len(specs))
-            reports.append(report)
-        if not live:
+        reports = [CheckReport() for _ in traces]
+        if not traces:
             return reports
-        stacked = _StackedColumns(self._names, [trace for trace, _ in live])
-        for spec, lowered in zip(specs, self._lowered):
+        stacked = _StackedColumns(self._names, traces)
+        for spec, lowered in zip(self._design.assertions, self._lowered):
             if lowered is None:
-                for trace, report in live:
+                for trace, report in zip(traces, reports):
                     report.outcomes[spec.name] = self._oracle.check_assertion(spec, trace)
-                registry.inc("sva.check.tree_walker", len(live))
+                registry.inc("sva.check.tree_walker", len(traces))
                 continue
-            registry.inc("sva.check.attempt_tensor", len(live))
+            registry.inc("sva.check.attempt_tensor", len(traces))
             outcomes = self._evaluate_tensor(lowered, stacked)
-            for (_trace, report), outcome in zip(live, outcomes):
+            for report, outcome in zip(reports, outcomes):
                 report.outcomes[spec.name] = outcome
         return reports
-
-    def has_signals(self, trace: Trace) -> bool:
-        """Whether ``trace`` samples every referenced signal; if not, the
-        whole trace falls back to the oracle (probed cheaply up front so
-        the lazy column build cannot fail).
-
-        A trace whose columns for exactly these signals are already
-        memoised skips the membership probe: a successful column build is
-        proof the signals exist, and the probe is the dominant per-trace
-        setup cost when the same trace is checked repeatedly.
-        """
-        return trace.columns_cached(self._names) is not None or trace.has_signals(
-            self._names
-        )
 
     def _evaluate_tensor(
         self, lowered: _LoweredAssertion, stacked: _StackedColumns

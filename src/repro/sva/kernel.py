@@ -22,12 +22,11 @@ whose checkers hold the identical lowering for every assertion (mutants or
 candidates relowered against one base) share one stacked
 :meth:`~CompiledAssertionChecker.check_batch` call.  A source is checked
 alone, by its own checker, when its checker runs an assertion on the
-tree-walker (or is the tree-walking :class:`AssertionChecker` itself), when
-it lowered any assertion afresh, and a trace is checked alone when it lacks
-a referenced signal.  The ``<stage>.check.batches`` /
+tree-walker (or is the tree-walking :class:`AssertionChecker` itself), or
+when it lowered any assertion afresh.  The ``<stage>.check.batches`` /
 ``<stage>.check.batched_traces`` counters and the labelled
-``<stage>.check.alone[tree_walker | lowering_not_shared | missing_signal]``
-counter record the grouping.
+``<stage>.check.alone[tree_walker | lowering_not_shared]`` counter (one
+count per trace) record the grouping.
 
 There is one configuration.  Tests reach the oracles by handing the kernel
 a store whose :meth:`~repro.artifacts.ArtifactStore.checker` returns the
@@ -106,23 +105,22 @@ def _check_pass(
     ] = {}
     results: dict[tuple[int, int], CheckReport] = {}
     for index, source_traces in traces.items():
+        if not source_traces:
+            continue
         checker = checkers[index]
-        compiled = checker if isinstance(checker, CompiledAssertionChecker) else None
-        key = compiled.batch_key() if compiled is not None else None
-        alone: list[int] = []
-        for position, trace in enumerate(source_traces):
-            if compiled is not None and key is not None and compiled.has_signals(trace):
-                _, slots, grouped = groups.setdefault(key, (compiled, [], []))
-                slots.append((index, position))
-                grouped.append(trace)
-                continue
-            reason = "missing_signal" if key is not None else _alone_reason(checker)
-            registry.inc(labeled(f"{stage}.check.alone", reason))
-            alone.append(position)
-        if alone:
+        if not isinstance(checker, CompiledAssertionChecker) or (
+            key := checker.batch_key()
+        ) is None:
+            registry.inc(
+                labeled(f"{stage}.check.alone", _alone_reason(checker)), len(source_traces)
+            )
             with phase(f"{stage}.check"):
-                reports = checker.check_batch([source_traces[p] for p in alone])
-            results.update(((index, p), report) for p, report in zip(alone, reports))
+                reports = checker.check_batch(source_traces)
+            results.update(((index, p), report) for p, report in enumerate(reports))
+            continue
+        _, slots, grouped = groups.setdefault(key, (checker, [], []))
+        slots.extend((index, p) for p in range(len(source_traces)))
+        grouped.extend(source_traces)
     for shared, slots, grouped in groups.values():
         registry.inc(f"{stage}.check.batches")
         registry.inc(f"{stage}.check.batched_traces", len(grouped))

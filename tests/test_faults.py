@@ -1,15 +1,21 @@
-"""Fault-tolerance tests: the executor's three recovery paths (worker
-exception, worker death, per-job hang) in serial and multi-worker modes,
+"""Fault-tolerance tests: the executor's three failure phases (worker
+exception, worker death, per-job hang) and its one pool-loss path, including
+a worker death that surfaces at ``submit``, in serial and multi-worker modes,
 bounded retries, crash-consistency of the result cache, and the adopters'
 skipped-job / ``infra_error`` surfacing -- all driven by the deterministic
 :class:`repro.runtime.FaultPlan`."""
 
+import itertools
 import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import pytest
 
+import repro.runtime.executor as executor_module
+from repro.obs import scoped_registry
 from repro.runtime import (
     FAULT_CRASH,
     FAULT_HANG,
@@ -114,6 +120,62 @@ def test_quarantine_survives_a_worker_crash(tmp_path, workers, isolate):
     assert_unaffected_jobs_match(outcomes, run_jobs(JOBS, stamp), {"job_2"})
     assert outcomes[2].failure.phase == PHASE_WORKER_DEATH
     assert outcomes[2].failure.exception_type == "WorkerCrashError"
+
+
+def pool_breaking_on_submit(number: int) -> type:
+    """A pool class whose ``number``-th ``submit``, counted over every pool a
+    run builds, raises ``BrokenProcessPool``: what a real pool does when a
+    worker died after the last wait and before the next submit."""
+    calls = itertools.count(1)
+
+    class BreaksOnSubmit(ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            if next(calls) == number:
+                raise BrokenProcessPool("a worker died before this submit")
+            return super().submit(fn, *args, **kwargs)
+
+    return BreaksOnSubmit
+
+
+@pytest.mark.parametrize("on_error", ["raise", "quarantine"])
+@pytest.mark.parametrize(
+    "broken_submit,workers,timeout,charged",
+    [
+        (1, 2, None, 0),  # nothing in flight: nothing to charge
+        (1, 1, 30.0, 0),
+        (3, 1, 30.0, 0),  # one 2-job chunk at a time: none in flight at the 3rd submit
+        (3, 2, None, 1),  # slow job_1 is the one singleton in flight
+        (3, 3, None, 0),  # two singletons in flight: uncharged suspects
+    ],
+)
+def test_a_broken_submit_recovers_through_the_loss_path(
+    tmp_path, monkeypatch, on_error, broken_submit, workers, timeout, charged
+):
+    """The chunk whose submit raised never ran, so it is requeued; the
+    chunks in flight are lost with the pool.  The run completes with the
+    clean results and exactly one pool rebuild."""
+    clean = run_jobs(JOBS, stamp)
+    # job_1 is slow on its first run only, so it is still in flight when
+    # job_0 finishes: that makes the 2-worker case implicate one job.
+    plan = FaultPlan(tmp_path / "plan").inject("job_1", FAULT_HANG, times=1, hang_seconds=0.5)
+    policy = JobPolicy(
+        workers=workers, on_error=on_error, timeout=timeout, max_attempts=2, faults=plan
+    )
+    monkeypatch.setattr(
+        executor_module, "ProcessPoolExecutor", pool_breaking_on_submit(broken_submit)
+    )
+    with scoped_registry() as registry:
+        results = run_jobs(JOBS, stamp, policy)
+    if on_error == "quarantine":
+        assert all(outcome.ok for outcome in results)
+        assert [outcome.attempts for outcome in results] == [
+            2 if charged and job == "job_1" else 1 for job in JOBS
+        ]
+        results = [outcome.result for outcome in results]
+    assert results == clean
+    assert registry.counter("runtime.pool_rebuilds") == 1
+    assert registry.counter("runtime.retries") == charged
+    assert registry.counter("runtime.worker_deaths") == charged
 
 
 # ---------------------------------------------------------------------- #
@@ -294,6 +356,7 @@ def test_corpus_generator_quarantines_failed_builds(tmp_path):
 
 
 def test_stage2_runner_quarantines_failed_samples(tmp_path):
+    from repro.bugs.injector import InjectionConfig
     from repro.corpus.generator import CorpusConfig, CorpusGenerator
     from repro.dataaug.stage1 import run_stage1
     from repro.dataaug.stage2 import Stage2Config, Stage2Runner
@@ -304,7 +367,7 @@ def test_stage2_runner_quarantines_failed_samples(tmp_path):
     assert len(compiled) >= 2
     victim = compiled[0].name
     plan = FaultPlan(tmp_path / "plan").inject(victim, FAULT_RAISE)
-    config = Stage2Config(random_cycles=16, max_bugs_per_design=2)
+    config = Stage2Config(random_cycles=16, injection=InjectionConfig(max_bugs_per_design=2))
     faulted = Stage2Runner(config, replace(QUARANTINE, faults=plan)).run(compiled)
     clean = Stage2Runner(config, QUARANTINE).run(compiled)
 

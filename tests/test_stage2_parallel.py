@@ -1,5 +1,6 @@
 """Stage-2 fan-out tests: worker count must never change the output."""
 
+from repro.bugs.injector import InjectionConfig
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig
 from repro.dataaug.stage1 import run_stage1
@@ -31,17 +32,32 @@ def compiled_samples(seed: int = 42, count: int = 6):
 
 def test_parallel_equals_serial():
     samples = compiled_samples()
-    config = Stage2Config(seed=5, random_cycles=20, max_bugs_per_design=3)
+    config = Stage2Config(
+        seed=5, random_cycles=20, injection=InjectionConfig(max_bugs_per_design=3)
+    )
     serial = Stage2Runner(config, JobPolicy(workers=1)).run(samples)
     parallel = Stage2Runner(config, JobPolicy(workers=2)).run(samples)
     assert fingerprint(serial) == fingerprint(parallel)
     assert serial.injected_bugs > 0
 
 
+def test_injection_config_bounds_the_bugs_injected_per_sample():
+    """The injector's budget is the only Stage-2 bug budget: it is honoured,
+    not overridden by a default elsewhere."""
+    samples = compiled_samples()
+    config = Stage2Config(
+        seed=5, random_cycles=20, injection=InjectionConfig(max_bugs_per_design=1)
+    )
+    result = Stage2Runner(config).run(samples)
+    assert 0 < result.injected_bugs <= len(samples)
+
+
 def test_result_independent_of_sample_order():
     """Per-sample injector seeding decouples mutants from batch ordering."""
     samples = compiled_samples()
-    config = Stage2Config(seed=5, random_cycles=20, max_bugs_per_design=3)
+    config = Stage2Config(
+        seed=5, random_cycles=20, injection=InjectionConfig(max_bugs_per_design=3)
+    )
     forward = Stage2Runner(config).run(samples)
     backward = Stage2Runner(config).run(list(reversed(samples)))
     assert sorted(e.name for e in forward.sva_bug) == sorted(e.name for e in backward.sva_bug)

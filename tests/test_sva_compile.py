@@ -304,6 +304,31 @@ def test_unlowerable_assertion_is_demoted_to_the_tree_walker():
     assert not report.outcomes["a_ghost"].failures
 
 
+def test_trace_lacking_a_referenced_signal_raises_key_error():
+    """Both simulators record every design signal, so the checker keeps no
+    missing-signal fallback: a trace without a referenced signal (here
+    ``c``, dropped by hand) raises the column build's ``KeyError``."""
+    from repro.sim.trace import Trace, TraceSample
+
+    design = shift2_design()
+    full = shift2_trace(design)
+    trace = Trace(
+        signals=[name for name in full.signals if name != "c"],
+        samples=[
+            TraceSample(
+                cycle=sample.cycle,
+                pre_edge={k: v for k, v in sample.pre_edge.items() if k != "c"},
+                post_edge={k: v for k, v in sample.post_edge.items() if k != "c"},
+            )
+            for sample in full
+        ],
+    )
+    with pytest.raises(KeyError, match="signals not in trace: c"):
+        tensor_checker(design).check(trace)
+    with pytest.raises(KeyError, match="signals not in trace: c"):
+        tensor_checker(design).check_batch([full, trace])
+
+
 def assert_reports_identical_auto(design, trace):
     interp = AssertionChecker(design).check(trace)
     compiled = CompiledAssertionChecker(design).check(trace)
