@@ -97,8 +97,8 @@ from common import ROOT, best_of, geomean, paired_best_of, write_report  # first
 from repro.bugs.injector import BugInjector, InjectionConfig
 from repro.corpus.templates import all_families
 from repro.hdl.lint import compile_source
-from repro.sim.compile import CompileError, compile_design
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.compile import CompiledSimulator, compile_design
+from repro.sim.engine import SimulationError
 from repro.sim.stimulus import StimulusGenerator
 from repro.sva.checker import AssertionChecker
 from repro.sva.compile import CompiledAssertionChecker
@@ -115,7 +115,7 @@ def augmented_source(family) -> str | None:
     golden = compile_source(artifact.source)
     if not golden.ok or golden.design is None:
         return None
-    mining_trace = Simulator(golden.design).run(
+    mining_trace = CompiledSimulator(golden.design).run(
         StimulusGenerator(golden.design, seed=1).mixed_stimulus(random_cycles=24).vectors
     )
     candidates = template_assertion_blocks(artifact.template_svas, artifact.family)
@@ -167,7 +167,7 @@ def bench_family(family, source: str, cycles: int, repeat: int) -> dict | None:
     vectors = StimulusGenerator(design, seed=2).mixed_stimulus(random_cycles=cycles).vectors
     # Fully materialised: all backends read the same dict-backed samples, so
     # the comparison isolates checking cost from trace materialisation.
-    trace = Simulator(design).run(vectors).materialized()
+    trace = CompiledSimulator(design).run(vectors).materialized()
 
     interp = AssertionChecker(design)
     interp_s = best_of(repeat, lambda: interp.check(trace))
@@ -183,7 +183,7 @@ def bench_family(family, source: str, cycles: int, repeat: int) -> dict | None:
     # The batched pass stacks the per-seed columns into one (seed x cycle)
     # grid and resolves each attempt-tensor assertion for all seeds at once.
     batch = [
-        Simulator(design).run(
+        CompiledSimulator(design).run(
             StimulusGenerator(design, seed=100 + index)
             .mixed_stimulus(random_cycles=BATCH_CYCLES)
             .vectors
@@ -228,8 +228,8 @@ def bench_mutants(family, source: str, repeat: int) -> dict:
     """The mutant-batch and relower legs over the family's injected mutants.
 
     Every mutant is lowered against the augmented golden.  Relower: every
-    mutant the compiled simulator accepts is lowered in full and against
-    the golden's lowerings, each pass timed over all of them.  Mutant
+    mutant is lowered in full and against the golden's lowerings, each pass
+    timed over all of them.  Mutant
     batch: the mutants whose checkers share the golden's lowerings (equal
     :meth:`~CompiledAssertionChecker.batch_key`) are timed, their traces
     judged by each mutant's own checker one at a time and by the first
@@ -250,14 +250,14 @@ def bench_mutants(family, source: str, repeat: int) -> dict:
         if buggy is not None:
             mutants.append((index, buggy))
 
-    base_design = _lowered(golden)
-    lowerable = [design for _, design in mutants if _lowered(design) is not None]
-    if base_design is not None and lowerable:
+    designs = [design for _, design in mutants]
+    if designs:
+        base_design = compile_design(golden)
         full_s = best_of(
             repeat,
             lambda: [
                 (compile_design(design), CompiledAssertionChecker(design))
-                for design in lowerable
+                for design in designs
             ],
         )
         incremental_s = best_of(
@@ -267,11 +267,11 @@ def bench_mutants(family, source: str, repeat: int) -> dict:
                     compile_design(design, base=base_design),
                     CompiledAssertionChecker(design, base=base),
                 )
-                for design in lowerable
+                for design in designs
             ],
         )
         legs["relower"] = {
-            "mutants": len(lowerable),
+            "mutants": len(designs),
             "full_s": full_s,
             "incremental_s": incremental_s,
         }
@@ -286,7 +286,7 @@ def bench_mutants(family, source: str, repeat: int) -> dict:
             random_cycles=MUTANT_CYCLES
         ).vectors
         try:
-            trace = Simulator(buggy).run(vectors).materialized()
+            trace = CompiledSimulator(buggy).run(vectors).materialized()
         except SimulationError:
             continue
         checkers.append(checker)
@@ -304,14 +304,6 @@ def bench_mutants(family, source: str, repeat: int) -> dict:
         _assert_verdicts_identical(family.name, oracle, via_batch, "cross-mutant check_batch")
     legs["mutant_batch"] = {"mutants": len(traces), "speedup": round(per_mutant_s / batched_s, 3)}
     return legs
-
-
-def _lowered(design):
-    """``design`` lowered for the compiled simulator, or None if it refuses."""
-    try:
-        return compile_design(design)
-    except CompileError:
-        return None
 
 
 def main() -> int:

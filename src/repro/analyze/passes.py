@@ -1,7 +1,8 @@
 """The compile-gate lint passes.
 
-Each pass reproduces one of the historical :mod:`repro.hdl.lint` checks
-byte-for-byte (same codes, same messages, same severities) and emits plain
+The first six passes reproduce the historical :mod:`repro.hdl.lint` checks
+byte-for-byte (same codes, same messages, same severities); the seventh
+rejects the constructs no simulator runs.  Each emits plain
 :class:`repro.hdl.errors.Diagnostic` records into a :class:`DiagnosticSink`,
 so their output unifies with :class:`repro.hdl.lint.CompileResult` -- a
 rejected corpus entry's log names the pass (diagnostic code) that fired.
@@ -17,11 +18,13 @@ in ``python -m repro.obs summarize``.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Optional
 
+from repro.hdl import ast
 from repro.hdl.elaborate import ElaboratedDesign
 from repro.hdl.errors import DiagnosticSink
-from repro.hdl.lint import KNOWN_SYSTEM_FUNCTIONS
+from repro.hdl.lint import KNOWN_SYSTEM_FUNCTIONS, SAMPLED_VALUE_FUNCTIONS
 from repro.obs import get_registry, phase
 
 PassFn = Callable[[ElaboratedDesign, DiagnosticSink], None]
@@ -116,10 +119,10 @@ def _pass_undriven(design: ElaboratedDesign, sink: DiagnosticSink) -> None:
 
 def _pass_system_functions(design: ElaboratedDesign, sink: DiagnosticSink) -> None:
     """System functions the simulator does not implement."""
-    for line, name in design.sweep.calls:
-        if name not in KNOWN_SYSTEM_FUNCTIONS:
+    for line, call in design.sweep.calls:
+        if call.name not in KNOWN_SYSTEM_FUNCTIONS:
             sink.error(
-                f"unsupported system function '{name}'",
+                f"unsupported system function '{call.name}'",
                 line=line,
                 code="unknown-system-function",
             )
@@ -144,6 +147,49 @@ def _pass_assignment_style(design: ElaboratedDesign, sink: DiagnosticSink) -> No
             )
 
 
+def _target_problem(target: ast.Expression) -> Optional[str]:
+    """Why no simulator can assign ``target`` (None when both can)."""
+    if isinstance(target, (ast.BitSelect, ast.PartSelect)):
+        if not isinstance(target.base, ast.Identifier):
+            return f"nested select target '{target}' is not supported"
+    elif isinstance(target, ast.Concat):
+        if not all(isinstance(part, ast.Identifier) for part in target.parts):
+            return f"concatenation target '{target}' may hold only signal names"
+    elif not isinstance(target, ast.Identifier):
+        return f"'{target}' is not an assignable target"
+    return None
+
+
+def _pass_unsupported_constructs(design: ElaboratedDesign, sink: DiagnosticSink) -> None:
+    """Constructs neither simulator runs, so a design that passes can be lowered.
+
+    Assignment targets must be a signal, a select of one or a concatenation
+    of signals (an instance output port may be connected to any
+    expression); every known system function needs an argument; and the
+    sampled-value functions belong to assertions, not design logic.
+    """
+    sweep = design.sweep
+    targets = [(assign.line, assign.target) for assign in design.continuous_assigns]
+    targets.extend(
+        (node.line, node.target)
+        for node, _ in chain(sweep.procedural_assigns, sweep.initial_assigns)
+    )
+    for line, target in targets:
+        problem = _target_problem(target)
+        if problem is not None:
+            sink.error(problem, line=line, code="unsupported-construct")
+    for index, (line, call) in enumerate(sweep.calls):
+        if call.name not in KNOWN_SYSTEM_FUNCTIONS:
+            continue
+        if not call.args:
+            message = f"system function '{call.name}' needs an argument"
+        elif index < sweep.logic_calls and call.name in SAMPLED_VALUE_FUNCTIONS:
+            message = f"sampled-value function '{call.name}' is only allowed in assertions"
+        else:
+            continue
+        sink.error(message, line=line, code="unsupported-construct")
+
+
 #: ``(pass id, pass)`` in run order; the order fixes the diagnostics' order.
 LINT_PASSES: tuple[tuple[str, PassFn], ...] = (
     ("undeclared-signal", _pass_undeclared),
@@ -152,6 +198,7 @@ LINT_PASSES: tuple[tuple[str, PassFn], ...] = (
     ("undriven", _pass_undriven),
     ("system-functions", _pass_system_functions),
     ("assignment-style", _pass_assignment_style),
+    ("unsupported-construct", _pass_unsupported_constructs),
 )
 
 

@@ -8,8 +8,8 @@ two levels:
 * an **in-process LRU** with one entry per source text, keyed by
   :func:`~repro.runtime.cache.content_key` of the text.  The entry holds the
   source's :class:`~repro.hdl.lint.CompileResult` and, built on first use,
-  its :class:`~repro.sim.compile.CompiledDesign` (or the cached rejection),
-  its :class:`~repro.sva.compile.CompiledAssertionChecker` and its
+  its :class:`~repro.sim.compile.CompiledDesign`, its
+  :class:`~repro.sva.compile.CompiledAssertionChecker` and its
   :class:`~repro.analyze.dfg.SignalDfg`.  Lowered closures are
   process-local by nature (they cannot be serialised), so the LRU is
   bounded (:data:`DEFAULT_LRU_ENTRIES` sources) and one eviction drops a
@@ -52,22 +52,18 @@ if TYPE_CHECKING:
 #: The in-process LRU bound, in sources (each with its lowerings).
 DEFAULT_LRU_ENTRIES = 64
 
-#: Cached marker for a design the compiled simulator backend rejects, so the
-#: (expensive, exception-raising) compile attempt happens once per source.
-_UNCOMPILABLE = "uncompilable"
-
 
 @dataclass
 class _Entry:
     """One source's parse and the lowerings built from it so far."""
 
     result: CompileResult
-    compiled: Union[CompiledDesign, str, None] = None
+    compiled: Optional[CompiledDesign] = None
     checker: Union[CompiledAssertionChecker, AssertionChecker, None] = None
     dataflow: Optional[SignalDfg] = None
 
     def design(self) -> ElaboratedDesign:
-        if self.result.design is None:
+        if not self.result.ok or self.result.design is None:
             raise ValueError("the source does not compile, so it has no lowering")
         return self.result.design
 
@@ -113,7 +109,7 @@ class ArtifactStore:
         """``base_source`` when it names another source that compiles, else None."""
         if base_source is None or base_source == source:
             return None
-        return base_source if self.compile(base_source).design is not None else None
+        return base_source if self.compile(base_source).ok else None
 
     def __len__(self) -> int:
         return len(self._lru)
@@ -164,27 +160,22 @@ class ArtifactStore:
 
     def compiled_design(
         self, source: str, base_source: Optional[str] = None
-    ) -> Optional[CompiledDesign]:
-        """``source``'s design lowered for the compiled simulator backend.
+    ) -> CompiledDesign:
+        """``source``'s design lowered for the compiled simulator.
 
-        Returns ``None`` when the compiled backend rejects the design (the
-        rejection is cached too -- callers fall back to the interpreter
-        exactly as the :func:`~repro.sim.engine.Simulator` factory would).
-        A first lowering relowers against ``base_source``'s, when that names
-        a source that compiles.  Raises ``ValueError`` when ``source`` does
-        not compile.
+        Every design the front end accepts lowers, so this never fails for
+        a source that compiles.  A first lowering relowers against
+        ``base_source``'s, when that names a source that compiles.  Raises
+        ``ValueError`` when ``source`` does not compile.
         """
-        from repro.sim.compile import CompileError, compile_design
+        from repro.sim.compile import compile_design
 
         entry = self._entry(source, base_source)
         if entry.compiled is None:
             base_text = self._lowering_base(source, base_source)
             base = self.compiled_design(base_text) if base_text is not None else None
-            try:
-                entry.compiled = compile_design(entry.design(), base=base)
-            except CompileError:
-                entry.compiled = _UNCOMPILABLE
-        return None if isinstance(entry.compiled, str) else entry.compiled
+            entry.compiled = compile_design(entry.design(), base=base)
+        return entry.compiled
 
     def checker(
         self, source: str, base_source: Optional[str] = None

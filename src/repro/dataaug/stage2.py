@@ -39,15 +39,14 @@ from repro.corpus.generator import CorpusSample
 from repro.dataaug.datasets import SvaBugEntry, VerilogBugEntry
 from repro.hdl.elaborate import ElaboratedDesign
 from repro.runtime import JobPolicy, derive_seed, run_stage_jobs
-from repro.sim.engine import SimulationError, Simulator
-from repro.sim.stimulus import StimulusGenerator
+from repro.sim.engine import SimulationError
 from repro.sva.generator import (
     MinedAssertion,
     insert_assertions,
     mine_assertions,
     template_assertion_blocks,
 )
-from repro.sva.kernel import simulate_and_check
+from repro.sva.kernel import simulate_and_check, simulate_seed
 from repro.sva.logs import format_failure_log
 
 
@@ -92,14 +91,6 @@ class Stage2Result:
 _RESET_CYCLES = 2
 
 
-def _mining_trace(design: ElaboratedDesign, seed: int, cycles: int, compiled):
-    """The golden design's trace the assertion miner learns invariants from."""
-    stimulus = StimulusGenerator(design, seed=seed).mixed_stimulus(
-        random_cycles=cycles, reset_cycles=_RESET_CYCLES
-    )
-    return Simulator(design, compiled=compiled).run(stimulus.vectors)
-
-
 class Stage2Runner:
     """Runs Stage 2 for a batch of compiled corpus samples.
 
@@ -142,13 +133,14 @@ class Stage2Runner:
         golden_design, _ = store.elaborate_source(sample.source)
         if golden_design is None:
             return None, None
-        # The golden source is the base the augmented source relowers
-        # against: it adds only assertions (identical sim nodes, so it
-        # reuses 100% of them).
+        # The golden trace the assertion miner learns invariants from.  The
+        # golden source is the base the augmented source relowers against:
+        # it adds only assertions (identical sim nodes, so it reuses 100% of
+        # them).
         try:
-            golden_trace = _mining_trace(
-                golden_design, config.seed, config.random_cycles,
-                store.compiled_design(sample.source),
+            golden_trace = simulate_seed(
+                store.compiled_design(sample.source), config.seed,
+                config.random_cycles, _RESET_CYCLES,
             )
         except SimulationError:
             return None, None

@@ -25,7 +25,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence, Union
 
 from repro.hdl import ast
 from repro.hdl.errors import ElaborationError
@@ -101,10 +101,12 @@ class DesignSweep:
     """What one pre-order pass over a design's assigns, blocks and assertions finds.
 
     ``continuous`` holds ``(line, target names)`` per continuous assign;
-    ``comb_assigns`` / ``seq_assigns`` hold each procedural assignment of the
-    combinational / clocked blocks with its target names, block by block
-    and in pre-order within a block.  The expressions are read in lint
-    order: each continuous assign's target and value, then the comb and seq
+    ``comb_assigns`` / ``seq_assigns`` / ``initial_assigns`` hold each
+    procedural assignment of the combinational / clocked / initial blocks
+    with its target names, block by block and in pre-order within a block
+    (initial blocks drive no signal: their assignments are not
+    :attr:`drivers`).  The expressions are read in lint order: each
+    continuous assign's target and value, then the comb, seq and initial
     blocks' statements (an assignment's target and value, an ``if``
     condition, a ``case`` subject and its labels), then each assertion's
     consequent and antecedent elements and its ``disable iff``.  Of them
@@ -112,15 +114,18 @@ class DesignSweep:
     identifiers)`` of each expression that names an undeclared signal
     (``undeclared``; the set is filled in pre-order, so it iterates as
     :meth:`~repro.hdl.ast.Expression.identifiers` does) and the ``(line,
-    name)`` of every system call (``calls``), in that order.
+    call)`` of every system call (``calls``), in that order; the first
+    ``logic_calls`` calls are in design logic, the rest in assertions.
     """
 
     continuous: list[tuple[int, list[str]]]
     comb_assigns: list[tuple[ast.Assign, list[str]]]
     seq_assigns: list[tuple[ast.Assign, list[str]]]
+    initial_assigns: list[tuple[ast.Assign, list[str]]]
     reads: set[str]
     undeclared: list[tuple[int, set[str]]]
-    calls: list[tuple[int, str]]
+    calls: list[tuple[int, ast.SystemCall]]
+    logic_calls: int
 
     @property
     def procedural_assigns(self) -> chain[tuple[ast.Assign, list[str]]]:
@@ -475,7 +480,7 @@ class Elaborator:
                 else:
                     design.comb_blocks.append(block)
             elif isinstance(item, ast.InitialBlock):
-                body = _prefix_statement(item.body, prefix)
+                body = _prefix_statement(_unroll_statement(item.body, design.parameters), prefix)
                 design.initial_blocks.append(ast.InitialBlock(body=body, line=item.line))
             elif isinstance(item, ast.Instantiation):
                 self._flatten_instance(item, design, prefix, depth)
@@ -813,7 +818,7 @@ class _Sweeper:
         self.declared = design.signals.keys() | design.parameters.keys()
         self.reads: set[str] = set()
         self.undeclared: list[tuple[int, set[str]]] = []
-        self.calls: list[tuple[int, str]] = []
+        self.calls: list[tuple[int, ast.SystemCall]] = []
 
     def sweep(self) -> DesignSweep:
         design = self.design
@@ -825,6 +830,8 @@ class _Sweeper:
             expression(assign.line, assign.value)
         comb_assigns = self.blocks(design.comb_blocks)
         seq_assigns = self.blocks(design.seq_blocks)
+        initial_assigns = self.blocks(design.initial_blocks)
+        logic_calls = len(self.calls)
         for assertion in design.assertions:
             body = assertion.body
             sequences = [body.consequent]
@@ -836,10 +843,13 @@ class _Sweeper:
             if assertion.disable_iff is not None:
                 expression(assertion.line, assertion.disable_iff)
         return DesignSweep(
-            continuous, comb_assigns, seq_assigns, self.reads, self.undeclared, self.calls
+            continuous, comb_assigns, seq_assigns, initial_assigns, self.reads,
+            self.undeclared, self.calls, logic_calls,
         )
 
-    def blocks(self, blocks: list[ProceduralBlock]) -> list[tuple[ast.Assign, list[str]]]:
+    def blocks(
+        self, blocks: Sequence[Union[ProceduralBlock, ast.InitialBlock]]
+    ) -> list[tuple[ast.Assign, list[str]]]:
         """The blocks' assignments; their expressions are swept in pre-order."""
         expression = self.expression
         assigns: list[tuple[ast.Assign, list[str]]] = []
@@ -873,7 +883,7 @@ class _Sweeper:
                 names.add(node.name)
                 continue
             if isinstance(node, ast.SystemCall):
-                self.calls.append((line, node.name))
+                self.calls.append((line, node))
             children = node.children()
             if children:
                 stack.extend(reversed(children))
@@ -893,7 +903,9 @@ def _collect_driver_lines(sweep: DesignSweep) -> dict[str, list[int]]:
 def _check_design(design: ElaboratedDesign) -> None:
     """Fatal structural checks performed at the end of elaboration."""
     signals = design.signals
-    for line, targets in design.sweep.drivers:
+    sweep = design.sweep
+    initial = ((node.line, targets) for node, targets in sweep.initial_assigns)
+    for line, targets in chain(sweep.drivers, initial):
         for target in targets:
             if target not in signals:
                 raise ElaborationError(

@@ -5,7 +5,9 @@ set of semantic lint checks, returning a :class:`CompileResult` with a pass /
 fail verdict plus diagnostics.  The data-augmentation pipeline (Stage 1 and
 Stage 2 of the paper) uses this exactly the way the paper uses ``iverilog``:
 to reject syntactically broken corpus entries and to discard injected bugs
-that merely break compilation instead of triggering an assertion.
+that merely break compilation instead of triggering an assertion.  It is the
+only gate before simulation: every design it accepts lowers and runs in the
+compiled simulator.
 
 The individual semantic checks live in :mod:`repro.analyze.passes` as
 lint passes with stable ids; :func:`lint_design` runs them, so every
@@ -29,26 +31,20 @@ from repro.obs.metrics import get_registry, labeled
 __all__ = [
     "KNOWN_SYSTEM_FUNCTIONS",
     "KNOWN_SYSTEM_TASKS",
+    "SAMPLED_VALUE_FUNCTIONS",
     "CompileResult",
     "compile_source",
     "lint_design",
 ]
 
+#: The sampled-value functions: only assertions may call them.
+SAMPLED_VALUE_FUNCTIONS: frozenset[str] = frozenset(
+    {"$past", "$rose", "$fell", "$stable", "$changed"}
+)
+
 #: System functions the simulator and checker understand.
-KNOWN_SYSTEM_FUNCTIONS: frozenset[str] = frozenset(
-    {
-        "$past",
-        "$rose",
-        "$fell",
-        "$stable",
-        "$changed",
-        "$onehot",
-        "$onehot0",
-        "$countones",
-        "$clog2",
-        "$signed",
-        "$unsigned",
-    }
+KNOWN_SYSTEM_FUNCTIONS: frozenset[str] = SAMPLED_VALUE_FUNCTIONS | frozenset(
+    {"$onehot", "$onehot0", "$countones", "$clog2", "$signed", "$unsigned"}
 )
 
 #: System tasks allowed in procedural code (ignored by the simulator).

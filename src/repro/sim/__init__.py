@@ -3,19 +3,15 @@
 The simulator executes elaborated designs (:class:`repro.hdl.ElaboratedDesign`)
 cycle by cycle with 4-state values, records sampled traces for the SVA checker,
 and provides stimulus generation (reset protocol, random and directed vectors).
+:class:`CompiledSimulator` runs every design the front end accepts;
+:class:`InterpSimulator` is its tree-walking differential oracle.
 Together with :mod:`repro.sva` it plays the role of the simulation half of the
 paper's EDA-tool validation loop.
 """
 
 from repro.sim.values import LogicValue, X, ZERO, ONE
 from repro.sim.evaluator import Evaluator, EvalError
-from repro.sim.engine import (
-    InterpSimulator,
-    SimulationError,
-    Simulator,
-    SimulatorOptions,
-    simulate,
-)
+from repro.sim.engine import InterpSimulator, SimulationError, SimulatorOptions
 from repro.sim.compile import CompiledSimulator, CompileError, compile_design
 from repro.sim.stimulus import Stimulus, StimulusGenerator, reset_sequence
 from repro.sim.trace import DiffTrace, Trace, TraceSample
@@ -28,13 +24,11 @@ __all__ = [
     "ONE",
     "Evaluator",
     "EvalError",
-    "Simulator",
     "SimulatorOptions",
     "InterpSimulator",
     "CompiledSimulator",
     "CompileError",
     "compile_design",
-    "simulate",
     "SimulationError",
     "Stimulus",
     "StimulusGenerator",

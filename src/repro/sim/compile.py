@@ -22,10 +22,11 @@ Instead of walking AST nodes for every evaluation (the
   when something reads them.
 
 The backend is behaviourally identical to the interpreter: the differential
-test suite asserts ``equals()``-identical traces cycle by cycle.  Designs
-using constructs the compiler does not support raise :class:`CompileError`,
-which the :func:`~repro.sim.engine.Simulator` factory turns into a fallback
-to the interpreter.
+test suite asserts ``equals()``-identical traces cycle by cycle.  It is the
+only simulator production builds.  The front end
+(:func:`~repro.hdl.lint.compile_source`) rejects every construct this backend
+cannot lower, so :class:`CompileError` marks a design that never passed that
+gate.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ StmtFn = Callable[[list, list, dict, dict], None]
 
 
 class CompileError(Exception):
-    """Raised when a design uses a construct the compiled backend rejects."""
+    """Raised when lowering a design that :func:`~repro.hdl.lint.compile_source` rejects."""
 
 
 def _merge_select_write(
@@ -458,16 +459,9 @@ class _ExprCompiler:
                 return (r, 0, 32)
 
             return clog2
-        # Sampled-value functions ($past, $rose, ...) only appear inside
-        # assertions, which the simulator never executes; the SVA checker
-        # backend subclasses this compiler and lowers them to per-cycle
-        # series (repro.sva.compile) before falling through to here.
+        # The front end admits the sampled-value functions ($past, $rose,
+        # ...) only inside assertions, which the simulator never executes.
         raise CompileError(f"unsupported system function '{name}'")
-
-
-#: Public name of the expression lowering, the extension point the compiled
-#: SVA checker (:mod:`repro.sva.compile`) builds on.
-ExprCompiler = _ExprCompiler
 
 
 # --------------------------------------------------------------------------- #
@@ -1043,8 +1037,6 @@ class CompiledSimulator:
             self._readers.append([])
             self._writer_nodes.append([])
         self._clock_slot = self._slots[self._clock]
-        if self._sig_width[self._clock_slot] != 1:
-            raise CompileError(f"clock '{self._clock}' is not a 1-bit signal")
 
         # Clock-edge trigger lists mirror InterpSimulator._fire_clock_edge /
         # _fire_async_edges: posedge/negedge of the active clock (or of a

@@ -14,11 +14,12 @@ cycle at a time:
 This two-phase scheme reproduces the scheduling behaviour that matters for
 the designs and assertions in this project without a full event queue.
 
-:class:`InterpSimulator` implements it by walking the AST; the
-:func:`Simulator` factory builds the compiled backend
-(:mod:`repro.sim.compile`) instead and falls back to the interpreter only
-when the compiler rejects the design.  The differential tests construct
-both classes directly.
+:class:`InterpSimulator` implements it by walking the AST.  It is the
+differential oracle of the compiled backend
+(:class:`~repro.sim.compile.CompiledSimulator`), which is the only
+simulator production builds: every design
+:func:`~repro.hdl.lint.compile_source` accepts lowers there.  The
+differential tests construct both classes directly.
 """
 
 from __future__ import annotations
@@ -87,10 +88,8 @@ class InterpSimulator:
     """Tree-walking cycle-based simulator for one elaborated design.
 
     This is the reference backend: it re-evaluates the AST directly and is
-    kept both as a fallback for constructs the compiled backend rejects and
-    as the oracle for differential testing (`tests/test_backend_differential`).
-    Use the :func:`Simulator` factory unless you need this backend
-    specifically.
+    the oracle for differential testing (`tests/test_backend_differential`);
+    production simulates with :class:`~repro.sim.compile.CompiledSimulator`.
     """
 
     def __init__(self, design: ElaboratedDesign, options: Optional[SimulatorOptions] = None):
@@ -258,8 +257,13 @@ class InterpSimulator:
             self._settle()
 
     def _fire_clock_edge(self) -> None:
-        """Run every block sensitive to the active edge of the clock."""
-        self._env[self._clock] = LogicValue.from_int(1, 1)
+        """Run every block sensitive to the active edge of the clock.
+
+        The pulse drives the clock's bit 0 at the clock's own width, so a
+        multi-bit clock keeps its width in the trace.
+        """
+        width = self._env[self._clock].width
+        self._env[self._clock] = LogicValue.from_int(1, width)
         triggered = [
             block
             for block in self._design.seq_blocks
@@ -282,7 +286,7 @@ class InterpSimulator:
         if negedge_blocks:
             self._settle()
             self._run_blocks(negedge_blocks)
-        self._env[self._clock] = LogicValue.from_int(0, 1)
+        self._env[self._clock] = LogicValue.from_int(0, width)
 
     def _run_blocks(self, blocks: list[ProceduralBlock]) -> None:
         """Execute blocks against the pre-edge state; commit NBAs together."""
@@ -314,43 +318,3 @@ class InterpSimulator:
         if edge == "negedge":
             return before == 1 and after == 0
         return before == 0 and after == 1
-
-
-def Simulator(
-    design: ElaboratedDesign,
-    options: Optional[SimulatorOptions] = None,
-    compiled=None,
-):
-    """Build a simulator for ``design``: compiled, else the interpreter.
-
-    The design is lowered by the compiled backend (:mod:`repro.sim.compile`);
-    a design using a construct the compiler rejects falls back to the
-    tree-walking :class:`InterpSimulator`.  Tests that need one backend
-    construct :class:`InterpSimulator` or
-    :class:`~repro.sim.compile.CompiledSimulator` directly.
-
-    ``compiled`` is an optional pre-lowered
-    :class:`~repro.sim.compile.CompiledDesign` for this design (e.g. from the
-    compiled-artifact cache): the compiled backend instantiates from it
-    instead of lowering again.
-
-    Both backends expose the same API (``step``/``run``/``trace``/``value``/
-    ``peek``) and produce `equals()`-identical traces.
-    """
-    # Imported lazily: repro.sim.compile imports from this module.
-    from repro.sim.compile import CompiledSimulator, CompileError
-
-    try:
-        return CompiledSimulator(design, options=options, compiled=compiled)
-    except CompileError:
-        return InterpSimulator(design, options=options)
-
-
-def simulate(
-    design: ElaboratedDesign,
-    stimulus: list[Mapping[str, int]],
-    options: Optional[SimulatorOptions] = None,
-) -> Trace:
-    """Convenience wrapper: build a simulator, run ``stimulus``, return the trace."""
-    simulator = Simulator(design, options=options)
-    return simulator.run(stimulus)

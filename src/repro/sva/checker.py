@@ -44,8 +44,6 @@ from repro.sim.evaluator import EvalError, Evaluator
 from repro.sim.trace import Trace
 from repro.sim.values import LogicValue
 
-#: The sampled-value system functions the boolean layer resolves over traces.
-SAMPLED_VALUE_FUNCTIONS = ("$past", "$rose", "$fell", "$stable", "$changed")
 
 
 def sampled_past_depth(call: ast.SystemCall, parameters: Mapping[str, int]) -> int:

@@ -44,15 +44,15 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 from repro.hdl.elaborate import ElaboratedDesign
 from repro.obs import phase
 from repro.obs.metrics import get_registry, labeled
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.compile import CompiledDesign, CompiledSimulator
+from repro.sim.engine import SimulationError
 from repro.sim.stimulus import StimulusGenerator
-from repro.sim.trace import Trace
+from repro.sim.trace import DiffTrace, Trace
 from repro.sva.checker import AssertionChecker, CheckReport
 from repro.sva.compile import CompiledAssertionChecker
 
 if TYPE_CHECKING:
     from repro.artifacts.store import ArtifactStore
-    from repro.sim.compile import CompiledDesign
 
 Checker = Union[CompiledAssertionChecker, AssertionChecker]
 
@@ -75,6 +75,23 @@ class CheckOutcome:
     failure: Optional[tuple[int, CheckReport]] = None
     #: Some assertion's antecedent matched on some checked seed.
     exercised: bool = False
+
+
+def simulate_seed(
+    compiled: CompiledDesign, seed: int, cycles: int, reset_cycles: int
+) -> DiffTrace:
+    """Run ``compiled``'s design on the mixed stimulus of ``seed``.
+
+    The stimulus is :meth:`StimulusGenerator.mixed_stimulus` with
+    ``reset_cycles`` of reset and ``cycles`` random cycles.  Raises
+    :class:`~repro.sim.engine.SimulationError` when the design does not
+    simulate (a combinational loop, say).
+    """
+    design = compiled.design
+    stimulus = StimulusGenerator(design, seed=seed).mixed_stimulus(
+        random_cycles=cycles, reset_cycles=reset_cycles
+    )
+    return CompiledSimulator(design, compiled=compiled).run(stimulus.vectors)
 
 
 def _exercised(report: CheckReport) -> bool:
@@ -164,26 +181,20 @@ def simulate_and_check(
     if any(not seeds for _, seeds in judged):
         raise ValueError("simulate_and_check needs at least one stimulus seed per source")
     outcomes: list[CheckOutcome] = []
-    # Index of each compiling source -> (design, compiled simulator design).
-    lowered: dict[int, tuple[ElaboratedDesign, Optional[CompiledDesign]]] = {}
+    # Index of each compiling source -> its design lowered for simulation.
+    lowered: dict[int, CompiledDesign] = {}
     checkers: dict[int, Checker] = {}
     for index, (source, _) in enumerate(judged):
         with phase(f"{stage}.compile"):
             design, first_error = store.elaborate_source(source, base_source)
             if design is not None:
-                compiled = store.compiled_design(source, base_source)
+                lowered[index] = store.compiled_design(source, base_source)
                 checkers[index] = store.checker(source, base_source)
-                lowered[index] = (design, compiled)
         outcomes.append(CheckOutcome(design=design, compile_error=first_error))
 
     def simulate(index: int, seed: int) -> Trace:
-        design, compiled = lowered[index]
         with phase(f"{stage}.simulate"):
-            stimulus = StimulusGenerator(design, seed=seed).mixed_stimulus(
-                random_cycles=cycles, reset_cycles=reset_cycles
-            )
-            trace: Trace = Simulator(design, compiled=compiled).run(stimulus.vectors)
-        return trace
+            return simulate_seed(lowered[index], seed, cycles, reset_cycles)
 
     first: dict[int, list[Trace]] = {}
     for index in lowered:

@@ -39,10 +39,10 @@ import numpy as np
 
 from repro.hdl import ast
 from repro.hdl.elaborate import ElaboratedDesign
+from repro.hdl.lint import SAMPLED_VALUE_FUNCTIONS
 from repro.sim.evaluator import EvalError, Evaluator
 from repro.sim.trace import INT64_COLUMN_MAX_WIDTH
 from repro.sva.checker import (
-    SAMPLED_VALUE_FUNCTIONS,
     AssertionFailure,
     AssertionOutcome,
     infer_expression_width,
@@ -131,9 +131,9 @@ def _shift_right(values, amounts):
 class VectorExprCompiler:
     """Lowers expression trees to whole-array closures over trace columns.
 
-    Mirrors the scalar per-cycle lowering (:class:`repro.sim.compile.
-    ExprCompiler`, itself pinned against the evaluator) operator for
-    operator; every branch below states the scalar semantics it reproduces.
+    Mirrors the scalar evaluator (:class:`repro.sim.evaluator.Evaluator`,
+    which the tree-walking checker runs per cycle) operator for operator;
+    every branch below states the scalar semantics it reproduces.
     ``compile`` returns ``(fn, width)`` -- widths are static on this path
     (the per-cycle-varying widths scalar evaluation can produce are exactly
     the cases that raise :class:`VectorError`).

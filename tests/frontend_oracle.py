@@ -1,12 +1,14 @@
 """The front end's analyses as they were before they shared one sweep.
 
 Elaboration builds its driver map and fatal checks, and the lint tier its
-six passes, from one explicit-stack sweep per design
+seven passes, from one explicit-stack sweep per design
 (``ElaboratedDesign.sweep``); the dependency graph is built on first read.
 This module keeps the earlier code -- recursive generator walks, one walk
 per pass, the eagerly built graph -- as the oracle those must match:
 :func:`oracle_mismatches` names every fact of a compile result that
-differs from it, order included.
+differs from it, order included.  Initial blocks are read like always
+blocks, except that they drive no signal.  The seventh pass, which rejects
+the constructs no simulator runs, is written here as one more walk.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def check_design(design) -> None:
                     line=assign.line,
                     code="undeclared-signal",
                 )
-    for block in design.comb_blocks + design.seq_blocks:
+    for block in design.comb_blocks + design.seq_blocks + design.initial_blocks:
         for node in walk_statement(block.body):
             if isinstance(node, ast.Assign):
                 for target in ast._target_names(node.target):
@@ -159,15 +161,20 @@ def check_design(design) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# the six lint passes
+# the seven lint passes
 # --------------------------------------------------------------------------- #
 
 
 def _all_expressions(design):
+    yield from _logic_expressions(design)
+    yield from _assertion_expressions(design)
+
+
+def _logic_expressions(design):
     for assign in design.continuous_assigns:
         yield assign.line, assign.target
         yield assign.line, assign.value
-    for block in design.comb_blocks + design.seq_blocks:
+    for block in design.comb_blocks + design.seq_blocks + design.initial_blocks:
         for statement in walk_statement(block.body):
             if isinstance(statement, ast.Assign):
                 yield statement.line, statement.target
@@ -179,6 +186,9 @@ def _all_expressions(design):
                 for item in statement.items:
                     for label in item.labels:
                         yield statement.line, label
+
+
+def _assertion_expressions(design):
     for assertion in design.assertions:
         sequences = [assertion.body.consequent]
         if assertion.body.antecedent is not None:
@@ -269,7 +279,45 @@ def lint(design) -> DiagnosticSink:
         if not node.blocking:
             sink.warning("non-blocking assignment inside combinational always block",
                          line=node.line, code="nonblocking-in-comb")
+
+    targets = [(assign.line, assign.target) for assign in design.continuous_assigns]
+    targets += [(node.line, node.target)
+                for node in _procedural_assigns(procedural + design.initial_blocks)]
+    for line, target in targets:
+        message = _unassignable(target)
+        if message:
+            sink.error(message, line=line, code="unsupported-construct")
+    for in_assertion, expressions in ((False, _logic_expressions(design)),
+                                      (True, _assertion_expressions(design))):
+        for line, expr in expressions:
+            for node in walk_expression(expr):
+                if not isinstance(node, ast.SystemCall) or node.name not in KNOWN_SYSTEM_FUNCTIONS:
+                    continue
+                if not node.args:
+                    sink.error(f"system function '{node.name}' needs an argument", line=line,
+                               code="unsupported-construct")
+                elif not in_assertion and node.name in _SAMPLED_VALUE_FUNCTIONS:
+                    sink.error(f"sampled-value function '{node.name}' is only allowed in "
+                               "assertions", line=line, code="unsupported-construct")
     return sink
+
+
+_SAMPLED_VALUE_FUNCTIONS = ("$past", "$rose", "$fell", "$stable", "$changed")
+
+
+def _unassignable(target) -> str:
+    """Why neither simulator can write ``target`` ("" when both can)."""
+    if isinstance(target, ast.Identifier):
+        return ""
+    if isinstance(target, (ast.BitSelect, ast.PartSelect)):
+        if isinstance(target.base, ast.Identifier):
+            return ""
+        return f"nested select target '{target}' is not supported"
+    if isinstance(target, ast.Concat):
+        if all(isinstance(part, ast.Identifier) for part in target.parts):
+            return ""
+        return f"concatenation target '{target}' may hold only signal names"
+    return f"'{target}' is not an assignable target"
 
 
 # --------------------------------------------------------------------------- #
@@ -284,7 +332,7 @@ def _walks_match(design) -> bool:
             return False
         if list(expr.identifiers()) != list(identifiers(expr)):
             return False
-    for block in design.comb_blocks + design.seq_blocks:
+    for block in design.comb_blocks + design.seq_blocks + design.initial_blocks:
         if [id(n) for n in block.body.walk()] != [id(n) for n in walk_statement(block.body)]:
             return False
     return True

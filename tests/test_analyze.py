@@ -115,6 +115,7 @@ def test_lint_passes_have_stable_ids_in_order():
         "undriven",
         "system-functions",
         "assignment-style",
+        "unsupported-construct",
     ]
 
 

@@ -382,9 +382,9 @@ def test_lru_bound_evicts_and_recomputes():
     assert ArtifactStore().max_entries == DEFAULT_LRU_ENTRIES == 64
 
 
-def test_uncompilable_designs_are_negative_cached():
-    # The interpreter-only path: a design the compiled backend rejects is
-    # probed once and then served the cached rejection.
+def test_initial_block_design_is_lowered_once():
+    # An initial block lowers like any other block; the second lookup is a
+    # hit on the same lowering.
     source = (
         "module dut_x(input wire clk, output reg q);\n"
         "  initial q = 0;\n"
@@ -392,12 +392,9 @@ def test_uncompilable_designs_are_negative_cached():
     )
     store = ArtifactStore()
     first = store.compiled_design(source)
-    second = store.compiled_design(source)
+    assert store.compiled_design(source) is first
     assert store.misses == 1 and store.hits == 1
-    if first is None:
-        assert second is None
-    else:  # the backend learned this construct; the cache must still hit
-        assert second is first
+    assert len(first.initial_bodies) == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -512,16 +509,26 @@ def test_rejected_and_uncompilable_sources_are_answered_from_their_entry(monkeyp
     assert store.checker(fixed, broken) is not None
     assert compiles == [broken, fixed]
     lowerings.clear()
+    # A design the lint tier rejects (here: a construct no simulator runs)
+    # elaborates, yet has no lowering, and is never lowered.
     rejected = (
         "module dut_y(input wire clk, input wire [1:0] a, output reg [1:0] q,"
         " output reg r);\n"
         "  always @(posedge clk) {q[1], r} <= a;\nendmodule\n"
     )
-    assert store.elaborate_source(rejected)[0] is not None
-    assert store.compiled_design(rejected) is None
-    assert store.compiled_design(rejected) is None
-    assert compiles == [broken, fixed, rejected]
-    assert len(lowerings) == 1
+    assert store.compile(rejected).design is not None
+    for _ in range(2):
+        design, error = store.elaborate_source(rejected)
+        assert design is None and "unsupported-construct" in error
+        with pytest.raises(ValueError):
+            store.compiled_design(rejected)
+    assert lowerings == []
+    # An edit of it lowers from scratch: the rejected base is not lowered.
+    repaired = rejected.replace("{q[1], r} <= a;", "{q, r} <= {a, a[0]};")
+    compiled = store.compiled_design(repaired, rejected)
+    assert compiled.relower_fallback_reason is None and compiled.relower_nodes_reused == 0
+    assert lowerings == [store.compile(repaired).design]
+    assert compiles == [broken, fixed, rejected, repaired]
 
 
 # --------------------------------------------------------------------------- #

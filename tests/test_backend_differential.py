@@ -12,7 +12,7 @@ from repro.bugs.injector import BugInjector, InjectionConfig
 from repro.corpus.templates import all_families
 from repro.hdl.lint import compile_source
 from repro.sim.compile import CompiledSimulator
-from repro.sim.engine import InterpSimulator, Simulator, SimulatorOptions
+from repro.sim.engine import InterpSimulator, SimulatorOptions
 from repro.sim.stimulus import StimulusGenerator
 
 FAMILIES = all_families()
@@ -102,7 +102,7 @@ def test_seq_write_to_comb_driven_signal_matches_interpreter():
     assert result.ok and result.design is not None
     vectors = [{"rst_n": 0, "a": 0}, {"rst_n": 1, "a": 0}, {"rst_n": 1, "a": 1}, {"rst_n": 1, "a": 0}]
     assert_traces_identical(result.design, vectors)
-    sim = Simulator(result.design)
+    sim = CompiledSimulator(result.design)
     sim.run(vectors)
     assert sim.peek("y") == 0, "the combinational driver must win the settle"
 
@@ -125,22 +125,17 @@ def test_stimulus_write_to_comb_driven_signal_matches_interpreter():
 
 def test_difftrace_supports_slice_indexing():
     design = design_for(FAMILIES[0])
-    sim = Simulator(design)
+    sim = CompiledSimulator(design)
     trace = sim.run([{"rst_n": 0}] + [{"rst_n": 1}] * 4)
     window = trace[1:3]
     assert len(window) == 2
     assert window[0].cycle == 1
 
 
-def test_factory_prefers_compiled_backend():
-    design = design_for(FAMILIES[0])
-    assert isinstance(Simulator(design), CompiledSimulator)
-
-
-def test_factory_falls_back_to_interpreter_when_compile_rejects():
-    """The one simulator selection left: a construct the compiled backend
-    rejects gets the interpreter, and the verifier reports what that
-    simulation says as a verdict instead of raising."""
+def test_concat_target_holding_a_select_is_a_compile_error():
+    """The construct that once sent a design to the interpreter: the compiled
+    backend cannot lower ``{q[1], r} <=``, so the front end rejects it and
+    the verifier reports ``compile_fail`` (it reported ``sim_error``)."""
     from repro.eval.verifier import SemanticVerifier
     from repro.sim.compile import CompileError, compile_design
 
@@ -152,9 +147,38 @@ def test_factory_falls_back_to_interpreter_when_compile_rejects():
         "endmodule\n"
     )
     result = compile_source(source)
-    assert result.ok and result.design is not None, result.render()
+    assert not result.ok
+    assert [d.code for d in result.errors] == ["unsupported-construct"]
     with pytest.raises(CompileError, match="concatenation targets"):
         compile_design(result.design)
-    assert isinstance(Simulator(result.design), InterpSimulator)
     verdict = SemanticVerifier().verify_source(source, (1, 2))
-    assert verdict.status == "sim_error", (verdict.status, verdict.detail)
+    assert verdict.status == "compile_fail", (verdict.status, verdict.detail)
+    assert "concatenation target '{q[1], r}'" in verdict.detail
+
+
+@pytest.mark.parametrize("clock", ["clk", "ck"])
+def test_multi_bit_clock_traces_identical(clock):
+    """Both backends pulse a 2-bit clock's bit 0 and keep its width.  The
+    stimulus never drives ``clk``; it drives ``ck`` with random values,
+    so bit 1 toggles too."""
+    source = (
+        f"module c2(input wire [1:0] {clock}, input wire rst_n, input wire [3:0] a,\n"
+        "          output reg [3:0] q, output reg [3:0] n, output wire [1:0] k);\n"
+        f"    assign k = {clock};\n"
+        f"    always @(posedge {clock} or negedge rst_n) begin\n"
+        "        if (!rst_n) q <= 0;\n"
+        "        else q <= q + a;\n"
+        "    end\n"
+        f"    always @(negedge {clock}) n <= q ^ {{{clock}, {clock}}};\n"
+        "endmodule\n"
+    )
+    result = compile_source(source)
+    assert result.ok, result.render()
+    design = result.design
+    assert design.signals[clock].width == 2
+    vectors = StimulusGenerator(design, seed=5).mixed_stimulus(random_cycles=40).vectors
+    assert all(clock not in vector for vector in vectors) == (clock == "clk")
+    assert_traces_identical(design, vectors)
+    trace = CompiledSimulator(design).run(vectors)
+    assert {sample.post_edge[clock].width for sample in trace} == {2}
+    assert len({sample.post_edge["q"].value for sample in trace}) > 2

@@ -177,3 +177,120 @@ def test_undeclared_targets_are_reported_as_the_pre_sweep_check_did(drop, monkey
     with pytest.raises(ElaborationError) as expected:
         check_design(design)
     assert (error.line, error.message) == (expected.value.line, expected.value.message)
+
+
+# --------------------------------------------------------------------------- #
+# the constructs no simulator runs are compile errors
+# --------------------------------------------------------------------------- #
+
+ASSERTION = (
+    "    a_q: assert property (@(posedge clk) disable iff (!rst_n) $past(rst_n) |-> q == $past(a));"
+)
+GATED = f"""\
+module sub (input wire i, output wire o);
+    assign o = ~i;
+endmodule
+
+module gated (
+    input wire clk,
+    input wire rst_n,
+    input wire [1:0] a,
+    output reg [1:0] q,
+    output reg r,
+    output wire [1:0] w,
+    output wire y,
+    output wire z
+);
+    assign y = a[0];
+    assign w = a;
+    sub u0 (.i(a[1]), .o(z));
+    always @(posedge clk or negedge rst_n) begin
+        if (!rst_n) q <= 2'b00;
+        else q <= a;
+    end
+    always @(posedge clk) r <= a[1];
+{ASSERTION}
+endmodule
+"""
+
+#: (line of GATED, its replacement, what the compile error says).  Before
+#: the front end rejected them, each of these raised out of the verifier or
+#: reached the interpreter, which failed (``sim_error``) or ignored it.
+UNSUPPORTED = [
+    ("    assign y = a[0];", "    assign y = $countones();", "'$countones' needs an argument"),
+    ("    assign y = a[0];", "    assign y = $onehot();", "'$onehot' needs an argument"),
+    ("    assign y = a[0];", "    assign y = $onehot0();", "'$onehot0' needs an argument"),
+    ("    assign y = a[0];", "    assign y = $clog2();", "'$clog2' needs an argument"),
+    ("    assign y = a[0];", "    assign y = $signed();", "'$signed' needs an argument"),
+    ("    assign y = a[0];", "    assign y = $unsigned();", "'$unsigned' needs an argument"),
+    ("        else q <= a;", "        else q[1][0] <= a[0];", "nested select target 'q[1][0]'"),
+    ("        else q <= a;", "        else {q[1], r} <= a;", "concatenation target '{q[1], r}'"),
+    ("        else q <= a;", "        else {{q}, r} <= {a, a[0]};", "concatenation target"),
+    ("    assign w = a;", "    assign {w[1], w[0]} = a[1:0];",
+     "concatenation target '{w[1], w[0]}'"),
+    ("    sub u0 (.i(a[1]), .o(z));", "    sub u0 (.i(a[1]), .o(a[0] & y));",
+     "'a[0] & y' is not an assignable target"),
+    ("    assign y = a[0];", "    assign y = $past(a[0]);",
+     "'$past' is only allowed in assertions"),
+    ("        if (!rst_n) q <= 2'b00;", "        if ($rose(a[0])) q <= 2'b00;",
+     "'$rose' is only allowed in assertions"),
+    (ASSERTION, "    a_q: assert property (@(posedge clk) $countones() == 0);",
+     "'$countones' needs an argument"),
+    (ASSERTION, "    a_q: assert property (@(posedge clk) $rose() |-> q == a);",
+     "'$rose' needs an argument"),
+    ("    assign w = a;", "    assign w = a; initial q[1][0] = 1'b0;", "nested select target"),
+    # Initial blocks are swept like always blocks, so the names and calls
+    # in them pass the same checks.
+    ("    assign w = a;", "    assign w = a; initial ghost = 1'b0;",
+     "assignment to undeclared signal 'ghost'"),
+    ("    assign w = a;", "    assign w = a; initial r = ghost;", "use of undeclared signal 'ghost'"),
+    ("    assign w = a;", "    assign w = a; initial r = $random(a);",
+     "unsupported system function '$random'"),
+]
+
+
+def test_the_gated_design_verifies():
+    from repro.eval.verifier import SemanticVerifier
+
+    assert compile_source(GATED).ok
+    assert SemanticVerifier().verify_source(GATED, (1, 2)).status == "pass"
+
+
+@pytest.mark.parametrize(
+    "line,new_line,message", UNSUPPORTED, ids=[case[1].strip() for case in UNSUPPORTED]
+)
+def test_constructs_no_simulator_runs_are_compile_failures(line, new_line, message):
+    from frontend_oracle import oracle_mismatches
+    from repro.eval.verifier import SemanticVerifier
+
+    assert GATED.count(line + "\n") == 1
+    source = GATED.replace(line + "\n", new_line + "\n")
+    result = compile_source(source)
+    (error,) = result.errors
+    assert message in error.message, result.render()
+    assert oracle_mismatches(result) == []
+    verdict = SemanticVerifier().verify_source(source, (1, 2))
+    assert verdict.status == "compile_fail", (verdict.status, verdict.detail)
+    assert message in verdict.detail
+
+
+def test_an_initial_for_loop_is_unrolled_and_both_simulators_run_it():
+    source = GATED.replace(
+        "    assign w = a;\n",
+        "    assign w = a;\n    integer i;\n    reg [3:0] mem;\n"
+        "    initial for (i = 0; i < 4; i = i + 1) mem[i] = i[0];\n",
+    )
+    result = compile_source(source)
+    assert result.ok, result.render()
+    (initial,) = result.design.initial_blocks
+    assert [str(node.target) for node in initial.body.walk() if isinstance(node, ast.Assign)] == [
+        "mem[0]", "mem[1]", "mem[2]", "mem[3]"]
+    vectors = StimulusGenerator(result.design, seed=3).mixed_stimulus(random_cycles=8).vectors
+    interp = InterpSimulator(result.design).run(vectors)
+    compiled = CompiledSimulator(result.design).run(vectors)
+    assert [sample.pre_edge["mem"].value for sample in compiled] == [0b1010] * len(vectors)
+    for expected, actual in zip(interp, compiled):
+        for name in expected.pre_edge:
+            assert expected.pre_edge[name].equals(actual.pre_edge[name]), name
+            assert expected.post_edge[name].equals(actual.post_edge[name]), name
+

@@ -16,7 +16,9 @@ the design's canonical text and the recorded item spans.  Inputs:
 
 Every full compile is also checked against the pre-sweep analyses of
 ``frontend_oracle`` (dependency graph, driver lines, lint diagnostics and
-walk order).
+walk order), and every design the front end accepts, bases included, must
+lower and instantiate in the compiled simulator: ``compile_source`` is the
+only gate before simulation.
 
 The incremental path shares AST nodes across designs of different sources,
 so the suite also pins that verifying spliced candidates leaves the base's
@@ -42,7 +44,7 @@ from repro.hdl.lexer import tokenize
 from repro.hdl.parser import Parser, parse_source
 from repro.hdl.source import leading_whitespace
 from repro.obs.metrics import scoped_registry, split_label
-from repro.sim import Simulator
+from repro.sim import CompiledSimulator, SimulationError
 from repro.sim.stimulus import StimulusGenerator
 from repro.sva.generator import insert_assertions, mine_assertions, template_assertion_blocks
 from repro.sva.kernel import simulate_and_check
@@ -58,13 +60,32 @@ def outcome(result):
     )
 
 
+def assert_runs_compiled(result) -> None:
+    """An accepted design lowers and instantiates in the compiled simulator.
+
+    Settling the initial state may fail (a combinational loop): that is a
+    simulation error, the verdict such a design gets.  Any other exception,
+    a ``CompileError`` above all, fails the test.
+    """
+    if result.ok:
+        try:
+            CompiledSimulator(result.design)
+        except SimulationError:
+            pass
+
+
 def mismatches(base_text: str, texts) -> list[str]:
     """The texts whose incremental compile differs from the full one, or
-    whose full compile differs from the pre-sweep analyses (frontend_oracle)."""
+    whose full compile differs from the pre-sweep analyses (frontend_oracle).
+
+    Every accepted design among the base and the texts must also run in
+    the compiled simulator (:func:`assert_runs_compiled`)."""
     base = compile_source(base_text)
+    assert_runs_compiled(base)
     failed = []
     for text in texts:
         full = compile_source(text)
+        assert_runs_compiled(full)
         if outcome(compile_source(text, base=base)) != outcome(full) or oracle_mismatches(full):
             failed.append(text)
     return failed
@@ -419,7 +440,7 @@ def sva_insertions(family, point: int, params) -> tuple[str, list[str]]:
     design = compile_source(golden).design
     vectors = StimulusGenerator(design, seed=11).mixed_stimulus(random_cycles=48).vectors
     template = template_assertion_blocks(artifact.template_svas, artifact.family)
-    mined = mine_assertions(design, Simulator(design).run(vectors), max_assertions=5)
+    mined = mine_assertions(design, CompiledSimulator(design).run(vectors), max_assertions=5)
     groups = [template + mined, template, mined] + [[one] for one in template + mined]
     texts = {insert_assertions(golden, group) for group in groups}
     texts.discard(golden)

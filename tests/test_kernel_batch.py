@@ -26,7 +26,8 @@ from repro.dataaug.pipeline import PipelineConfig
 from repro.dataaug.stage1 import run_stage1
 from repro.dataaug.stage2 import Stage2Runner
 from repro.obs import labeled, scoped_registry
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.compile import CompiledSimulator
+from repro.sim.engine import SimulationError
 from repro.sim.stimulus import StimulusGenerator
 from repro.sva.checker import AssertionChecker
 from repro.sva.compile import CompiledAssertionChecker
@@ -57,7 +58,7 @@ def reference_simulate_and_check(store, source, seeds, cycles, reset_cycles,
         stimulus = StimulusGenerator(design, seed=seed).mixed_stimulus(
             random_cycles=cycles, reset_cycles=reset_cycles
         )
-        return Simulator(design, compiled=compiled).run(stimulus.vectors)
+        return CompiledSimulator(design, compiled=compiled).run(stimulus.vectors)
 
     outcome = CheckOutcome(design=design)
     try:
@@ -125,7 +126,7 @@ def augmented_golden(store, family):
     artifact = family.build(f"kb_{family.name}", **family.parameter_grid[0])
     design, _ = store.elaborate_source(artifact.source)
     assert design is not None
-    mining = Simulator(design).run(
+    mining = CompiledSimulator(design).run(
         StimulusGenerator(design, seed=7).mixed_stimulus(random_cycles=CYCLES).vectors
     )
     candidates = template_assertion_blocks(artifact.template_svas, artifact.family)

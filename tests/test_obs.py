@@ -47,7 +47,7 @@ from repro.runtime import (
     run_jobs,
 )
 from repro.runtime.faults import PHASE_WORKER
-from repro.sim.engine import Simulator
+from repro.sim.compile import CompiledSimulator
 from repro.sim.stimulus import StimulusGenerator
 from repro.sva.checker import AssertionChecker
 from repro.sva.compile import CompiledAssertionChecker
@@ -496,7 +496,7 @@ def _assertion_design():
         golden = compile_source(artifact.source)
         if not golden.ok or golden.design is None:
             continue
-        trace = Simulator(golden.design).run(
+        trace = CompiledSimulator(golden.design).run(
             StimulusGenerator(golden.design, seed=1).mixed_stimulus(random_cycles=24).vectors
         )
         candidates = template_assertion_blocks(artifact.template_svas, artifact.family)
@@ -567,7 +567,7 @@ def test_attempt_engine_choices_are_recorded_per_assertion():
     design = compile_source(_MIXED_SOURCE).design
     assert design is not None
     traces = [
-        Simulator(design).run(
+        CompiledSimulator(design).run(
             StimulusGenerator(design, seed=seed).mixed_stimulus(random_cycles=12).vectors
         )
         for seed in (1, 2, 3)

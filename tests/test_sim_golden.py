@@ -1,6 +1,6 @@
 """Golden simulation tests: one hand-checked design per template family.
 
-These run through the default (compiled) backend via the Simulator factory;
+These run on the compiled backend, the one production builds;
 `test_backend_differential` separately proves the interpreter agrees.
 """
 
@@ -14,13 +14,13 @@ from repro.corpus.templates.fsm import build_sequence_detector
 from repro.corpus.templates.shift import build_shift_register
 from repro.hdl.lint import compile_source
 from repro.sim.compile import CompiledSimulator
-from repro.sim.engine import InterpSimulator, Simulator
+from repro.sim.engine import InterpSimulator
 
 
-def simulator_for(source: str) -> "Simulator":
+def simulator_for(source: str) -> CompiledSimulator:
     result = compile_source(source)
     assert result.ok and result.design is not None, result.render()
-    return Simulator(result.design)
+    return CompiledSimulator(result.design)
 
 
 def test_up_counter_counts_wraps_and_flags_max():

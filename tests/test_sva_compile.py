@@ -19,7 +19,8 @@ from repro.corpus.templates import all_families
 from repro.hdl import ast
 from repro.hdl.elaborate import AssertionSpec
 from repro.hdl.lint import compile_source
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.compile import CompiledSimulator
+from repro.sim.engine import SimulationError
 from repro.sim.stimulus import StimulusGenerator
 from repro.sva.checker import (
     AssertionChecker,
@@ -60,7 +61,7 @@ def augmented_design(family, prefix="dut"):
     golden = compile_source(artifact.source)
     if not golden.ok or golden.design is None:
         return None, None
-    mining_trace = Simulator(golden.design).run(
+    mining_trace = CompiledSimulator(golden.design).run(
         StimulusGenerator(golden.design, seed=7).mixed_stimulus(random_cycles=24).vectors
     )
     candidates = template_assertion_blocks(artifact.template_svas, artifact.family)
@@ -80,7 +81,7 @@ def test_family_outcomes_identical(family):
     if design is None or not design.assertions:
         pytest.skip("family yields no checkable assertions")
     vectors = StimulusGenerator(design, seed=8).mixed_stimulus(random_cycles=32).vectors
-    assert_reports_identical(design, Simulator(design).run(vectors))
+    assert_reports_identical(design, CompiledSimulator(design).run(vectors))
 
 
 @pytest.mark.parametrize(
@@ -99,7 +100,7 @@ def test_check_batch_matches_per_trace_check(checker_class, request):
             continue
         checker = checker_class(design)
         traces = [
-            Simulator(design).run(
+            CompiledSimulator(design).run(
                 StimulusGenerator(design, seed=40 + index)
                 .mixed_stimulus(random_cycles=24 - 7 * index)
                 .vectors
@@ -141,7 +142,7 @@ def test_check_batch_across_mutant_designs_sharing_one_lowering():
             if checker.batch_key() is None:
                 continue
             try:
-                trace = Simulator(buggy.design).run(
+                trace = CompiledSimulator(buggy.design).run(
                     StimulusGenerator(buggy.design, seed=50 + index)
                     .mixed_stimulus(random_cycles=30 - 5 * index)
                     .vectors
@@ -184,7 +185,7 @@ def test_mutant_outcomes_identical(seed):
             if not buggy.ok or buggy.design is None:
                 continue
             try:
-                trace = Simulator(buggy.design).run(
+                trace = CompiledSimulator(buggy.design).run(
                     StimulusGenerator(buggy.design, seed=9)
                     .mixed_stimulus(random_cycles=24)
                     .vectors
@@ -248,7 +249,7 @@ def shift2_trace(design, cycles=24):
     # depth-1 and a depth-2 $past can never agree by accident.
     vectors = [{"rst_n": 0, "a": 0}, {"rst_n": 0, "a": 0}]
     vectors += [{"rst_n": 1, "a": (3 * i + 1) % 16} for i in range(cycles)]
-    return Simulator(design).run(vectors)
+    return CompiledSimulator(design).run(vectors)
 
 
 def test_store_caches_one_checker_per_source_and_agrees_with_check_assertions():

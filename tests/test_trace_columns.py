@@ -30,7 +30,7 @@ from repro.bugs.injector import BugInjector, InjectionConfig
 from repro.corpus.templates import all_families
 from repro.hdl.lint import compile_source
 from repro.sim.compile import CompiledSimulator
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import SimulationError
 from repro.sim.stimulus import StimulusGenerator
 from repro.sim.trace import INT64_COLUMN_MAX_WIDTH
 from repro.sva.checker import AssertionChecker
@@ -45,7 +45,7 @@ def augmented_design(family, prefix="col"):
     golden = compile_source(artifact.source)
     if not golden.ok or golden.design is None:
         return None, None
-    mining_trace = Simulator(golden.design).run(
+    mining_trace = CompiledSimulator(golden.design).run(
         StimulusGenerator(golden.design, seed=7).mixed_stimulus(random_cycles=24).vectors
     )
     candidates = template_assertion_blocks(artifact.template_svas, artifact.family)
@@ -61,7 +61,7 @@ def augmented_design(family, prefix="col"):
 
 def simulate(design, seed=11, cycles=24):
     vectors = StimulusGenerator(design, seed=seed).mixed_stimulus(random_cycles=cycles).vectors
-    return Simulator(design).run(vectors)
+    return CompiledSimulator(design).run(vectors)
 
 
 def assert_columns_match_samples(trace, names):
@@ -122,7 +122,7 @@ def test_difftrace_columns_do_not_densify():
     design = compile_source(QUIET_SOURCE).design
     assert design is not None
     # Constant input: after the first cycle nothing changes.
-    trace = Simulator(design).run([{"a": 5}] * 40)
+    trace = CompiledSimulator(design).run([{"a": 5}] * 40)
     columns = trace.columns(["a", "b"])
     assert trace._cache == [], "columns() materialised per-cycle samples"
     assert columns.values["a"].tolist() == [5] * 40
@@ -131,7 +131,7 @@ def test_difftrace_columns_do_not_densify():
 
 def test_columns_unknown_signal_raises_clear_error():
     design = compile_source(QUIET_SOURCE).design
-    trace = Simulator(design).run([{"a": 1}] * 4)
+    trace = CompiledSimulator(design).run([{"a": 1}] * 4)
     with pytest.raises(KeyError, match="not in trace"):
         trace.columns(["a", "ghost"])
     with pytest.raises(KeyError, match="no column"):
@@ -158,7 +158,7 @@ def test_wide_signals_use_object_columns_and_tree_walker_fallback():
     assert design is not None
     assert design.signals["a"].width > INT64_COLUMN_MAX_WIDTH
     big = (1 << 70) | 3
-    trace = Simulator(design).run([{"a": big}] * 8)
+    trace = CompiledSimulator(design).run([{"a": big}] * 8)
     columns = trace.columns(["a"])
     assert columns.values["a"].dtype == object
     assert columns.values["a"].tolist() == [big] * 8
@@ -327,7 +327,7 @@ def adversarial_trace(design, cycles, hold=True, pulse_at=()):
                 "data": (5 * i + 2) % 16,
             }
         )
-    return Simulator(design).run(vectors)
+    return CompiledSimulator(design).run(vectors)
 
 
 def test_adversarial_attempt_shapes_identical():
@@ -429,7 +429,7 @@ def test_mixed_width_ragged_batch_matches_oracle():
     assert checker.engine_choices["a_wide"]["engine"] == "tree_walker"
     big = 1 << 70
     traces = [
-        Simulator(design).run(
+        CompiledSimulator(design).run(
             [{"a": big | i, "n": (3 * i + seed) % 16} for i in range(cycles)]
         )
         for seed, cycles in ((1, 9), (2, 4), (3, 0))
@@ -480,7 +480,7 @@ def test_stacked_batch_on_template_families():
 
 def test_columns_are_memoised_per_name_tuple():
     design = compile_source(QUIET_SOURCE).design
-    trace = Simulator(design).run([{"a": 5}] * 10)
+    trace = CompiledSimulator(design).run([{"a": 5}] * 10)
     first = trace.columns(["a"])
     assert trace.columns(["a"]) is first
     # A different name tuple is a different memo entry.
@@ -523,7 +523,7 @@ def test_difftrace_columns_memo_invalidated_by_recording():
 
 def test_columns_memo_dropped_on_pickle():
     design = compile_source(QUIET_SOURCE).design
-    trace = Simulator(design).run([{"a": 5}] * 6).materialized()
+    trace = CompiledSimulator(design).run([{"a": 5}] * 6).materialized()
     built = trace.columns(["a"])
     restored = pickle.loads(pickle.dumps(trace))
     assert "_columns_memo" not in restored.__dict__
@@ -550,7 +550,7 @@ endmodule
 
 def test_render_does_not_truncate_long_names():
     design = compile_source(LONG_NAMES_SOURCE).design
-    trace = Simulator(design).run([{"a_very_long_signal_name_one": 3}] * 4)
+    trace = CompiledSimulator(design).run([{"a_very_long_signal_name_one": 3}] * 4)
     rendered = trace.materialized().render(
         ["a_very_long_signal_name_one", "a_very_long_signal_name_two"]
     )
@@ -561,6 +561,6 @@ def test_render_does_not_truncate_long_names():
 
 def test_render_unknown_name_raises_value_error():
     design = compile_source(LONG_NAMES_SOURCE).design
-    trace = Simulator(design).run([{"a_very_long_signal_name_one": 3}] * 4)
+    trace = CompiledSimulator(design).run([{"a_very_long_signal_name_one": 3}] * 4)
     with pytest.raises(ValueError, match="cannot render"):
         trace.materialized().render(["no_such_signal"])

@@ -7,7 +7,7 @@ import pytest
 from repro.corpus.templates import all_families
 from repro.corpus.templates.counters import build_up_counter
 from repro.hdl.lint import compile_source
-from repro.sim.engine import Simulator
+from repro.sim.compile import CompiledSimulator
 from repro.sim.stimulus import StimulusGenerator
 from repro.sim.vcd import vcd_string
 
@@ -54,7 +54,7 @@ def compiled_design(source: str):
 
 def test_counter_vcd_matches_golden():
     design = compiled_design(build_up_counter("dut", width=2, has_enable=1, saturate=0).source)
-    trace = Simulator(design).run(
+    trace = CompiledSimulator(design).run(
         [
             {"rst_n": 0, "en": 0},
             {"rst_n": 1, "en": 1},
@@ -108,7 +108,7 @@ def test_vcd_round_trips_against_trace(family):
     artifact = family.build(f"vcd_{family.name}", **family.parameter_grid[0])
     design = compiled_design(artifact.source)
     vectors = StimulusGenerator(design, seed=7).random_stimulus(cycles=6).vectors
-    trace = Simulator(design).run(vectors)
+    trace = CompiledSimulator(design).run(vectors)
 
     widths, changes = parse_vcd(vcd_string(trace, module_name=artifact.name))
     assert set(widths) == set(trace.signals)
