@@ -17,7 +17,7 @@ Wrongs: A Large Language Model for Solving Assertion Failures in RTL Design"
 * :mod:`repro.sva` -- SystemVerilog Assertion parsing, trace checking and
   assertion mining.
 * :mod:`repro.corpus` -- a synthetic Verilog corpus generator standing in for
-  the Hugging Face Verilog corpus, plus an RTLLM-style human-crafted split.
+  the Hugging Face Verilog corpus.
 * :mod:`repro.bugs` -- the seven-type bug-injection engine of Table I.
 * :mod:`repro.dataaug` -- the three-stage data-augmentation pipeline of
   Section II (Verilog-PT, Verilog-Bug, SVA-Bug datasets).

@@ -15,13 +15,7 @@ mutation engine with operators covering the same taxonomy:
 from repro.bugs.instance import BugInstance
 from repro.bugs.mutators import MutationCandidate, enumerate_mutations
 from repro.bugs.injector import BugInjector, InjectionConfig
-from repro.bugs.taxonomy import (
-    BUG_TYPE_ORDER,
-    classify_cond,
-    classify_direct,
-    bug_type_labels,
-    taxonomy_table,
-)
+from repro.bugs.taxonomy import classify_direct
 
 __all__ = [
     "BugInstance",
@@ -29,9 +23,5 @@ __all__ = [
     "enumerate_mutations",
     "BugInjector",
     "InjectionConfig",
-    "BUG_TYPE_ORDER",
-    "classify_cond",
     "classify_direct",
-    "bug_type_labels",
-    "taxonomy_table",
 ]

@@ -1,4 +1,4 @@
-"""The record describing one injected (or hand-planted) bug."""
+"""The record describing one injected bug."""
 
 from __future__ import annotations
 
@@ -42,7 +42,3 @@ class BugInstance:
     failing_assertions: list[str] = field(default_factory=list)
     is_direct: Optional[bool] = None
     description: str = ""
-
-    @property
-    def triggers_assertion(self) -> bool:
-        return bool(self.failing_assertions)

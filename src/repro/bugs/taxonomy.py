@@ -1,98 +1,15 @@
-"""Bug taxonomy of Table I and the classifiers that assign its labels.
+"""The Direct / Indirect classifier of Table I.
 
-A bug instance is labelled along three orthogonal dimensions:
-
-* ``Direct`` / ``Indirect`` -- does the signal assigned on the buggy line
-  appear directly in a failing assertion's expression?
-* ``Var`` / ``Value`` / ``Op`` -- the class of edit that produced the bug
-  (some structural edits fall outside these three, as in the paper where the
-  three counts do not add up to the dataset size).
-* ``Cond`` / ``Non_cond`` -- does the bug sit in a conditional statement?
+A bug is ``Direct`` when a signal assigned on the buggy line appears
+directly in a failing assertion's expression, ``Indirect`` otherwise.
+Stage 2 assigns this label after verification; the full set of Table-I
+labels of an entry is :attr:`repro.dataaug.datasets.SvaBugEntry.bug_type_labels`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.bugs.instance import BugInstance
 from repro.hdl.elaborate import AssertionSpec
-
-#: canonical ordering of the seven categories used by Tables II and Figs. 4/5.
-BUG_TYPE_ORDER: tuple[str, ...] = (
-    "Direct",
-    "Indirect",
-    "Var",
-    "Value",
-    "Op",
-    "Cond",
-    "Non_cond",
-)
-
-
-@dataclass(frozen=True)
-class TaxonomyRow:
-    """One row of Table I."""
-
-    name: str
-    description: str
-    expected_form: str
-    unexpected_form: str
-    assertion: str
-
-
-def taxonomy_table() -> list[TaxonomyRow]:
-    """The content of Table I (used by the Table-I benchmark)."""
-    return [
-        TaxonomyRow(
-            "Direct",
-            "Bug signal appears directly in the assertion.",
-            "out <= in;",
-            "out <= in + 1;",
-            "assert(out == in)",
-        ),
-        TaxonomyRow(
-            "Indirect",
-            "Bug signal does not appear directly in the assertion.",
-            "temp <= in; out <= temp;",
-            "temp <= in + 1; out <= temp;",
-            "assert(out == in)",
-        ),
-        TaxonomyRow(
-            "Var",
-            "Incorrect variable name or type.",
-            "out = in;",
-            "out = input;",
-            "-",
-        ),
-        TaxonomyRow(
-            "Value",
-            "Incorrect variable values, constants, or signal bit widths.",
-            "out = 4'b1010;",
-            "out = 4'b1110;",
-            "-",
-        ),
-        TaxonomyRow(
-            "Op",
-            "Misuse of operators.",
-            "out = a | b;",
-            "out = a & b;",
-            "-",
-        ),
-        TaxonomyRow(
-            "Cond",
-            "Bug in conditional statement (e.g., if, always).",
-            "if (valid) out <= in;",
-            "if (!valid) out <= in;",
-            "-",
-        ),
-        TaxonomyRow(
-            "Non_cond",
-            "Bug unrelated to conditional statements.",
-            "if (valid) out <= in;",
-            "if (valid) out <= input;",
-            "-",
-        ),
-    ]
 
 
 def classify_direct(bug: BugInstance, failing_assertions: list[AssertionSpec]) -> bool:
@@ -106,28 +23,3 @@ def classify_direct(bug: BugInstance, failing_assertions: list[AssertionSpec]) -
         if assigned & spec.identifiers():
             return True
     return False
-
-
-def classify_cond(bug: BugInstance) -> bool:
-    """True when the bug lives in a conditional statement (Cond vs Non_cond)."""
-    return bug.is_conditional
-
-
-def edit_label(bug: BugInstance) -> str:
-    """Map the mutation's edit kind to the Table-I label (Var/Value/Op or Other)."""
-    mapping = {"var": "Var", "value": "Value", "op": "Op"}
-    return mapping.get(bug.edit_kind, "Other")
-
-
-def bug_type_labels(bug: BugInstance) -> list[str]:
-    """All Table-I labels that apply to a (validated) bug instance."""
-    labels: list[str] = []
-    if bug.is_direct is True:
-        labels.append("Direct")
-    elif bug.is_direct is False and bug.triggers_assertion:
-        labels.append("Indirect")
-    edit = edit_label(bug)
-    if edit in ("Var", "Value", "Op"):
-        labels.append(edit)
-    labels.append("Cond" if classify_cond(bug) else "Non_cond")
-    return labels

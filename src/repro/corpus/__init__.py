@@ -7,10 +7,6 @@ FSMs, arbiters, LFSRs, ...) swept over widths/depths/variants to give a pool
 of compilable designs across all code-length bins of Table II, plus a
 corruptor that manufactures the non-compiling samples used for the
 Verilog-PT pretraining split.
-
-The human-crafted evaluation split (SVA-Eval-Human, derived from RTLLM in
-the paper) is reproduced by :mod:`repro.corpus.rtllm`: hand-written designs
-with hand-planted bugs, in a coding style distinct from the generator's.
 """
 
 from repro.corpus.metadata import DesignArtifact, DesignFamily, PortSpec
@@ -18,7 +14,6 @@ from repro.corpus.generator import CorpusGenerator, CorpusConfig
 from repro.corpus.corruptor import SyntaxCorruptor, CorruptedSample
 from repro.corpus.spec import build_spec
 from repro.corpus.templates import all_families, family_by_name
-from repro.corpus.rtllm import human_crafted_designs, HumanBugCase
 
 __all__ = [
     "DesignArtifact",
@@ -31,6 +26,4 @@ __all__ = [
     "build_spec",
     "all_families",
     "family_by_name",
-    "human_crafted_designs",
-    "HumanBugCase",
 ]

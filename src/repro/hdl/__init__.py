@@ -2,11 +2,10 @@
 
 This package is the reproduction's substitute for the Icarus Verilog
 compiler used by the paper's data-augmentation pipeline.  It accepts the
-Verilog-2001 subset emitted by :mod:`repro.corpus` (and written by hand in
-the RTLLM-style split), reports syntax and semantic diagnostics, and
-produces an elaborated design representation consumed by the simulator,
-the SVA checker, the bounded model checker and the repair model's
-structural analyses.
+Verilog-2001 subset emitted by :mod:`repro.corpus`, reports syntax and
+semantic diagnostics, and produces an elaborated design representation
+consumed by the simulator, the SVA checker, the bounded model checker and
+the repair model's structural analyses.
 """
 
 from repro.hdl.errors import (
@@ -14,7 +13,6 @@ from repro.hdl.errors import (
     LexError,
     ParseError,
     ElaborationError,
-    LintError,
     Diagnostic,
     Severity,
 )
@@ -22,14 +20,13 @@ from repro.hdl.lexer import Token, TokenKind, tokenize
 from repro.hdl.parser import Parser, parse_source
 from repro.hdl.elaborate import ElaboratedDesign, Elaborator, elaborate
 from repro.hdl.lint import CompileResult, compile_source, lint_design
-from repro.hdl.source import SourceFile, replace_line, extract_line
+from repro.hdl.source import SourceFile, replace_line
 
 __all__ = [
     "HdlError",
     "LexError",
     "ParseError",
     "ElaborationError",
-    "LintError",
     "Diagnostic",
     "Severity",
     "Token",
@@ -45,5 +42,4 @@ __all__ = [
     "lint_design",
     "SourceFile",
     "replace_line",
-    "extract_line",
 ]

@@ -75,10 +75,6 @@ class ElaborationError(HdlError):
     """Raised when a structurally valid design cannot be elaborated."""
 
 
-class LintError(HdlError):
-    """Raised when semantic checking finds a fatal problem."""
-
-
 @dataclass
 class DiagnosticSink:
     """Accumulates diagnostics produced while processing one source file."""

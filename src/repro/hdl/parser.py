@@ -1,10 +1,9 @@
 """Recursive-descent parser for the Verilog-2001 / SVA subset.
 
-The grammar covers exactly what the synthetic corpus generator and the
-hand-written RTLLM-style designs use: ANSI and non-ANSI module headers,
-parameters, net/reg declarations, continuous assignments, clocked and
-combinational ``always`` blocks, ``if``/``case``/``for`` statements,
-module instantiation, named and inline concurrent SVA assertions.
+The grammar covers ANSI and non-ANSI module headers, parameters, net/reg
+declarations, continuous assignments, clocked and combinational ``always``
+blocks, ``if``/``case``/``for`` statements, module instantiation, named and
+inline concurrent SVA assertions.
 Anything outside that subset produces a :class:`~repro.hdl.errors.ParseError`
 with a precise location, which is what the pipeline's compile stage needs.
 """

@@ -98,11 +98,6 @@ def normalize_line(line: str) -> str:
     return code
 
 
-def extract_line(text: str, number: int) -> str:
-    """Convenience wrapper: 1-based line extraction from raw text."""
-    return SourceFile(text).line(number)
-
-
 def replace_line(text: str, number: int, new_line: str) -> str:
     """Convenience wrapper: 1-based line replacement in raw text."""
     return SourceFile(text).with_line_replaced(number, new_line).text

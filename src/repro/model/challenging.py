@@ -51,26 +51,19 @@ def response_matches_golden(entry: SvaBugEntry, response: RepairResponse) -> boo
 
 
 def response_is_correct(
-    entry: SvaBugEntry,
-    response: RepairResponse,
-    verifier: Optional["SemanticVerifier"] = None,
-    seeds: Optional[Sequence[int]] = None,
+    entry: SvaBugEntry, response: RepairResponse, verifier: "SemanticVerifier"
 ) -> bool:
     """Semantic correctness of one response for one training entry.
 
     A golden-equivalent response is correct by definition.  Anything else is
     patched into the buggy source and must clear the full verification loop
-    on independent stimulus seeds.  Without a verifier only the textual fast
-    path applies (the pre-verifier behaviour).
+    on independent stimulus seeds.
     """
     if response_matches_golden(entry, response):
         return True
-    if verifier is None:
-        return False
     from repro.eval.verifier import CandidateFix, derive_verification_seeds
 
-    if seeds is None:
-        seeds = derive_verification_seeds(entry.name, entry.stimulus_seed)
+    seeds = derive_verification_seeds(entry.name, entry.stimulus_seed)
     fix = CandidateFix(
         line_number=response.line_number,
         fixed_line=response.fixed_line,

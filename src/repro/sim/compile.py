@@ -42,8 +42,8 @@ from repro.sim.engine import (
     SimulationError,
     SimulatorOptions,
     clock_nets,
-    detect_clock,
 )
+from repro.sim.stimulus import detect_clock
 from repro.sim.trace import DiffTrace, TraceSample
 from repro.sim.values import LogicValue
 

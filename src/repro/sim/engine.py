@@ -31,6 +31,7 @@ from repro.hdl import ast
 from repro.hdl.elaborate import ElaboratedDesign, ProceduralBlock
 from repro.sim.evaluator import EvalError, Evaluator
 from repro.sim.executor import ExecutionError, StatementExecutor
+from repro.sim.stimulus import detect_clock
 from repro.sim.trace import Trace, TraceSample
 from repro.sim.values import LogicValue
 
@@ -46,18 +47,6 @@ class SimulatorOptions:
     """Behavioural knobs for the simulator."""
 
     x_initial_state: bool = False  # initialise registers to x instead of 0
-
-
-def detect_clock(design: ElaboratedDesign) -> str:
-    """Pick the design's clock: sequential/assertion clocks first, then by name."""
-    candidates = design.clock_candidates()
-    if candidates:
-        return candidates[0]
-    for preferred in ("clk", "clock", "clk_i"):
-        if preferred in design.signals:
-            return preferred
-    # Purely combinational design: synthesise a virtual clock.
-    return "__virtual_clock"
 
 
 def clock_nets(design: ElaboratedDesign, clock: str) -> frozenset[str]:

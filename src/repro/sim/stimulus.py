@@ -48,6 +48,18 @@ def reset_signal_of(design: ElaboratedDesign) -> Optional[Signal]:
     return None
 
 
+def detect_clock(design: ElaboratedDesign) -> str:
+    """Pick the design's clock: sequential/assertion clocks first, then by name."""
+    candidates = design.clock_candidates()
+    if candidates:
+        return candidates[0]
+    for preferred in _CLOCK_NAMES:
+        if preferred in design.signals:
+            return preferred
+    # Purely combinational design: synthesise a virtual clock.
+    return "__virtual_clock"
+
+
 def is_active_low_reset(name: str) -> bool:
     """Heuristic: names ending in ``n`` (rst_n, resetn...) are active-low."""
     stripped = name.lower().rstrip("i_")
@@ -56,7 +68,7 @@ def is_active_low_reset(name: str) -> bool:
 
 def data_inputs_of(design: ElaboratedDesign) -> list[Signal]:
     """Input ports excluding clock and reset."""
-    excluded = set(_CLOCK_NAMES) | set(_RESET_NAMES)
+    excluded = {*_CLOCK_NAMES, *_RESET_NAMES, detect_clock(design)}
     return [s for s in design.inputs if s.name not in excluded]
 
 

@@ -5,8 +5,7 @@ cycle) against every assertion of an elaborated design and reports, per
 assertion, how many attempts were started, how many matched the antecedent,
 and every failure with its start and failing cycle.
 
-Semantics implemented (the subset the corpus and the RTLLM-style designs
-use):
+Semantics implemented (the subset the corpus and the miner use):
 
 * ``@(posedge clk)`` clocking -- one evaluation attempt per trace sample;
 * ``disable iff (expr)`` -- an attempt is discarded if the disable condition
@@ -46,6 +45,19 @@ from repro.sim.values import LogicValue
 
 
 
+def constant_value(expr: ast.Expression, parameters: Mapping[str, int]) -> Optional[int]:
+    """The elaboration-time value of ``expr``, or None.
+
+    None when ``expr`` reads anything but ``parameters`` or any of its
+    bits is unknown.
+    """
+    try:
+        value = Evaluator({}, parameters).evaluate(expr)
+    except EvalError:
+        return None
+    return None if value.has_unknown else value.to_int()
+
+
 def sampled_past_depth(call: ast.SystemCall, parameters: Mapping[str, int]) -> int:
     """The cycle depth of a ``$past`` call, constant-folded with parameters.
 
@@ -53,15 +65,8 @@ def sampled_past_depth(call: ast.SystemCall, parameters: Mapping[str, int]) -> i
     parameters and constant arithmetic (``WIDTH - 1``), not only literal
     numbers.  Unevaluable or unknown depths fall back to the SVA default of 1.
     """
-    if len(call.args) < 2:
-        return 1
-    try:
-        value = Evaluator({}, parameters).evaluate(call.args[1])
-    except EvalError:
-        return 1
-    if value.has_unknown:
-        return 1
-    return max(1, value.to_int())
+    depth = constant_value(call.args[1], parameters) if len(call.args) >= 2 else None
+    return 1 if depth is None else max(1, depth)
 
 
 def infer_expression_width(expr: ast.Expression, design: ElaboratedDesign) -> int:
@@ -73,13 +78,6 @@ def infer_expression_width(expr: ast.Expression, design: ElaboratedDesign) -> in
     inference so they stay outcome-identical.
     """
     parameters = design.parameters
-
-    def constant(e: ast.Expression) -> Optional[int]:
-        try:
-            value = Evaluator({}, parameters).evaluate(e)
-        except EvalError:
-            return None
-        return None if value.has_unknown else value.to_int()
 
     def width(e: ast.Expression) -> int:
         if isinstance(e, ast.Number):
@@ -103,14 +101,14 @@ def infer_expression_width(expr: ast.Expression, design: ElaboratedDesign) -> in
         if isinstance(e, ast.BitSelect):
             return 1
         if isinstance(e, ast.PartSelect):
-            msb, lsb = constant(e.msb), constant(e.lsb)
+            msb, lsb = constant_value(e.msb, parameters), constant_value(e.lsb, parameters)
             if msb is not None and lsb is not None and msb >= lsb:
                 return msb - lsb + 1
             return max(width(e.base), 1)
         if isinstance(e, ast.Concat):
             return max(sum(width(part) for part in e.parts), 1)
         if isinstance(e, ast.Replicate):
-            count = constant(e.count)
+            count = constant_value(e.count, parameters)
             return max((count if count and count > 0 else 1) * width(e.value), 1)
         if isinstance(e, ast.SystemCall):
             if e.name in ("$past", "$signed", "$unsigned"):

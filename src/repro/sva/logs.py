@@ -58,8 +58,8 @@ _FAILED_LINE = re.compile(
 def parse_failure_log(text: str) -> FailureLog:
     """Parse a failure log produced by :func:`format_failure_log`.
 
-    Unknown or free-form lines are ignored, so the parser also tolerates logs
-    written by hand for the RTLLM-style split.
+    Unknown or free-form lines are ignored, so the parser also tolerates
+    hand-written logs.
     """
     module = ""
     failed: list[str] = []

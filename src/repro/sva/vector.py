@@ -40,11 +40,11 @@ import numpy as np
 from repro.hdl import ast
 from repro.hdl.elaborate import ElaboratedDesign
 from repro.hdl.lint import SAMPLED_VALUE_FUNCTIONS
-from repro.sim.evaluator import EvalError, Evaluator
 from repro.sim.trace import INT64_COLUMN_MAX_WIDTH
 from repro.sva.checker import (
     AssertionFailure,
     AssertionOutcome,
+    constant_value,
     infer_expression_width,
     sampled_past_depth,
 )
@@ -175,14 +175,6 @@ class VectorExprCompiler:
         if width > INT64_COLUMN_MAX_WIDTH:
             raise VectorError(f"width {width} exceeds the int64 column limit")
         return width
-
-    def _constant(self, expr: ast.Expression) -> Optional[int]:
-        """Elaboration-time constant value of ``expr``, or None."""
-        try:
-            value = Evaluator({}, self._parameters).evaluate(expr)
-        except EvalError:
-            return None
-        return None if value.has_unknown else value.to_int()
 
     # ------------------------------------------------------------------ #
     # leaves
@@ -417,8 +409,8 @@ class VectorExprCompiler:
 
     def _compile_part_select(self, expr: ast.PartSelect) -> tuple[VecFn, int]:
         bf, bw = self.compile(expr.base)
-        msb = self._constant(expr.msb)
-        lsb = self._constant(expr.lsb)
+        msb = constant_value(expr.msb, self._parameters)
+        lsb = constant_value(expr.lsb, self._parameters)
         if msb is None or lsb is None:
             raise VectorError("part select bounds are not elaboration-time constants")
         if msb < lsb:
@@ -457,7 +449,7 @@ class VectorExprCompiler:
         return concat, total
 
     def _compile_replicate(self, expr: ast.Replicate) -> tuple[VecFn, int]:
-        count = self._constant(expr.count)
+        count = constant_value(expr.count, self._parameters)
         if count is None or count < 1:
             # Non-constant/invalid counts raise per cycle in scalar evaluation.
             raise VectorError("replication count is not a positive constant")

@@ -28,7 +28,11 @@ from repro.eval.verifier import (
 from repro.hdl.lint import compile_source
 from repro.model.assertsolver_model import AssertSolverModel
 from repro.model.case import RepairCase
-from repro.model.challenging import collect_challenging_cases, response_is_correct
+from repro.model.challenging import (
+    collect_challenging_cases,
+    response_is_correct,
+    response_matches_golden,
+)
 from repro.model.response import RepairEngine, RepairResponse
 from repro.model.sft import SftConfig
 from repro.runtime import JobPolicy
@@ -461,8 +465,8 @@ def test_semantic_correctness_accepts_equivalent_rewrites():
     # Textually `b | a` differs from the golden `a | b`, but it behaves
     # identically -- the semantic check must accept it...
     assert response_is_correct(entry, commuted, verifier=verifier)
-    # ...while the pre-verifier textual check alone would have rejected it.
-    assert not response_is_correct(entry, commuted, verifier=None)
+    # ...while the textual check alone rejects it.
+    assert not response_matches_golden(entry, commuted)
     assert not response_is_correct(entry, wrong, verifier=verifier)
 
 

@@ -9,7 +9,6 @@ the design's canonical text and the recorded item spans.  Inputs:
 * every mutant the bug injector builds from the 89 grid goldens and from
   their assertion-carrying (Stage-2 augmented) versions;
 * seeded random one-line edits that try to move item boundaries;
-* the human-split buggy sources against their goldens;
 * every grid golden with its template and mined SVAs inserted before
   ``endmodule``, and seeded random insertions;
 * one hand-written edit per fallback guard, each pinned to its reason.
@@ -233,15 +232,6 @@ def test_random_one_line_edits_match_the_full_parse(grid):
         "items", "not one line", "unsafe character", "outside items", "outside columns",
         "first token", "last token", "item parse", "hdl error",
     }
-
-
-def test_human_split_buggy_sources_match_against_their_goldens():
-    from repro.corpus.rtllm import human_crafted_designs
-
-    cases = human_crafted_designs()
-    assert len(cases) == 41
-    for case in cases:
-        assert mismatches(case.golden_source, [case.buggy_source]) == [], case.name
 
 
 def test_assign_and_always_body_mutants_take_the_incremental_path(grid):
@@ -476,7 +466,8 @@ def random_insertion(rng: random.Random, source: str, blocks: list[str]) -> str:
         lambda: rng.choice(("", "    ")),
         lambda: rng.choice(
             ("    input wire extra;", "    parameter Q = 1;", "    localparam L = 2;",
-             "    wire [3:0] extra_w;", "    assign nosuch = 1;", "    assign = ;",
+             "    wire [3:0] extra_w;", "    wire [1:0] unary_w = {&4'hf, ^4'h6} ^ ~2'b01;",
+             "    assign nosuch = 1;", "    assign = ;",
              '    initial $display("x\\', "module extra (input wire c);")
         ),
     ]

@@ -5,10 +5,10 @@ escaped-newline line count fix) as the oracle for
 :func:`repro.hdl.lexer.tokenize`.  For every input the two must produce equal
 ``(kind, value, line, column)`` lists, or raise ``LexError`` with equal
 message, line, column and code.  Inputs: every golden design of the 89-design
-grid and a syntax-corrupted variant of each, every source a small pipeline
-run lexes (goldens, mutants and corrupted entries), the RTLLM-style human
-split, and seeded random strings and splices over an alphabet rich in the
-lexer's edge cases.
+grid, with and without its template SVAs, and a syntax-corrupted variant of
+each golden, every source a small pipeline run lexes (goldens, mutants and
+corrupted entries), and seeded random strings and splices over an alphabet
+rich in the lexer's edge cases.
 """
 
 from __future__ import annotations
@@ -248,11 +248,17 @@ def grid_sources() -> list[str]:
 
 
 @pytest.fixture(scope="module")
-def human_sources() -> list[str]:
-    from repro.corpus.rtllm import human_crafted_designs, human_designs
+def augmented_sources() -> list[str]:
+    """Each grid golden with its template SVAs inserted before ``endmodule``."""
+    from repro.corpus.templates import all_families
+    from repro.sva.generator import insert_assertions, template_assertion_blocks
 
-    return [design.source for design in human_designs()] + [
-        case.buggy_source for case in human_crafted_designs()
+    return [
+        insert_assertions(artifact.source, template_assertion_blocks(
+            artifact.template_svas, artifact.family))
+        for family in all_families()
+        for point, params in enumerate(family.parameter_grid)
+        for artifact in (family.build(f"{family.name}_{point:02d}", **params),)
     ]
 
 
@@ -326,9 +332,9 @@ def splices(sources: list[str], count: int, seed: int) -> list[str]:
 # --------------------------------------------------------------------------- #
 
 
-def test_golden_grid_lexes_identically(grid_sources):
-    assert len(grid_sources) == 89
-    assert mismatches(grid_sources) == []
+def test_golden_grid_lexes_identically(grid_sources, augmented_sources):
+    assert len(grid_sources) == len(augmented_sources) == 89
+    assert mismatches(grid_sources + augmented_sources) == []
 
 
 def test_pipeline_mutants_and_corrupted_sources_lex_identically(pipeline_run, corrupted_sources):
@@ -341,11 +347,6 @@ def test_pipeline_mutants_and_corrupted_sources_lex_identically(pipeline_run, co
     # whole mutants are lexed here, straight from the datasets.
     assert mismatches(sources + sorted(mutants) + corrupted) == []
     assert mismatches(corrupted_sources) == []
-
-
-def test_human_split_lexes_identically(human_sources):
-    assert len(human_sources) == 11 + 41
-    assert mismatches(human_sources) == []
 
 
 def test_random_strings_lex_identically():
@@ -365,8 +366,12 @@ def test_random_strings_lex_identically():
     assert mismatches(texts) == []
 
 
-def test_random_splices_into_real_sources_lex_identically(grid_sources, human_sources):
-    texts = splices(grid_sources + human_sources, 10_000, seed=21)
+def test_random_splices_into_real_sources_lex_identically(
+    grid_sources, augmented_sources, pipeline_sources
+):
+    # The grid goldens hold no SVAs; the augmented ones keep SVA tokens in
+    # the spliced texts.
+    texts = splices(grid_sources + augmented_sources + pipeline_sources, 10_000, seed=21)
     assert mismatches(texts) == []
 
 
@@ -412,7 +417,7 @@ def test_edge_cases_lex_identically(text):
 
 
 def test_compile_results_match_with_oracle_tokens(
-    grid_sources, human_sources, pipeline_sources, corrupted_sources
+    grid_sources, augmented_sources, pipeline_sources, corrupted_sources
 ):
     """``render()`` and the design's canonical text do not depend on the lexer."""
     from design_canon import design_canonical_text
@@ -422,7 +427,9 @@ def test_compile_results_match_with_oracle_tokens(
         result = compile_source(text)
         return result.render(), design_canonical_text(result.design)
 
-    texts = list(dict.fromkeys(grid_sources + human_sources + pipeline_sources + corrupted_sources))
+    texts = list(dict.fromkeys(
+        grid_sources + augmented_sources + pipeline_sources + corrupted_sources
+    ))
     expected = [compiled(text) for text in texts]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(parser_module, "tokenize", oracle_tokenize)
