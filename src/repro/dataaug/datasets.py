@@ -76,7 +76,7 @@ class SvaBugEntry:
     name: str
     design_name: str
     family: str
-    origin: str  # "machine" | "human"
+    origin: str  # always "machine"; a dataset row field, so it stays in the rows
     spec: str
     golden_source: str  # golden design *with* the validated SVAs inserted
     buggy_source: str  # buggy design *with* the same SVAs inserted

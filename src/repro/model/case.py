@@ -30,7 +30,6 @@ class RepairCase:
     spec: str
     buggy_source: str
     logs: str
-    origin: str = "machine"
     design_name: str = ""
     stimulus_seed: int = 0
     stimulus_cycles: int = 48
@@ -50,7 +49,6 @@ class RepairCase:
             spec=entry.spec,
             buggy_source=entry.buggy_source,
             logs=entry.logs,
-            origin=entry.origin,
             design_name=entry.design_name,
             stimulus_seed=entry.stimulus_seed,
             stimulus_cycles=entry.stimulus_cycles,

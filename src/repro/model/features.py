@@ -11,7 +11,7 @@ only: no dataflow graph and no static-analysis diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,10 +52,31 @@ _DECLARATION_PREFIXES = ("wire", "reg", "logic", "integer", "parameter", "localp
 
 
 @dataclass
-class LocalisationFeatureExtractor:
-    """Builds the feature matrix over a case's candidate lines."""
+class _LineScorer:
+    """The language model a feature extractor reads, behind a surprisal memo.
+
+    ``surprisals`` maps stripped code to ``language_model.line_surprisal``;
+    :class:`~repro.model.policy.RepairPolicy` hands one dict to both of its
+    extractors, so a line is scored once per policy however many cases,
+    candidate lines and rewrites repeat it.
+    """
 
     language_model: Optional[NgramLanguageModel] = None
+    surprisals: dict[str, float] = field(default_factory=dict)
+
+    def _surprisal(self, code: str) -> Optional[float]:
+        """``line_surprisal(code)``, memoised; ``None`` without a fitted model."""
+        if self.language_model is None or self.language_model.total_tokens == 0:
+            return None
+        surprisal = self.surprisals.get(code)
+        if surprisal is None:
+            surprisal = self.surprisals[code] = self.language_model.line_surprisal(code)
+        return surprisal
+
+
+@dataclass
+class LocalisationFeatureExtractor(_LineScorer):
+    """Builds the feature matrix over a case's candidate lines."""
 
     def feature_names(self) -> tuple[str, ...]:
         return LOCALISATION_FEATURE_NAMES
@@ -119,9 +140,9 @@ class LocalisationFeatureExtractor:
         return 1.0 / (1.0 + best)
 
     def _normalised_surprisal(self, code: str) -> float:
-        if self.language_model is None or self.language_model.total_tokens == 0:
+        surprisal = self._surprisal(code)
+        if surprisal is None:
             return 0.0
-        surprisal = self.language_model.line_surprisal(code)
         # Typical per-token surprisal lands in [1, 8]; normalise to roughly [0, 1].
         return min(surprisal / 8.0, 1.5)
 
@@ -141,10 +162,8 @@ class LocalisationFeatureExtractor:
 
 
 @dataclass
-class FixFeatureExtractor:
+class FixFeatureExtractor(_LineScorer):
     """Features of one candidate rewrite of one line."""
-
-    language_model: Optional[NgramLanguageModel] = None
 
     def feature_names(self) -> tuple[str, ...]:
         return FIX_FEATURE_NAMES
@@ -193,9 +212,8 @@ class FixFeatureExtractor:
     def _naturalness(self, code: str) -> Optional[float]:
         """The language model's naturalness of ``code``; ``None`` without a
         fitted model."""
-        if self.language_model is None or self.language_model.total_tokens == 0:
-            return None
-        return self.language_model.line_naturalness(code)
+        surprisal = self._surprisal(code)
+        return None if surprisal is None else -surprisal
 
     @staticmethod
     def _spec_overlap(case: RepairCase, identifiers: set[str]) -> float:

@@ -3,8 +3,8 @@
 This is the pretraining substrate of the repair policy: it is fitted on the
 Verilog-PT dataset (next-token prediction, the same objective as the paper's
 pretraining stage, clause for clause) and later provides the "how unusual is
-this line" surprisal feature used by bug localisation, as well as a
-naturalness score for ranking candidate fixes.
+this line" surprisal feature used by bug localisation, as well as the
+naturalness (negative surprisal) that ranks candidate fixes.
 """
 
 from __future__ import annotations
@@ -126,7 +126,3 @@ class NgramLanguageModel:
             return 0.0
         log_probability = self.sequence_log_probability(tokens)
         return -log_probability / (len(tokens) + 1)
-
-    def line_naturalness(self, line: str) -> float:
-        """Higher is more natural; used to rank candidate fixes."""
-        return -self.line_surprisal(line)

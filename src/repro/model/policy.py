@@ -18,6 +18,7 @@ ask it for a :class:`Choice` and step the weights along its gradient.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -34,6 +35,7 @@ from repro.model.features import (
 from repro.model.fixes import FIX_PATTERNS, FixCandidate, generate_fix_candidates
 from repro.model.ngram import NgramLanguageModel
 from repro.model.response import candidate_key
+from repro.obs import get_registry
 
 
 @dataclass
@@ -138,20 +140,26 @@ class RepairPolicy:
         language_model: Optional[NgramLanguageModel] = None,
     ):
         self.weights = weights or PolicyWeights()
-        self.language_model = language_model
-        self._localisation_extractor = LocalisationFeatureExtractor(language_model)
-        self._fix_extractor = FixFeatureExtractor(language_model)
         self._analysis_cache: dict[tuple[str, str, str, str], CaseAnalysis] = {}
+        self.set_language_model(language_model)
 
     # ------------------------------------------------------------------ #
     # analysis
     # ------------------------------------------------------------------ #
 
-    def set_language_model(self, language_model: NgramLanguageModel) -> None:
-        """Install the pretrained LM (invalidates cached features)."""
+    def set_language_model(self, language_model: Optional[NgramLanguageModel]) -> None:
+        """Install the pretrained LM (invalidates cached features).
+
+        Both extractors read one new surprisal memo: a line is scored once
+        per policy and language model, whether it is a candidate line or a
+        rewrite, and whichever case it belongs to.
+        """
         self.language_model = language_model
-        self._localisation_extractor = LocalisationFeatureExtractor(language_model)
-        self._fix_extractor = FixFeatureExtractor(language_model)
+        self._surprisals: dict[str, float] = {}
+        self._localisation_extractor = LocalisationFeatureExtractor(
+            language_model, self._surprisals
+        )
+        self._fix_extractor = FixFeatureExtractor(language_model, self._surprisals)
         self._analysis_cache.clear()
 
     def analyse(self, case: RepairCase) -> CaseAnalysis:
@@ -246,27 +254,59 @@ class RepairPolicy:
         signal appears in the failing assertion* -- the line a verification
         engineer would read first -- then by line number and rewrite text,
         so the order is stable across processes and platforms.
+
+        Only the lines that can still reach the top ``k`` are expanded into
+        their fixes.  Lines are visited by falling probability (ties by
+        index), and the walk stops at the first line whose probability is
+        strictly below the ``k``-th best distinct pair found so far.  That is
+        exact: a fix probability is at most 1.0 in floating point (the
+        softmax subtracts its maximum, so its largest exponential is exactly
+        ``exp(0) = 1`` and the sum is at least 1), and rounding is monotone,
+        so ``float(p_line * p_fix) <= p_line``.  Every pair of an unvisited
+        line therefore sorts strictly after the ``k``-th, and can neither
+        enter the top ``k`` nor reorder it.  A pair's ``candidate_key``
+        carries its line number, so no unvisited pair duplicates a kept one.
         """
+        if k < 1:
+            raise ValueError(f"top_candidates needs k >= 1, got {k}")
         line_numbers, line_probabilities = self.line_distribution(case, temperature)
         assigned_by_line = case.assigned_by_line
         asserted = case.asserted_signals
-        scored: list[tuple[float, int, int, str, FixCandidate]] = []
-        for line_index, line_number in enumerate(line_numbers):
+        scored: list[tuple[float, int, int, str, str, FixCandidate]] = []
+        # A min-heap of the k highest joints of distinct pairs found so far.
+        kth_best: list[float] = []
+        expanded = 0
+        for line_index in np.argsort(-line_probabilities, kind="stable").tolist():
+            line_probability = line_probabilities[line_index]
+            if len(kth_best) == k and kth_best[0] > line_probability:
+                break
+            expanded += 1
+            line_number = line_numbers[line_index]
             # 0 sorts first: the line drives a signal the failing assertion samples.
             assigns_failing = 0 if asserted.intersection(
                 assigned_by_line.get(line_number, ())
             ) else 1
             candidates, fix_probabilities = self.fix_distribution(case, line_number, temperature)
+            line_best: dict[str, float] = {}
             for fix_index, candidate in enumerate(candidates):
-                joint = float(line_probabilities[line_index] * fix_probabilities[fix_index])
+                joint = float(line_probability * fix_probabilities[fix_index])
+                key = candidate_key(line_number, candidate.fixed_line)
+                line_best[key] = max(joint, line_best.get(key, joint))
                 scored.append(
-                    (joint, assigns_failing, line_number, candidate.fixed_line, candidate)
+                    (joint, assigns_failing, line_number, candidate.fixed_line, key, candidate)
                 )
+            for joint in line_best.values():
+                if len(kth_best) < k:
+                    heapq.heappush(kth_best, joint)
+                else:
+                    heapq.heappushpop(kth_best, joint)
+        registry = get_registry()
+        registry.inc("model.propose.lines", len(line_numbers))
+        registry.inc("model.propose.lines_expanded", expanded)
         scored.sort(key=lambda item: (-item[0], item[1], item[2], item[3]))
         top: list[tuple[int, FixCandidate, float]] = []
         seen: set[str] = set()
-        for joint, _assigns_failing, line_number, fixed_line, candidate in scored:
-            key = candidate_key(line_number, fixed_line)
+        for joint, _assigns_failing, line_number, _fixed_line, key, candidate in scored:
             if key in seen:
                 continue
             seen.add(key)

@@ -63,7 +63,6 @@ def _case_from_verilog_bug(entry: VerilogBugEntry) -> RepairCase:
         spec=entry.spec,
         buggy_source=entry.buggy_source,
         logs="",
-        origin="machine",
         design_name=entry.name,
         golden_line=entry.golden_line,
         golden_line_number=entry.line_number,

@@ -6,8 +6,9 @@ escaped-newline line count fix) as the oracle for
 ``(kind, value, line, column)`` lists, or raise ``LexError`` with equal
 message, line, column and code.  Inputs: every golden design of the 89-design
 grid, with and without its template SVAs, and a syntax-corrupted variant of
-each golden, every source a small pipeline run lexes (goldens, mutants and
-corrupted entries), and seeded random strings and splices over an alphabet
+each golden, every text a small pipeline run lexes (whole goldens, mutants
+and corrupted entries, and the items and SVA blocks the incremental front
+end re-lexes), and seeded random strings and splices over an alphabet
 rich in the lexer's edge cases.
 """
 
@@ -264,18 +265,25 @@ def augmented_sources() -> list[str]:
 
 @pytest.fixture(scope="module")
 def pipeline_run():
-    """A small serial pipeline run and every text it lexed, in first-seen order."""
+    """A small serial pipeline run and every text it lexed, in first-seen order.
+
+    Both bindings of ``tokenize`` record: the parser's (whole sources) and the
+    incremental front end's (re-parsed items and inserted SVA blocks, lexed
+    at their line and column in the source).
+    """
     import repro.artifacts.store as store_module
+    import repro.hdl.incremental as incremental_module
     from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig
 
     seen: dict[str, None] = {}
 
-    def recording(text: str) -> list[Token]:
+    def recording(text: str, *args) -> list[Token]:
         seen.setdefault(text)
-        return tokenize(text)
+        return tokenize(text, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(parser_module, "tokenize", recording)
+        patch.setattr(incremental_module, "tokenize", recording)
         # A fresh store, so an earlier test's LRU cannot hide a parse.
         patch.setattr(store_module, "_DEFAULT_STORE", None)
         datasets = DataAugmentationPipeline(PipelineConfig.small(workers=1)).run()
@@ -343,6 +351,9 @@ def test_pipeline_mutants_and_corrupted_sources_lex_identically(pipeline_run, co
     mutants |= {entry.buggy_source for entry in datasets.verilog_bug}
     corrupted = [entry.source for entry in datasets.verilog_pt]
     assert mutants and corrupted
+    # The incremental front end's texts are recorded too: SVA insertions.
+    for construct in ("|=>", "$past", "disable iff"):
+        assert any(construct in text for text in sources), construct
     # The pipeline re-lexes only the edited item of most mutants, so the
     # whole mutants are lexed here, straight from the datasets.
     assert mismatches(sources + sorted(mutants) + corrupted) == []

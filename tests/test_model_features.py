@@ -18,6 +18,7 @@ import pytest
 
 from repro.bugs.mutators import line_identifiers
 from repro.corpus import spec as corpus_spec
+from repro.corpus.corruptor import SyntaxCorruptor
 from repro.corpus.generator import Corpus, CorpusSample
 from repro.corpus.templates import all_families
 from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig
@@ -26,9 +27,12 @@ from repro.model.assertsolver_model import AssertSolverModel
 from repro.model.case import RepairCase
 from repro.model.features import FixFeatureExtractor, LocalisationFeatureExtractor
 from repro.model.ngram import NgramLanguageModel
-from repro.model.policy import RepairPolicy
+from repro.model.fixes import FIX_PATTERNS
+from repro.model.policy import PolicyWeights, RepairPolicy
+from repro.model.response import candidate_key
 from repro.model.sft import SftConfig
 from repro.model.tokenizer import BOS_TOKEN, EOS_TOKEN, tokenize_line
+from repro.obs import scoped_registry
 
 # ---------------------------------------------------------------------- #
 # the naive oracle
@@ -159,10 +163,10 @@ def naive_policy(policy):
     return oracle
 
 
-def ranked(policy, case, k):
+def ranked(policy, case, k, temperature=1.0):
     return [
         (line, candidate.fixed_line, candidate.pattern, joint)
-        for line, candidate, joint in policy.top_candidates(case, k=k)
+        for line, candidate, joint in policy.top_candidates(case, k, temperature)
     ]
 
 
@@ -180,9 +184,14 @@ def trained():
         artifact = family.build(f"{family.name}_00", **family.parameter_grid[0])
         spec = corpus_spec.build_spec(artifact, seed=rng.randrange(1_000_000))
         corpus.samples.append(CorpusSample(artifact=artifact, spec=spec))
+    # A corrupted copy of every golden feeds Verilog-PT, so the policy has a
+    # fitted language model and its surprisal features are not all zero.
+    corruptor = SyntaxCorruptor(seed=seed)
+    corpus.corrupted = [(sample, corruptor.corrupt(sample.source)) for sample in corpus.samples]
     datasets = DataAugmentationPipeline(PipelineConfig.small(seed=seed)).run(corpus)
     model = AssertSolverModel(seed=seed)
     model.pretrain(datasets.verilog_pt)
+    assert model.knowledge.is_trained
     model.supervised_finetune(
         datasets.sva_bug_train, datasets.verilog_bug, config=SftConfig(epochs=2)
     )
@@ -213,6 +222,149 @@ def test_feature_matrices_and_ranking_match_the_naive_oracle(trained):
             lines_checked += 1
         assert ranked(policy, fast_case, 5) == ranked(oracle, slow_case, 5), entry.name
     assert lines_checked > 100
+
+
+# ---------------------------------------------------------------------- #
+# bounded top-k against exhaustive enumeration
+# ---------------------------------------------------------------------- #
+
+
+def exhaustive_top_candidates(policy, case, k, temperature):
+    """Every line expanded into its fixes, then sorted and deduplicated."""
+    line_numbers, line_probabilities = policy.line_distribution(case, temperature)
+    scored = []
+    for line_index, line_number in enumerate(line_numbers):
+        assigns_failing = 0 if case.asserted_signals.intersection(
+            case.assigned_by_line.get(line_number, ())
+        ) else 1
+        candidates, fix_probabilities = policy.fix_distribution(case, line_number, temperature)
+        for fix_index, candidate in enumerate(candidates):
+            joint = float(line_probabilities[line_index] * fix_probabilities[fix_index])
+            scored.append((joint, assigns_failing, line_number, candidate.fixed_line, candidate))
+    scored.sort(key=lambda item: (-item[0], item[1], item[2], item[3]))
+    top, seen = [], set()
+    for joint, _assigns_failing, line_number, fixed_line, candidate in scored:
+        key = candidate_key(line_number, fixed_line)
+        if key not in seen:
+            seen.add(key)
+            top.append((line_number, candidate.fixed_line, candidate.pattern, joint))
+        if len(top) >= k:
+            break
+    return top
+
+
+@pytest.mark.parametrize("temperature", [0.2, 1.0])
+def test_bounded_top_k_equals_exhaustive_enumeration(trained, temperature):
+    model, entries = trained
+    reference = model.snapshot().policy
+    pruned_cases = 0
+    for entry in entries:
+        for k in (1, 5, 20, 50):
+            # A fresh policy per call, so the lines it expands are this call's.
+            policy = model.snapshot().policy
+            case = RepairCase.from_entry(entry)
+            with scoped_registry() as registry:
+                ranking = ranked(policy, case, k, temperature)
+            expected = exhaustive_top_candidates(
+                reference, RepairCase.from_entry(entry), k, temperature
+            )
+            assert ranking == expected, (entry.name, k)
+            expanded = len(policy.analyse(case).lines)
+            counters = registry.counters
+            assert counters["model.propose.lines"] == len(case.candidate_lines())
+            assert counters["model.propose.lines_expanded"] == expanded
+            pruned_cases += expanded < len(case.candidate_lines())
+    assert pruned_cases > 0
+
+
+def counter_case(source=None):
+    return RepairCase(
+        name="counter_case", spec="a wrapping counter", buggy_source=source or COUNTER_SOURCE,
+        logs="failed assertion counter.a_wrap at cycle 17\n",
+    )
+
+
+def weights_favouring(*patterns):
+    """Every other rewrite's exponential underflows to 0, so ``patterns``
+    share each line's fix probability."""
+    weights = PolicyWeights()
+    for pattern in patterns:
+        weights.fix_patterns[FIX_PATTERNS.index(pattern)] = 1e4
+    return weights
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_bounded_top_k_keeps_pairs_that_tie_the_kth(k):
+    """A pair whose joint equals its line's probability (fix probability
+    exactly 1.0) ties the k-th best and may still outrank it on the tie
+    break, so the walk stops only strictly below the k-th."""
+    case = counter_case()
+    weights = weights_favouring("keep_line")  # and the lines all tie
+    ranking = ranked(RepairPolicy(weights=weights), case, k)
+    assert ranking == exhaustive_top_candidates(RepairPolicy(weights=weights), case, k, 1.0)
+    assert ranking[0][0] != case.candidate_lines()[0]
+
+
+def test_bounded_top_k_counts_equivalent_rewrites_once():
+    """``count<=count;`` (keep_line) and ``count <= count;`` (freeze) are one
+    pair: together they fill one of the k places, so the walk goes on to
+    the next line for the second."""
+    case = counter_case(COUNTER_SOURCE.replace("count <= count + 4'd1;", "count<=count;"))
+    lines = case.candidate_lines()
+    duplicated = next(n for n in lines if "count<=count" in case.line_text(n))
+
+    def skewed(case, temperature=1.0):  # the duplicated line is the likeliest
+        return lines, np.array([0.6 if n == duplicated else 0.4 / (len(lines) - 1) for n in lines])
+
+    weights = weights_favouring("keep_line", "assign_freeze_register")
+    policy, reference = RepairPolicy(weights=weights), RepairPolicy(weights=weights)
+    policy.line_distribution = reference.line_distribution = skewed
+    ranking = ranked(policy, case, 2)
+    assert ranking == exhaustive_top_candidates(reference, case, 2, 1.0)
+    assert ranking[1][0] != duplicated
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_top_candidates_refuses_k_below_one(k):
+    with pytest.raises(ValueError, match="k >= 1"):
+        RepairPolicy().top_candidates(counter_case(), k=k)
+
+
+# ---------------------------------------------------------------------- #
+# the policy's surprisal memo
+# ---------------------------------------------------------------------- #
+
+
+def test_memoised_surprisals_equal_fresh_scores(trained):
+    model, entries = trained
+    policy = model.snapshot().policy
+    for entry in entries[:10]:
+        policy.top_candidates(RepairCase.from_entry(entry), k=5)
+    language_model = policy.language_model
+    assert len(policy._surprisals) > 50
+    assert all(
+        surprisal == language_model.line_surprisal(code)
+        for code, surprisal in policy._surprisals.items()
+    )
+
+
+def test_set_language_model_drops_the_memo(trained):
+    model, entries = trained
+    policy = model.snapshot().policy
+    policy.top_candidates(RepairCase.from_entry(entries[0]), k=5)
+    assert policy._surprisals
+    policy.set_language_model(policy.language_model)
+    assert policy._surprisals == {}
+    assert policy._localisation_extractor.surprisals is policy._surprisals
+    assert policy._fix_extractor.surprisals is policy._surprisals
+
+
+def test_snapshot_starts_with_an_empty_memo(trained):
+    model, entries = trained
+    warm = model.snapshot()
+    warm.policy.top_candidates(RepairCase.from_entry(entries[0]), k=5)
+    assert warm.policy._surprisals
+    assert warm.snapshot().policy._surprisals == {}
 
 
 def test_one_candidate_extract_is_a_row_of_the_batch(trained):
@@ -313,7 +465,7 @@ def test_refitting_keeps_context_totals_exact():
         assert model.bigram_totals[context] == sum(counts.values())
     for context, counts in model.trigrams.items():
         assert model.trigram_totals[context] == sum(counts.values())
-    assert [model.line_naturalness(line) for line in PROBE_LINES] == [
+    assert [-model.line_surprisal(line) for line in PROBE_LINES] == [
         naive_naturalness(model, line) for line in PROBE_LINES
     ]
 
@@ -377,10 +529,7 @@ def test_a_case_with_a_reused_name_gets_its_own_features():
 
 
 def test_cases_with_equal_content_share_one_analysis():
-    case = RepairCase(
-        name="counter_case", spec="a wrapping counter", buggy_source=COUNTER_SOURCE,
-        logs="failed assertion counter.a_wrap at cycle 17\n",
-    )
+    case = counter_case()
     policy = RepairPolicy()
     assert policy.analyse(dataclasses.replace(case, metadata={})) is policy.analyse(case)
 
