@@ -68,10 +68,14 @@ Schema of the output (``bench_sva/v7``)::
       }
     }
 
-The compiled checker has two engines: the attempt tensor
-(:func:`repro.sva.vector.walk_attempts_tensor`, with ``check_batch``
+The compiled checker has two engines: the attempt tensor (numpy element
+lanes packed into Python ints and walked with int bitmask operations by
+:func:`repro.sva.vector.walk_attempts_packed`, with ``check_batch``
 stacking a batch's per-seed columns into one padded (seed x cycle) grid)
-and the tree-walking oracle.  The run hard-fails when any family's
+and the tree-walking oracle.  The tensor's cost per assertion is nearly
+fixed while the tree-walker's grows with every attempt, so the checking
+speedup grows with ``--cycles``: CI gates it at 768 cycles and at about
+the workloads' trace length (``--cycles 80``).  The run hard-fails when any family's
 assertion does not lower to the tensor (``engine_report()`` names a
 tree-walker assertion), and on any verdict divergence between the two
 engines, batched or not.  The batch leg's two sides take turns, each timed

@@ -24,10 +24,12 @@ two levels:
   content-identical node of, relowering only the dirty cone.
 
 Counters (``artifact.hits`` / ``artifact.misses`` / ``artifact.evictions``,
-one per entry lookup or eviction, base lookups included) land in the
-ambient :mod:`repro.obs` registry and surface in ``python -m repro.obs
-summarize``.  Cache state never changes results: incremental relowering is
-byte-identical to full recompilation (pinned by ``tests/test_artifacts.py``).
+one per entry lookup or eviction, base lookups included, and
+``artifact.recompiles``, one per miss on a source this store compiled
+before and has since evicted) land in the ambient :mod:`repro.obs`
+registry and surface in ``python -m repro.obs summarize``.  Cache state
+never changes results: incremental relowering is byte-identical to full
+recompilation (pinned by ``tests/test_artifacts.py``).
 Tests substitute the checker a store builds by subclassing it and
 overriding :meth:`ArtifactStore.checker`.
 """
@@ -77,6 +79,9 @@ class ArtifactStore:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.recompiles = 0
+        #: Content keys of every source this store has compiled.
+        self._compiled: set[str] = set()
 
     def _entry(self, source: str, base_source: Optional[str] = None) -> _Entry:
         """``source``'s entry, compiled (against ``base_source``'s parse) on a miss."""
@@ -90,6 +95,11 @@ class ArtifactStore:
             return entry
         self.misses += 1
         registry.inc("artifact.misses")
+        if key in self._compiled:
+            self.recompiles += 1
+            registry.inc("artifact.recompiles")
+        else:
+            self._compiled.add(key)
         base = None
         if base_source is not None and base_source != source:
             base = self._entry(base_source).result
@@ -120,6 +130,7 @@ class ArtifactStore:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
+            "recompiles": self.recompiles,
             "entries": len(self._lru),
         }
 

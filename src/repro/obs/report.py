@@ -28,6 +28,7 @@ _CACHE_COUNTERS = (
     "artifact.hits",
     "artifact.misses",
     "artifact.evictions",
+    "artifact.recompiles",
     "relower.nodes_reused",
     "relower.nodes_lowered",
     "relower.assertions_reused",
@@ -145,10 +146,12 @@ def render_report(data: TraceData, top: int = 10) -> str:
     ahits = counters.get("artifact.hits", 0)
     amisses = counters.get("artifact.misses", 0)
     evictions = counters.get("artifact.evictions", 0)
+    recompiles = counters.get("artifact.recompiles", 0)
     if ahits or amisses:
         cache_lines.append(
             f"  artifact cache: {ahits} hits · {amisses} misses"
             f" · hit rate {_hit_rate(ahits, amisses)} · evictions {evictions}"
+            f" · recompiles {recompiles}"
         )
     reused = counters.get("relower.nodes_reused", 0)
     relowered = counters.get("relower.nodes_lowered", 0)

@@ -16,6 +16,7 @@ export, the tree-walking checker oracle).
 from __future__ import annotations
 
 from collections.abc import Collection, Iterator
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import Any, overload
 
@@ -301,11 +302,16 @@ class DiffTrace(Trace):
         """Columnar view built from the recorded events.
 
         Unlike the base implementation this never materialises per-cycle
-        sample dicts: each event holds until the next one's (clipped) start,
-        so one ``np.repeat`` builds a column in O(events) numpy work and a
-        quiet design's columns cost O(changes), not O(cycles x signals).
-        The sample-built base implementation is the oracle it is tested
-        against.
+        sample dicts: each event holds until the next one's (clipped)
+        start.  Every requested signal of at most
+        :data:`INT64_COLUMN_MAX_WIDTH` bits is built in one pass: its
+        events are concatenated into one ``(events, 3)`` int64 array, one
+        ``np.repeat`` per field expands them, and the result is reshaped to
+        a ``(signals, cycles)`` grid whose rows are the columns.  A quiet
+        design's columns thus cost O(changes), not O(cycles x signals), in
+        a fixed number of numpy calls.  Wider signals take the same steps
+        per signal on object arrays.  The sample-built base implementation
+        is the oracle it is tested against.
         """
         names = list(names) if names is not None else list(self.signals)
         missing = sorted(name for name in names if name not in self.widths)
@@ -314,22 +320,54 @@ class DiffTrace(Trace):
         cycles = self._cycles
         values: dict[str, npt.NDArray[Any]] = {}
         xmasks: dict[str, npt.NDArray[Any]] = {}
+        narrow = [name for name in names if self.widths[name] <= INT64_COLUMN_MAX_WIDTH]
+        if narrow:
+            streams = [self.events[name] for name in narrow]
+            counts = [len(events) for events in streams]
+            flat = np.fromiter(
+                chain.from_iterable(chain.from_iterable(streams)), np.int64, 3 * sum(counts)
+            ).reshape(-1, 3)
+            lengths = self._hold_lengths(flat[:, 0], counts, cycles)
+            grid_v = np.repeat(flat[:, 1], lengths).reshape(len(narrow), cycles)
+            grid_x = np.repeat(flat[:, 2], lengths).reshape(len(narrow), cycles)
+            for row, name in enumerate(narrow):
+                values[name] = grid_v[row]
+                xmasks[name] = grid_x[row]
         for name in names:
-            dtype = _column_dtype(self.widths[name])
+            if name in values:
+                continue
             events = self.events[name]
             count = len(events)
-            starts = np.fromiter((e[0] for e in events), np.int64, count)
-            starts += 1
-            starts //= 2
-            np.clip(starts, 0, cycles, out=starts)
-            stops = np.empty(count, dtype=np.int64)
-            stops[:-1] = starts[1:]
-            stops[-1] = cycles
-            lengths = np.maximum(stops - starts, 0)
-            values[name] = np.repeat(np.fromiter((e[1] for e in events), dtype, count), lengths)
-            xmasks[name] = np.repeat(np.fromiter((e[2] for e in events), dtype, count), lengths)
+            points = np.fromiter((e[0] for e in events), np.int64, count)
+            lengths = self._hold_lengths(points, [count], cycles)
+            values[name] = np.repeat(np.fromiter((e[1] for e in events), object, count), lengths)
+            xmasks[name] = np.repeat(np.fromiter((e[2] for e in events), object, count), lengths)
         widths = {name: self.widths[name] for name in names}
-        return TraceColumns(cycles=cycles, values=values, xmasks=xmasks, widths=widths)
+        return TraceColumns(
+            cycles=cycles,
+            values={name: values[name] for name in names},
+            xmasks={name: xmasks[name] for name in names},
+            widths=widths,
+        )
+
+    @staticmethod
+    def _hold_lengths(
+        points: npt.NDArray[np.int64], counts: list[int], cycles: int
+    ) -> npt.NDArray[np.int64]:
+        """How many preponed samples each event holds for.
+
+        ``points`` are the sampling points of several signals' event
+        streams, concatenated; ``counts`` the length of each stream.  An
+        event holds from its cycle until the next event of its stream, the
+        last one of a stream until the end of the trace.
+        """
+        starts = (points + 1) // 2
+        np.clip(starts, 0, cycles, out=starts)
+        stops = np.empty_like(starts)
+        stops[:-1] = starts[1:]
+        stops[np.cumsum(counts) - 1] = cycles
+        lengths: npt.NDArray[np.int64] = np.maximum(stops - starts, 0)
+        return lengths
 
     # -- cheap accessors that avoid materialising the whole run ---------- #
 

@@ -17,11 +17,14 @@ tensor (:mod:`repro.sva.vector`):
 * sampled-value functions (``$past``/``$rose``/``$fell``/``$stable``/
   ``$changed``) become shifted array views with a pre-trace all-``x``
   fill;
-* attempt resolution is one whole-array computation
-  (:func:`repro.sva.vector.walk_attempts_tensor`) over (trace x start
-  cycle) masks -- antecedent-start vectors, delay-window shifts,
-  ``disable iff`` prefix counts and pass/fail/vacuous bucketing for every
-  start cycle in one numpy expression;
+* each element's one lane the walk reads -- truth (``value != 0``) for
+  antecedent and ``disable iff`` elements, known-false (``value == 0``
+  and ``xmask == 0``) for consequent elements -- is packed into one Python
+  int per batch, and attempt resolution
+  (:func:`repro.sva.vector.walk_attempts_packed`) is int bitmask
+  arithmetic on those bits: delays are shifts, in-range masks are built
+  once per batch and offset, ``disable iff`` spans are ORs of shifted
+  disable bits, bucket counts are per-row ``bit_count`` calls;
 * :meth:`CompiledAssertionChecker.check_batch` **stacks the per-seed
   columnar views** of a batch into one padded (seed x cycle) grid, so the
   verifier's remaining-seeds pass is one numpy evaluation per assertion,
@@ -51,7 +54,7 @@ import numpy as np
 from repro.hdl import ast
 from repro.hdl.elaborate import AssertionSpec, ElaboratedDesign
 from repro.obs.metrics import get_registry, labeled
-from repro.sim.trace import Trace
+from repro.sim.trace import INT64_COLUMN_MAX_WIDTH, Trace
 from repro.sva import vector as sva_vector
 from repro.sva.checker import AssertionChecker, AssertionOutcome, CheckReport
 
@@ -61,7 +64,7 @@ class _LoweredAssertion:
     attempt-shape metadata."""
 
     __slots__ = ("spec", "antecedent", "consequent", "disable_index",
-                 "overlapping", "vector_fns")
+                 "overlapping", "vector_fns", "known_false", "lookahead")
 
     def __init__(self, spec: AssertionSpec, antecedent: Optional[list],
                  consequent: list, disable_index: Optional[int], vector_fns: list):
@@ -73,6 +76,13 @@ class _LoweredAssertion:
         self.overlapping = spec.body.overlapping
         #: Whole-array (fn, width) pairs, indexed by the pairs above.
         self.vector_fns = vector_fns
+        #: Per element: whether the walk reads its known-false lane (a
+        #: consequent element) rather than its truth lane.
+        consequent_indices = {index for _offset, index in consequent}
+        self.known_false = [index in consequent_indices for index in range(len(vector_fns))]
+        #: The furthest cycle past an attempt's start that the walk reads.
+        base = sva_vector.consequent_base(antecedent, self.overlapping)
+        self.lookahead = base + max((offset for offset, _index in consequent), default=0)
 
 
 class _StackedColumns:
@@ -81,60 +91,55 @@ class _StackedColumns:
     Built lazily by the first attempt-tensor assertion of a
     :meth:`CompiledAssertionChecker.check_batch` call and shared by all of
     them, so a batch whose assertions all run on the tree-walker never
-    builds columns.  Each referenced signal becomes one
-    ``(seeds, max_cycles)`` array pair; rows shorter than the grid are
-    padded with ``(0, 0)`` cells, which the tensor walk masks against the
-    true per-row lengths before any truth test (see
-    :func:`repro.sva.vector.walk_attempts_tensor`).  A single-trace batch
-    skips the copy entirely: its 1-D columns are reshaped ``(1, cycles)``
-    views.  Both simulators record every design signal, so the build fails
-    (with :meth:`~repro.sim.trace.Trace.columns`' ``KeyError``) only on a
-    trace of another design.
+    builds columns.  The referenced signals become one
+    ``(signals, seeds, stride)`` int64 array pair (one assignment per
+    trace), whose rows :class:`~repro.sva.vector.PackedRows` packs into
+    Python ints; cells past a row's length are ``(0, 0)``, which the walk
+    masks against the true per-row lengths before any truth test.  Columns
+    of >63-bit signals stay zero: only tree-walker assertions read them.
+    A single-trace batch skips the copy entirely: its 1-D columns are
+    reshaped ``(1, cycles)`` views.  Both simulators record every design
+    signal, so the build fails (with :meth:`~repro.sim.trace.Trace.columns`'
+    ``KeyError``) only on a trace of another design.
     """
 
-    __slots__ = ("_names", "_traces", "_built")
+    __slots__ = ("_names", "_narrow", "_traces", "_lookahead", "_built")
 
-    def __init__(self, names: list[str], traces: list[Trace]):
+    def __init__(self, names: list[str], narrow: list[int], traces: list[Trace],
+                 lookahead: int):
         self._names = names
+        self._narrow = narrow
         self._traces = traces
-        self._built: Optional[tuple[list, list, np.ndarray, tuple]] = None
+        self._lookahead = lookahead
+        self._built: Optional[tuple[object, object, sva_vector.PackedRows]] = None
 
-    def stack(self) -> tuple[list, list, np.ndarray, tuple]:
-        """``(values, xmasks, lengths, shape)`` -- per-slot stacked lanes."""
+    def stack(self) -> tuple[object, object, sva_vector.PackedRows]:
+        """``(values, xmasks, rows)``: per-slot lanes and their packing."""
         if self._built is None:
             names = self._names
-            per_trace = []
-            for trace in self._traces:
-                columns = trace.columns(names)
-                per_trace.append((
-                    [columns.values[name] for name in names],
-                    [columns.xmasks[name] for name in names],
-                ))
-            lengths = np.array([len(trace) for trace in self._traces], dtype=np.int64)
-            if len(per_trace) == 1:
-                cols_v, cols_x = per_trace[0]
-                stacked_v = [np.asarray(col)[None, :] for col in cols_v]
-                stacked_x = [np.asarray(col)[None, :] for col in cols_x]
-                shape = (1, int(lengths[0]))
+            columns = [trace.columns(names) for trace in self._traces]
+            lengths = [len(trace) for trace in self._traces]
+            if len(columns) == 1:
+                only = columns[0]
+                stacked_v: object = [only.values[name][None, :] for name in names]
+                stacked_x: object = [only.xmasks[name][None, :] for name in names]
+                rows = sva_vector.PackedRows(lengths, lengths[0])
             else:
-                shape = (len(per_trace), int(lengths.max()))
-                stacked_v, stacked_x = [], []
-                for slot in range(len(names)):
-                    # Wide (>63-bit) signals carry object-dtype columns;
-                    # only tree-walker assertions reference them, so the
-                    # stacked twin exists purely to keep slots aligned.
-                    dtype = np.int64
-                    if any(tv[slot].dtype == object for tv, _tx in per_trace):
-                        dtype = object
-                    slot_v = np.zeros(shape, dtype=dtype)
-                    slot_x = np.zeros(shape, dtype=dtype)
-                    for row, (trace_v, trace_x) in enumerate(per_trace):
-                        cycles = int(lengths[row])
-                        slot_v[row, :cycles] = trace_v[slot]
-                        slot_x[row, :cycles] = trace_x[slot]
-                    stacked_v.append(slot_v)
-                    stacked_x.append(slot_x)
-            self._built = (stacked_v, stacked_x, lengths, shape)
+                stride = -(-(max(lengths) + self._lookahead) // 8) * 8
+                shape = (len(names), len(columns), stride)
+                stacked_v, stacked_x = np.zeros(shape, np.int64), np.zeros(shape, np.int64)
+                narrow = self._narrow
+                narrow_names = [names[slot] for slot in narrow]
+                for row, (trace_columns, cycles) in enumerate(zip(columns, lengths)):
+                    if cycles and narrow:
+                        stacked_v[narrow, row, :cycles] = [
+                            trace_columns.values[name] for name in narrow_names
+                        ]
+                        stacked_x[narrow, row, :cycles] = [
+                            trace_columns.xmasks[name] for name in narrow_names
+                        ]
+                rows = sva_vector.PackedRows(lengths, stride)
+            self._built = (stacked_v, stacked_x, rows)
         return self._built
 
 
@@ -143,9 +148,10 @@ class CompiledAssertionChecker:
 
     Lowers every assertion of ``design`` once at construction; each
     :meth:`check` call then costs a handful of numpy array operations per
-    element expression, independent of how many attempts overlap each
-    cycle.  An assertion the tensor refuses is checked by the tree-walker;
-    :meth:`engine_report` says which and why.
+    element expression plus a few dozen int operations per assertion,
+    independent of how many attempts overlap each cycle.  An assertion the
+    tensor refuses is checked by the tree-walker; :meth:`engine_report`
+    says which and why.
     """
 
     def __init__(self, design: ElaboratedDesign,
@@ -195,6 +201,16 @@ class CompiledAssertionChecker:
             self._lowered.append(lowered)
         shared = self.assertions_reused == len(self._lowered) and None not in self._lowered
         self._batch_key = tuple(self._lowered) if shared else None
+        #: The slots a tensor assertion may read (signals of <= 63 bits) and
+        #: the furthest any tensor assertion looks past an attempt's start.
+        self._narrow = [
+            slot for slot, name in enumerate(self._names)
+            if design.signals[name].width <= INT64_COLUMN_MAX_WIDTH
+        ]
+        self._lookahead = max(
+            (lowered.lookahead for lowered in self._lowered if lowered is not None),
+            default=0,
+        )
 
     def _reuse_compatible(self, base: "CompiledAssertionChecker") -> bool:
         """Whether ``base``'s lowered assertions can be reused here.
@@ -309,7 +325,8 @@ class CompiledAssertionChecker:
         per-assertion dispatch for the whole batch instead of one per
         trace.  The batch's per-seed columns are stacked into one padded
         (seed x cycle) grid (:class:`_StackedColumns`) and each tensor
-        assertion is resolved for *all* seeds in a single 2-D numpy pass.
+        assertion is resolved for *all* seeds in one 2-D numpy evaluation
+        of its elements and one walk over their packed bits.
         Outcome-identical to calling :meth:`check` per trace, in trace
         order, which is what the batch differential test asserts.
         """
@@ -317,7 +334,7 @@ class CompiledAssertionChecker:
         reports = [CheckReport() for _ in traces]
         if not traces:
             return reports
-        stacked = _StackedColumns(self._names, traces)
+        stacked = _StackedColumns(self._names, self._narrow, traces, self._lookahead)
         for spec, lowered in zip(self._design.assertions, self._lowered):
             if lowered is None:
                 for trace, report in zip(traces, reports):
@@ -333,24 +350,22 @@ class CompiledAssertionChecker:
     def _evaluate_tensor(
         self, lowered: _LoweredAssertion, stacked: _StackedColumns
     ) -> list[AssertionOutcome]:
-        """One 2-D numpy pass resolves every attempt of every trace in the
-        batch (a single trace is the (1, cycles) case)."""
-        stacked_v, stacked_x, lengths, shape = stacked.stack()
-        values: list[np.ndarray] = []
-        xmasks: list[np.ndarray] = []
-        for fn, _width in lowered.vector_fns:
+        """Pack each element's one lane for every trace of the batch into a
+        Python int, then resolve every attempt on the packed bits."""
+        stacked_v, stacked_x, rows = stacked.stack()
+        shape = rows.shape
+        lanes = []
+        for (fn, _width), known_false in zip(lowered.vector_fns, lowered.known_false):
             lane_v, lane_x = fn(stacked_v, stacked_x, shape)
-            values.append(sva_vector.as_column(lane_v, shape))
-            xmasks.append(sva_vector.as_column(lane_x, shape))
+            lanes.append(rows.pack((lane_v | lane_x) == 0 if known_false else lane_v != 0))
         spec = lowered.spec
-        return sva_vector.walk_attempts_tensor(
+        return sva_vector.walk_attempts_packed(
             spec.name,
             spec.error_message,
             lowered.antecedent,
             lowered.consequent,
             lowered.overlapping,
             lowered.disable_index,
-            values,
-            xmasks,
-            lengths,
+            lanes,
+            rows,
         )

@@ -12,9 +12,13 @@ of numpy array operations instead of one evaluator call per cycle:
 * ``$past`` becomes a shifted view of the argument series with a pre-trace
   all-``x`` fill; ``$rose``/``$fell``/``$stable``/``$changed`` become
   shifted comparisons with the xmask of *either* sample propagated;
-* ``disable iff`` feeds a prefix-count mask built with ``np.cumsum``;
-* :func:`walk_attempts_tensor` then resolves every attempt of every trace
-  in one pass over (trace x start cycle) masks.
+* each element's lane is then packed, for every trace of a batch at
+  once, into one Python int (:class:`PackedRows`: bit ``r * stride + c``
+  is trace ``r``'s cycle ``c``), and :func:`walk_attempts_packed` resolves
+  every attempt with int operations on those bits: a delay is a ``>>``, a
+  ``disable iff`` span an OR of shifted disable bits, a bucket's count a
+  per-row ``bit_count`` -- a few dozen int operations per assertion
+  instead of one numpy call per bucket operation.
 
 The lowering is deliberately partial: anything whose scalar semantics
 depend on per-cycle control flow or per-cycle widths -- dynamic part
@@ -52,9 +56,9 @@ from repro.sva.checker import (
 _I64 = np.int64
 
 #: A vector closure: (cols_v, cols_x, shape) -> (value_lanes, xmask_lanes).
-#: ``shape`` is the lane shape -- ``(cycles,)`` for one trace's columns, or
-#: ``(seeds, cycles)`` for a stacked batch of padded per-seed columns (the
-#: 2-D attempt-tensor path).  Lanes are int64 ndarrays of that shape -- or
+#: ``shape`` is the lane shape -- ``(seeds, cycles)`` for a stacked batch of
+#: padded per-seed columns, ``(1, cycles)`` for a single trace; any 1-D
+#: ``(cycles,)`` shape evaluates too.  Lanes are int64 ndarrays of that shape -- or
 #: scalars for constant subexpressions, which numpy broadcasting carries
 #: through transparently.  Every lowered operator is elementwise, so the
 #: same closure evaluates both shapes; only the delay shifts
@@ -586,54 +590,103 @@ def lower_elements(
 
 
 # --------------------------------------------------------------------------- #
-# attempt-tensor walk
+# attempt walk on packed bits
 # --------------------------------------------------------------------------- #
 
 
-def _shift_lane(lane: np.ndarray, offset: int) -> np.ndarray:
-    """``lane`` advanced by ``offset`` cycles along the cycle axis.
+class PackedRows:
+    """A batch's (row x cycle) lanes packed into Python ints.
 
-    ``out[..., start] == lane[..., start + offset]`` where in range, False
-    beyond the array -- out-of-range reads are masked by the caller's
-    per-row length check before they are ever consulted, so the False fill
-    is never observable.
+    Bit ``r * stride + c`` of a packed lane is row ``r``'s cycle ``c``.  A
+    multi-row grid's ``stride`` is a multiple of 8 and at least its longest
+    row plus the largest delay any of its assertions reads ahead, so a
+    ``>>`` by a delay never carries a bit that matters into another row; a
+    single row's stride is just its length.  The in-range masks are built
+    once per offset and shared by every assertion of the batch.
     """
-    if offset == 0:
-        return lane
-    n = lane.shape[-1]
-    out = np.zeros(lane.shape, dtype=bool)
-    if offset < n:
-        out[..., : n - offset] = lane[..., offset:]
-    return out
+
+    __slots__ = ("lengths", "stride", "_ones", "_in_range")
+
+    def __init__(self, lengths: list[int], stride: int):
+        self.lengths = lengths
+        self.stride = stride
+        self._ones = (1 << (len(lengths) * stride)) - 1
+        self._in_range: dict[int, int] = {}
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The lane grid's shape, ``(rows, stride)``."""
+        return len(self.lengths), self.stride
+
+    def pack(self, lane) -> int:
+        """A boolean ``(rows, stride)`` lane, or a scalar constant, as one int."""
+        if np.ndim(lane) == 0:
+            return self._ones if lane else 0
+        packed = np.packbits(lane, axis=-1, bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
+
+    def in_range(self, offset: int) -> int:
+        """The bits of every ``(r, c)`` with ``c + offset < lengths[r]``."""
+        mask = self._in_range.get(offset)
+        if mask is None:
+            mask = 0
+            for row, length in enumerate(self.lengths):
+                if length > offset:
+                    mask |= ((1 << (length - offset)) - 1) << (row * self.stride)
+            self._in_range[offset] = mask
+        return mask
+
+    def counts(self, mask: int) -> list[int]:
+        """The number of set bits of ``mask`` in each row."""
+        if len(self.lengths) == 1:
+            return [mask.bit_count()]
+        stride = self.stride
+        row_mask = (1 << stride) - 1
+        return [
+            ((mask >> (row * stride)) & row_mask).bit_count()
+            for row in range(len(self.lengths))
+        ]
 
 
-def walk_attempts_tensor(
+def _set_bits(mask: int) -> np.ndarray:
+    """The indices of ``mask``'s set bits, ascending."""
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little"))
+
+
+def consequent_base(antecedent: Optional[list[tuple[int, int]]], overlapping: bool) -> int:
+    """The cycle offset of the consequent's first element from the attempt start."""
+    if antecedent is None:
+        return 0
+    last_offset = antecedent[-1][0] if antecedent else 0
+    return last_offset + (0 if overlapping else 1)
+
+
+def walk_attempts_packed(
     name: str,
     message: str,
     antecedent: Optional[list[tuple[int, int]]],
     consequent: list[tuple[int, int]],
     overlapping: bool,
     disable_index: Optional[int],
-    values: list[np.ndarray],
-    xmasks: list[np.ndarray],
-    lengths: np.ndarray,
+    lanes: list[int],
+    rows: PackedRows,
 ) -> list[AssertionOutcome]:
-    """Resolve every attempt of every row in whole-array numpy operations.
+    """Resolve every attempt of every row with Python-int bitmask operations.
 
     Where the tree-walking oracle loops over start cycles in Python, this
-    computes one boolean (row x start-cycle) mask per outcome bucket, with
-    antecedent/consequent delays as shifted views, ``disable iff`` as a
-    per-row prefix-count lookup, and pass/fail/vacuous resolution for all
-    attempt starts of all rows in one expression.  Rows are independent traces (one per
-    verification seed); a single trace is the degenerate ``(1, cycles)``
-    case.
+    keeps one packed (row x start-cycle) mask per outcome bucket: a delay
+    is a ``>>``, an in-range test is an AND with :meth:`PackedRows.in_range`,
+    a ``disable iff`` span is an OR of shifted disable bits, and each
+    bucket's count is a per-row ``bit_count``.  Rows are independent traces
+    (one per verification seed); a single trace is the one-row case.
 
-    ``values[i]`` / ``xmasks[i]`` are element ``i``'s lanes over a common
-    padded ``(rows, max_cycles)`` grid; ``lengths[r]`` is row ``r``'s true
-    cycle count.  Padded cells carry ``(0, 0)`` and are provably never
-    consulted: every truth test is preceded by an in-range mask on the
-    *shifted* cycle, and the disable prefix is clipped to real cells before
-    accumulation.
+    ``lanes[i]`` is element ``i``'s packed truth lane (``value != 0``), or
+    for a consequent element its known-false lane (``value == 0`` and
+    ``xmask == 0``) -- the only lane each element is read through.  Cells
+    past a row's length are never consulted: every truth test is preceded
+    by an in-range mask on the *shifted* cycle, and the disable lane is
+    clipped to real cells before its spans are built.
 
     Bucket semantics replicate the oracle exactly, in its order: disabled at
     the start cycle first; antecedent elements left to right (out of range
@@ -645,92 +698,87 @@ def walk_attempts_tensor(
     test removes its matches from the live mask.  Failures are emitted in
     ascending start order, matching the oracle's iteration.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    rows = lengths.shape[0]
-    n = int(lengths.max()) if rows else 0
-    starts = np.arange(n, dtype=np.int64)[None, :]
-    len_col = lengths[:, None]
-    in_trace = starts < len_col
-
-    def true_lane(index: int) -> np.ndarray:
-        return np.asarray(values[index]) != 0
-
-    def false_lane(index: int) -> np.ndarray:
-        return (np.asarray(values[index]) == 0) & (np.asarray(xmasks[index]) == 0)
-
-    active = in_trace.copy()
-    disabled = np.zeros_like(in_trace)
-    pending = np.zeros_like(in_trace)
-    vacuous = np.zeros_like(in_trace)
-    prefix = None
+    active = rows.in_range(0)
+    disabled = pending = vacuous = 0
+    spans: list[int] = []
     if disable_index is not None:
-        dis = true_lane(disable_index) & in_trace
-        prefix = np.zeros((rows, n + 1), dtype=np.int64)
-        prefix[:, 1:] = np.cumsum(dis, axis=1)
+        dis = lanes[disable_index] & active
+        spans.append(dis)
         disabled = active & dis
-        active = active & ~dis
+        active &= ~dis
+
+    def disable_span(length: int) -> int:
+        """Starts whose ``[start, start + length]`` window saw the disable."""
+        while len(spans) <= length:
+            spans.append(spans[-1] | (spans[0] >> len(spans)))
+        return spans[length]
 
     if antecedent:
         for offset, index in antecedent:
-            in_range = (starts + offset) < len_col
-            pending = pending | (active & ~in_range)
-            active = active & in_range
-            t = _shift_lane(true_lane(index), offset)
-            vacuous = vacuous | (active & ~t)
-            active = active & t
+            in_range = rows.in_range(offset)
+            pending |= active & ~in_range
+            active &= in_range
+            truth = lanes[index] >> offset
+            vacuous |= active & ~truth
+            active &= truth
     matched = active
-    if antecedent is None:
-        consequent_base = 0
-    else:
-        last_offset = antecedent[-1][0] if antecedent else 0
-        consequent_base = last_offset + (0 if overlapping else 1)
+    base = consequent_base(antecedent, overlapping)
+    if spans:
+        mid = active & disable_span(base)
+        disabled |= mid
+        active &= ~mid
 
-    def disable_span(end: np.ndarray) -> np.ndarray:
-        """``prefix[end + 1] - prefix[start]`` per (row, start), end clamped."""
-        clamped = np.clip(end, -1, len_col - 1)
-        gathered = np.take_along_axis(prefix, np.maximum(clamped + 1, 0), axis=1)
-        return gathered - prefix[:, :n]
-
-    if prefix is not None:
-        mid = active & (disable_span(starts + consequent_base) > 0)
-        disabled = disabled | mid
-        active = active & ~mid
-
-    failed = np.zeros_like(in_trace)
-    fail_cycle = np.full((rows, n), -1, dtype=np.int64)
+    failed: list[tuple[int, int]] = []
     for offset, index in consequent:
-        total = consequent_base + offset
-        in_range = (starts + total) < len_col
-        pending = pending | (active & ~in_range)
-        active = active & in_range
-        f = _shift_lane(false_lane(index), total)
-        newly = active & f
-        fail_cycle = np.where(newly, starts + total, fail_cycle)
-        failed = failed | newly
-        active = active & ~f
-    passes = active
-    if prefix is not None:
-        late = failed & (disable_span(fail_cycle) > 0)
-        disabled = disabled | late
-        failed = failed & ~late
+        total = base + offset
+        in_range = rows.in_range(total)
+        pending |= active & ~in_range
+        active &= in_range
+        known_false = lanes[index] >> total
+        newly = active & known_false
+        active &= ~known_false
+        if spans and newly:
+            late = newly & disable_span(total)
+            disabled |= late
+            newly &= ~late
+        if newly:
+            failed.append((newly, total))
 
-    outcomes: list[AssertionOutcome] = []
-    for row in range(rows):
-        outcome = AssertionOutcome(name=name)
-        outcome.attempts = int(lengths[row])
-        outcome.antecedent_matches = int(matched[row].sum())
-        outcome.passes = int(passes[row].sum())
-        outcome.vacuous = int(vacuous[row].sum())
-        outcome.pending = int(pending[row].sum())
-        outcome.disabled = int(disabled[row].sum())
-        for start in np.nonzero(failed[row])[0].tolist():
-            outcome.failures.append(
+    counts = zip(
+        rows.lengths,
+        rows.counts(matched),
+        rows.counts(active),
+        rows.counts(vacuous),
+        rows.counts(pending),
+        rows.counts(disabled),
+    )
+    outcomes = [
+        AssertionOutcome(
+            name=name,
+            attempts=attempts,
+            antecedent_matches=matches,
+            passes=passes,
+            vacuous=vacuous_count,
+            pending=pending_count,
+            disabled=disabled_count,
+        )
+        for attempts, matches, passes, vacuous_count, pending_count, disabled_count in counts
+    ]
+    if failed:
+        # Each start fails at most once, so sorting by bit puts every row's
+        # failures in start order.
+        found = sorted(
+            (bit, total) for newly, total in failed for bit in _set_bits(newly).tolist()
+        )
+        stride = rows.stride
+        for bit, delay in found:
+            row, start = divmod(bit, stride)
+            outcomes[row].failures.append(
                 AssertionFailure(
                     assertion=name,
                     start_cycle=start,
-                    fail_cycle=int(fail_cycle[row, start]),
+                    fail_cycle=start + delay,
                     message=message,
                 )
             )
-        outcomes.append(outcome)
     return outcomes

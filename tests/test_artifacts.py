@@ -382,6 +382,29 @@ def test_lru_bound_evicts_and_recomputes():
     assert ArtifactStore().max_entries == DEFAULT_LRU_ENTRIES == 64
 
 
+def test_recompiles_count_misses_on_sources_compiled_before():
+    """``artifact.recompiles`` counts a miss only when the store compiled
+    that source before, so first compiles and hits never show in it."""
+    from repro.obs.metrics import scoped_registry
+    from repro.obs.report import render_report
+    from repro.obs.trace import TraceData
+
+    store = ArtifactStore(max_entries=1)
+    first, second = numbered_source(1), numbered_source(2)
+    with scoped_registry() as registry:
+        store.compile(first)
+        store.compile(first)  # a hit
+        store.compile(second)  # evicts the first
+        assert store.recompiles == 0
+        store.compile(first)
+        store.compile(second)
+    assert store.stats()["recompiles"] == store.recompiles == 2
+    assert registry.counters["artifact.recompiles"] == 2
+    report = render_report(TraceData(metrics={"counters": registry.counters}))
+    assert "evictions 3 · recompiles 2" in report
+    assert "artifact.recompiles:" not in report  # shown once, in the cache line
+
+
 def test_initial_block_design_is_lowered_once():
     # An initial block lowers like any other block; the second lookup is a
     # hit on the same lowering.
@@ -453,6 +476,7 @@ def test_edit_after_base_eviction_recompiles_the_base_with_identical_verdicts():
     again = cold.verify_source(edited, seeds, base_source=source)
     # The base was compiled again, as was the edit against it.
     assert store.misses == 6
+    assert store.recompiles == 2
     assert again.to_dict() == first.to_dict()
     reference = SemanticVerifier(
         config=VerifierConfig(cycles=CYCLES), artifacts=ArtifactStore()

@@ -138,6 +138,66 @@ def test_columns_unknown_signal_raises_clear_error():
         trace.columns(["a"]).signal("b")
 
 
+BOUNDARY_SOURCE = """
+module bounds(input wire clk, input wire [62:0] a63, input wire [63:0] a64,
+              input wire a1, output reg [62:0] q63, output reg [63:0] q64,
+              output reg q1);
+    always @(posedge clk) begin
+        q63 <= a63 + 1;
+        q64 <= a64 ^ {a64[31:0], a64[63:32]};
+        q1 <= ~a1;
+    end
+endmodule
+"""
+
+
+def test_one_array_column_build_at_the_int64_boundary():
+    """The event-built columns of a 63-bit, a 64-bit and a 1-bit signal
+    equal the sample-built base columns; only the 64-bit ones are object
+    arrays.  Unknown inputs and values at the top of each width included."""
+    from repro.sim import X
+    from repro.sim.trace import Trace
+
+    design = compile_source(BOUNDARY_SOURCE).design
+    assert design is not None
+    top63, top64 = (1 << 63) - 1, (1 << 64) - 1
+    vectors = [
+        {"a63": top63, "a64": top64, "a1": 1},
+        {"a63": X, "a64": 5, "a1": X},
+        {"a63": 7, "a64": X, "a1": 0},
+        {"a63": 7, "a64": top64 - 1, "a1": 0},
+        {"a63": top63 - 1, "a64": 1 << 63, "a1": 1},
+    ] * 3
+    trace = CompiledSimulator(design).run(vectors)
+    names = ["q1", "a64", "a63", "q64", "a1", "q63"]
+    built = trace.columns(names)
+    oracle = Trace._build_columns(trace.materialized(), names)
+    assert built.cycles == oracle.cycles == len(vectors)
+    assert built.widths == oracle.widths
+    assert list(built.values) == names
+    for name in names:
+        for got, want in ((built.values[name], oracle.values[name]),
+                          (built.xmasks[name], oracle.xmasks[name])):
+            assert got.dtype == want.dtype, name
+            assert got.tolist() == want.tolist(), name
+    assert built.values["a64"].dtype == object
+    assert built.values["a63"].dtype == np.int64
+    assert max(built.values["a63"].tolist()) == top63
+    assert max(built.values["a64"].tolist()) == top64
+    assert any(built.xmasks["a63"].tolist()) and any(built.xmasks["a64"].tolist())
+
+    empty = CompiledSimulator(design).run([])
+    assert len(empty) == 0
+    columns = empty.columns(names)
+    # A zero-cycle base trace has no sample to read widths from.
+    oracle = Trace._build_columns(empty.materialized(), names)
+    assert columns.cycles == oracle.cycles == 0
+    for name in names:
+        assert columns.values[name].tolist() == oracle.values[name].tolist() == []
+        assert columns.xmasks[name].tolist() == oracle.xmasks[name].tolist() == []
+    assert columns.widths == {name: design.signals[name].width for name in names}
+
+
 WIDE_SOURCE = """
 module wide(input wire clk, input wire [70:0] a, output reg [70:0] b);
     always @(posedge clk) begin
