@@ -29,8 +29,10 @@ class InjectionConfig:
 
     seed: int = 7
     max_bugs_per_design: int = 6
-    max_candidates_per_line: int = 3
 
+
+#: Most mutants accepted from any one source line.
+MAX_CANDIDATES_PER_LINE = 3
 
 #: line prefixes that never receive bugs (structure, declarations, assertions).
 _EXCLUDED_PREFIXES = (
@@ -79,7 +81,7 @@ class BugInjector:
         """Generate up to ``max_bugs_per_design`` bug instances for one design."""
         source_file = SourceFile(golden_source)
         signal_names = sorted(design.signals) if design is not None else []
-        assigned_by_line = self._assigned_by_line(design)
+        assigned_by_line = design.assigned_by_line if design is not None else {}
         candidate_lines = self.mutable_lines(golden_source)
         self._random.shuffle(candidate_lines)
         instances: list[BugInstance] = []
@@ -92,7 +94,7 @@ class BugInjector:
             self._random.shuffle(mutations)
             accepted = 0
             for mutation in mutations:
-                if accepted >= self._config.max_candidates_per_line:
+                if accepted >= MAX_CANDIDATES_PER_LINE:
                     break
                 if len(instances) >= self._config.max_bugs_per_design:
                     break
@@ -108,17 +110,6 @@ class BugInjector:
                     instances.append(instance)
                     accepted += 1
         return instances
-
-    @staticmethod
-    def _assigned_by_line(design: Optional[ElaboratedDesign]) -> dict[int, list[str]]:
-        """Invert the design's driver map: line number -> signals assigned there."""
-        assigned: dict[int, list[str]] = {}
-        if design is None:
-            return assigned
-        for signal, lines in design.driver_lines.items():
-            for line in lines:
-                assigned.setdefault(line, []).append(signal)
-        return assigned
 
     def mutable_lines(self, source: str) -> list[int]:
         """1-based numbers of lines eligible for mutation."""

@@ -26,7 +26,6 @@ class CorpusConfig:
     seed: int = 2025
     design_count: int = 120
     corrupted_fraction: float = 0.2
-    jitter_widths: bool = True
 
     def corrupted_count(self) -> int:
         return max(1, int(self.design_count * self.corrupted_fraction))
@@ -143,7 +142,7 @@ class CorpusGenerator:
         while len(instances) < count:
             family, params = base[cursor % len(base)]
             params = dict(params)
-            if cursor >= len(base) and self._config.jitter_widths:
+            if cursor >= len(base):
                 params = self._jitter(params)
             instances.append((family, params))
             cursor += 1

@@ -46,10 +46,6 @@ class PipelineConfig:
     #: ``statistics.skipped_jobs``), timeout and retry budget.  The output
     #: is byte-identical for any worker count.
     job_policy: JobPolicy = JobPolicy()
-    #: Write a JSONL trace of the run here (``REPRO_TRACE`` is the env
-    #: fallback).  Telemetry only: the datasets are byte-identical with
-    #: tracing on or off.
-    trace_path: Optional[str] = None
 
     @classmethod
     def small(cls, seed: int = 2025, workers: int = 1) -> "PipelineConfig":
@@ -100,9 +96,10 @@ class DataAugmentationPipeline:
 
         Traced under a ``pipeline`` root span (see
         :func:`repro.obs.traced_run`): an enabled ambient tracer is joined,
-        else ``config.trace_path`` / ``REPRO_TRACE`` make the run own one.
+        else ``REPRO_TRACE`` makes the run own one.  Telemetry only: the
+        datasets are byte-identical with tracing on or off.
         """
-        with traced_run(self._config.trace_path, "pipeline", seed=self._config.seed):
+        with traced_run(None, "pipeline", seed=self._config.seed):
             return self._run(corpus)
 
     def _run(self, corpus: Optional[Corpus]) -> AugmentedDatasets:

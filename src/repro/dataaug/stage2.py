@@ -50,13 +50,16 @@ from repro.sva.kernel import simulate_and_check, simulate_seed
 from repro.sva.logs import format_failure_log
 
 
+#: Most trace-mined candidate assertions added to a design's template ones.
+MAX_MINED_ASSERTIONS = 5
+
+
 @dataclass
 class Stage2Config:
     """Knobs for SVA validation and bug injection."""
 
     seed: int = 11
     random_cycles: int = 48
-    max_mined_assertions: int = 5
     injection: InjectionConfig = field(default_factory=InjectionConfig)
 
 
@@ -85,10 +88,6 @@ class Stage2Result:
         self.rejected_not_compiling += other.rejected_not_compiling
         self.designs_without_valid_svas += other.designs_without_valid_svas
         self.skipped.extend(other.skipped)
-
-
-#: Reset cycles at the head of every Stage-2 stimulus.
-_RESET_CYCLES = 2
 
 
 class Stage2Runner:
@@ -139,8 +138,7 @@ class Stage2Runner:
         # them).
         try:
             golden_trace = simulate_seed(
-                store.compiled_design(sample.source), config.seed,
-                config.random_cycles, _RESET_CYCLES,
+                store.compiled_design(sample.source), config.seed, config.random_cycles
             )
         except SimulationError:
             return None, None
@@ -150,7 +148,7 @@ class Stage2Runner:
         )
         candidates.extend(
             mine_assertions(
-                golden_design, golden_trace, max_assertions=config.max_mined_assertions
+                golden_design, golden_trace, max_assertions=MAX_MINED_ASSERTIONS
             )
         )
         result.candidate_svas += len(candidates)
@@ -160,8 +158,8 @@ class Stage2Runner:
 
         augmented = insert_assertions(sample.source, candidates)
         (outcome,) = simulate_and_check(
-            store, [(augmented, (config.seed + 1,))], config.random_cycles, _RESET_CYCLES,
-            "stage2", sample.source,
+            store, [(augmented, (config.seed + 1,))], config.random_cycles, "stage2",
+            sample.source,
         )
         if outcome.design is None or outcome.sim_error is not None:
             result.designs_without_valid_svas += 1
@@ -206,7 +204,7 @@ class Stage2Runner:
         seeds = [config.seed + 101 + index for index in range(len(bugs))]
         outcomes = simulate_and_check(
             store, [(bug.buggy_source, (seed,)) for bug, seed in zip(bugs, seeds)],
-            config.random_cycles, _RESET_CYCLES, "stage2", augmented_golden,
+            config.random_cycles, "stage2", augmented_golden,
         )
         for index, (bug, stimulus_seed, outcome) in enumerate(zip(bugs, seeds, outcomes)):
             if outcome.design is None or outcome.sim_error is not None:

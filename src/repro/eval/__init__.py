@@ -29,7 +29,6 @@ from repro.eval.verifier import (
     CandidateFix,
     RepairVerdict,
     SemanticVerifier,
-    VerifierConfig,
     derive_verification_seeds,
 )
 
@@ -43,7 +42,6 @@ __all__ = [
     "SemanticVerifier",
     "VerdictCache",
     "VerificationJob",
-    "VerifierConfig",
     "derive_verification_seeds",
     "run_verification_jobs",
     "verdict_key",

@@ -20,7 +20,6 @@ def verdict_key(
     patched_source: str,
     seeds: Sequence[int],
     cycles: int,
-    reset_cycles: int,
     version: str,
 ) -> str:
     """The content address of one verification verdict.
@@ -35,7 +34,6 @@ def verdict_key(
         patched_source,
         ",".join(str(seed) for seed in seeds),
         str(cycles),
-        str(reset_cycles),
     )
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.eval.cache import VerdictCache
-from repro.eval.verifier import CandidateFix, RepairVerdict, SemanticVerifier, VerifierConfig
+from repro.eval.verifier import DEFAULT_CYCLES, CandidateFix, RepairVerdict, SemanticVerifier
 from repro.obs import annotate
 from repro.runtime import JobPolicy, run_stage_jobs
 
@@ -31,7 +31,7 @@ class VerificationJob:
     buggy_source: str
     fixes: tuple[CandidateFix, ...]
     seeds: tuple[int, ...]
-    cycles: int = 48
+    cycles: int = DEFAULT_CYCLES
 
 
 @dataclass
@@ -57,10 +57,12 @@ def _run_job(job: VerificationJob, cache_dir: Optional[str]) -> ShardResult:
     """
     annotate(case=job.case_name, fixes=len(job.fixes))
     cache = VerdictCache(cache_dir) if cache_dir else None
-    verifier = SemanticVerifier(config=VerifierConfig(cycles=job.cycles), cache=cache)
+    verifier = SemanticVerifier(cache=cache)
     result = ShardResult(case_name=job.case_name)
     for fix in job.fixes:
-        result.verdicts.append(verifier.verify(job.buggy_source, fix, job.seeds))
+        result.verdicts.append(
+            verifier.verify(job.buggy_source, fix, job.seeds, cycles=job.cycles)
+        )
     if cache is not None:
         result.cache_hits = cache.hits
         result.cache_misses = cache.misses

@@ -47,10 +47,6 @@ class EvalConfig:
     #: ``infra_error`` verdicts for its case instead of aborting the run.
     job_policy: JobPolicy = JobPolicy()
     cache_dir: Optional[Path] = None
-    #: Write a JSONL trace of the run here (``REPRO_TRACE`` is the env
-    #: fallback).  Telemetry only: the report is byte-identical with tracing
-    #: on or off.
-    trace_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         # pass@0 would verify one candidate and always report 0.
@@ -222,11 +218,10 @@ class EvalHarness:
 
         Traced under an ``eval`` root span (see
         :func:`repro.obs.traced_run`): an enabled ambient tracer is joined,
-        else ``config.trace_path`` / ``REPRO_TRACE`` make the run own one.
+        else ``REPRO_TRACE`` makes the run own one.  Telemetry only: the
+        report is byte-identical with tracing on or off.
         """
-        with traced_run(
-            self.config.trace_path, "eval", engine=engine.name, cases=len(entries)
-        ):
+        with traced_run(None, "eval", engine=engine.name, cases=len(entries)):
             return self._run(engine, entries)
 
     def _run(self, engine: RepairEngine, entries: Sequence[SvaBugEntry]) -> EvalReport:

@@ -56,6 +56,9 @@ VERIFIER_VERSION = verifier_version()
 #: Default number of independent stimulus seeds a fix must survive.
 DEFAULT_SEED_COUNT = 2
 
+#: Random stimulus cycles per seed when a caller names no cycle budget.
+DEFAULT_CYCLES = 48
+
 
 def derive_verification_seeds(
     case_name: str, mining_seed: int, count: int = DEFAULT_SEED_COUNT, base_seed: int = 2027
@@ -138,14 +141,6 @@ class RepairVerdict:
         )
 
 
-@dataclass(frozen=True)
-class VerifierConfig:
-    """Stimulus sizing for verification runs."""
-
-    cycles: int = 48
-    reset_cycles: int = 2
-
-
 class SemanticVerifier:
     """Applies candidate fixes and re-runs the full check loop.
 
@@ -161,13 +156,7 @@ class SemanticVerifier:
     returns it.
     """
 
-    def __init__(
-        self,
-        config: Optional[VerifierConfig] = None,
-        cache: Optional[VerdictCache] = None,
-        artifacts=None,
-    ):
-        self.config = config or VerifierConfig()
+    def __init__(self, cache: Optional[VerdictCache] = None, artifacts=None):
         self.cache = cache
         self._memo: dict[str, RepairVerdict] = {}
         self.artifacts = artifacts if artifacts is not None else default_store()
@@ -205,25 +194,23 @@ class SemanticVerifier:
         buggy_source: str,
         fix: CandidateFix,
         seeds: Sequence[int],
-        cycles: Optional[int] = None,
+        cycles: int = DEFAULT_CYCLES,
     ) -> RepairVerdict:
         """Full verdict for one fix, via the caches when possible.
 
         Fix application (cheap, pure text) always runs; only the simulation
         verdict of the resulting patched source is cached, so fixes that
         relocate to different lines can never share an entry.  ``cycles``
-        overrides the config's stimulus length for this call (callers with
-        per-case cycle budgets share one verifier; the cache key includes
-        the cycle count).
+        is the stimulus length of this call (callers with per-case cycle
+        budgets share one verifier; the cache key includes the cycle count).
         """
         seeds = tuple(seeds)
-        cycles = self.config.cycles if cycles is None else cycles
         patched, line_number, detail = self.apply_fix(buggy_source, fix)
         if patched is None:
             return RepairVerdict(
                 status="not_applicable", seeds=seeds, cycles=cycles, detail=detail
             )
-        key = verdict_key(patched, seeds, cycles, self.config.reset_cycles, VERIFIER_VERSION)
+        key = verdict_key(patched, seeds, cycles, VERIFIER_VERSION)
         verdict = self._memo.get(key)
         if verdict is not None:
             get_registry().inc("eval.memo.hits")
@@ -250,7 +237,7 @@ class SemanticVerifier:
         self,
         patched_source: str,
         seeds: Sequence[int],
-        cycles: Optional[int] = None,
+        cycles: int = DEFAULT_CYCLES,
         base_source: Optional[str] = None,
     ) -> RepairVerdict:
         """Compile + simulate + check ``patched_source`` on every seed.
@@ -261,10 +248,8 @@ class SemanticVerifier:
         :class:`RepairVerdict`.
         """
         seeds = tuple(seeds)
-        cycles = self.config.cycles if cycles is None else cycles
         (outcome,) = simulate_and_check(
-            self.artifacts, [(patched_source, seeds)], cycles, self.config.reset_cycles,
-            "verify", base_source,
+            self.artifacts, [(patched_source, seeds)], cycles, "verify", base_source
         )
         if outcome.design is None:
             return RepairVerdict(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
@@ -227,6 +228,16 @@ class ElaboratedDesign:
     def lines_driving(self, signal_name: str) -> list[int]:
         """Source lines containing assignments to ``signal_name``."""
         return sorted(set(self.driver_lines.get(signal_name, [])))
+
+    @cached_property
+    def assigned_by_line(self) -> dict[int, list[str]]:
+        """:attr:`driver_lines` inverted: line number -> signals assigned on
+        that line, in driver-map order.  Callers must not mutate it."""
+        assigned: dict[int, list[str]] = {}
+        for signal, lines in self.driver_lines.items():
+            for line in lines:
+                assigned.setdefault(line, []).append(signal)
+        return assigned
 
     def clock_candidates(self) -> list[str]:
         """Signals used as clocks by sequential blocks, in declaration order."""

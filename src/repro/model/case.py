@@ -161,17 +161,11 @@ class RepairCase:
             for number in self.code_line_numbers
         )
 
-    @cached_property
+    @property
     def assigned_by_line(self) -> dict[int, list[str]]:
         """line number -> signals assigned on that line (from the elaborated design)."""
-        assigned: dict[int, list[str]] = {}
         design = self.design
-        if design is None:
-            return assigned
-        for signal, lines in design.driver_lines.items():
-            for line in lines:
-                assigned.setdefault(line, []).append(signal)
-        return assigned
+        return design.assigned_by_line if design is not None else {}
 
     @cached_property
     def assertion_region_lines(self) -> set[int]:

@@ -39,13 +39,13 @@ from typing import Optional, Sequence, Union
 #: Bumped whenever a trace line's shape changes incompatibly.
 TRACE_SCHEMA = "repro_trace/v1"
 
-#: Environment variable naming a trace output path; the fallback for every
-#: ``trace_path`` config knob (explicit knobs win).
+#: Environment variable naming a trace output path; the fallback when a
+#: run names no trace path of its own (an explicit path wins).
 TRACE_ENV = "REPRO_TRACE"
 
 
 def resolve_trace_path(explicit: Optional[Union[str, Path]] = None) -> Optional[str]:
-    """The trace path to use: the explicit knob, else ``REPRO_TRACE``, else None."""
+    """The trace path to use: the explicit path, else ``REPRO_TRACE``, else None."""
     if explicit:
         return str(explicit)
     env = os.environ.get(TRACE_ENV, "").strip()

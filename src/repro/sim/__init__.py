@@ -1,8 +1,9 @@
 """Cycle-accurate RTL simulation substrate.
 
 The simulator executes elaborated designs (:class:`repro.hdl.ElaboratedDesign`)
-cycle by cycle with 4-state values, records sampled traces for the SVA checker,
-and provides stimulus generation (reset protocol, random and directed vectors).
+cycle by cycle with 4-state values, records the values sampled at each clock
+edge (the preponed samples the SVA checker reads) as a trace, and provides
+stimulus generation (reset protocol, random and directed vectors).
 :class:`CompiledSimulator` runs every design the front end accepts;
 :class:`InterpSimulator` is its tree-walking differential oracle.
 Together with :mod:`repro.sva` it plays the role of the simulation half of the
@@ -15,7 +16,6 @@ from repro.sim.engine import InterpSimulator, SimulationError, SimulatorOptions
 from repro.sim.compile import CompiledSimulator, CompileError, compile_design
 from repro.sim.stimulus import Stimulus, StimulusGenerator, reset_sequence
 from repro.sim.trace import DiffTrace, Trace, TraceSample
-from repro.sim.vcd import vcd_string, write_vcd
 
 __all__ = [
     "LogicValue",
@@ -36,6 +36,4 @@ __all__ = [
     "Trace",
     "DiffTrace",
     "TraceSample",
-    "vcd_string",
-    "write_vcd",
 ]

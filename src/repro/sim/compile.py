@@ -15,11 +15,11 @@ Instead of walking AST nodes for every evaluation (the
   dirty set in topologically-levelled order.  Quiet cycles re-run almost
   nothing, where the interpreter re-evaluates every assign and comb block
   on every settle iteration;
-* the trace records each signal change once, as a ``(sampling point, value,
-  xmask)`` int event (:class:`~repro.sim.trace.DiffTrace`), instead of
-  copying the whole environment dict twice per cycle; the checker's and the
-  miner's columns are built from those events, and per-cycle samples only
-  when something reads them.
+* the trace records each change of a signal's preponed sample once, as a
+  ``(cycle, value, xmask)`` int event (:class:`~repro.sim.trace.DiffTrace`),
+  instead of copying the whole environment dict every cycle; the checker's
+  and the miner's columns are built from those events, and per-cycle
+  samples only when something reads them.
 
 The backend is behaviourally identical to the interpreter: the differential
 test suite asserts ``equals()``-identical traces cycle by cycle.  It is the
@@ -1276,13 +1276,11 @@ class CompiledSimulator:
         self._apply_inputs(inputs)
         self._settle()
         self._fire_async_edges()
-        # Sampling points are half-cycles: 2c is cycle c's preponed sample,
-        # 2c + 1 its post-edge sample (see DiffTrace).
-        point = 2 * self._cycle
-        self._record_diff(point)
+        # The preponed sample is the cycle's only sampling point; what the
+        # edge changes shows in the next cycle's sample.
+        self._record_diff(self._cycle)
         self._fire_clock_edge()
         self._settle()
-        self._record_diff(point + 1)
         self._trace.end_cycle()
         self._cycle += 1
 
@@ -1374,8 +1372,8 @@ class CompiledSimulator:
             write(slot, v, x)
 
     def _record_diff(self, point: int) -> None:
-        """Append a ``(point, value, xmask)`` event for every slot that
-        changed since the previous sampling point."""
+        """Append a ``(point, value, xmask)`` event for every slot whose
+        value differs from its last recorded one."""
         shadow_v = self._shadow_v
         shadow_x = self._shadow_x
         val = self._val

@@ -6,10 +6,12 @@ cycle at a time:
 1. new input values are applied and combinational logic settles,
 2. asynchronous edges (e.g. ``negedge rst_n``) trigger their blocks,
 3. the preponed (pre-clock-edge) values are sampled into the trace --
-   these are the values concurrent assertions observe,
+   these are the values concurrent assertions observe, and the only ones
+   the trace keeps,
 4. the active clock edge triggers every clocked block, non-blocking
    updates are committed simultaneously, and combinational logic settles
-   again.
+   again; the settled state is readable through ``value()`` / ``peek()``
+   until the next cycle.
 
 This two-phase scheme reproduces the scheduling behaviour that matters for
 the designs and assertions in this project without a full event queue.
@@ -138,10 +140,9 @@ class InterpSimulator:
         self._apply_inputs(inputs or {})
         self._settle()
         self._fire_async_edges()
-        pre_edge = dict(self._env)
+        sample = TraceSample(cycle=self._cycle, pre_edge=dict(self._env))
         self._fire_clock_edge()
         self._settle()
-        sample = TraceSample(cycle=self._cycle, pre_edge=pre_edge, post_edge=dict(self._env))
         self._trace.append(sample)
         self._cycle += 1
         return sample

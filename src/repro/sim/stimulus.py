@@ -22,6 +22,9 @@ _RESET_NAMES = ("rst_n", "resetn", "rstn", "rst_ni", "rst", "reset", "rst_i")
 #: Names treated as clocks and therefore never driven by stimulus directly.
 _CLOCK_NAMES = ("clk", "clock", "clk_i")
 
+#: Cycles reset is held active at the head of every generated stimulus.
+RESET_CYCLES = 2
+
 
 @dataclass
 class Stimulus:
@@ -72,7 +75,7 @@ def data_inputs_of(design: ElaboratedDesign) -> list[Signal]:
     return [s for s in design.inputs if s.name not in excluded]
 
 
-def reset_sequence(design: ElaboratedDesign, cycles: int = 2) -> Stimulus:
+def reset_sequence(design: ElaboratedDesign, cycles: int = RESET_CYCLES) -> Stimulus:
     """Hold reset active for ``cycles`` cycles, then release it."""
     reset = reset_signal_of(design)
     vectors: list[dict[str, int]] = []
@@ -116,7 +119,7 @@ class StimulusGenerator:
             vector[self._reset.name] = 1 if is_active_low_reset(self._reset.name) else 0
         return vector
 
-    def random_stimulus(self, cycles: int, reset_cycles: int = 2) -> Stimulus:
+    def random_stimulus(self, cycles: int, reset_cycles: int = RESET_CYCLES) -> Stimulus:
         """Reset followed by ``cycles`` random vectors."""
         stimulus = reset_sequence(self._design, cycles=reset_cycles)
         for _ in range(cycles):
@@ -143,13 +146,15 @@ class StimulusGenerator:
                         vector[control.name] = 1
                 yield self._with_reset_inactive(vector)
 
-    def directed_stimulus(self, reset_cycles: int = 2) -> Stimulus:
+    def directed_stimulus(self, reset_cycles: int = RESET_CYCLES) -> Stimulus:
         """Reset followed by every directed corner pattern."""
         stimulus = reset_sequence(self._design, cycles=reset_cycles)
         stimulus.vectors.extend(self.directed_patterns())
         return stimulus
 
-    def mixed_stimulus(self, random_cycles: int = 40, reset_cycles: int = 2) -> Stimulus:
+    def mixed_stimulus(
+        self, random_cycles: int = 40, reset_cycles: int = RESET_CYCLES
+    ) -> Stimulus:
         """Reset, directed corners, then random traffic; plus a mid-run reset pulse."""
         stimulus = self.directed_stimulus(reset_cycles=reset_cycles)
         for _ in range(random_cycles):

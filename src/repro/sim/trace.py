@@ -1,21 +1,22 @@
 """Simulation traces: sampled signal values per clock cycle.
 
 A :class:`Trace` stores, for every simulated cycle, the values of every
-signal sampled in the *preponed region* (just before the active clock edge).
-This is exactly the sampling semantics concurrent SVAs use, so the assertion
-checker in :mod:`repro.sva` consumes these traces directly.  A second,
-post-edge snapshot is kept for waveform dumping and debugging.
+signal sampled in the *preponed region* (just before the active clock edge),
+and nothing else.  This is exactly the sampling semantics concurrent SVAs
+use, so the assertion checker in :mod:`repro.sva` and the trace miner
+consume these traces directly.  A simulator's live, post-edge state is read
+through its ``value()`` / ``peek()``, not through the trace.
 
 The compiled simulator records a :class:`DiffTrace` instead: per-signal
-change events, from which the per-signal columns the checker and the miner
-read are built directly.  Its :class:`TraceSample` objects are realised
-from the same events only when something asks for samples (``step``, VCD
-export, the tree-walking checker oracle).
+change events, at most one per signal per cycle, from which the per-signal
+columns the checker and the miner read are built directly.  Its
+:class:`TraceSample` objects are realised from the same events only when
+something asks for samples (``step``, the tree-walking checker oracle).
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterator
+from collections.abc import Iterator
 from itertools import chain
 from dataclasses import dataclass, field
 from typing import Any, overload
@@ -30,7 +31,7 @@ from repro.sim.values import LogicValue
 #: int64; wider signals fall back to object-dtype columns of Python ints.
 INT64_COLUMN_MAX_WIDTH = 63
 
-#: One recorded change: ``(sampling point, value, xmask)`` (see DiffTrace).
+#: One recorded change: ``(point, value, xmask)``, point a cycle (see DiffTrace).
 Event = tuple[int, int, int]
 
 
@@ -65,23 +66,15 @@ class TraceColumns:
 
 @dataclass
 class TraceSample:
-    """Signal values for one clock cycle."""
+    """Signal values sampled for one clock cycle, just before its edge."""
 
     cycle: int
     pre_edge: dict[str, LogicValue]
-    post_edge: dict[str, LogicValue]
 
     def sampled(self, name: str) -> LogicValue:
         """The preponed (SVA-visible) value of ``name`` at this cycle."""
         try:
             return self.pre_edge[name]
-        except KeyError as exc:
-            raise KeyError(f"signal '{name}' not in trace sample") from exc
-
-    def settled(self, name: str) -> LogicValue:
-        """The post-edge (waveform-visible) value of ``name`` at this cycle."""
-        try:
-            return self.post_edge[name]
         except KeyError as exc:
             raise KeyError(f"signal '{name}' not in trace sample") from exc
 
@@ -183,32 +176,6 @@ class Trace:
             xmasks[name] = np.fromiter((v.xmask for v in sampled), dtype, cycles)
         return TraceColumns(cycles=cycles, values=values, xmasks=xmasks, widths=widths)
 
-    def render(self, names: list[str] | None = None, max_cycles: int = 32) -> str:
-        """Render a compact text waveform table (one row per signal).
-
-        The name column is sized to the longest rendered name (no silent
-        truncation), and unknown names raise :class:`ValueError` up front
-        instead of a bare ``KeyError`` mid-render.
-        """
-        names = names or self.signals
-        available: Collection[str] = self.samples[0].pre_edge if self.samples else self.signals
-        missing = sorted(name for name in names if name not in available)
-        if missing:
-            raise ValueError(
-                f"cannot render signals not in trace: {', '.join(missing)}"
-            )
-        cycles = min(len(self.samples), max_cycles)
-        name_width = max([len("cycle")] + [len(name) for name in names]) + 1
-        header = f"{'cycle':<{name_width}}" + " ".join(f"{i:>4d}" for i in range(cycles))
-        rows = [header]
-        for name in names:
-            cells = []
-            for i in range(cycles):
-                value = self.samples[i].sampled(name)
-                cells.append("   x" if value.has_unknown else f"{value.to_int():>4d}")
-            rows.append(f"{name:<{name_width}}" + " ".join(cells))
-        return "\n".join(rows)
-
 
 def _updated(
     previous: dict[str, LogicValue], changes: dict[str, LogicValue] | None
@@ -223,16 +190,16 @@ def _updated(
 class DiffTrace(Trace):
     """A trace stored as the per-signal change events of its recording.
 
-    The compiled simulation backend samples every signal twice per cycle and
-    records only changes: ``events[name]`` is ``[(point, value, xmask),
-    ...]`` in recording order, as plain ints.  Sampling points are indexed
-    by half-cycle -- ``2c`` is cycle ``c``'s preponed sample, ``2c + 1`` its
-    post-edge sample, and ``-1`` the settled initial state -- so an event
-    holds in the preponed column from cycle ``(point + 1) // 2`` until the
-    next event.  :meth:`columns` is built from the events directly (one
-    slice fill per change); :class:`TraceSample` objects are realised from
-    the same events only when read, incrementally, and cached, with
-    unchanged sampling points sharing the predecessor's dict.
+    The compiled simulation backend samples every signal once per cycle,
+    in the preponed region, and records only changes: ``events[name]`` is
+    ``[(point, value, xmask), ...]`` in recording order, as plain ints.  A
+    point is the cycle whose sample first shows the value (``-1`` is the
+    settled initial state), so a signal has at most one event per cycle,
+    and an event holds in the column from cycle ``max(point, 0)`` until the
+    next event.  :meth:`columns` is built from the events directly;
+    :class:`TraceSample` objects are realised from the same events only
+    when read, incrementally, and cached, with unchanged cycles sharing the
+    predecessor's dict.
     """
 
     def __init__(self, signals: list[str], initial: dict[str, tuple[int, int, int]]) -> None:
@@ -266,9 +233,9 @@ class DiffTrace(Trace):
         first = len(cache)
         if index < first:
             return
-        # Fold every not-yet-consumed event up to cycle `index`'s post-edge
-        # sample into per-point change dicts, in recording order.
-        stop = 2 * index + 2
+        # Fold every not-yet-consumed event up to cycle `index` into
+        # per-cycle change dicts, in recording order.
+        stop = index + 1
         changes: dict[int, dict[str, LogicValue]] = {}
         cursors = self._cursors
         for name, events in self.events.items():
@@ -279,11 +246,10 @@ class DiffTrace(Trace):
                 changes.setdefault(point, {})[name] = LogicValue(value, xmask, width)
                 cursor += 1
             cursors[name] = cursor
-        previous = cache[-1].post_edge if cache else changes[-1]
+        previous = cache[-1].pre_edge if cache else changes[-1]
         for cycle in range(first, index + 1):
-            pre = _updated(previous, changes.get(2 * cycle))
-            previous = _updated(pre, changes.get(2 * cycle + 1))
-            cache.append(TraceSample(cycle=cycle, pre_edge=pre, post_edge=previous))
+            previous = _updated(previous, changes.get(cycle))
+            cache.append(TraceSample(cycle=cycle, pre_edge=previous))
 
     @property
     def samples(self) -> list[TraceSample]:
@@ -354,15 +320,14 @@ class DiffTrace(Trace):
     def _hold_lengths(
         points: npt.NDArray[np.int64], counts: list[int], cycles: int
     ) -> npt.NDArray[np.int64]:
-        """How many preponed samples each event holds for.
+        """How many samples each event holds for.
 
-        ``points`` are the sampling points of several signals' event
-        streams, concatenated; ``counts`` the length of each stream.  An
-        event holds from its cycle until the next event of its stream, the
-        last one of a stream until the end of the trace.
+        ``points`` are the cycles of several signals' event streams,
+        concatenated; ``counts`` the length of each stream.  An event holds
+        from its cycle until the next event of its stream, the last one of
+        a stream until the end of the trace.
         """
-        starts = (points + 1) // 2
-        np.clip(starts, 0, cycles, out=starts)
+        starts = np.clip(points, 0, cycles)
         stops = np.empty_like(starts)
         stops[:-1] = starts[1:]
         stops[np.cumsum(counts) - 1] = cycles

@@ -77,20 +77,16 @@ class CheckOutcome:
     exercised: bool = False
 
 
-def simulate_seed(
-    compiled: CompiledDesign, seed: int, cycles: int, reset_cycles: int
-) -> DiffTrace:
+def simulate_seed(compiled: CompiledDesign, seed: int, cycles: int) -> DiffTrace:
     """Run ``compiled``'s design on the mixed stimulus of ``seed``.
 
     The stimulus is :meth:`StimulusGenerator.mixed_stimulus` with
-    ``reset_cycles`` of reset and ``cycles`` random cycles.  Raises
+    ``cycles`` random cycles after the standard reset.  Raises
     :class:`~repro.sim.engine.SimulationError` when the design does not
     simulate (a combinational loop, say).
     """
     design = compiled.design
-    stimulus = StimulusGenerator(design, seed=seed).mixed_stimulus(
-        random_cycles=cycles, reset_cycles=reset_cycles
-    )
+    stimulus = StimulusGenerator(design, seed=seed).mixed_stimulus(random_cycles=cycles)
     return CompiledSimulator(design, compiled=compiled).run(stimulus.vectors)
 
 
@@ -153,7 +149,6 @@ def simulate_and_check(
     store: ArtifactStore,
     items: Sequence[tuple[str, Sequence[int]]],
     cycles: int,
-    reset_cycles: int,
     stage: str,
     base_source: Optional[str] = None,
 ) -> list[CheckOutcome]:
@@ -194,7 +189,7 @@ def simulate_and_check(
 
     def simulate(index: int, seed: int) -> Trace:
         with phase(f"{stage}.simulate"):
-            return simulate_seed(lowered[index], seed, cycles, reset_cycles)
+            return simulate_seed(lowered[index], seed, cycles)
 
     first: dict[int, list[Trace]] = {}
     for index in lowered:

@@ -26,7 +26,6 @@ from repro.eval.verifier import (
     CandidateFix,
     RepairVerdict,
     SemanticVerifier,
-    VerifierConfig,
 )
 from repro.hdl.lint import compile_source
 from repro.runtime import JobPolicy
@@ -216,9 +215,7 @@ def full_lowering_verdicts(jobs):
     for job in jobs:
         verdicts = []
         for fix in job.fixes:
-            verifier = SemanticVerifier(
-                config=VerifierConfig(cycles=job.cycles), artifacts=ArtifactStore()
-            )
+            verifier = SemanticVerifier(artifacts=ArtifactStore())
             patched, line_number, detail = verifier.apply_fix(job.buggy_source, fix)
             if patched is None:
                 verdict = RepairVerdict(
@@ -226,7 +223,7 @@ def full_lowering_verdicts(jobs):
                     detail=detail,
                 )
             else:
-                verdict = verifier.verify_source(patched, job.seeds)
+                verdict = verifier.verify_source(patched, job.seeds, cycles=job.cycles)
                 verdict.applied_line_number = line_number
             verdicts.append(verdict.to_dict())
         shards.append(verdicts)
@@ -251,12 +248,10 @@ def test_eval_reports_match_full_lowering_for_any_tier_and_workers(tmp_path):
 def test_verifier_base_artifacts_are_compiled_once_per_case(tmp_path):
     job = eval_jobs()[0]
     store = ArtifactStore()
-    verifier = SemanticVerifier(
-        config=VerifierConfig(cycles=CYCLES), artifacts=store
-    )
+    verifier = SemanticVerifier(artifacts=store)
     sources = {job.buggy_source}
     for fix in job.fixes:
-        verifier.verify(job.buggy_source, fix, job.seeds)
+        verifier.verify(job.buggy_source, fix, job.seeds, cycles=CYCLES)
         patched, _, _ = verifier.apply_fix(job.buggy_source, fix)
         if patched is not None:
             sources.add(patched)
@@ -264,9 +259,9 @@ def test_verifier_base_artifacts_are_compiled_once_per_case(tmp_path):
     # every candidate found it in the store.
     assert store.stats()["misses"] == len(sources) == len(store)
     # A second verifier (no verdict memo) over the same store compiles nothing.
-    again = SemanticVerifier(config=VerifierConfig(cycles=CYCLES), artifacts=store)
+    again = SemanticVerifier(artifacts=store)
     for fix in job.fixes:
-        again.verify(job.buggy_source, fix, job.seeds)
+        again.verify(job.buggy_source, fix, job.seeds, cycles=CYCLES)
     assert store.stats()["misses"] == len(sources)
 
 
@@ -466,21 +461,21 @@ def test_edit_after_base_eviction_recompiles_the_base_with_identical_verdicts():
     source, edited = edited_family_case()
     seeds = (3, 5)
     store = ArtifactStore(max_entries=2)
-    warm = SemanticVerifier(config=VerifierConfig(cycles=CYCLES), artifacts=store)
-    first = warm.verify_source(edited, seeds, base_source=source)
+    warm = SemanticVerifier(artifacts=store)
+    first = warm.verify_source(edited, seeds, cycles=CYCLES, base_source=source)
     assert store.misses == 2
     for index in (1, 2):  # evict both the edit and its base
         store.compile(numbered_source(index))
     assert store.evictions == 2
-    cold = SemanticVerifier(config=VerifierConfig(cycles=CYCLES), artifacts=store)
-    again = cold.verify_source(edited, seeds, base_source=source)
+    cold = SemanticVerifier(artifacts=store)
+    again = cold.verify_source(edited, seeds, cycles=CYCLES, base_source=source)
     # The base was compiled again, as was the edit against it.
     assert store.misses == 6
     assert store.recompiles == 2
     assert again.to_dict() == first.to_dict()
-    reference = SemanticVerifier(
-        config=VerifierConfig(cycles=CYCLES), artifacts=ArtifactStore()
-    ).verify_source(edited, seeds)
+    reference = SemanticVerifier(artifacts=ArtifactStore()).verify_source(
+        edited, seeds, cycles=CYCLES
+    )
     assert again.to_dict() == reference.to_dict()
 
 

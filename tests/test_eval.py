@@ -16,12 +16,12 @@ from repro.eval.cache import VerdictCache, verdict_key
 from repro.eval.harness import EvalConfig, EvalHarness
 from repro.eval.reports import read_split, write_reports
 from repro.eval.verifier import (
+    DEFAULT_CYCLES,
     CandidateFix,
     RepairVerdict,
     VERIFIER_SOURCES,
     VERIFIER_VERSION,
     SemanticVerifier,
-    VerifierConfig,
     derive_verification_seeds,
     verifier_version,
 )
@@ -165,10 +165,10 @@ def test_settling_comb_loop_candidate_simulates_to_pass():
         bug_line="    assign done = (count == LIMIT);",
         fixed_line="    assign done = done | (count == LIMIT);",
     )
-    verifier = SemanticVerifier(VerifierConfig(cycles=24))
+    verifier = SemanticVerifier()
     patched, _, _ = verifier.apply_fix(_COMB_LOOP_BASE, fix)
     assert build_dfg(compile_source(patched).design).combinational_cycles()
-    verdict = verifier.verify(_COMB_LOOP_BASE, fix, (101, 102))
+    verdict = verifier.verify(_COMB_LOOP_BASE, fix, (101, 102), cycles=24)
     assert verdict.status == "pass"
 
 
@@ -210,16 +210,15 @@ def test_zero_verification_seeds_are_refused(datasets):
 
 def test_verdict_cache_round_trip(tmp_path):
     cache = VerdictCache(tmp_path / "cache")
-    key = verdict_key("patched src", (1, 2), 48, 2, "v1")
+    key = verdict_key("patched src", (1, 2), 48, "v1")
     assert cache.get(key) is None
     cache.put(key, {"status": "pass"})
     assert cache.get(key) == {"status": "pass"}
     # The key is content-addressed: any input change gives a different key.
-    assert key != verdict_key("patched src2", (1, 2), 48, 2, "v1")
-    assert key != verdict_key("patched src", (1, 3), 48, 2, "v1")
-    assert key != verdict_key("patched src", (1, 2), 64, 2, "v1")
-    assert key != verdict_key("patched src", (1, 2), 48, 3, "v1")
-    assert key != verdict_key("patched src", (1, 2), 48, 2, "v2")
+    assert key != verdict_key("patched src2", (1, 2), 48, "v1")
+    assert key != verdict_key("patched src", (1, 3), 48, "v1")
+    assert key != verdict_key("patched src", (1, 2), 64, "v1")
+    assert key != verdict_key("patched src", (1, 2), 48, "v2")
 
 
 def test_cache_keys_on_the_patched_source_not_the_fix():
@@ -256,9 +255,8 @@ def test_verdict_entry_with_an_uncached_status_is_a_corrupt_miss(tmp_path, store
     seeds = derive_verification_seeds(entry.name, entry.stimulus_seed)
     fix = CandidateFix(entry.line_number, entry.golden_line, entry.buggy_line)
     patched = SemanticVerifier().apply_fix(entry.buggy_source, fix)[0]
-    config = VerifierConfig()
     cache = VerdictCache(tmp_path / "cache")
-    key = verdict_key(patched, seeds, config.cycles, config.reset_cycles, VERIFIER_VERSION)
+    key = verdict_key(patched, seeds, DEFAULT_CYCLES, VERIFIER_VERSION)
     cache.put(key, stored)
 
     verdict = SemanticVerifier(cache=cache).verify(entry.buggy_source, fix, seeds)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from design_canon import design_canonical_text
+from test_backend_differential import assert_traces_identical
 from repro.hdl import ast
 from repro.hdl.elaborate import elaborate
 from repro.hdl.errors import ElaborationError
@@ -96,17 +97,11 @@ def test_elaboration_leaves_the_parse_unchanged_and_is_repeatable():
 def test_simulators_agree_on_the_hierarchical_design():
     design = compile_source(HIERARCHICAL).design
     vectors = StimulusGenerator(design, seed=11).mixed_stimulus(random_cycles=24).vectors
-    interp = InterpSimulator(design).run(vectors)
+    assert_traces_identical(design, vectors)
     compiled = CompiledSimulator(design).run(vectors)
-    assert len(interp) == len(compiled) > 0
-    for expected, actual in zip(interp, compiled):
-        assert set(expected.pre_edge) == set(actual.pre_edge)
-        for name in expected.pre_edge:
-            assert expected.pre_edge[name].equals(actual.pre_edge[name]), name
-            assert expected.post_edge[name].equals(actual.post_edge[name]), name
-    assert any(sample.post_edge["u0__q"].value for sample in compiled)
+    assert any(sample.sampled("u0__q").value for sample in compiled)
     for sample in compiled:
-        a, rev = sample.post_edge["a"].value, sample.post_edge["rev"].value
+        a, rev = sample.sampled("a").value, sample.sampled("rev").value
         assert rev == int(f"{a:04b}"[::-1], 2)
 
 
@@ -120,7 +115,7 @@ def test_an_instance_clocked_through_its_port_fires_on_the_clock_edge():
     vectors = StimulusGenerator(design, seed=11).mixed_stimulus(random_cycles=24).vectors
     for simulator in (InterpSimulator(design), CompiledSimulator(design)):
         trace = simulator.run(vectors)
-        sums = [(s.post_edge["u0__q"].value, s.post_edge["u1__q"].value) for s in trace]
+        sums = [(s.sampled("u0__q").value, s.sampled("u1__q").value) for s in trace]
         assert any(u1 > 15 for _, u1 in sums), type(simulator).__name__
         assert all(u1 & 0xF == u0 for u0, u1 in sums), type(simulator).__name__
 
@@ -286,11 +281,7 @@ def test_an_initial_for_loop_is_unrolled_and_both_simulators_run_it():
     assert [str(node.target) for node in initial.body.walk() if isinstance(node, ast.Assign)] == [
         "mem[0]", "mem[1]", "mem[2]", "mem[3]"]
     vectors = StimulusGenerator(result.design, seed=3).mixed_stimulus(random_cycles=8).vectors
-    interp = InterpSimulator(result.design).run(vectors)
     compiled = CompiledSimulator(result.design).run(vectors)
     assert [sample.pre_edge["mem"].value for sample in compiled] == [0b1010] * len(vectors)
-    for expected, actual in zip(interp, compiled):
-        for name in expected.pre_edge:
-            assert expected.pre_edge[name].equals(actual.pre_edge[name]), name
-            assert expected.post_edge[name].equals(actual.post_edge[name]), name
+    assert_traces_identical(result.design, vectors)
 

@@ -298,7 +298,7 @@ def test_mutants_share_block_bodies_and_leave_the_base_unchanged(grid, monkeypat
         before = (repr(base.unit), design_canonical_text(base.design))
         mutants = injector_mutants(augmented, monkeypatch)
         outcomes = simulate_and_check(
-            store, [(mutant, (1,)) for mutant in mutants], 48, 2, "test", augmented
+            store, [(mutant, (1,)) for mutant in mutants], 48, "test", augmented
         )
         assert len(outcomes) == len(mutants)
         base_bodies = {id(block.body) for block in base.design.comb_blocks + base.design.seq_blocks}

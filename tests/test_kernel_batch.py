@@ -36,15 +36,13 @@ from repro.sva.kernel import CheckOutcome, simulate_and_check
 
 FAMILIES = all_families()
 CYCLES = 24
-RESET = 2
 
 
 def _exercised(report):
     return any(outcome.antecedent_matches > 0 for outcome in report.outcomes.values())
 
 
-def reference_simulate_and_check(store, source, seeds, cycles, reset_cycles,
-                                 base_source=None):
+def reference_simulate_and_check(store, source, seeds, cycles, base_source=None):
     """The one-source kernel: first seed checked alone, the rest batched."""
     if not seeds:
         raise ValueError("simulate_and_check needs at least one stimulus seed")
@@ -55,9 +53,7 @@ def reference_simulate_and_check(store, source, seeds, cycles, reset_cycles,
     checker = store.checker(source, base_source)
 
     def simulate(seed):
-        stimulus = StimulusGenerator(design, seed=seed).mixed_stimulus(
-            random_cycles=cycles, reset_cycles=reset_cycles
-        )
+        stimulus = StimulusGenerator(design, seed=seed).mixed_stimulus(random_cycles=cycles)
         return CompiledSimulator(design, compiled=compiled).run(stimulus.vectors)
 
     outcome = CheckOutcome(design=design)
@@ -153,9 +149,9 @@ def judge_both(items, base_source, batch_store, oracle_store, stage="kb"):
 
     Each side relowers against its own store's lowering of ``base_source``
     (or against nothing), so no lowered state is shared between them."""
-    batched = simulate_and_check(batch_store, items, CYCLES, RESET, stage, base_source)
+    batched = simulate_and_check(batch_store, items, CYCLES, stage, base_source)
     singles = [
-        reference_simulate_and_check(oracle_store, source, seeds, CYCLES, RESET, base_source)
+        reference_simulate_and_check(oracle_store, source, seeds, CYCLES, base_source)
         for source, seeds in items
     ]
     return batched, singles
@@ -210,7 +206,7 @@ def classify_seeds(store, source, candidates):
     """Single-seed verdicts of ``source``: seeds that pass, fail and sim-error."""
     found = {"pass": [], "fail": [], "error": []}
     for seed in candidates:
-        outcome = reference_simulate_and_check(store, source, (seed,), CYCLES, RESET)
+        outcome = reference_simulate_and_check(store, source, (seed,), CYCLES)
         kind = "error" if outcome.sim_error else "fail" if outcome.failure else "pass"
         found[kind].append(seed)
     return found
@@ -318,9 +314,9 @@ def test_batch_key_demands_shared_tensor_lowerings():
 
 def test_empty_items_and_empty_seeds():
     store = ArtifactStore()
-    assert simulate_and_check(store, [], CYCLES, RESET, "kb") == []
+    assert simulate_and_check(store, [], CYCLES, "kb") == []
     with pytest.raises(ValueError):
-        simulate_and_check(store, [(WIDTH_SOURCE, (1,)), (WIDTH_SOURCE, ())], CYCLES, RESET, "kb")
+        simulate_and_check(store, [(WIDTH_SOURCE, (1,)), (WIDTH_SOURCE, ())], CYCLES, "kb")
 
 
 def test_stage2_result_matches_the_per_mutant_loop(monkeypatch):
@@ -330,9 +326,9 @@ def test_stage2_result_matches_the_per_mutant_loop(monkeypatch):
     samples = run_stage1(CorpusGenerator(config.corpus).generate()).compiled
     batched = Stage2Runner(config.stage2).run(samples)
 
-    def per_mutant(store, items, cycles, reset_cycles, stage, base_source=None):
+    def per_mutant(store, items, cycles, stage, base_source=None):
         return [
-            reference_simulate_and_check(store, source, seeds, cycles, reset_cycles, base_source)
+            reference_simulate_and_check(store, source, seeds, cycles, base_source)
             for source, seeds in items
         ]
 

@@ -262,7 +262,7 @@ def test_simulate_and_check_never_materialises_samples(monkeypatch):
         augmented_design, _ = store.elaborate_source(augmented)
         mutants = injector.inject(artifact.name, augmented, augmented_design)
         items = [(augmented, (1, 2, 3))] + [(bug.buggy_source, (1, 2, 3)) for bug in mutants]
-        outcomes = simulate_and_check(store, items, 24, 2, "test", augmented)
+        outcomes = simulate_and_check(store, items, 24, "test", augmented)
         assert len(outcomes) == len(items)
         assert outcomes[0].design is not None and outcomes[0].sim_error is None
         checked += 1

@@ -6,7 +6,6 @@ byte-identical with tracing on or off."""
 import json
 import os
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -33,6 +32,7 @@ from repro.obs import (
     scoped_registry,
     set_tracer,
     split_label,
+    traced_run,
     write_chrome_trace,
     write_trace,
 )
@@ -303,12 +303,10 @@ def test_pipeline_datasets_identical_traced_or_untraced(tmp_path):
     untraced = DataAugmentationPipeline(PipelineConfig.small(seed=31, workers=1)).run()
     serial_trace = tmp_path / "serial.jsonl"
     pooled_trace = tmp_path / "pooled.jsonl"
-    traced_serial = DataAugmentationPipeline(
-        replace(PipelineConfig.small(seed=31, workers=1), trace_path=str(serial_trace))
-    ).run()
-    traced_pooled = DataAugmentationPipeline(
-        replace(PipelineConfig.small(seed=31, workers=2), trace_path=str(pooled_trace))
-    ).run()
+    with traced_run(str(serial_trace), "pipeline"):
+        traced_serial = DataAugmentationPipeline(PipelineConfig.small(seed=31, workers=1)).run()
+    with traced_run(str(pooled_trace), "pipeline"):
+        traced_pooled = DataAugmentationPipeline(PipelineConfig.small(seed=31, workers=2)).run()
 
     assert dataset_bytes(untraced) == dataset_bytes(traced_serial)
     assert dataset_bytes(untraced) == dataset_bytes(traced_pooled)
@@ -333,7 +331,8 @@ def test_eval_report_identical_traced_or_untraced(tmp_path, monkeypatch):
 
     plain = summary_of(config)
     flag_trace = tmp_path / "flag.jsonl"
-    assert summary_of(replace(config, trace_path=str(flag_trace))) == plain
+    with traced_run(str(flag_trace), "eval"):
+        assert summary_of(config) == plain
     data = read_trace(flag_trace)
     names = {span.name for span in data.spans}
     assert {"eval", "eval.propose", "eval.verify", "eval.score"} <= names
@@ -403,14 +402,12 @@ def test_traced_dpo_run_nests_the_training_phases_under_its_root(tmp_path, monke
 
 
 def test_traced_component_joins_an_enabled_ambient_tracer(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_TRACE", raising=False)
     own_trace = tmp_path / "own.jsonl"
+    monkeypatch.setenv("REPRO_TRACE", str(own_trace))
     tracer = Tracer()
     set_tracer(tracer)
     with tracer.span("outer"):
-        DataAugmentationPipeline(
-            replace(PipelineConfig.small(seed=31), trace_path=str(own_trace))
-        ).run()
+        DataAugmentationPipeline(PipelineConfig.small(seed=31)).run()
     assert not own_trace.exists()
     assert get_tracer() is tracer
     spans = {span.name: span for span in tracer.spans}

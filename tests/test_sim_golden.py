@@ -108,9 +108,9 @@ def test_trace_samples_preponed_values(simulator_class):
     result = compile_source(build_up_counter("dut", width=4, has_enable=0).source)
     assert result.ok
     sim = simulator_class(result.design)
-    sim.step({"rst_n": 0})
-    for _ in range(3):
-        sim.step({"rst_n": 1})
-    trace = sim.trace
-    assert [s.sampled("count").to_int() for s in trace] == [0, 0, 1, 2]
-    assert [s.settled("count").to_int() for s in trace] == [0, 1, 2, 3]
+    settled = []
+    for rst_n in (0, 1, 1, 1):
+        sim.step({"rst_n": rst_n})
+        settled.append(sim.peek("count"))
+    assert [s.sampled("count").to_int() for s in sim.trace] == [0, 0, 1, 2]
+    assert settled == [0, 1, 2, 3]

@@ -319,7 +319,6 @@ def test_trace_lacking_a_referenced_signal_raises_key_error():
             TraceSample(
                 cycle=sample.cycle,
                 pre_edge={k: v for k, v in sample.pre_edge.items() if k != "c"},
-                post_edge={k: v for k, v in sample.post_edge.items() if k != "c"},
             )
             for sample in full
         ],

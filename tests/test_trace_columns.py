@@ -1,6 +1,6 @@
 """Tests for the columnar trace layer and the attempt-tensor checking engine.
 
-Four contracts are pinned here:
+Three contracts are pinned here:
 
 * ``DiffTrace.columns()`` (built from the column events the compiled
   simulator records) agrees element-for-element with the row-oriented
@@ -16,9 +16,7 @@ Four contracts are pinned here:
 * adversarial attempt shapes (dense antecedent starts, attempts spanning
   the trace end, ``disable iff`` pulses mid-attempt, pre-trace ``$past``),
   ragged-length stacked batches and a design mixing a tensor assertion
-  with a >63-bit tree-walker one stay verdict-identical too;
-* the ``Trace.render`` fixes: no name truncation, clear error for unknown
-  names.
+  with a >63-bit tree-walker one stay verdict-identical too.
 """
 
 import pickle
@@ -556,7 +554,7 @@ def test_columns_memo_invalidated_on_append():
 
     def sample(cycle, value):
         held = {"a": LogicValue.from_int(value, 4)}
-        return TraceSample(cycle=cycle, pre_edge=held, post_edge=held)
+        return TraceSample(cycle=cycle, pre_edge=held)
 
     trace = Trace(signals=["a"])
     trace.append(sample(0, 3))
@@ -588,39 +586,3 @@ def test_columns_memo_dropped_on_pickle():
     restored = pickle.loads(pickle.dumps(trace))
     assert "_columns_memo" not in restored.__dict__
     assert restored.columns(["a"]).values["a"].tolist() == built.values["a"].tolist()
-
-
-# --------------------------------------------------------------------------- #
-# render fixes
-# --------------------------------------------------------------------------- #
-
-
-LONG_NAMES_SOURCE = """
-module longnames(
-    input wire clk,
-    input wire [3:0] a_very_long_signal_name_one,
-    output reg [3:0] a_very_long_signal_name_two
-);
-    always @(posedge clk) begin
-        a_very_long_signal_name_two <= a_very_long_signal_name_one;
-    end
-endmodule
-"""
-
-
-def test_render_does_not_truncate_long_names():
-    design = compile_source(LONG_NAMES_SOURCE).design
-    trace = CompiledSimulator(design).run([{"a_very_long_signal_name_one": 3}] * 4)
-    rendered = trace.materialized().render(
-        ["a_very_long_signal_name_one", "a_very_long_signal_name_two"]
-    )
-    # Both full names must be present and therefore distinguishable.
-    assert "a_very_long_signal_name_one" in rendered
-    assert "a_very_long_signal_name_two" in rendered
-
-
-def test_render_unknown_name_raises_value_error():
-    design = compile_source(LONG_NAMES_SOURCE).design
-    trace = CompiledSimulator(design).run([{"a_very_long_signal_name_one": 3}] * 4)
-    with pytest.raises(ValueError, match="cannot render"):
-        trace.materialized().render(["no_such_signal"])
